@@ -1,6 +1,33 @@
 package analysis
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+// TestPackageDirsSkipsNestedModules matches the go tool's ./...: a
+// subdirectory with its own go.mod belongs to another module.
+func TestPackageDirsSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for _, f := range []string{"go.mod", "a.go", "pkg/b.go", "nested/go.mod", "nested/c.go", "nested/sub/d.go"} {
+		path := filepath.Join(root, filepath.FromSlash(f))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := PackageDirs(root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{root, filepath.Join(root, "pkg")}; !reflect.DeepEqual(got, want) {
+		t.Errorf("PackageDirs = %v, want %v", got, want)
+	}
+}
 
 func TestParseAnnotation(t *testing.T) {
 	cases := []struct {

@@ -218,7 +218,9 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 }
 
 // PackageDirs lists the directories under root (itself included) that
-// contain Go files, skipping testdata, vendor and hidden directories.
+// contain Go files, skipping testdata, vendor and hidden directories and
+// nested modules (a subdirectory with its own go.mod is not part of this
+// module's ./..., as with the go tool).
 // pattern limits the walk: "" or "./..." means everything; "./x/..."
 // the subtree at x; a plain directory path just that directory.
 func PackageDirs(root, pattern string) ([]string, error) {
@@ -244,6 +246,11 @@ func PackageDirs(root, pattern string) ([]string, error) {
 			}
 			if !recursive && path != base {
 				return filepath.SkipDir
+			}
+			if path != base {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			return nil
 		}

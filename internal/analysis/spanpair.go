@@ -11,10 +11,10 @@ import (
 // Proc.TraceSpan / Proc.TraceSpanArg (or a local wrapper named
 // traceSpan) that some path through the function never calls. An open
 // KSpanBegin with no matching KSpanEnd corrupts every downstream sink —
-// the Collector's per-proc open stack leaks, the Chrome export closes
-// the wrong spans at run end — and, because the closer is invisible on
-// the happy path, the bug only shows on the early-return path that
-// skipped it. The analysis walks the function's statement paths:
+// the metrics profile's per-proc open stack leaks, the Chrome export
+// closes the wrong spans at run end — and, because the closer is
+// invisible on the happy path, the bug only shows on the early-return
+// path that skipped it. The analysis walks the function's statement paths:
 // branches must close or defer the closer before every return and
 // before falling off the end; passing the closer to a deferred call or
 // returning it hands the obligation to the caller.

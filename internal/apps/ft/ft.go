@@ -127,6 +127,16 @@ type Result struct {
 	MaxErr   float64
 }
 
+// mergePhases folds one execution context's phase totals into the
+// result as cross-context maxima (the slowest context bounds the phase).
+func mergePhases(res *Result, phases map[string]sim.Duration) {
+	for name, d := range phases {
+		if d > res.Phases[name] {
+			res.Phases[name] = d
+		}
+	}
+}
+
 // GFlopRate reports the benchmark's achieved Gflop/s using the NAS
 // convention for FT's operation count.
 func (r Result) GFlopRate(c Class) float64 {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/fft"
 	"repro/internal/mpi"
-	"repro/internal/perf"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -22,8 +21,8 @@ type mpiWorker struct {
 	LY  int
 	B   int
 
-	phases   *perf.Phases
-	measured bool // inside the timed region (phase spans are emitted)
+	phases   map[string]sim.Duration // this rank's per-phase totals
+	measured bool                    // inside the timed region (phase spans are emitted)
 
 	a     []complex128
 	d     []complex128
@@ -55,7 +54,7 @@ func runMPI(cfg Config) (Result, error) {
 		w := &mpiWorker{
 			cfg: &cfg, cls: cfg.Class, c: c, P: c.Size,
 			LZ: cfg.Class.NZ / c.Size, LY: cfg.Class.NY / c.Size,
-			phases: perf.NewPhases(),
+			phases: map[string]sim.Duration{},
 		}
 		w.B = w.LZ * w.LY * cfg.Class.NX
 		if cfg.Verify {
@@ -72,12 +71,12 @@ func runMPI(cfg Config) (Result, error) {
 			if maxErr > 1e-9 {
 				verified = false
 			}
-			w.mergePhases(&res)
+			mergePhases(&res, w.phases)
 			return
 		}
 		w.forward()
 		c.Barrier()
-		w.phases = perf.NewPhases() // discard setup-phase charges
+		w.phases = map[string]sim.Duration{} // discard setup-phase charges
 		w.measured = true
 		if c.Rank == 0 {
 			start = c.P.Now()
@@ -93,7 +92,7 @@ func runMPI(cfg Config) (Result, error) {
 		if c.Rank == 0 {
 			stop = c.P.Now()
 		}
-		w.mergePhases(&res)
+		mergePhases(&res, w.phases)
 	})
 	if err != nil {
 		return Result{}, err
@@ -114,19 +113,10 @@ func (w *mpiWorker) timed(phase string, fn func()) {
 	if w.measured {
 		end = w.c.P.TraceSpan("ft", phase)
 	}
-	tm := w.phases.Timer(phase)
-	tm.Start(w.c.P.Now())
+	t0 := w.c.P.Now()
 	fn()
-	tm.Stop(w.c.P.Now())
+	w.phases[phase] += w.c.P.Now() - t0
 	end()
-}
-
-func (w *mpiWorker) mergePhases(res *Result) {
-	for _, name := range w.phases.Names() {
-		if d := w.phases.Total(name); d > res.Phases[name] {
-			res.Phases[name] = d
-		}
-	}
 }
 
 func (w *mpiWorker) compute(seconds float64) {

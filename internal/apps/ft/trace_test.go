@@ -4,7 +4,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/perf"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -17,15 +16,15 @@ import (
 func TestTracePhasesMatchFigure44(t *testing.T) {
 	cls, _ := ClassByName("A")
 	for _, variant := range []Variant{UPCProcesses, MPIFortran} {
-		col := trace.NewCollector()
+		buf := trace.NewBuffer()
 		r, err := Run(Config{
 			Machine: topo.Lehman(), Class: cls, Variant: variant,
-			Threads: 4, PerNode: 2, Seed: 5, Tracer: col,
+			Threads: 4, PerNode: 2, Seed: 5, Tracer: buf,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", variant, err)
 		}
-		got := perf.PhasesFromTrace(col, "ft")
+		got := spanPhases(buf, "ft")
 		if len(got) == 0 {
 			t.Fatalf("%v: no ft phase spans in the trace", variant)
 		}
@@ -51,15 +50,15 @@ func TestTracePhasesMatchFigure44(t *testing.T) {
 // must still reproduce the reported totals.
 func TestTraceOverlapPhasesMatch(t *testing.T) {
 	cls, _ := ClassByName("A")
-	col := trace.NewCollector()
+	buf := trace.NewBuffer()
 	r, err := Run(Config{
 		Machine: topo.Lehman(), Class: cls, Variant: UPCProcesses, Impl: Overlap,
-		Threads: 4, PerNode: 2, Seed: 5, Tracer: col,
+		Threads: 4, PerNode: 2, Seed: 5, Tracer: buf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := perf.PhasesFromTrace(col, "ft")
+	got := spanPhases(buf, "ft")
 	for _, phase := range []string{"fft2d", "comm-call", "comm-wait"} {
 		if got[phase] != r.Phases[phase] {
 			t.Errorf("trace phase %s = %v, Phases reports %v", phase, got[phase], r.Phases[phase])
@@ -68,6 +67,40 @@ func TestTraceOverlapPhasesMatch(t *testing.T) {
 			t.Errorf("phase %s reported as empty", phase)
 		}
 	}
+}
+
+// spanPhases rebuilds a phase breakdown from the buffered stream: for
+// each span name under cat, the largest per-proc summed duration — the
+// cross-thread maximum Result.Phases reports.
+func spanPhases(buf *trace.Buffer, cat string) map[string]sim.Duration {
+	open := map[int32][]trace.Event{}
+	byProc := map[string]map[int32]int64{}
+	for _, e := range buf.Events() {
+		switch e.Kind {
+		case trace.KSpanBegin:
+			open[e.Proc] = append(open[e.Proc], e)
+		case trace.KSpanEnd:
+			stack := open[e.Proc]
+			b := stack[len(stack)-1]
+			open[e.Proc] = stack[:len(stack)-1]
+			if b.Cat != cat {
+				continue
+			}
+			if byProc[b.Name] == nil {
+				byProc[b.Name] = map[int32]int64{}
+			}
+			byProc[b.Name][e.Proc] += e.Time - b.Time
+		}
+	}
+	out := map[string]sim.Duration{}
+	for name, procs := range byProc {
+		for _, d := range procs {
+			if sim.Duration(d) > out[name] {
+				out[name] = sim.Duration(d)
+			}
+		}
+	}
+	return out
 }
 
 // sortedKeys returns the map's keys in sorted order, so comparison

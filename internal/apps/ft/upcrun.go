@@ -5,7 +5,6 @@ import (
 	"math/cmplx"
 
 	"repro/internal/fft"
-	"repro/internal/perf"
 	"repro/internal/sim"
 	"repro/internal/subthread"
 	"repro/internal/topo"
@@ -23,8 +22,8 @@ type upcWorker struct {
 	B   int // exchange block: LZ*LY*NX elements
 
 	team     *subthread.Team
-	phases   *perf.Phases
-	measured bool // inside the timed region (phase spans are emitted)
+	phases   map[string]sim.Duration // this thread's per-phase totals
+	measured bool                    // inside the timed region (phase spans are emitted)
 
 	// Verify-mode data (nil in model mode).
 	a     []complex128 // z-slab: a[(zl*NY+y)*NX+x]
@@ -80,13 +79,13 @@ func runUPC(cfg Config) (Result, error) {
 			if maxErr > 1e-9 {
 				verified = false
 			}
-			w.mergePhases(&res)
+			mergePhases(&res, w.phases)
 			return
 		}
 		// Model mode: one untimed setup transform, then the timed loop.
 		w.forward()
 		t.Barrier()
-		w.phases = perf.NewPhases() // discard setup-phase charges
+		w.phases = map[string]sim.Duration{} // discard setup-phase charges
 		w.measured = true
 		if t.ID == 0 {
 			start = t.Now()
@@ -100,7 +99,7 @@ func runUPC(cfg Config) (Result, error) {
 		if t.ID == 0 {
 			stop = t.Now()
 		}
-		w.mergePhases(&res)
+		mergePhases(&res, w.phases)
 	})
 	if err != nil {
 		return Result{}, err
@@ -128,7 +127,7 @@ func newUPCWorker(cfg *Config, t *upc.Thread) (*upcWorker, error) {
 		P:      t.N,
 		LZ:     cls.NZ / t.N,
 		LY:     cls.NY / t.N,
-		phases: perf.NewPhases(),
+		phases: map[string]sim.Duration{},
 		// Verify mode times everything; model mode opens the measured
 		// region after the untimed setup transform.
 		measured: cfg.Verify,
@@ -197,15 +196,6 @@ func (w *upcWorker) compare() float64 {
 	return worst
 }
 
-// mergePhases folds this thread's phase totals into the result as maxima.
-func (w *upcWorker) mergePhases(res *Result) {
-	for _, name := range w.phases.Names() {
-		if d := w.phases.Total(name); d > res.Phases[name] {
-			res.Phases[name] = d
-		}
-	}
-}
-
 // compute dispatches n work items across the team (or runs them inline),
 // charging each item's cost; body may be nil in model mode.
 func (w *upcWorker) compute(n int, perItem float64, body func(i int)) {
@@ -226,15 +216,14 @@ func (w *upcWorker) compute(n int, perItem float64, body func(i int)) {
 	w.t.Compute(float64(n) * perItem)
 }
 
-// timed runs fn between a named phase timer, tracing it as an "ft" span
-// inside the measured region so a trace.Collector aggregates the same
-// per-phase breakdown the Phases report.
+// timed runs fn as one interval of the named phase, adding its duration
+// to the thread's phase total and tracing it as an "ft" span inside the
+// measured region, so each proc's summed spans equal its phase totals.
 func (w *upcWorker) timed(phase string, fn func()) {
 	end := w.traceSpan(phase)
-	tm := w.phases.Timer(phase)
-	tm.Start(w.t.Now())
+	t0 := w.t.Now()
 	fn()
-	tm.Stop(w.t.Now())
+	w.phases[phase] += w.t.Now() - t0
 	end()
 }
 
@@ -376,8 +365,6 @@ func (w *upcWorker) forwardOverlap() {
 
 	w.t.Barrier()
 	var handles []*upc.Handle
-	commCall := w.phases.Timer("comm-call")
-	fft2d := w.phases.Timer("fft2d")
 	start := w.t.Now()
 	endFFT := w.traceSpan("fft2d")
 
@@ -416,13 +403,11 @@ func (w *upcWorker) forwardOverlap() {
 			c0 := w.t.Now()
 			endCall := w.traceSpan("comm-call")
 			planeWork(w.t, zl)
-			commCall.Start(c0)
-			commCall.Stop(w.t.Now())
+			w.phases["comm-call"] += w.t.Now() - c0
 			endCall()
 		}
 	}
-	fft2d.Start(start)
-	fft2d.Stop(w.t.Now())
+	w.phases["fft2d"] += w.t.Now() - start
 	endFFT()
 
 	w.timed("comm-wait", func() {

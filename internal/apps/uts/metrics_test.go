@@ -2,6 +2,7 @@ package uts
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -113,15 +114,15 @@ func TestLoopbackClass(t *testing.T) {
 	}
 }
 
-// TestStealPctFromMetricsAlone reproduces the Table 3.2 local-steal
-// percentage three ways — the app's own counters, the trace-fed
-// Collector path the table uses, and the -metrics manifest — and
-// requires exact agreement. This is the guarantee that lets the
-// metrics manifest stand in for the table's instrumentation.
+// TestStealPctFromMetricsAlone requires the -metrics manifest's counter
+// namespace to reproduce the app's own counters exactly — every
+// counter.* total, hence the Table 3.2 local-steal percentage — and its
+// uts/steal instant count to equal the steals counter. This is the
+// guarantee that lets the manifest stand in for the table's
+// instrumentation.
 func TestStealPctFromMetricsAlone(t *testing.T) {
-	col := trace.NewCollector()
 	coll := metrics.NewCollection()
-	r, err := Run(twoNodeConfig(trace.Tee(col, coll)))
+	r, err := Run(twoNodeConfig(coll))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,22 +130,26 @@ func TestStealPctFromMetricsAlone(t *testing.T) {
 	if fromApp == 0 {
 		t.Fatal("no local steals; scenario too small")
 	}
-
-	// Trace-fed path (what Table 3.2 reads).
-	steals := col.Counter("steals")
-	fromTrace := 100 * float64(col.Counter("steals_local")) / float64(steals)
-
-	// Metrics path: the manifest's counter namespace alone.
 	m := coll.Manifest("uts-test", nil)
+	for _, name := range sortedCounterNames(r.Counters) {
+		if got := m.Counters["counter."+name]; got != r.Counters[name] {
+			t.Errorf("manifest counter.%s = %d, app counter = %d", name, got, r.Counters[name])
+		}
+	}
+	for _, key := range sortedCounterNames(m.Counters) {
+		name, ok := strings.CutPrefix(key, "counter.")
+		if _, app := r.Counters[name]; ok && !app {
+			t.Errorf("manifest has counter %s the app does not", key)
+		}
+	}
 	ms := m.Counters["counter.steals"]
 	if ms == 0 {
 		t.Fatal("manifest has no steals counter")
 	}
-	fromMetrics := 100 * float64(m.Counters["counter.steals_local"]) / float64(ms)
-
-	if fromTrace != fromApp {
-		t.Errorf("trace-fed steal pct %.6f != app %.6f", fromTrace, fromApp)
+	if n := m.Counters["instant.uts/steal.n"]; n != ms {
+		t.Errorf("uts/steal instants = %d, steals counter = %d", n, ms)
 	}
+	fromMetrics := 100 * float64(m.Counters["counter.steals_local"]) / float64(ms)
 	if fromMetrics != fromApp {
 		t.Errorf("metrics-fed steal pct %.6f != app %.6f", fromMetrics, fromApp)
 	}

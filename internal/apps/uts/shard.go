@@ -286,11 +286,13 @@ func RunSharded(cfg Config) (Result, error) {
 	}
 
 	counters := perf.Counters{}
+	steals := make([]int64, cfg.Threads)
 	var nodes int64
 	var deepest uint32
 	for _, ls := range r.lanes {
 		for _, w := range ls.workers {
 			counters.Merge(w.c)
+			steals[w.gid] = w.c.Get("steals")
 			nodes += w.count
 			if w.deepest > deepest {
 				deepest = w.deepest
@@ -307,11 +309,12 @@ func RunSharded(cfg Config) (Result, error) {
 	}
 	elapsed := r.stop - r.start
 	return Result{
-		Nodes:        nodes,
-		MaxDepth:     deepest,
-		Elapsed:      elapsed,
-		MNodesPerSec: float64(nodes) / elapsed.Seconds() / 1e6,
-		Counters:     counters,
+		Nodes:          nodes,
+		MaxDepth:       deepest,
+		Elapsed:        elapsed,
+		MNodesPerSec:   float64(nodes) / elapsed.Seconds() / 1e6,
+		Counters:       counters,
+		StealsByThread: steals,
 	}, nil
 }
 

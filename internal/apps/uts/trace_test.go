@@ -1,6 +1,7 @@
 package uts
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -30,33 +31,56 @@ func tracedConfig(tr trace.Tracer) Config {
 	}
 }
 
-// TestTraceCountersMatch verifies that the trace-fed counters reproduce
-// the app's ad-hoc ones exactly — the property that lets Table 3.2 read
-// its steal percentages from a Collector.
-func TestTraceCountersMatch(t *testing.T) {
-	col := trace.NewCollector()
-	r, err := Run(tracedConfig(col))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := perf.CountersFromTrace(col)
-	for _, name := range sortedCounterNames(r.Counters) {
-		if got.Get(name) != r.Counters[name] {
-			t.Errorf("trace counter %s = %d, app counter = %d", name, got.Get(name), r.Counters[name])
+// TestStealsByThreadMatchTrace checks Result.StealsByThread against the
+// stream: every thread's entry — zero included — equals the number of
+// uts/steal instants its proc emitted, for the legacy and the sharded
+// traversal. Procs are mapped to thread ids by their spawn names
+// ("upc<id>" and "uts<lane>.<worker>").
+func TestStealsByThreadMatchTrace(t *testing.T) {
+	const perNode = 2
+	for _, sharded := range []bool{false, true} {
+		buf := trace.NewBuffer()
+		cfg := tracedConfig(buf)
+		run := Run
+		if sharded {
+			run = RunSharded
 		}
-	}
-	for _, name := range sortedCounterNames(got) {
-		if _, ok := r.Counters[name]; !ok {
-			t.Errorf("trace has counter %s the app does not", name)
+		r, err := run(cfg)
+		if err != nil {
+			t.Fatalf("sharded=%v: %v", sharded, err)
 		}
-	}
-	if got.Get("steals") == 0 {
-		t.Error("no steals recorded; the scenario is too small to exercise stealing")
-	}
-	// The steal instants split by locality must sum to the steal counter.
-	local := col.Count("uts", "steal") // all steal instants
-	if local != got.Get("steals") {
-		t.Errorf("steal instants = %d, steals counter = %d", local, got.Get("steals"))
+		thread := map[int32]int{}
+		got := make([]int64, cfg.Threads)
+		for _, e := range buf.Events() {
+			switch {
+			case e.Kind == trace.KProcSpawn:
+				var id, lane, worker int
+				if _, err := fmt.Sscanf(e.Name, "upc%d", &id); err == nil && !sharded {
+					thread[e.Proc] = id
+				} else if _, err := fmt.Sscanf(e.Name, "uts%d.%d", &lane, &worker); err == nil && sharded {
+					thread[e.Proc] = lane*perNode + worker
+				}
+			case e.Kind == trace.KInstant && e.Cat == "uts" && e.Name == "steal":
+				id, ok := thread[e.Proc]
+				if !ok {
+					t.Fatalf("sharded=%v: steal from proc %d, which is no worker", sharded, e.Proc)
+				}
+				got[id]++
+			}
+		}
+		if len(r.StealsByThread) != cfg.Threads {
+			t.Fatalf("sharded=%v: %d per-thread entries, want %d", sharded, len(r.StealsByThread), cfg.Threads)
+		}
+		var total int64
+		for id, n := range r.StealsByThread {
+			if n != got[id] {
+				t.Errorf("sharded=%v: thread %d steals = %d, trace has %d", sharded, id, n, got[id])
+			}
+			total += n
+		}
+		if total == 0 || total != r.Counters.Get("steals") {
+			t.Errorf("sharded=%v: per-thread steals sum to %d, steals counter = %d", sharded, total, r.Counters.Get("steals"))
+		}
 	}
 }
 

@@ -56,8 +56,8 @@ type Config struct {
 	Tree        TreeSpec
 	Seed        int64
 	// Tracer, when non-nil, receives the run's trace events; the traversal
-	// counters are emitted as "uts" trace counters, so a trace.Collector
-	// sees exactly the totals Result.Counters reports.
+	// counters are emitted as "uts" trace counters, so a metrics
+	// Collection's counter.* totals equal Result.Counters exactly.
 	Tracer trace.Tracer
 	// Faults, when non-nil, overrides the process-default fault schedule
 	// (see internal/fault). The traversal then self-heals: lost messages
@@ -86,6 +86,9 @@ type Result struct {
 	// Counters: nodes, steals, steals_local, probes, probes_failed,
 	// releases, stolen_nodes.
 	Counters perf.Counters
+	// StealsByThread holds each thread's successful steals, indexed by
+	// thread id (Table 3.2's per-thread spread).
+	StealsByThread []int64
 }
 
 // LocalStealPct reports the percentage of successful steals that hit a
@@ -106,6 +109,7 @@ type global struct {
 	nodes       int64
 	maxDepth    uint32
 	counters    perf.Counters
+	steals      []int64 // per-thread successful steals
 	// orphans holds work re-rooted from crashed workers (their private
 	// stack remainder plus their shared steal region), awaiting adoption
 	// by survivors.
@@ -160,7 +164,7 @@ func Run(cfg Config) (Result, error) {
 		Retry:          cfg.Retry,
 	}
 
-	g := &global{counters: perf.Counters{}}
+	g := &global{counters: perf.Counters{}, steals: make([]int64, cfg.Threads)}
 	var start, stop sim.Time
 	_, err := upc.Run(ucfg, func(t *upc.Thread) {
 		w := newWorker(t, &cfg, g)
@@ -193,6 +197,7 @@ func Run(cfg Config) (Result, error) {
 		w.c.Add("xlate_hit", xh)
 		w.c.Add("xlate_miss", xm)
 		g.counters.Merge(w.c)
+		g.steals[t.ID] = w.c.Get("steals")
 		g.nodes += w.count
 		if w.deepest > g.maxDepth {
 			g.maxDepth = w.deepest
@@ -211,11 +216,12 @@ func Run(cfg Config) (Result, error) {
 	}
 	elapsed := stop - start
 	return Result{
-		Nodes:        g.nodes,
-		MaxDepth:     g.maxDepth,
-		Elapsed:      elapsed,
-		MNodesPerSec: float64(g.nodes) / elapsed.Seconds() / 1e6,
-		Counters:     g.counters,
+		Nodes:          g.nodes,
+		MaxDepth:       g.maxDepth,
+		Elapsed:        elapsed,
+		MNodesPerSec:   float64(g.nodes) / elapsed.Seconds() / 1e6,
+		Counters:       g.counters,
+		StealsByThread: g.steals,
 	}, nil
 }
 
@@ -468,7 +474,7 @@ func strikeFrom(s []int, v int) []int {
 }
 
 // bump advances a traversal counter, mirroring it into the trace stream
-// so trace-fed consumers (Table 3.2) see the same totals.
+// so trace-fed consumers (the -metrics manifest) see the same totals.
 func (w *worker) bump(name string, n int64) {
 	w.c.Add(name, n)
 	w.t.P.TraceCounter("uts", name, n)

@@ -116,22 +116,17 @@ func cpWaitPct(rec *causality.Recorder) float64 {
 	return 100 * float64(wait) / float64(exp.TotalMakespanNS)
 }
 
-// localStealPct computes Table 3.2's local-steal percentage from the
-// trace-fed counters (equal to Result.LocalStealPct by construction).
-func localStealPct(c *trace.Collector) float64 {
-	counters := perf.CountersFromTrace(c)
-	if s := counters.Get("steals"); s > 0 {
-		return 100 * float64(counters.Get("steals_local")) / float64(s)
-	}
-	return 0
-}
-
 // stealSpread renders the per-thread steal-count spread of one run —
-// p10/median/p90 across threads, from the trace's per-proc steal
-// instants — so a strategy that concentrates stealing on a few threads
-// is visible next to the aggregate local-steal percentage.
-func stealSpread(c *trace.Collector) string {
-	counts := perf.Int64s(c.CountByProc("uts", "steal"))
+// p10/median/p90 across threads — so a strategy that concentrates
+// stealing on a few threads is visible next to the aggregate local-steal
+// percentage.
+func stealSpread(r uts.Result) string {
+	var counts []float64
+	for _, n := range r.StealsByThread {
+		if n > 0 {
+			counts = append(counts, float64(n))
+		}
+	}
 	if len(counts) == 0 {
 		return "-"
 	}
@@ -197,14 +192,13 @@ func Table32(w io.Writer, quick bool) error {
 		{"3.4%", "36.2", "59.0"}, {"7.1%", "58.1", "82.9"}, {"11.2%", "72.2", "90.9"},
 		{"49.4%", "18.2", "57.8"}, {"66.5%", "40.5", "81.1"}, {"99.5%", "58.1", "89.7"},
 	}
-	// The steal percentages come from the trace stream, not the app's
-	// ad-hoc counters: each run feeds its own Collector and the table
-	// reads the aggregated "uts" counters back out of it. The two runs
-	// per shape (baseline and optimized strategy) are flattened over the
-	// worker pool: even indices baseline, odd optimized.
+	// The steal statistics come from the runs' own results; each run
+	// feeds a private causality recorder for the critical-path column.
+	// The two runs per shape (baseline and optimized strategy) are
+	// flattened over the worker pool: even indices baseline, odd
+	// optimized.
 	type traced struct {
 		r   uts.Result
-		col *trace.Collector
 		rec *causality.Recorder
 	}
 	runs := make([]traced, 2*len(shapes))
@@ -213,12 +207,11 @@ func Table32(w io.Writer, quick bool) error {
 		if i%2 == 1 {
 			strat = uts.LocalRapid
 		}
-		col := trace.NewCollector()
 		rec := causality.NewRecorder()
 		cfg := utsConfig(shapes[i/2].net, shapes[i/2].procs, strat, quick)
-		cfg.Tracer = trace.Tee(col, trace.Tee(rec, tr))
+		cfg.Tracer = trace.Tee(rec, tr)
 		r, err := uts.Run(cfg)
-		runs[i] = traced{r, col, rec}
+		runs[i] = traced{r, rec}
 		return err
 	})
 	if err != nil {
@@ -231,9 +224,9 @@ func Table32(w io.Writer, quick bool) error {
 		rows = append(rows, []string{
 			fmt.Sprintf("%s %d/%d", sh.net, sh.procs, sh.procs/16),
 			fmt.Sprintf("%.1f%%", improve),
-			fmt.Sprintf("%.1f", localStealPct(base.col)),
-			fmt.Sprintf("%.1f", localStealPct(opt.col)),
-			stealSpread(opt.col),
+			fmt.Sprintf("%.1f", base.r.LocalStealPct()),
+			fmt.Sprintf("%.1f", opt.r.LocalStealPct()),
+			stealSpread(opt.r),
 			fmt.Sprintf("%.1f/%.1f", cpWaitPct(base.rec), cpWaitPct(opt.rec)),
 			paper[i][0], paper[i][1], paper[i][2],
 		})

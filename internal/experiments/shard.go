@@ -15,7 +15,6 @@ import (
 	"repro/internal/apps/uts"
 	"repro/internal/causality"
 	"repro/internal/report"
-	"repro/internal/trace"
 )
 
 // Table31Sharded renders the sharded companion of Table 3.1: the
@@ -44,8 +43,8 @@ func Table31Sharded(w io.Writer) error {
 
 // Table32Sharded renders Table 3.2 on the sharded engine: the same
 // profiling comparison (baseline ring vs local stealing with rapid
-// diffusion), with the steal statistics read back from the trace
-// stream exactly like the legacy table.
+// diffusion), with the steal statistics read from the runs' results
+// exactly like the legacy table.
 func Table32Sharded(w io.Writer, quick bool) error {
 	type row struct {
 		net   string
@@ -57,7 +56,6 @@ func Table32Sharded(w io.Writer, quick bool) error {
 	}
 	type traced struct {
 		r   uts.Result
-		col *trace.Collector
 		rec *causality.Recorder
 	}
 	runs := make([]traced, 2*len(shapes))
@@ -66,15 +64,14 @@ func Table32Sharded(w io.Writer, quick bool) error {
 		if i%2 == 1 {
 			strat = uts.LocalRapid
 		}
-		col := trace.NewCollector()
 		rec := causality.NewRecorder()
 		cfg := utsConfig(shapes[i/2].net, shapes[i/2].procs, strat, quick)
-		cfg.Tracer = trace.Tee(col, rec)
+		cfg.Tracer = rec
 		r, err := uts.RunSharded(cfg)
 		if err != nil {
 			return err
 		}
-		runs[i] = traced{r, col, rec}
+		runs[i] = traced{r, rec}
 	}
 	rows := make([][]string, 0, len(shapes))
 	for i, sh := range shapes {
@@ -83,9 +80,9 @@ func Table32Sharded(w io.Writer, quick bool) error {
 		rows = append(rows, []string{
 			fmt.Sprintf("%s %d/%d", sh.net, sh.procs, sh.procs/16),
 			fmt.Sprintf("%.1f%%", improve),
-			fmt.Sprintf("%.1f", localStealPct(base.col)),
-			fmt.Sprintf("%.1f", localStealPct(opt.col)),
-			stealSpread(opt.col),
+			fmt.Sprintf("%.1f", base.r.LocalStealPct()),
+			fmt.Sprintf("%.1f", opt.r.LocalStealPct()),
+			stealSpread(opt.r),
 			fmt.Sprintf("%.1f/%.1f", cpWaitPct(base.rec), cpWaitPct(opt.rec)),
 		})
 	}

@@ -1,76 +1,11 @@
-// Package perf provides virtual-time instrumentation for the benchmark
-// applications: phase timers, named counters, and simple statistics over
-// repeated trials.
+// Package perf provides the benchmark applications' named counters and
+// simple statistics over repeated trials and per-thread samples.
 package perf
 
 import (
 	"fmt"
 	"sort"
-	"strings"
-
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
-
-// Timer accumulates virtual time across start/stop intervals.
-type Timer struct {
-	total   sim.Duration
-	started sim.Time
-	running bool
-}
-
-// Start begins an interval at now. Starting a running timer panics: it
-// indicates a measurement bug.
-func (t *Timer) Start(now sim.Time) {
-	if t.running {
-		panic("perf: Timer started twice")
-	}
-	t.running = true
-	t.started = now
-}
-
-// Stop ends the current interval at now.
-func (t *Timer) Stop(now sim.Time) {
-	if !t.running {
-		panic("perf: Timer stopped while not running")
-	}
-	t.running = false
-	t.total += now - t.started
-}
-
-// Total reports the accumulated time.
-func (t *Timer) Total() sim.Duration { return t.total }
-
-// Phases tracks a set of named timers (one per benchmark phase).
-type Phases struct {
-	order  []string
-	timers map[string]*Timer
-}
-
-// NewPhases returns an empty phase tracker.
-func NewPhases() *Phases { return &Phases{timers: map[string]*Timer{}} }
-
-// Timer returns (creating if needed) the named phase timer.
-func (p *Phases) Timer(name string) *Timer {
-	t, ok := p.timers[name]
-	if !ok {
-		t = &Timer{}
-		p.timers[name] = t
-		p.order = append(p.order, name)
-	}
-	return t
-}
-
-// Total reports the named phase's accumulated time (zero if absent).
-func (p *Phases) Total(name string) sim.Duration {
-	if t, ok := p.timers[name]; ok {
-		return t.Total()
-	}
-	return 0
-}
-
-// Names lists the phases in first-use order.
-func (p *Phases) Names() []string { return append([]string(nil), p.order...) }
 
 // Counters is a set of named event counters.
 type Counters map[string]int64
@@ -103,35 +38,6 @@ func (c Counters) String() string {
 		s += fmt.Sprintf("%s=%d", k, c[k])
 	}
 	return s
-}
-
-// CountersFromTrace rebuilds a Counters set from a trace Collector: the
-// totals of every KCounter stream it aggregated. An app that mirrors its
-// counters into the trace (e.g. UTS via TraceCounter) yields a set equal
-// to its ad-hoc Counters — letting experiment tables be fed from the
-// trace alone.
-func CountersFromTrace(c *trace.Collector) Counters {
-	out := Counters{}
-	for k, v := range c.CounterTotals() {
-		out[k] = v
-	}
-	return out
-}
-
-// PhasesFromTrace reports, for every span key under the given category,
-// the largest per-process duration total — the cross-thread maximum a
-// phase breakdown reports. Keys are span names with the category prefix
-// stripped.
-func PhasesFromTrace(c *trace.Collector, cat string) map[string]sim.Duration {
-	out := map[string]sim.Duration{}
-	prefix := cat + "/"
-	for _, k := range c.SpanKeys() {
-		if strings.HasPrefix(k, prefix) {
-			s := c.Span(cat, k[len(prefix):])
-			out[k[len(prefix):]] = sim.Duration(s.MaxByProc())
-		}
-	}
-	return out
 }
 
 // Median reports the median of a sample set (NaN-free inputs assumed; the
@@ -193,8 +99,8 @@ func Percentiles(xs []float64) (p10, med, p90 float64) {
 	return Quantile(xs, 0.10), Quantile(xs, 0.50), Quantile(xs, 0.90)
 }
 
-// Int64s converts integer samples (per-thread counts from a trace
-// collector, ns/op trials) to the float64 samples the statistics take.
+// Int64s converts integer samples (per-thread steal counts, ns/op
+// trials) to the float64 samples the statistics take.
 func Int64s(xs []int64) []float64 {
 	out := make([]float64, len(xs))
 	for i, x := range xs {

@@ -1,56 +1,6 @@
 package perf
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
-
-func TestTimerAccumulates(t *testing.T) {
-	var tm Timer
-	tm.Start(10)
-	tm.Stop(30)
-	tm.Start(100)
-	tm.Stop(150)
-	if tm.Total() != 70 {
-		t.Errorf("Total = %v, want 70", tm.Total())
-	}
-}
-
-func TestTimerMisuse(t *testing.T) {
-	var tm Timer
-	tm.Start(0)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("double Start must panic")
-			}
-		}()
-		tm.Start(1)
-	}()
-	tm.Stop(5)
-	defer func() {
-		if recover() == nil {
-			t.Error("Stop while stopped must panic")
-		}
-	}()
-	tm.Stop(6)
-}
-
-func TestPhases(t *testing.T) {
-	p := NewPhases()
-	p.Timer("fft").Start(0)
-	p.Timer("fft").Stop(sim.Time(5))
-	p.Timer("comm").Start(5)
-	p.Timer("comm").Stop(sim.Time(9))
-	if p.Total("fft") != 5 || p.Total("comm") != 4 || p.Total("absent") != 0 {
-		t.Errorf("phase totals wrong: fft=%v comm=%v", p.Total("fft"), p.Total("comm"))
-	}
-	names := p.Names()
-	if len(names) != 2 || names[0] != "fft" || names[1] != "comm" {
-		t.Errorf("Names = %v, want first-use order", names)
-	}
-}
+import "testing"
 
 func TestCounters(t *testing.T) {
 	c := Counters{}

@@ -40,7 +40,7 @@ type Engine struct {
 
 	rng    *rand.Rand
 	tracer trace.Tracer
-	clock  bool // emit KClock advances (tracer opted in via trace.Clocked)
+	clock  bool // emit KClock advances (tracer opted in via trace.ClockObserver)
 
 	panicVal   any
 	panicProc  string

@@ -199,20 +199,11 @@ func NewShardGroup(seed int64, lanes int, sink trace.Tracer) *ShardGroup {
 		g.downAt[i] = maxTime
 		var tr trace.Tracer
 		if sink != nil {
-			g.bufs[i] = trace.NewBuffer()
+			// The lane buffer advertises the sink's opt-in capabilities so
+			// engines and fabrics emit (or skip) clock, link-occupancy and
+			// edge events exactly as they would tracing into sink directly.
+			g.bufs[i] = trace.NewBufferFor(sink)
 			tr = g.bufs[i]
-			// Advertise the sink's opt-in capabilities on the lane buffer so
-			// engines and fabrics emit (or skip) clock and link-occupancy
-			// events exactly as they would when tracing into sink directly.
-			if trace.WantsClock(sink) {
-				tr = trace.Clocked(tr)
-			}
-			if trace.WantsUtil(sink) {
-				tr = trace.Utiled(tr)
-			}
-			if trace.WantsEdge(sink) {
-				tr = trace.Edged(tr)
-			}
 		}
 		g.lanes[i] = newLane(g, i, laneSeed(seed, i), tr)
 	}

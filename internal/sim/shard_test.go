@@ -53,13 +53,19 @@ func TestShardPingPong(t *testing.T) {
 	}
 }
 
+// clockedDigest is a Digest that opts into per-advance KClock events, so
+// the digested stream covers every clock move of every lane.
+type clockedDigest struct{ *trace.Digest }
+
+func (clockedDigest) ObserveClock() bool { return true }
+
 // TestShardWorkerCountInvariance is the heart of the determinism
 // contract: the merged trace stream (hence the TraceDigest) must be
 // byte-identical at any worker count.
 func TestShardWorkerCountInvariance(t *testing.T) {
 	digestAt := func(workers int) (uint64, int64) {
 		d := trace.NewDigest()
-		g := buildManyLanes(t, workers, trace.Clocked(d))
+		g := buildManyLanes(t, workers, clockedDigest{d})
 		if err := g.Run(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -10,7 +10,7 @@ import "repro/internal/trace"
 // SetTracer installs tr as the engine's event sink (nil disables
 // tracing). Install before the simulation starts; swapping mid-run would
 // leave sinks with unbalanced spans. Per-advance KClock events are only
-// emitted when the sink opts in (see trace.Clocked); no built-in sink
+// emitted when the sink opts in (see trace.ClockObserver); no built-in sink
 // needs them, which keeps traced clock advances cheap.
 func (e *Engine) SetTracer(tr trace.Tracer) {
 	e.tracer = tr

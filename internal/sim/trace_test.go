@@ -31,35 +31,58 @@ func traceScenario(e *Engine) {
 }
 
 func TestEngineLifecycleEvents(t *testing.T) {
-	col := trace.NewCollector()
+	buf := trace.NewBuffer()
 	e := New(42)
-	e.SetTracer(col)
+	e.SetTracer(buf)
 	traceScenario(e)
 
-	if got := col.Count("sim", "spawn"); got != 2 {
+	kinds := map[trace.Kind]int{}
+	spans := map[string][]int64{} // closed span durations by cat/name
+	open := map[int32][]trace.Event{}
+	var items, doneN, doneSum int64
+	for _, ev := range buf.Events() {
+		kinds[ev.Kind]++
+		switch ev.Kind {
+		case trace.KSpanBegin:
+			open[ev.Proc] = append(open[ev.Proc], ev)
+		case trace.KSpanEnd:
+			stack := open[ev.Proc]
+			b := stack[len(stack)-1]
+			open[ev.Proc] = stack[:len(stack)-1]
+			k := b.Cat + "/" + b.Name
+			spans[k] = append(spans[k], ev.Time-b.Time)
+		case trace.KCounter:
+			if ev.Name == "items" {
+				items += ev.Arg
+			}
+		case trace.KInstant:
+			if ev.Cat == "test" && ev.Name == "done" {
+				doneN++
+				doneSum += ev.Arg
+			}
+		}
+	}
+	if got := kinds[trace.KProcSpawn]; got != 2 {
 		t.Errorf("spawn events = %d, want 2", got)
 	}
-	if got := col.Count("sim", "exit"); got != 2 {
+	if got := kinds[trace.KProcExit]; got != 2 {
 		t.Errorf("exit events = %d, want 2", got)
 	}
-	if col.Count("sim", "park") == 0 || col.Count("sim", "unpark") == 0 {
+	if kinds[trace.KProcPark] == 0 || kinds[trace.KProcUnpark] == 0 {
 		t.Error("no park/unpark events recorded")
 	}
-	if s := col.Span("test", "phase"); s.Count != 1 {
-		t.Errorf("test/phase span count = %d, want 1", s.Count)
+	if got := len(spans["test/phase"]); got != 1 {
+		t.Errorf("test/phase span count = %d, want 1", got)
 	}
 	// worker1's contended Lock produces a sim/mutex span covering the wait.
-	if s := col.Span("sim", "mutex"); s.Count != 1 || s.Total <= 0 {
-		t.Errorf("sim/mutex span = %+v, want one with positive duration", s)
+	if s := spans["sim/mutex"]; len(s) != 1 || s[0] <= 0 {
+		t.Errorf("sim/mutex spans = %v, want one with positive duration", s)
 	}
-	if got := col.Counter("items"); got != 3 {
-		t.Errorf("items counter = %d, want 3", got)
+	if items != 3 {
+		t.Errorf("items counter = %d, want 3", items)
 	}
-	if got := col.Count("test", "done"); got != 1 {
-		t.Errorf("test/done instants = %d, want 1", got)
-	}
-	if got := col.Sum("test", "done"); got != 1 {
-		t.Errorf("test/done Arg sum = %d, want 1", got)
+	if doneN != 1 || doneSum != 1 {
+		t.Errorf("test/done instants = %d with Arg sum %d, want 1 and 1", doneN, doneSum)
 	}
 }
 
@@ -116,11 +139,6 @@ func TestNilTracerNoAlloc(t *testing.T) {
 // BenchmarkTracerNil measures the untraced hot path (nil-check only).
 func BenchmarkTracerNil(b *testing.B) {
 	benchTracer(b, nil)
-}
-
-// BenchmarkTracerCollector measures the same path with aggregation on.
-func BenchmarkTracerCollector(b *testing.B) {
-	benchTracer(b, trace.NewCollector())
 }
 
 // BenchmarkTracerDigest measures the same path with hashing on.

@@ -80,25 +80,13 @@ func Run(n int, job func(i int, tr trace.Tracer) error) error {
 	bufs := make([]*trace.Buffer, n)
 	if saved != nil {
 		// The buffers must advertise the real sink's opt-in capabilities
-		// (per-advance clocks, link occupancy): the engines only see the
-		// buffer, and an unwrapped one would silently drop those events
-		// from the replayed — and digested — stream.
-		clocked := trace.WantsClock(saved)
-		util := trace.WantsUtil(saved)
-		edged := trace.WantsEdge(saved)
+		// (per-advance clocks, link occupancy, completion edges): the
+		// engines only see the buffer, and one that opted into less would
+		// silently drop those events from the replayed — and digested —
+		// stream.
 		for i := range bufs {
-			bufs[i] = trace.NewBuffer()
-			t := trace.Tracer(bufs[i])
-			if clocked {
-				t = trace.Clocked(t)
-			}
-			if util {
-				t = trace.Utiled(t)
-			}
-			if edged {
-				t = trace.Edged(t)
-			}
-			tracers[i] = t
+			bufs[i] = trace.NewBufferFor(saved)
+			tracers[i] = bufs[i]
 		}
 	}
 

@@ -9,10 +9,31 @@ package trace
 // locking: a single engine delivers events from one goroutine at a time.
 type Buffer struct {
 	events []Event
+	// The opt-in capabilities the buffer advertises to the emitters.
+	clock, util, edge bool
 }
 
-// NewBuffer returns an empty recording sink.
+// NewBuffer returns an empty recording sink that opts into nothing.
 func NewBuffer() *Buffer { return &Buffer{} }
+
+// NewBufferFor returns an empty recording sink that advertises sink's
+// opt-in capabilities (per-advance clocks, link occupancy, completion
+// edges) as its own. The engines and fabrics that trace into the buffer
+// only see the buffer, so without them they would silently skip those
+// events and the stream later replayed into sink would differ from one
+// emitted into sink directly. A nil sink opts into nothing.
+func NewBufferFor(sink Tracer) *Buffer {
+	return &Buffer{clock: WantsClock(sink), util: WantsUtil(sink), edge: WantsEdge(sink)}
+}
+
+// ObserveClock reports whether the buffer records KClock events.
+func (b *Buffer) ObserveClock() bool { return b.clock }
+
+// ObserveUtil reports whether the buffer records link-occupancy events.
+func (b *Buffer) ObserveUtil() bool { return b.util }
+
+// ObserveEdge reports whether the buffer records completion-edge events.
+func (b *Buffer) ObserveEdge() bool { return b.edge }
 
 // Emit records e.
 func (b *Buffer) Emit(e Event) { b.events = append(b.events, e) }

@@ -2,12 +2,13 @@
 // substrate. The engine and the model layers above it (fabric, upc,
 // subthread, the apps) emit Events — proc lifecycle, virtual-clock
 // advances, resource spans, messages, counters — into a Tracer sink.
-// Three sinks are provided: Collector (counter/histogram aggregation,
-// queried by perf and the experiments), ChromeWriter (Chrome trace-event
-// JSON, loadable in Perfetto with virtual time as the timeline and procs
-// as tracks), and Digest (an order-sensitive hash of the event stream —
-// the run's fingerprint, identical across same-seed runs by the engine's
-// determinism guarantee).
+// Three sinks are provided: Buffer (an in-memory recording for ordered
+// replay), ChromeWriter (Chrome trace-event JSON, loadable in Perfetto
+// with virtual time as the timeline and procs as tracks), and Digest (an
+// order-sensitive hash of the event stream — the run's fingerprint,
+// identical across same-seed runs by the engine's determinism
+// guarantee). Aggregation — counters, span profiles, the communication
+// matrix — is internal/metrics' job; it consumes this stream.
 //
 // The package sits below internal/sim and imports nothing from the
 // repository, so every layer can depend on it. Times are raw virtual
@@ -106,9 +107,9 @@ type Tracer interface {
 // The engine emits one KClock per virtual-clock move — by far the most
 // frequent event in a run — so it asks the sink first and skips the
 // emission entirely unless the sink implements this interface and
-// returns true. None of the built-in sinks ask for clocks (ChromeWriter
-// and Collector ignore them; Digest hashes whatever arrives); wrap a
-// sink in Clocked to request them.
+// returns true. None of the built-in sinks ask for clocks on their own
+// (ChromeWriter ignores them; Digest hashes whatever arrives); a sink
+// that wants them implements this interface.
 type ClockObserver interface {
 	ObserveClock() bool
 }
@@ -127,7 +128,7 @@ func WantsClock(t Tracer) bool {
 // every link it crosses), so the fabric asks the sink first and skips the
 // emission unless the installed tracer implements this interface and
 // returns true. The metrics utilization collector is the one built-in
-// sink that asks for them; wrap any other sink in Utiled to request them.
+// sink that asks for them.
 type UtilObserver interface {
 	ObserveUtil() bool
 }
@@ -158,47 +159,6 @@ func WantsEdge(t Tracer) bool {
 		return eo.ObserveEdge()
 	}
 	return false
-}
-
-// caps wraps a sink with additional opt-in capabilities. Capabilities the
-// wrapper does not grant itself are delegated to the wrapped sink, so
-// Clocked and Utiled compose in either order.
-type caps struct {
-	Tracer
-	clock bool
-	util  bool
-	edge  bool
-}
-
-func (c caps) ObserveClock() bool { return c.clock || WantsClock(c.Tracer) }
-func (c caps) ObserveUtil() bool  { return c.util || WantsUtil(c.Tracer) }
-func (c caps) ObserveEdge() bool  { return c.edge || WantsEdge(c.Tracer) }
-
-// Clocked wraps t so engines emit per-advance KClock events into it
-// (full-fidelity mode: every clock move appears in the stream).
-func Clocked(t Tracer) Tracer {
-	if t == nil {
-		return nil
-	}
-	return caps{Tracer: t, clock: true}
-}
-
-// Utiled wraps t so fabrics emit link-occupancy events into it (see
-// UtilObserver).
-func Utiled(t Tracer) Tracer {
-	if t == nil {
-		return nil
-	}
-	return caps{Tracer: t, util: true}
-}
-
-// Edged wraps t so the model layers emit completion-edge events into it
-// (see EdgeObserver).
-func Edged(t Tracer) Tracer {
-	if t == nil {
-		return nil
-	}
-	return caps{Tracer: t, edge: true}
 }
 
 // multi fans events out to several sinks.

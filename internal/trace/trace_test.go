@@ -82,39 +82,6 @@ func TestDigestSensitive(t *testing.T) {
 	}
 }
 
-func TestCollectorAggregation(t *testing.T) {
-	c := NewCollector()
-	for _, e := range sample() {
-		c.Emit(e)
-	}
-	if got := c.Counter("steals"); got != 5 {
-		t.Errorf("Counter(steals) = %d, want 5", got)
-	}
-	if got := c.Count("fabric", "put"); got != 1 {
-		t.Errorf("Count(fabric/put) = %d, want 1", got)
-	}
-	if got := c.Sum("fabric", "put"); got != 4096 {
-		t.Errorf("Sum(fabric/put) = %d, want 4096", got)
-	}
-	s := c.Span("upc", "barrier")
-	if s.Count != 2 {
-		t.Fatalf("barrier span count = %d, want 2", s.Count)
-	}
-	if s.Total != 25 { // 15 on proc 0 + 10 on proc 1
-		t.Errorf("barrier total = %d, want 25", s.Total)
-	}
-	if got := s.MaxByProc(); got != 15 {
-		t.Errorf("barrier MaxByProc = %d, want 15", got)
-	}
-	if got := c.Count("sim", "spawn"); got != 3 {
-		t.Errorf("Count(sim/spawn) = %d, want 3", got)
-	}
-	totals := c.CounterTotals()
-	if totals["steals"] != 5 {
-		t.Errorf("CounterTotals[steals] = %d, want 5", totals["steals"])
-	}
-}
-
 func TestMultiAndTee(t *testing.T) {
 	a, b := NewDigest(), NewDigest()
 	m := Multi(nil, a, nil, b)

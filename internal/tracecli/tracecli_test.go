@@ -71,6 +71,24 @@ func TestStartIsNoOpWithoutFlags(t *testing.T) {
 	}
 }
 
+// TestStartInstallsNoTracerWithoutFlags pins the untraced default: with
+// no tracing flag (a fault schedule alone included) start installs no
+// default tracer, so engines skip emission and sweeps buffer nothing.
+func TestStartInstallsNoTracerWithoutFlags(t *testing.T) {
+	spath := filepath.Join(t.TempDir(), "sched.json")
+	if err := os.WriteFile(spath, []byte(`{"name":"cli","actions":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	setFlags(t, map[string]string{"parallel": "2", "faults": spath})
+	t.Cleanup(func() { fault.SetDefault(nil) })
+	if err := start(); err != nil {
+		t.Fatal(err)
+	}
+	if tr := trace.Default(); tr != nil {
+		t.Errorf("start installed default tracer %T without a tracing flag", tr)
+	}
+}
+
 func TestDigestLine(t *testing.T) {
 	setFlags(t, map[string]string{"digest": "true", "parallel": "1"})
 	if err := start(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -121,14 +122,20 @@ func TestEdgeEmissionOffNoAlloc(t *testing.T) {
 	}
 }
 
+// edgeCollection is a metrics Collection that also opts into
+// completion-edge events.
+type edgeCollection struct{ *metrics.Collection }
+
+func (edgeCollection) ObserveEdge() bool { return true }
+
 // TestEdgeEmissionOnIsGated is the other half of the pin: an
 // edge-observing sink flips the gate on, and the same run emits the
 // barrier/lock completion edges the analysis needs — proving the off
 // path above exercised the same compiled-in emission points.
 func TestEdgeEmissionOnIsGated(t *testing.T) {
-	col := trace.NewCollector()
+	coll := edgeCollection{metrics.NewCollection()}
 	cfg := testCfg(8, 4, Processes, true)
-	cfg.Tracer = trace.Edged(col)
+	cfg.Tracer = coll
 	_, err := Run(cfg, func(th *Thread) {
 		if !th.Runtime().edges {
 			t.Error("edge-observing tracer did not enable emission")
@@ -138,8 +145,8 @@ func TestEdgeEmissionOnIsGated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrives := col.Count(trace.CatEdge, trace.EdgeBarArrive)
-	releases := col.Count(trace.CatEdge, trace.EdgeBarRelease)
+	arrives := coll.Reg.Counter("instant." + trace.CatEdge + "/" + trace.EdgeBarArrive + ".n")
+	releases := coll.Reg.Counter("instant." + trace.CatEdge + "/" + trace.EdgeBarRelease + ".n")
 	if arrives == 0 || releases == 0 {
 		t.Errorf("edge events missing with gate open: %d arrivals, %d releases", arrives, releases)
 	}

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ckptApp is a minimal Checkpointer: one integer of application state
@@ -27,8 +27,8 @@ func TestCkptRoundTripRejoin(t *testing.T) {
 	}}
 	cfg := faultCfg(sched)
 	cfg.Ckpt = CkptConfig{Every: 1}
-	col := trace.NewCollector()
-	cfg.Tracer = col
+	coll := metrics.NewCollection()
+	cfg.Tracer = coll
 	restored := make([]int64, 8)
 	_, err := Run(cfg, func(th *Thread) {
 		s := Alloc[int](th, 8, 8, 1)
@@ -92,10 +92,10 @@ func TestCkptRoundTripRejoin(t *testing.T) {
 			t.Errorf("thread %d restored %d bytes, want 104", id, restored[id])
 		}
 	}
-	if got := col.Count(trace.CatComm, "ckpt"); got < 8 {
+	if got := coll.Reg.Counter("comm.ckpt.msgs"); got < 8 {
 		t.Errorf("ckpt instants = %d, want >= 8 (every thread checkpoints at the line)", got)
 	}
-	if got := col.Count(trace.CatComm, "rejoin"); got != 4 {
+	if got := coll.Reg.Counter("comm.rejoin.msgs"); got != 4 {
 		t.Errorf("rejoin instants = %d, want 4 (one per revived thread)", got)
 	}
 }
@@ -112,8 +112,8 @@ func TestStaleEpochFenceDropsStraddlingPut(t *testing.T) {
 		{Op: fault.OpCrash, At: 0.001, Until: 0.00105, Node: 1, Src: -1, Dst: -1},
 	}}
 	cfg := faultCfg(sched)
-	col := trace.NewCollector()
-	cfg.Tracer = col
+	coll := metrics.NewCollection()
+	cfg.Tracer = coll
 	var staleErr error
 	var dstWord int
 	_, err := Run(cfg, func(th *Thread) {
@@ -147,7 +147,7 @@ func TestStaleEpochFenceDropsStraddlingPut(t *testing.T) {
 	if dstWord != 0 {
 		t.Errorf("destination partition = %d after fenced put, want 0 (payload must be dropped)", dstWord)
 	}
-	if col.Count(trace.CatComm, "stale-drop") == 0 {
+	if coll.Reg.Counter("comm.stale-drop.msgs") == 0 {
 		t.Error("no stale-drop instant: the fence never fired, the payload landed somewhere")
 	}
 }
