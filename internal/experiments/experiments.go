@@ -117,20 +117,11 @@ func cpWaitPct(rec *causality.Recorder) float64 {
 }
 
 // stealSpread renders the per-thread steal-count spread of one run —
-// p10/median/p90 across threads — so a strategy that concentrates
-// stealing on a few threads is visible next to the aggregate local-steal
-// percentage.
+// p10/median/p90 across every thread, those that never stole included —
+// so a strategy that concentrates stealing on a few threads is visible
+// next to the aggregate local-steal percentage.
 func stealSpread(r uts.Result) string {
-	var counts []float64
-	for _, n := range r.StealsByThread {
-		if n > 0 {
-			counts = append(counts, float64(n))
-		}
-	}
-	if len(counts) == 0 {
-		return "-"
-	}
-	p10, med, p90 := perf.Percentiles(counts)
+	p10, med, p90 := perf.Percentiles(perf.Int64s(r.StealsByThread))
 	return fmt.Sprintf("%.0f/%.0f/%.0f", p10, med, p90)
 }
 

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/apps/uts"
 )
 
 func TestTable31Renders(t *testing.T) {
@@ -79,6 +81,10 @@ func TestUTSHelpers(t *testing.T) {
 	full := utsTree(false)
 	if n, _ := full.CountSequential(); n < 4_000_000 {
 		t.Errorf("paper tree realized only %d nodes", n)
+	}
+	// Threads that never stole count in the per-thread spread.
+	if got := stealSpread(uts.Result{StealsByThread: []int64{20, 0, 10, 0, 0}}); got != "0/0/16" {
+		t.Errorf("stealSpread = %q, want 0/0/16 (zeros included)", got)
 	}
 }
 
