@@ -199,9 +199,6 @@ func NewShardGroup(seed int64, lanes int, sink trace.Tracer) *ShardGroup {
 		g.downAt[i] = maxTime
 		var tr trace.Tracer
 		if sink != nil {
-			// The lane buffer advertises the sink's opt-in capabilities so
-			// engines and fabrics emit (or skip) clock, link-occupancy and
-			// edge events exactly as they would tracing into sink directly.
 			g.bufs[i] = trace.NewBufferFor(sink)
 			tr = g.bufs[i]
 		}

@@ -79,11 +79,6 @@ func Run(n int, job func(i int, tr trace.Tracer) error) error {
 	tracers := make([]trace.Tracer, n)
 	bufs := make([]*trace.Buffer, n)
 	if saved != nil {
-		// The buffers must advertise the real sink's opt-in capabilities
-		// (per-advance clocks, link occupancy, completion edges): the
-		// engines only see the buffer, and one that opted into less would
-		// silently drop those events from the replayed — and digested —
-		// stream.
 		for i := range bufs {
 			bufs[i] = trace.NewBufferFor(saved)
 			tracers[i] = bufs[i]
