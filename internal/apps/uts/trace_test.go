@@ -3,8 +3,10 @@ package uts
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/perf"
 	"repro/internal/trace"
 )
@@ -28,6 +30,38 @@ func tracedConfig(tr trace.Tracer) Config {
 		Tree:     Small(20000),
 		Seed:     3,
 		Tracer:   tr,
+	}
+}
+
+// TestTraceCountersMatch verifies that the trace-fed counters reproduce
+// the app's ad-hoc ones exactly — the property that lets Table 3.2 read
+// its steal percentages from a metrics Collection: every counter.* total
+// equals the app's counter, no extra counter appears, and the uts/steal
+// instants sum to the steals counter.
+func TestTraceCountersMatch(t *testing.T) {
+	coll := metrics.NewCollection()
+	r, err := Run(tracedConfig(coll))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := coll.Manifest("uts-test", nil)
+	for _, name := range sortedCounterNames(r.Counters) {
+		if got := m.Counters["counter."+name]; got != r.Counters[name] {
+			t.Errorf("trace counter %s = %d, app counter = %d", name, got, r.Counters[name])
+		}
+	}
+	for _, key := range sortedCounterNames(m.Counters) {
+		name, ok := strings.CutPrefix(key, "counter.")
+		if _, app := r.Counters[name]; ok && !app {
+			t.Errorf("trace has counter %s the app does not", name)
+		}
+	}
+	steals := m.Counters["counter.steals"]
+	if steals == 0 {
+		t.Error("no steals recorded; the scenario is too small to exercise stealing")
+	}
+	if n := m.Counters["instant.uts/steal.n"]; n != steals {
+		t.Errorf("steal instants = %d, steals counter = %d", n, steals)
 	}
 }
 
