@@ -2,9 +2,12 @@ package sweep
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -75,19 +78,22 @@ func TestJobTracersMirrorDefaultCapabilities(t *testing.T) {
 
 // TestReplayInIndexOrder checks that the default sink receives the jobs'
 // streams in index order at width 1 and at width 4, even when job 0
-// finishes last.
+// finishes after every other job the window admits alongside it.
 func TestReplayInIndexOrder(t *testing.T) {
 	const n, perJob = 12, 3
 	stream := func(w int) []trace.Event {
 		buf := trace.NewBuffer()
 		setup(t, w, buf)
-		last := make(chan struct{})
+		// Hold job 0 until jobs 1..w-1 have finished: the most
+		// out-of-order finish the window allows.
+		var early sync.WaitGroup
+		early.Add(w - 1)
 		err := Run(n, func(i int, tr trace.Tracer) error {
-			if w > 1 && i == 0 {
-				<-last // hold job 0 until the final job has run
+			if 0 < i && i < w {
+				defer early.Done()
 			}
-			if i == n-1 {
-				close(last)
+			if w > 1 && i == 0 {
+				early.Wait()
 			}
 			// Sequential jobs get nil and trace into the ambient default,
 			// as the engines they build would.
@@ -118,5 +124,188 @@ func TestReplayInIndexOrder(t *testing.T) {
 	}
 	if par := stream(4); !reflect.DeepEqual(par, serial) {
 		t.Error("width-4 replay differs from the serial stream")
+	}
+}
+
+// countSink counts delivered events; the count may be read from any
+// goroutine.
+type countSink struct{ n atomic.Int64 }
+
+func (s *countSink) Emit(trace.Event) { s.n.Add(1) }
+
+// TestHeadJobStreamsLive checks that the head job's events reach the
+// sink before the job returns, while the other jobs' events do not.
+func TestHeadJobStreamsLive(t *testing.T) {
+	const w, perJob = 4, 5
+	sink := &countSink{}
+	setup(t, w, sink)
+	var others sync.WaitGroup
+	others.Add(w - 1)
+	err := Run(w, func(i int, tr trace.Tracer) error {
+		for k := 0; k < perJob; k++ {
+			tr.Emit(trace.Event{Kind: trace.KInstant, Arg: int64(i)})
+		}
+		if i != 0 {
+			others.Done()
+			return nil
+		}
+		others.Wait()
+		if got := sink.n.Load(); got != perJob {
+			return fmt.Errorf("sink holds %d events while job 0 runs, want its own %d", got, perJob)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Error(err)
+	}
+	if got := sink.n.Load(); got != w*perJob {
+		t.Errorf("sink holds %d events after Run, want %d", got, w*perJob)
+	}
+}
+
+// pendingProbe wraps a job's tracer and tracks the high-water mark of
+// events emitted by any job but not yet delivered to the sink.
+type pendingProbe struct {
+	inner         trace.Tracer
+	emitted, peak *atomic.Int64
+	delivered     *countSink
+}
+
+func (p pendingProbe) Emit(e trace.Event) {
+	p.inner.Emit(e)
+	pending := p.emitted.Add(1) - p.delivered.n.Load()
+	for {
+		peak := p.peak.Load()
+		if pending <= peak || p.peak.CompareAndSwap(peak, pending) {
+			return
+		}
+	}
+}
+
+// TestWindowBoundsBuffering holds job 0 and checks that job w (the first
+// outside the window) waits for it, and that no more than w-1 jobs'
+// streams are ever buffered.
+func TestWindowBoundsBuffering(t *testing.T) {
+	const w, n, perJob = 4, 16, 50
+	sink := &countSink{}
+	setup(t, w, sink)
+	var emitted, peak atomic.Int64
+	var early sync.WaitGroup
+	early.Add(w - 1)
+	outside := make(chan struct{}) // closed when job w starts
+	var zeroDone atomic.Bool
+	err := Run(n, func(i int, tr trace.Tracer) error {
+		switch {
+		case i == w:
+			close(outside)
+			if !zeroDone.Load() {
+				return fmt.Errorf("job %d started before job 0 finished", w)
+			}
+		case i == 0:
+			early.Wait()
+			// Job w must not start while job 0 runs; give a pool without
+			// a window the chance to start it before job 0 returns.
+			select {
+			case <-outside:
+			case <-time.After(20 * time.Millisecond): //upcvet:wallclock -- host-side grace for a worker pool, not simulated time
+			}
+		}
+		tr = pendingProbe{inner: tr, emitted: &emitted, peak: &peak, delivered: sink}
+		for k := 0; k < perJob; k++ {
+			tr.Emit(trace.Event{Kind: trace.KInstant, Arg: int64(i)})
+		}
+		switch {
+		case 0 < i && i < w:
+			early.Done()
+		case i == 0:
+			zeroDone.Store(true)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Error(err)
+	}
+	if got := sink.n.Load(); got != n*perJob {
+		t.Errorf("sink holds %d events, want %d", got, n*perJob)
+	}
+	if p := peak.Load(); p > (w-1)*perJob {
+		t.Errorf("undelivered high-water mark %d events, want at most %d (w-1 jobs)", p, (w-1)*perJob)
+	}
+}
+
+// TestPromotedBufferNarrowsWindow pins the bound across a handoff: a job
+// promoted to head while its stream is still buffered counts against
+// the window until it flushes, so the next job cannot buffer alongside.
+func TestPromotedBufferNarrowsWindow(t *testing.T) {
+	const w, n, perJob = 2, 3, 50
+	sink := &countSink{}
+	setup(t, w, sink)
+	var emitted, peak atomic.Int64
+	one, zero, two := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	err := Run(n, func(i int, tr trace.Tracer) error {
+		tr = pendingProbe{inner: tr, emitted: &emitted, peak: &peak, delivered: sink}
+		for k := 0; k < perJob; k++ {
+			tr.Emit(trace.Event{Kind: trace.KInstant, Arg: int64(i)})
+		}
+		switch i {
+		case 0:
+			<-one // job 1 has buffered its whole stream
+			close(zero)
+		case 1:
+			// Job 1 is promoted once job 0 returns but emits nothing
+			// more; give job 2 the chance to start and buffer meanwhile.
+			close(one)
+			<-zero
+			select {
+			case <-two:
+			case <-time.After(20 * time.Millisecond): //upcvet:wallclock -- host-side grace for a worker pool, not simulated time
+			}
+		case 2:
+			close(two)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Error(err)
+	}
+	if p := peak.Load(); p > (w-1)*perJob {
+		t.Errorf("undelivered high-water mark %d events, want at most %d (w-1 jobs)", p, (w-1)*perJob)
+	}
+}
+
+// TestStreamStress runs many jobs of uneven length with random delays
+// and checks the delivered stream equals the serial one; under -race it
+// also exercises the handoff.
+func TestStreamStress(t *testing.T) {
+	const n = 64
+	count := func(i int) int { return (i*37)%23 + 1 }
+	stream := func(w int) []trace.Event {
+		buf := trace.NewBuffer()
+		setup(t, w, buf)
+		delays := make([]time.Duration, n)
+		rng := rand.New(rand.NewSource(1))
+		for i := range delays {
+			delays[i] = time.Duration(rng.Intn(500)) * time.Microsecond
+		}
+		err := Run(n, func(i int, tr trace.Tracer) error {
+			if tr == nil {
+				tr = trace.Default()
+			}
+			for k := 0; k < count(i); k++ {
+				if k == count(i)/2 {
+					time.Sleep(delays[i]) //upcvet:wallclock -- host-side jitter to shuffle worker finish order
+				}
+				tr.Emit(trace.Event{Kind: trace.KInstant, Arg: int64(i), Arg2: int64(k)})
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Events()
+	}
+	serial := stream(1)
+	if par := stream(8); !reflect.DeepEqual(par, serial) {
+		t.Error("width-8 stream differs from the serial stream")
 	}
 }

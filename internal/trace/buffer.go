@@ -1,11 +1,11 @@
 package trace
 
 // Buffer is a Tracer that records the event stream in memory for later
-// replay. It is the building block of deterministic parallel sweeps:
-// each concurrently-running simulation traces into its own Buffer, and
-// once every run has finished the buffers are replayed into the real
-// sink in a fixed order, producing a stream — and therefore a Digest —
-// identical to a sequential execution. Like every Tracer it needs no
+// replay. It is the building block of deterministic parallel sweeps: a
+// simulation that runs ahead of an earlier, unfinished one traces into
+// its own Buffer, which is replayed into the real sink as soon as every
+// earlier run has been delivered, producing a stream — and therefore a
+// Digest — identical to a sequential execution. Like every Tracer it needs no
 // locking: a single engine delivers events from one goroutine at a time.
 type Buffer struct {
 	events []Event
