@@ -12,8 +12,9 @@
 //	                                  they drift
 //
 // Two analyses of the same run — including runs at different -parallel
-// or -shards worker counts — diff clean; that equality is the
-// analysis-determinism gate CI enforces.
+// or -shards worker counts — diff clean; the equivalence gate
+// (equivalence_test.go) requires them byte-identical and runs this diff
+// to explain a mismatch.
 package main
 
 import (

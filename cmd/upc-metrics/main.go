@@ -12,8 +12,8 @@
 // histogram buckets, comm-matrix cells, link utilization, profile
 // phases) plus the trace digest. Two manifests of the same run —
 // including runs at different -parallel levels — diff clean at
-// tolerance 0; that equality is the metrics-determinism gate CI
-// enforces.
+// tolerance 0; the equivalence gate (equivalence_test.go) requires
+// them byte-identical and runs this diff to explain a mismatch.
 package main
 
 import (

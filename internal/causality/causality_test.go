@@ -211,8 +211,8 @@ func TestUTSLossyWaitStates(t *testing.T) {
 	}
 }
 
-// TestInjectedDelayIsBlamed is the negative control the CI
-// analysis-determinism job leans on: injecting a delay into one thread
+// TestInjectedDelayIsBlamed is the negative control behind the
+// equivalence gate's analysis rows: injecting a delay into one thread
 // must surface as blamed wait time attributed to that thread, absent
 // from an identical run without the delay.
 func TestInjectedDelayIsBlamed(t *testing.T) {

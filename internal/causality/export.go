@@ -13,7 +13,7 @@ import (
 // Export is the JSON-ready analysis result: one entry per run plus
 // cross-run totals. Every slice is pre-sorted with deterministic
 // tie-breaks and no map reaches the encoder, so equal streams produce
-// byte-identical files — the property the CI analysis-determinism gate
+// byte-identical files — the property the equivalence gate
 // compares across -parallel and -shards worker counts.
 type Export struct {
 	Runs []RunAnalysis `json:"runs"`

@@ -1,7 +1,7 @@
-// The manifest contract the CI shard-determinism job relies on: a run
+// The manifest contract the equivalence gate relies on: a run
 // on the node-sharded parallel engine aggregates to a byte-identical
 // manifest file at every -shards worker count. The test is the
-// in-process version of the CI `cmp` over upc-stream's -metrics output.
+// in-process version of its comparison of upc-stream's -metrics output.
 package metrics
 
 import (

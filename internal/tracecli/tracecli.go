@@ -1,10 +1,10 @@
 // Package tracecli wires the shared flags of the cmd/upc-* binaries:
-// importing it registers -trace, -digest, -metrics, -analyze, -parallel
-// and -faults, and Start/Finish bracket the run. With -trace=out.json every engine the
+// importing it registers -trace, -digest, -metrics, -analyze, -parallel,
+// -shards and -faults, and Start/Finish bracket the run. With -trace=out.json every engine the
 // run creates streams into one Chrome trace-event file (open it in
 // Perfetto or chrome://tracing), and the run's TraceDigest — an
 // order-sensitive hash of the full event stream, identical across
-// same-seed runs — is printed to stdout (the CI determinism gate diffs
+// same-seed runs — is printed to stdout (the equivalence gate compares
 // it); -digest prints the TraceDigest alone, without buffering the
 // stream or writing a file. With -metrics=out.json the run additionally
 // aggregates the stream into a JSON run manifest (communication matrix,
@@ -141,7 +141,7 @@ func finish(w io.Writer) error {
 	fmt.Fprintf(w, "TraceDigest: %016x (%d events)\n", s.Digest(), s.Events())
 	if *path != "" {
 		// The notice goes to stderr so stdout stays byte-identical across
-		// same-seed runs (the CI determinism gate diffs it).
+		// same-seed runs (the equivalence gate compares it).
 		fmt.Fprintf(os.Stderr, "trace written to %s\n", *path)
 	}
 	var exp *causality.Export
@@ -180,10 +180,10 @@ func toolName() string {
 // manifest, excluding the harness flags: -trace/-digest/-parallel
 // change no simulated outcome and -metrics names the output file, so
 // recording them would make equal runs produce unequal manifests (the
-// CI gate diffs manifests across -parallel=1 and -parallel=8).
+// equivalence gate compares manifests across -parallel=1 and -parallel=8).
 // -shards is excluded for the worker-count part of the same reason:
 // -shards=1 and -shards=8 select the same sharded simulation and must
-// yield byte-identical manifests (CI diffs those too); the legacy/
+// yield byte-identical manifests (the gate compares those too); the legacy/
 // sharded experiment switch it also carries is visible in the rendered
 // tables instead.
 func runParams() map[string]string {
