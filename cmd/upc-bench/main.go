@@ -155,7 +155,7 @@ func sortedNames(m map[string]record) []string {
 // both sides of the comparison — a regenerated baseline that records
 // any allocation for them is itself a failure, so the gate cannot be
 // weakened by rerunning upc-bench after a regression.
-var zeroAllocBenches = []string{"FabricPut", "ShardPut", "SharedLink32Flows"}
+var zeroAllocBenches = []string{"FabricPut", "FabricFlows4096", "ShardPut", "SharedLink32Flows"}
 
 func runCheck(fresh map[string]record) int {
 	data, err := os.ReadFile(*baseline)

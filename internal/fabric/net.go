@@ -30,8 +30,14 @@ type Link struct {
 	// Down marks a flapped link: flows crossing it stall at rate zero
 	// until the link comes back (distinct from Capacity <= 0, which means
 	// infinitely fast). Toggled by the fault layer, which must follow any
-	// change with Net.Nudge so in-flight flows re-settle.
+	// change with Net.Nudge so in-flight flows re-settle. The same holds
+	// for Capacity and Beta: the Net only re-derives a link's share when
+	// a flow starts or finishes on it, or on Nudge.
 	Down bool
+
+	flows []*FlowOp // in-flight flows crossing the link, unordered
+	shr   float64   // share() as of the last settling pass that refreshed it
+	dirty bool      // queued on Net.dirty for the next settling pass
 }
 
 // maxCongestion bounds the congestion divisor: goodput degrades with
@@ -69,16 +75,31 @@ func (l *Link) share() float64 {
 	return eff / float64(n)
 }
 
-// Net is the fluid-flow engine. All flows on one Net recompute their rates
-// whenever any flow starts or finishes; completions within one settling
-// pass batch together. The full recompute is O(F) per event — simple,
-// exact, and cache-friendly; the paper-scale sweeps keep F in the low
-// tens of thousands.
+// Net is the fluid-flow engine. A flow's rate is a pure function of its
+// cap and its links' (active, Capacity, Beta, Down), so a settling pass
+// only recomputes the flows crossing a link whose state changed since the
+// last pass: a flow start or finish marks the links it crosses dirty, and
+// every other flow keeps its rate. Nudge, the signal for an external
+// change to link state, forces a full pass. Completions within one
+// settling pass batch together and finish in Net.flows order.
+//
+// The per-flow progress state lives in dense arrays parallel to flows
+// (rem, rate; FlowOp.idx is the index), so the per-event progress charge
+// and the completion scans stream over contiguous memory.
 type Net struct {
 	eng   *sim.Engine
 	flows []*FlowOp
+	rem   []float64 // bytes left per flow
+	rate  []float64 // current rate per flow, bytes/second
 	last  sim.Time
+	// epoch numbers settling passes: it stamps the flows a pass has
+	// recomputed (FlowOp.gen) and the one settling callback still live.
 	epoch uint64
+	dirty []*Link // links whose share changed since the last pass
+	full  bool    // next pass re-derives every link and flow (Nudge)
+	// drained is raised by account when a flow runs dry; only then does
+	// reschedule look for completions.
+	drained bool
 	// util gates link-occupancy trace events (trace.CatLink, one per
 	// active-count change). Resolved once at construction from the
 	// engine's tracer: only sinks that opt in via trace.UtilObserver pay
@@ -88,6 +109,11 @@ type Net struct {
 	pool  sim.FreeList[FlowOp]  // recycled flows (Transfer / StartAction)
 	ticks sim.FreeList[netTick] // recycled settling callbacks
 	fin   []*FlowOp             // reschedule's completion scratch
+
+	// settled, when set, runs after every settling pass. It is a test
+	// seam: the differential test checks each pass against a from-scratch
+	// recompute through it, and forces its reference run into full passes.
+	settled func()
 }
 
 // NewNet creates a flow engine bound to e.
@@ -114,26 +140,58 @@ const maxFlowLinks = 3
 // they return to the Net's free list the moment they drain, so no
 // reference to them may escape.
 type FlowOp struct {
-	size      int64
-	remaining float64
-	cap       float64 // per-flow rate cap; <= 0 means uncapped
-	linksBuf  [maxFlowLinks]*Link
-	nlinks    int
-	rate      float64
-	done      sim.Event
-	act       sim.Action // pooled completion callback, run before onDone
-	onDone    []func()
-	pooled    bool
+	// The fields a settling pass reads come first, packed together: a
+	// pass over thousands of flows is bound by fetching their records.
+	gen      uint64  // epoch of the settling pass that last set its rate
+	cap      float64 // per-flow rate cap; <= 0 means uncapped
+	linksBuf [maxFlowLinks]*Link
+	idx      int32 // index into Net.flows, rem and rate while in flight
+	nlinks   int32
+
+	slots  [maxFlowLinks]int32 // position in each link's flows list
+	size   int64
+	done   sim.Event
+	act    sim.Action // pooled completion callback, run before onDone
+	onDone []func()
+	pooled bool
 }
 
 // links is the flow's live link set, a view over the inline array.
 func (f *FlowOp) links() []*Link { return f.linksBuf[:f.nlinks] }
 
+// setLinks records the flow's link set. The links must be distinct: a
+// link's active count and its flows list hold each flow once.
 func (f *FlowOp) setLinks(links []*Link) {
 	if len(links) > maxFlowLinks {
 		panic("fabric: flow crosses more than maxFlowLinks links")
 	}
-	f.nlinks = copy(f.linksBuf[:], links)
+	for i, l := range links {
+		for _, m := range links[:i] {
+			if l == m {
+				panic("fabric: flow lists the same link twice")
+			}
+		}
+	}
+	f.nlinks = int32(copy(f.linksBuf[:], links))
+}
+
+// settleRate reports the flow's rate from its cap and its links' cached
+// shares: min(cap, shares), with an uncapped flow over only infinite
+// links moving instantaneously.
+func (f *FlowOp) settleRate() float64 {
+	r := math.Inf(1)
+	if f.cap > 0 {
+		r = f.cap
+	}
+	for _, l := range f.links() {
+		if l.shr < r {
+			r = l.shr
+		}
+	}
+	if math.IsInf(r, 1) {
+		r = math.MaxFloat64
+	}
+	return r
 }
 
 // Done reports whether the transfer has drained.
@@ -161,7 +219,7 @@ func (f *FlowOp) Size() int64 { return f.size }
 // retained and polled after completion, so Start flows are not pooled;
 // allocation-free paths use StartAction or Transfer.
 func (n *Net) Start(size int64, cap float64, links ...*Link) *FlowOp {
-	f := &FlowOp{size: size, remaining: float64(size), cap: cap} //upcvet:poolalloc -- caller-retained handle, pollable after completion; left to the GC by the Start contract
+	f := &FlowOp{size: size, cap: cap} //upcvet:poolalloc -- caller-retained handle, pollable after completion; left to the GC by the Start contract
 	f.setLinks(links)
 	if size <= 0 {
 		n.finishFlow(f)
@@ -185,7 +243,6 @@ func (n *Net) StartAction(size int64, cap float64, act sim.Action, links ...*Lin
 	}
 	f := n.pool.Get()
 	f.size = size
-	f.remaining = float64(size)
 	f.cap = cap
 	f.act = act
 	f.pooled = true
@@ -198,14 +255,59 @@ func (n *Net) StartAction(size int64, cap float64, act sim.Action, links ...*Lin
 // settling callback.
 func (n *Net) launch(f *FlowOp) {
 	n.account()
-	for _, l := range f.links() {
+	for k, l := range f.links() {
 		l.active++
+		f.slots[k] = int32(len(l.flows))
+		l.flows = append(l.flows, f)
+		n.markDirty(l)
 		if n.util {
 			n.eng.TraceInstant(trace.CatLink, l.Name, "", int64(l.active), l.capacityArg())
 		}
 	}
+	rate := 0.0
+	if f.nlinks == 0 {
+		// No link will mark it dirty; its rate depends on the cap alone.
+		rate = f.settleRate()
+	}
+	f.idx = int32(len(n.flows))
 	n.flows = append(n.flows, f)
+	n.rem = append(n.rem, float64(f.size))
+	n.rate = append(n.rate, rate)
 	n.reschedule()
+}
+
+// unlink takes a drained flow off its links: each link's active count
+// drops, the flow leaves its flows list (a swap with the last entry),
+// and the link is queued for the next settling pass.
+func (n *Net) unlink(f *FlowOp) {
+	for k, l := range f.links() {
+		l.active--
+		last := int32(len(l.flows) - 1)
+		if s := f.slots[k]; s != last {
+			moved := l.flows[last]
+			l.flows[s] = moved
+			for j, m := range moved.links() {
+				if m == l {
+					moved.slots[j] = s
+					break
+				}
+			}
+		}
+		l.flows[last] = nil
+		l.flows = l.flows[:last]
+		n.markDirty(l)
+		if n.util {
+			n.eng.TraceInstant(trace.CatLink, l.Name, "", int64(l.active), l.capacityArg())
+		}
+	}
+}
+
+// markDirty queues l for the next settling pass.
+func (n *Net) markDirty(l *Link) {
+	if !l.dirty {
+		l.dirty = true
+		n.dirty = append(n.dirty, l)
+	}
 }
 
 // PoolStats reports the free-list accounting for the net's pooled flows
@@ -232,7 +334,6 @@ func (n *Net) Transfer(p *sim.Proc, size int64, cap float64, links ...*Link) {
 	}
 	f := n.pool.Get()
 	f.size = size
-	f.remaining = float64(size)
 	f.cap = cap
 	f.pooled = true
 	f.setLinks(links)
@@ -244,11 +345,12 @@ func (n *Net) Transfer(p *sim.Proc, size int64, cap float64, links ...*Link) {
 
 // Nudge re-settles all in-flight flows after an external change to link
 // state (a fault action degrading capacity or toggling Down). It charges
-// progress at the old rates up to now, then recomputes and rebooks the
-// next completion — including waking flows that were stalled on a link
-// that just came back.
+// progress at the old rates up to now, then recomputes every link's share
+// and every flow's rate and rebooks the next completion — including
+// waking flows that were stalled on a link that just came back.
 func (n *Net) Nudge() {
 	n.account()
+	n.full = true
 	n.reschedule()
 }
 
@@ -278,94 +380,129 @@ func (n *Net) finishFlow(f *FlowOp) {
 	}
 }
 
-// account charges elapsed progress to all flows at their current rates.
+// drainEps is the remainder, in bytes, at which a flow counts as drained.
+const drainEps = 1e-6
+
+// account charges elapsed progress to all flows at their current rates
+// and notes whether any ran dry.
 func (n *Net) account() {
 	now := n.eng.Now()
 	if now > n.last {
 		dt := (now - n.last).Seconds()
-		for _, f := range n.flows {
-			f.remaining -= f.rate * dt
+		rate := n.rate[:len(n.rem)]
+		for i := range n.rem {
+			n.rem[i] -= rate[i] * dt
+			if n.rem[i] <= drainEps {
+				n.drained = true
+			}
 		}
 	}
 	n.last = now
 }
 
-// recomputeRates refreshes every flow's rate from current link shares.
-func (n *Net) recomputeRates() {
-	for _, f := range n.flows {
-		r := math.Inf(1)
-		if f.cap > 0 {
-			r = f.cap
+// drain moves the flows that ran dry onto finished, taking them off
+// their links, and compacts the rest of the dense arrays in Net.flows
+// order: completions run in that order.
+func (n *Net) drain(finished []*FlowOp) []*FlowOp {
+	kept := 0
+	for kept < len(n.rem) && n.rem[kept] > drainEps {
+		kept++
+	}
+	for i := kept; i < len(n.flows); i++ {
+		f := n.flows[i]
+		if n.rem[i] <= drainEps {
+			n.unlink(f)
+			finished = append(finished, f)
+			continue
 		}
-		for _, l := range f.links() {
-			if s := l.share(); s < r {
-				r = s
+		n.flows[kept], n.rem[kept], n.rate[kept] = f, n.rem[i], n.rate[i]
+		f.idx = int32(kept)
+		kept++
+	}
+	clear(n.flows[kept:])
+	n.flows, n.rem, n.rate = n.flows[:kept], n.rem[:kept], n.rate[:kept]
+	return finished
+}
+
+// recomputeRates brings every in-flight flow's rate up to date with the
+// current link state. It refreshes each dirty link's cached share once,
+// then recomputes — once per pass, by the epoch stamp — only the flows
+// crossing a dirty link; every other flow's inputs are unchanged, so its
+// rate already equals what a full recompute would give. After Nudge the
+// pass is full: every flow's links are re-derived and every rate
+// recomputed, since the fault layer changes link state behind the Net's
+// back.
+func (n *Net) recomputeRates() {
+	if n.full {
+		n.full = false
+		for i, f := range n.flows {
+			for _, l := range f.links() {
+				l.shr = l.share()
+			}
+			n.rate[i] = f.settleRate()
+		}
+	} else {
+		for _, l := range n.dirty {
+			if len(l.flows) > 0 { // an idle link is refreshed when a flow joins
+				l.shr = l.share()
 			}
 		}
-		if math.IsInf(r, 1) {
-			// Uncapped flow crossing only infinite links: instantaneous.
-			r = math.MaxFloat64
+		for _, l := range n.dirty {
+			for _, f := range l.flows {
+				if f.gen != n.epoch {
+					f.gen = n.epoch
+					n.rate[f.idx] = f.settleRate()
+				}
+			}
 		}
-		f.rate = r
 	}
+	for _, l := range n.dirty {
+		l.dirty = false
+	}
+	clear(n.dirty)
+	n.dirty = n.dirty[:0]
 }
 
 // reschedule completes drained flows, recomputes rates, and books the next
-// completion callback. Completions within completionGrain of the earliest
-// settle together, bounding the number of O(F) recomputes a staggered
+// completion callback. Completions within the booking pad of the earliest
+// settle together, bounding the number of settling passes a staggered
 // drain can trigger while keeping the timing error to a 2^-10 fraction of
 // each flow's own duration.
 func (n *Net) reschedule() {
-	const eps = 1e-6 // bytes
 	// Detach the completion scratch while it is in use: a completion
 	// callback that starts a new flow re-enters reschedule, which must
 	// not walk the same backing array. The nested call sees nil and
 	// builds its own (cold path); the hot path reuses one buffer.
 	finished := n.fin
 	n.fin = nil
-	for {
-		kept := n.flows[:0]
-		finished = finished[:0]
-		for _, f := range n.flows {
-			if f.remaining <= eps {
-				for _, l := range f.links() {
-					l.active--
-					if n.util {
-						n.eng.TraceInstant(trace.CatLink, l.Name, "", int64(l.active), l.capacityArg())
-					}
-				}
-				finished = append(finished, f)
-			} else {
-				kept = append(kept, f)
-			}
-		}
-		for i := len(kept); i < len(n.flows); i++ {
-			n.flows[i] = nil
-		}
-		n.flows = kept
+	// Completion callbacks run at this instant, so they cannot drain
+	// another flow: one drain per pass finds every completion.
+	if n.drained {
+		n.drained = false
+		finished = n.drain(finished[:0])
 		for _, f := range finished {
 			n.finishFlow(f)
 		}
-		if len(finished) == 0 {
-			break
+		for i := range finished {
+			finished[i] = nil
 		}
-		// Completion callbacks may have started new flows; loop to settle.
-	}
-	for i := range finished {
-		finished[i] = nil
 	}
 	n.fin = finished[:0]
-	n.recomputeRates()
 	n.epoch++
+	n.recomputeRates()
+	if n.settled != nil {
+		n.settled()
+	}
 	if len(n.flows) == 0 {
 		return
 	}
 	next := math.Inf(1)
-	for _, f := range n.flows {
-		if f.rate <= 0 {
+	rem := n.rem[:len(n.rate)]
+	for i, r := range n.rate {
+		if r <= 0 {
 			continue
 		}
-		if t := f.remaining / f.rate; t < next {
+		if t := rem[i] / r; t < next {
 			next = t
 		}
 	}
@@ -378,7 +515,7 @@ func (n *Net) reschedule() {
 	dt := sim.FromSeconds(next)
 	// Relative quantization: push the wake slightly past the earliest
 	// completion so that near-simultaneous completions batch into one
-	// settling pass instead of each paying an O(F) recompute.
+	// settling pass instead of each paying for its own.
 	dt += dt >> 10
 	if dt < 1 {
 		dt = 1

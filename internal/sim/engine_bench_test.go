@@ -18,6 +18,7 @@ func BenchmarkBarrierStorm1k(b *testing.B)    { simbench.BarrierStorm1k(b) }
 func BenchmarkServerDelay(b *testing.B)       { simbench.ServerDelay(b) }
 func BenchmarkSharedLink32Flows(b *testing.B) { simbench.SharedLink32Flows(b) }
 func BenchmarkFabricPut(b *testing.B)         { simbench.FabricPut(b) }
+func BenchmarkFabricFlows4096(b *testing.B)   { simbench.FabricFlows4096(b) }
 
 // Sharded-engine benchmarks: the cross-lane message hot path and the
 // end-to-end traversal at growing -shards worker counts (virtual-time

@@ -94,9 +94,11 @@ func ServerDelay(b *testing.B) {
 	}
 }
 
-// SharedLink32Flows measures processor-sharing accounting under load: 32
-// processes keep concurrent flows on one link, so every start/finish
-// exercises the incremental accounting with ~32 active flows.
+// SharedLink32Flows measures sim.SharedLink, the engine's standalone
+// processor-sharing link, under load: 32 processes keep concurrent flows
+// on one link, so every start/finish exercises its incremental accounting
+// with ~32 active flows. No production path uses sim.SharedLink; the
+// fabric fluid model is timed by FabricFlows4096.
 func SharedLink32Flows(b *testing.B) {
 	b.ReportAllocs()
 	e := sim.New(1)
@@ -137,6 +139,65 @@ func FabricPut(b *testing.B) {
 	}
 }
 
+// flowWidth is FabricFlows4096's in-flight flow count: the NAS FT
+// all-to-all's peak concurrency.
+const flowWidth = 4096
+
+// flowRefill keeps flowWidth pooled flows in flight across a cluster's
+// NICs: each completion starts the next flow until b.N have completed.
+type flowRefill struct {
+	b       *testing.B
+	net     *fabric.Net
+	tx, rx  []*fabric.Link
+	cap     float64
+	started int
+	done    int
+}
+
+// start launches the next flow from tx[k%8] to rx[(k/8)%8], with sizes
+// spread over 64-128 KiB so completions stagger.
+func (r *flowRefill) start() {
+	k := r.started
+	r.started++
+	size := int64(64<<10 + k*40503%(64<<10))
+	r.net.StartAction(size, r.cap, r, r.tx[k%len(r.tx)], r.rx[(k/len(r.tx))%len(r.rx)])
+}
+
+// Run is every flow's completion action.
+func (r *flowRefill) Run() {
+	r.done++
+	switch {
+	case r.done < r.b.N:
+		r.start()
+	case r.done == r.b.N:
+		r.b.StopTimer() // the rest drain off the clock
+	}
+}
+
+// FabricFlows4096 measures the fabric fluid model at the NAS FT
+// all-to-all's peak concurrency: each op is one pooled Net.StartAction
+// on a cluster's NICs plus one completion, with 4,096 flows in flight
+// across 8 nodes' egress and ingress links. Each start and finish
+// re-settles the flows on the links it touches.
+func FabricFlows4096(b *testing.B) {
+	b.ReportAllocs()
+	e := sim.New(1)
+	cond := fabric.QDRInfiniBand()
+	c := fabric.NewCluster(e, topo.Lehman(), cond)
+	r := &flowRefill{b: b, net: c.Net, cap: cond.ConnBW}
+	for i := 0; i < 8; i++ {
+		r.tx = append(r.tx, c.LinkByName(fmt.Sprintf("nic-tx%d", i)))
+		r.rx = append(r.rx, c.LinkByName(fmt.Sprintf("nic-rx%d", i)))
+	}
+	for i := 0; i < flowWidth; i++ {
+		r.start()
+	}
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // All lists the recorded microbenchmarks in BENCH_sim.json order.
 // Parallel marks the sharded-engine benchmarks whose point is OS-thread
 // parallelism: the recorder leaves GOMAXPROCS alone for those instead
@@ -152,6 +213,7 @@ var All = []struct {
 	{"ServerDelay", ServerDelay, false},
 	{"SharedLink32Flows", SharedLink32Flows, false},
 	{"FabricPut", FabricPut, false},
+	{"FabricFlows4096", FabricFlows4096, false},
 	{"ShardPut", ShardPut, false},
 	{"UTSShard1", UTSShard1, false},
 	{"UTSShard2", UTSShard2, true},
