@@ -7,7 +7,9 @@
 package fabric
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -31,13 +33,14 @@ type Link struct {
 	// until the link comes back (distinct from Capacity <= 0, which means
 	// infinitely fast). Toggled by the fault layer, which must follow any
 	// change with Net.Nudge so in-flight flows re-settle. The same holds
-	// for Capacity and Beta: the Net only re-derives a link's share when
-	// a flow starts or finishes on it, or on Nudge.
+	// for Capacity and Beta: the Net caches each link's share and
+	// re-derives it only in the settling pass after the link's active
+	// count changes, or in the full pass after a Nudge.
 	Down bool
 
-	flows []*FlowOp // in-flight flows crossing the link, unordered
-	shr   float64   // share() as of the last settling pass that refreshed it
-	dirty bool      // queued on Net.dirty for the next settling pass
+	classes []*flowClass // live flow classes crossing the link, unordered
+	shr     float64      // share() as of the last settling pass that refreshed it
+	dirty   bool         // queued on Net.dirty for the next settling pass
 }
 
 // maxCongestion bounds the congestion divisor: goodput degrades with
@@ -76,27 +79,34 @@ func (l *Link) share() float64 {
 }
 
 // Net is the fluid-flow engine. A flow's rate is a pure function of its
-// cap and its links' (active, Capacity, Beta, Down), so a settling pass
-// only recomputes the flows crossing a link whose state changed since the
-// last pass: a flow start or finish marks the links it crosses dirty, and
-// every other flow keeps its rate. Nudge, the signal for an external
-// change to link state, forces a full pass. Completions within one
-// settling pass batch together and finish in Net.flows order.
+// cap and its links' (active, Capacity, Beta, Down), so in-flight flows
+// are grouped into flow classes keyed by (link list, cap): every flow of
+// a class has the same rate, and the Net settles classes, not flows. A
+// settling pass recomputes only the classes crossing a link whose state
+// changed since the last pass: a flow start or finish marks the links it
+// crosses dirty, and every other class keeps its rate. Nudge, the signal
+// for an external change to link state, forces a full pass.
 //
-// The per-flow progress state lives in dense arrays parallel to flows
-// (rem, rate; FlowOp.idx is the index), so the per-event progress charge
-// and the completion scans stream over contiguous memory.
+// Each class keeps its flows in a min-heap on remaining bytes, so the
+// next completion is the least rem[0]/rate over the live classes, and a
+// drain pops only the flows that ran dry. Completions found in one pass
+// finish in launch order (FlowOp.seq). A class whose last flow finishes
+// is parked: it leaves Net.classes and its links' class lists but stays
+// in byKey, so a key that comes back pays no allocation.
 type Net struct {
-	eng   *sim.Engine
-	flows []*FlowOp
-	rem   []float64 // bytes left per flow
-	rate  []float64 // current rate per flow, bytes/second
-	last  sim.Time
-	// epoch numbers settling passes: it stamps the flows a pass has
-	// recomputed (FlowOp.gen) and the one settling callback still live.
+	eng     *sim.Engine
+	classes []*flowClass           // live classes (at least one flow), unordered
+	byKey   map[flowKey]*flowClass // every class launched so far, live or parked
+	recent  *flowClass             // the last launch's class: a repeated key skips the map
+	slab    []flowClass            // unused classes, allocated classSlab at a time
+	flows   int                    // flows in flight, over all classes
+	seq     uint64                 // launch counter; FlowOp.seq orders completions
+	last    sim.Time
+	// epoch numbers settling passes: it stamps the classes a pass has
+	// recomputed (flowClass.gen) and the one settling callback still live.
 	epoch uint64
 	dirty []*Link // links whose share changed since the last pass
-	full  bool    // next pass re-derives every link and flow (Nudge)
+	full  bool    // next pass re-derives every live link and class (Nudge)
 	// drained is raised by account when a flow runs dry; only then does
 	// reschedule look for completions.
 	drained bool
@@ -118,72 +128,88 @@ type Net struct {
 
 // NewNet creates a flow engine bound to e.
 func NewNet(e *sim.Engine) *Net {
-	return &Net{eng: e, util: trace.WantsUtil(e.Tracer())}
+	return &Net{eng: e, byKey: make(map[flowKey]*flowClass), util: trace.WantsUtil(e.Tracer())}
 }
 
 // Engine reports the owning simulation engine.
 func (n *Net) Engine() *sim.Engine { return n.eng }
 
 // Active reports the number of in-flight flows.
-func (n *Net) Active() int { return len(n.flows) }
+func (n *Net) Active() int { return n.flows }
 
 // maxFlowLinks bounds the links one flow may cross. The deepest modeled
 // path is connection + egress NIC + ingress NIC; the inline array keeps
 // a flow's link set out of the allocator.
 const maxFlowLinks = 3
 
-// FlowOp is an in-flight transfer. Wait on Done (a sim.Event) or use
-// Wait; OnComplete callbacks run in engine context when the flow drains.
-//
-// Flows created by Start are handles the caller may retain and poll
-// after completion. Flows created by StartAction or Transfer are pooled:
-// they return to the Net's free list the moment they drain, so no
-// reference to them may escape.
-type FlowOp struct {
-	// The fields a settling pass reads come first, packed together: a
-	// pass over thousands of flows is bound by fetching their records.
-	gen      uint64  // epoch of the settling pass that last set its rate
-	cap      float64 // per-flow rate cap; <= 0 means uncapped
-	linksBuf [maxFlowLinks]*Link
-	idx      int32 // index into Net.flows, rem and rate while in flight
-	nlinks   int32
-
-	slots  [maxFlowLinks]int32 // position in each link's flows list
-	size   int64
-	done   sim.Event
-	act    sim.Action // pooled completion callback, run before onDone
-	onDone []func()
-	pooled bool
+// flowKey identifies a flow class: the links a flow crosses, in the
+// order given, and its rate cap, with every uncapped flow at cap 0.
+type flowKey struct {
+	links [maxFlowLinks]*Link
+	cap   float64
 }
 
-// links is the flow's live link set, a view over the inline array.
-func (f *FlowOp) links() []*Link { return f.linksBuf[:f.nlinks] }
-
-// setLinks records the flow's link set. The links must be distinct: a
-// link's active count and its flows list hold each flow once.
-func (f *FlowOp) setLinks(links []*Link) {
+// classKey builds the key of a flow with the given cap and links. The
+// links must be distinct: a link's active count holds each flow once.
+func classKey(cap float64, links []*Link) flowKey {
 	if len(links) > maxFlowLinks {
 		panic("fabric: flow crosses more than maxFlowLinks links")
 	}
+	var k flowKey
 	for i, l := range links {
 		for _, m := range links[:i] {
 			if l == m {
 				panic("fabric: flow lists the same link twice")
 			}
 		}
+		k.links[i] = l
 	}
-	f.nlinks = int32(copy(f.linksBuf[:], links))
+	if cap > 0 {
+		k.cap = cap
+	}
+	return k
 }
 
-// settleRate reports the flow's rate from its cap and its links' cached
-// shares: min(cap, shares), with an uncapped flow over only infinite
+// classSlab is how many flow classes a Net allocates at once. Classes
+// are never freed, so carving them from slabs costs one allocation per
+// classSlab keys and keeps them adjacent in memory.
+const classSlab = 32
+
+// flowClass is the in-flight flows of one flowKey. They share one rate,
+// and their remaining bytes form a min-heap: rem[0] is the class's next
+// completion. The heap survives the progress charge, which subtracts the
+// same rate*dt from every entry: IEEE rounding is monotone, so a <= b
+// implies fl(a-d) <= fl(b-d).
+type flowClass struct {
+	// The progress charge and the completion scan read only the first
+	// cache line. rem and flows start on the inline one-entry
+	// arrays: most classes never hold two flows at once, and those keep
+	// their heap inside the class.
+	rate  float64   // bytes/second, shared by every flow of the class
+	rem   []float64 // bytes left per flow, a min-heap parallel to flows
+	rem0  [1]float64
+	flows []*FlowOp
+
+	gen    uint64 // epoch of the settling pass that last set rate
+	flow0  [1]*FlowOp
+	key    flowKey
+	nlinks int32
+	idx    int32               // index into Net.classes while live
+	slots  [maxFlowLinks]int32 // position in each link's classes list while live
+}
+
+// links is the class's link set, a view over the key.
+func (c *flowClass) links() []*Link { return c.key.links[:c.nlinks] }
+
+// settleRate reports the class's rate from its cap and its links' cached
+// shares: min(cap, shares), with an uncapped class over only infinite
 // links moving instantaneously.
-func (f *FlowOp) settleRate() float64 {
+func (c *flowClass) settleRate() float64 {
 	r := math.Inf(1)
-	if f.cap > 0 {
-		r = f.cap
+	if c.key.cap > 0 {
+		r = c.key.cap
 	}
-	for _, l := range f.links() {
+	for _, l := range c.links() {
 		if l.shr < r {
 			r = l.shr
 		}
@@ -192,6 +218,69 @@ func (f *FlowOp) settleRate() float64 {
 		r = math.MaxFloat64
 	}
 	return r
+}
+
+// push adds f with rem bytes left to the heap.
+func (c *flowClass) push(f *FlowOp, rem float64) {
+	i := len(c.rem)
+	c.rem = append(c.rem, rem)
+	c.flows = append(c.flows, f)
+	for i > 0 {
+		p := (i - 1) / 2
+		if c.rem[p] <= rem {
+			break
+		}
+		c.rem[i], c.flows[i] = c.rem[p], c.flows[p]
+		i = p
+	}
+	c.rem[i], c.flows[i] = rem, f
+}
+
+// pop removes and returns the flow with the least bytes left.
+func (c *flowClass) pop() *FlowOp {
+	top := c.flows[0]
+	last := len(c.rem) - 1
+	rem, f := c.rem[last], c.flows[last]
+	c.flows[last] = nil
+	c.rem, c.flows = c.rem[:last], c.flows[:last]
+	if last == 0 {
+		return top
+	}
+	i := 0
+	for {
+		m := 2*i + 1
+		if m >= last {
+			break
+		}
+		if r := m + 1; r < last && c.rem[r] < c.rem[m] {
+			m = r
+		}
+		if rem <= c.rem[m] {
+			break
+		}
+		c.rem[i], c.flows[i] = c.rem[m], c.flows[m]
+		i = m
+	}
+	c.rem[i], c.flows[i] = rem, f
+	return top
+}
+
+// FlowOp is an in-flight transfer. Wait on Done (a sim.Event) or use
+// Wait; OnComplete callbacks run in engine context when the flow drains.
+// Its rate and remaining bytes live in its flow class.
+//
+// Flows created by Start are handles the caller may retain and poll
+// after completion. Flows created by StartAction or Transfer are pooled:
+// they return to the Net's free list the moment they drain, so no
+// reference to them may escape.
+type FlowOp struct {
+	class  *flowClass // the class the flow settles with while in flight
+	seq    uint64     // launch order: completions in one pass run by seq
+	size   int64
+	done   sim.Event
+	act    sim.Action // pooled completion callback, run before onDone
+	onDone []func()
+	pooled bool
 }
 
 // Done reports whether the transfer has drained.
@@ -219,13 +308,13 @@ func (f *FlowOp) Size() int64 { return f.size }
 // retained and polled after completion, so Start flows are not pooled;
 // allocation-free paths use StartAction or Transfer.
 func (n *Net) Start(size int64, cap float64, links ...*Link) *FlowOp {
-	f := &FlowOp{size: size, cap: cap} //upcvet:poolalloc -- caller-retained handle, pollable after completion; left to the GC by the Start contract
-	f.setLinks(links)
+	k := classKey(cap, links)
+	f := &FlowOp{size: size} //upcvet:poolalloc -- caller-retained handle, pollable after completion; left to the GC by the Start contract
 	if size <= 0 {
 		n.finishFlow(f)
 		return f
 	}
-	n.launch(f)
+	n.launch(f, k)
 	return f
 }
 
@@ -241,51 +330,86 @@ func (n *Net) StartAction(size int64, cap float64, act sim.Action, links ...*Lin
 		}
 		return
 	}
+	k := classKey(cap, links)
 	f := n.pool.Get()
 	f.size = size
-	f.cap = cap
 	f.act = act
 	f.pooled = true
-	f.setLinks(links)
-	n.launch(f)
+	n.launch(f, k)
 }
 
-// launch registers a prepared flow and settles rates. size must be
-// positive: the flow cannot complete inside launch, only from a later
-// settling callback.
-func (n *Net) launch(f *FlowOp) {
+// launch registers a prepared flow in the class of key k and settles
+// rates. size must be positive: the flow cannot complete inside launch,
+// only from a later settling callback.
+func (n *Net) launch(f *FlowOp, k flowKey) {
 	n.account()
-	for k, l := range f.links() {
+	c := n.recent
+	if c == nil || c.key != k {
+		c = n.byKey[k]
+		if c == nil {
+			if len(n.slab) == 0 {
+				n.slab = make([]flowClass, classSlab)
+			}
+			c = &n.slab[0]
+			n.slab = n.slab[1:]
+			c.key = k
+			c.rem, c.flows = c.rem0[:0], c.flow0[:0]
+			for c.nlinks < maxFlowLinks && k.links[c.nlinks] != nil {
+				c.nlinks++
+			}
+			n.byKey[k] = c
+		}
+		n.recent = c
+	}
+	if len(c.flows) == 0 {
+		n.unpark(c)
+	}
+	n.seq++
+	f.class, f.seq = c, n.seq
+	c.push(f, float64(f.size))
+	n.flows++
+	for _, l := range c.links() {
 		l.active++
-		f.slots[k] = int32(len(l.flows))
-		l.flows = append(l.flows, f)
 		n.markDirty(l)
 		if n.util {
 			n.eng.TraceInstant(trace.CatLink, l.Name, "", int64(l.active), l.capacityArg())
 		}
 	}
-	rate := 0.0
-	if f.nlinks == 0 {
+	if c.nlinks == 0 {
 		// No link will mark it dirty; its rate depends on the cap alone.
-		rate = f.settleRate()
+		c.rate = c.settleRate()
 	}
-	f.idx = int32(len(n.flows))
-	n.flows = append(n.flows, f)
-	n.rem = append(n.rem, float64(f.size))
-	n.rate = append(n.rate, rate)
 	n.reschedule()
 }
 
-// unlink takes a drained flow off its links: each link's active count
-// drops, the flow leaves its flows list (a swap with the last entry),
-// and the link is queued for the next settling pass.
-func (n *Net) unlink(f *FlowOp) {
-	for k, l := range f.links() {
-		l.active--
-		last := int32(len(l.flows) - 1)
-		if s := f.slots[k]; s != last {
-			moved := l.flows[last]
-			l.flows[s] = moved
+// unpark makes an idle class live: it joins Net.classes and its links'
+// class lists.
+func (n *Net) unpark(c *flowClass) {
+	c.idx = int32(len(n.classes))
+	n.classes = append(n.classes, c)
+	for k, l := range c.links() {
+		c.slots[k] = int32(len(l.classes))
+		l.classes = append(l.classes, c)
+	}
+}
+
+// park takes a class whose last flow finished out of Net.classes and its
+// links' class lists, each by a swap with the last entry. It stays in
+// byKey for the next flow of its key.
+func (n *Net) park(c *flowClass) {
+	last := int32(len(n.classes) - 1)
+	if c.idx != last {
+		moved := n.classes[last]
+		n.classes[c.idx] = moved
+		moved.idx = c.idx
+	}
+	n.classes[last] = nil
+	n.classes = n.classes[:last]
+	for k, l := range c.links() {
+		last := int32(len(l.classes) - 1)
+		if s := c.slots[k]; s != last {
+			moved := l.classes[last]
+			l.classes[s] = moved
 			for j, m := range moved.links() {
 				if m == l {
 					moved.slots[j] = s
@@ -293,8 +417,16 @@ func (n *Net) unlink(f *FlowOp) {
 				}
 			}
 		}
-		l.flows[last] = nil
-		l.flows = l.flows[:last]
+		l.classes[last] = nil
+		l.classes = l.classes[:last]
+	}
+}
+
+// unlink takes a drained flow off its links: each link's active count
+// drops and the link is queued for the next settling pass.
+func (n *Net) unlink(f *FlowOp) {
+	for _, l := range f.class.links() {
+		l.active--
 		n.markDirty(l)
 		if n.util {
 			n.eng.TraceInstant(trace.CatLink, l.Name, "", int64(l.active), l.capacityArg())
@@ -332,12 +464,11 @@ func (n *Net) Transfer(p *sim.Proc, size int64, cap float64, links ...*Link) {
 	if size <= 0 {
 		return
 	}
+	k := classKey(cap, links)
 	f := n.pool.Get()
 	f.size = size
-	f.cap = cap
 	f.pooled = true
-	f.setLinks(links)
-	n.launch(f)
+	n.launch(f, k)
 	// launch cannot complete a positive-size flow inline, so the wait is
 	// always armed before the completion fires.
 	f.Wait(p)
@@ -345,8 +476,8 @@ func (n *Net) Transfer(p *sim.Proc, size int64, cap float64, links ...*Link) {
 
 // Nudge re-settles all in-flight flows after an external change to link
 // state (a fault action degrading capacity or toggling Down). It charges
-// progress at the old rates up to now, then recomputes every link's share
-// and every flow's rate and rebooks the next completion — including
+// progress at the old rates up to now, then recomputes every live link's
+// share and every class's rate and rebooks the next completion — including
 // waking flows that were stalled on a link that just came back.
 func (n *Net) Nudge() {
 	n.account()
@@ -370,10 +501,7 @@ func (n *Net) finishFlow(f *FlowOp) {
 	}
 	f.onDone = nil
 	if f.pooled {
-		for i := range f.linksBuf {
-			f.linksBuf[i] = nil
-		}
-		f.nlinks = 0
+		f.class = nil
 		f.pooled = false
 		f.done.Reset()
 		n.pool.Put(f)
@@ -383,16 +511,20 @@ func (n *Net) finishFlow(f *FlowOp) {
 // drainEps is the remainder, in bytes, at which a flow counts as drained.
 const drainEps = 1e-6
 
-// account charges elapsed progress to all flows at their current rates
-// and notes whether any ran dry.
+// account charges elapsed progress to all flows at their classes' rates
+// and notes whether any ran dry. Each flow is charged rem -= rate*dt on
+// its own, which keeps every class's heap in order; only the heap
+// minimum can be the first to run dry.
 func (n *Net) account() {
 	now := n.eng.Now()
 	if now > n.last {
 		dt := (now - n.last).Seconds()
-		rate := n.rate[:len(n.rem)]
-		for i := range n.rem {
-			n.rem[i] -= rate[i] * dt
-			if n.rem[i] <= drainEps {
+		for _, c := range n.classes {
+			rate, rem := c.rate, c.rem
+			for i := range rem {
+				rem[i] -= rate * dt
+			}
+			if rem[0] <= drainEps {
 				n.drained = true
 			}
 		}
@@ -400,58 +532,59 @@ func (n *Net) account() {
 	n.last = now
 }
 
-// drain moves the flows that ran dry onto finished, taking them off
-// their links, and compacts the rest of the dense arrays in Net.flows
-// order: completions run in that order.
-func (n *Net) drain(finished []*FlowOp) []*FlowOp {
-	kept := 0
-	for kept < len(n.rem) && n.rem[kept] > drainEps {
-		kept++
-	}
-	for i := kept; i < len(n.flows); i++ {
-		f := n.flows[i]
-		if n.rem[i] <= drainEps {
-			n.unlink(f)
-			finished = append(finished, f)
+// drain pops the flows that ran dry off their classes' heaps, parks the
+// classes left empty, and returns the flows in launch order, the order
+// completions run in, after taking each off its links in that order. The
+// result reuses buf's backing array.
+func (n *Net) drain(buf []*FlowOp) []*FlowOp {
+	done := buf[:0]
+	for i := 0; i < len(n.classes); {
+		c := n.classes[i]
+		for len(c.rem) > 0 && c.rem[0] <= drainEps {
+			done = append(done, c.pop())
+		}
+		if len(c.flows) == 0 {
+			n.park(c) // moves the last live class into slot i
 			continue
 		}
-		n.flows[kept], n.rem[kept], n.rate[kept] = f, n.rem[i], n.rate[i]
-		f.idx = int32(kept)
-		kept++
+		i++
 	}
-	clear(n.flows[kept:])
-	n.flows, n.rem, n.rate = n.flows[:kept], n.rem[:kept], n.rate[:kept]
-	return finished
+	slices.SortFunc(done, func(a, b *FlowOp) int { return cmp.Compare(a.seq, b.seq) })
+	for _, f := range done {
+		n.unlink(f)
+	}
+	n.flows -= len(done)
+	return done
 }
 
-// recomputeRates brings every in-flight flow's rate up to date with the
+// recomputeRates brings every live class's rate up to date with the
 // current link state. It refreshes each dirty link's cached share once,
-// then recomputes — once per pass, by the epoch stamp — only the flows
-// crossing a dirty link; every other flow's inputs are unchanged, so its
-// rate already equals what a full recompute would give. After Nudge the
-// pass is full: every flow's links are re-derived and every rate
-// recomputed, since the fault layer changes link state behind the Net's
-// back.
+// then recomputes — once per pass, by the epoch stamp — only the classes
+// crossing a dirty link; every other class's inputs are unchanged, so
+// its rate already equals what a full recompute would give. After Nudge
+// the pass is full: every live class's links are re-derived and every
+// rate recomputed, since the fault layer changes link state behind the
+// Net's back.
 func (n *Net) recomputeRates() {
 	if n.full {
 		n.full = false
-		for i, f := range n.flows {
-			for _, l := range f.links() {
+		for _, c := range n.classes {
+			for _, l := range c.links() {
 				l.shr = l.share()
 			}
-			n.rate[i] = f.settleRate()
+			c.rate = c.settleRate()
 		}
 	} else {
 		for _, l := range n.dirty {
-			if len(l.flows) > 0 { // an idle link is refreshed when a flow joins
+			if len(l.classes) > 0 { // an idle link is refreshed when a flow joins
 				l.shr = l.share()
 			}
 		}
 		for _, l := range n.dirty {
-			for _, f := range l.flows {
-				if f.gen != n.epoch {
-					f.gen = n.epoch
-					n.rate[f.idx] = f.settleRate()
+			for _, c := range l.classes {
+				if c.gen != n.epoch {
+					c.gen = n.epoch
+					c.rate = c.settleRate()
 				}
 			}
 		}
@@ -479,7 +612,7 @@ func (n *Net) reschedule() {
 	// another flow: one drain per pass finds every completion.
 	if n.drained {
 		n.drained = false
-		finished = n.drain(finished[:0])
+		finished = n.drain(finished)
 		for _, f := range finished {
 			n.finishFlow(f)
 		}
@@ -493,16 +626,14 @@ func (n *Net) reschedule() {
 	if n.settled != nil {
 		n.settled()
 	}
-	if len(n.flows) == 0 {
-		return
-	}
+	// Division by a positive rate is monotone, so each class's heap
+	// minimum gives its earliest completion.
 	next := math.Inf(1)
-	rem := n.rem[:len(n.rate)]
-	for i, r := range n.rate {
-		if r <= 0 {
+	for _, c := range n.classes {
+		if c.rate <= 0 {
 			continue
 		}
-		if t := rem[i] / r; t < next {
+		if t := c.rem[0] / c.rate; t < next {
 			next = t
 		}
 	}
