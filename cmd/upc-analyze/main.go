@@ -12,7 +12,7 @@
 //	                                  they drift
 //
 // Two analyses of the same run — including runs at different -parallel
-// or -shards worker counts — diff clean; the equivalence gate
+// worker counts — diff clean; the equivalence gate
 // (equivalence_test.go) requires them byte-identical and runs this diff
 // to explain a mismatch.
 package main

@@ -3,9 +3,8 @@
 // It drives the engine microbenchmarks (internal/simbench) through
 // testing.Benchmark plus one end-to-end figure benchmark (the Table 3.1
 // twisted-STREAM sweep) and writes BENCH_sim.json: ns/op, allocs/op and
-// bytes/op per microbenchmark, the figure's wall time and headline
-// metrics, and the fixed pre-optimization baseline the 2x acceptance
-// target was measured against.
+// bytes/op per microbenchmark and the figure's wall time and headline
+// metrics.
 //
 //	upc-bench                  # measure and rewrite BENCH_sim.json
 //	upc-bench -check           # measure and fail on >20% ns/op regression
@@ -48,22 +47,6 @@ type benchFile struct {
 	Note       string            `json:"note"`
 	Benchmarks map[string]record `json:"benchmarks"`
 	Figure     figure            `json:"figure"`
-	// PreChange holds the pre-optimization engine numbers (median of 5
-	// full -bench runs at the commit before the fast-path work) so the
-	// recorded speedup is reproducible from the file alone.
-	PreChange map[string]record `json:"pre_change_baseline"`
-}
-
-// preChange is the fair pre-optimization baseline: median of 5 runs of
-// the same benchmarks at the commit preceding the engine fast-path work,
-// on the same class of machine the committed BENCH_sim.json was
-// recorded on.
-var preChange = map[string]record{
-	"PingPongYield":     {NsPerOp: 1081, AllocsPerOp: 2, BytesPerOp: 64},
-	"Advance":           {NsPerOp: 474.1, AllocsPerOp: 1, BytesPerOp: 32},
-	"BarrierStorm1k":    {NsPerOp: 893758, AllocsPerOp: 1000, BytesPerOp: 32064},
-	"ServerDelay":       {NsPerOp: 574.0, AllocsPerOp: 1, BytesPerOp: 32},
-	"SharedLink32Flows": {NsPerOp: 27787, AllocsPerOp: 160, BytesPerOp: 4608},
 }
 
 var (
@@ -78,18 +61,13 @@ var (
 func measure() map[string]record {
 	res := make(map[string]record, len(simbench.All))
 	for _, bm := range simbench.All {
-		// The single-engine benchmarks are logically sequential — exactly
-		// one simulated process runs at a time — so measure those on one
-		// P: at the default GOMAXPROCS the Go scheduler migrates the
+		// The benchmarks are logically sequential — exactly one
+		// simulated process runs at a time — so measure them on one P:
+		// at the default GOMAXPROCS the Go scheduler migrates the
 		// handoff chain across cores and the many-goroutine benchmarks
 		// swing 30-50% run to run; pinned, they repeat within a few
-		// percent. The sharded scaling series is the opposite case — OS
-		// parallelism is the thing being measured — so it keeps the
-		// host's GOMAXPROCS.
-		prev := runtime.GOMAXPROCS(0)
-		if !bm.Parallel {
-			prev = runtime.GOMAXPROCS(1)
-		}
+		// percent.
+		prev := runtime.GOMAXPROCS(1)
 		best := record{NsPerOp: -1}
 		trials := make([]float64, 0, *runs)
 		for i := 0; i < *runs; i++ {
@@ -116,9 +94,8 @@ func measure() map[string]record {
 }
 
 func measureFigure() figure {
-	// Settle the microbenchmarks' garbage (the sharded UTS series leaves
-	// multi-MB heaps behind) so their collection is not billed to the
-	// figure's wall clock.
+	// Settle the microbenchmarks' garbage so its collection is not
+	// billed to the figure's wall clock.
 	runtime.GC()
 	start := time.Now() //upcvet:wallclock -- real host-side benchmarking; this is the one place wall time is the point
 	rs, err := stream.Table31(1)
@@ -155,7 +132,7 @@ func sortedNames(m map[string]record) []string {
 // both sides of the comparison — a regenerated baseline that records
 // any allocation for them is itself a failure, so the gate cannot be
 // weakened by rerunning upc-bench after a regression.
-var zeroAllocBenches = []string{"FabricPut", "FabricFlows4096", "ShardPut", "SharedLink32Flows"}
+var zeroAllocBenches = []string{"FabricPut", "FabricFlows4096", "SharedLink32Flows"}
 
 func runCheck(fresh map[string]record) int {
 	data, err := os.ReadFile(*baseline)
@@ -181,14 +158,7 @@ func runCheck(fresh map[string]record) int {
 			zeroFail++
 		}
 	}
-	// The serial benchmarks are deterministic, so their allocs/op must
-	// match the baseline exactly; the parallel (sharded) ones allocate a
-	// scheduling-dependent amount of park/unpark machinery, so they get
-	// the same fractional slack as ns/op.
-	parallel := map[string]bool{}
-	for _, bm := range simbench.All {
-		parallel[bm.Name] = bm.Parallel
-	}
+	// The benchmarks are deterministic, so allocs/op may not grow at all.
 	fail := zeroFail
 	for _, name := range sortedNames(base.Benchmarks) {
 		b := base.Benchmarks[name]
@@ -198,19 +168,15 @@ func runCheck(fresh map[string]record) int {
 			fail++
 			continue
 		}
-		allocLimit := b.AllocsPerOp
-		if parallel[name] {
-			allocLimit = int64(float64(b.AllocsPerOp) * (1 + *tolerance))
-		}
 		ratio := f.NsPerOp / b.NsPerOp
 		switch {
 		case ratio > 1+*tolerance:
 			fmt.Printf("FAIL %-20s %.1f ns/op vs baseline %.1f (%.0f%% slower, limit %.0f%%)\n",
 				name, f.NsPerOp, b.NsPerOp, (ratio-1)*100, *tolerance*100)
 			fail++
-		case f.AllocsPerOp > allocLimit:
+		case f.AllocsPerOp > b.AllocsPerOp:
 			fmt.Printf("FAIL %-20s %d allocs/op vs baseline limit %d\n",
-				name, f.AllocsPerOp, allocLimit)
+				name, f.AllocsPerOp, b.AllocsPerOp)
 			fail++
 		default:
 			fmt.Printf("ok   %-20s %.1f ns/op vs baseline %.1f (%+.0f%%), %d allocs/op\n",
@@ -228,13 +194,6 @@ func runCheck(fresh map[string]record) int {
 func main() {
 	flag.Parse()
 	fresh := measure()
-	for _, name := range sortedNames(preChange) {
-		if f, ok := fresh[name]; ok {
-			p := preChange[name]
-			fmt.Printf("     %-20s %5.2fx faster than pre-optimization (%.1f -> %.1f ns/op)\n",
-				name, p.NsPerOp/f.NsPerOp, p.NsPerOp, f.NsPerOp)
-		}
-	}
 	if *check {
 		os.Exit(runCheck(fresh))
 	}
@@ -242,7 +201,6 @@ func main() {
 		Note: "engine microbenchmark baseline; regenerate with `go run ./cmd/upc-bench`, " +
 			"CI gates on `go run ./cmd/upc-bench -check` (see .github/workflows/ci.yml)",
 		Benchmarks: fresh,
-		PreChange:  preChange,
 	}
 	if !*skipFig {
 		bf.Figure = measureFigure()

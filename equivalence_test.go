@@ -1,19 +1,19 @@
 //go:build equivalence && linux
 
 // The equivalence gate. Every table this repository regenerates is a
-// pure function of model and seed: the harness settings (-parallel,
-// -shards) must not change a byte of stdout or of any file a run
-// writes, with or without a fault schedule and with any set of
-// observers attached. Each row of the table below runs one cmd binary
-// at a reference setting and at alternative settings and requires the
-// outputs to match byte for byte; when they do not, upc-metrics and
-// upc-analyze explain the drift. Run it with
+// pure function of model and seed: the harness setting -parallel must
+// not change a byte of stdout or of any file a run writes, with or
+// without a fault schedule and with any set of observers attached.
+// Each row of the table below runs one cmd binary at a reference
+// setting and at alternative settings and requires the outputs to match
+// byte for byte; when they do not, upc-metrics and upc-analyze explain
+// the drift. Run it with
 //
 //	go test -tags equivalence -run TestEquivalence -timeout 45m .
 //
 // and a single row with -run 'TestEquivalence/<row>'. Each row's
 // outputs stay under $TMPDIR/upc-equivalence/<row>/ (ref/, alt1/, ...)
-// for inspection. The tag keeps these ~45 whole-binary runs out of
+// for inspection. The tag keeps these ~30 whole-binary runs out of
 // go test ./...; linux because peak RSS is read from the child's rusage
 // in kilobytes.
 package repro
@@ -59,7 +59,6 @@ var (
 	onlyT32   = []string{"-only", "Table 3.2"}
 	onlyF31b  = []string{"-only", "Figure 3.1b"}
 	parallel8 = []string{"-parallel=8"}
-	shards8   = []string{"-shards=8"}
 )
 
 var rows = []row{
@@ -77,16 +76,6 @@ var rows = []row{
 	{name: "uts-metrics-parallel", tool: "upc-uts", args: table32, observe: "metrics",
 		ref: "-parallel=1", alts: parallel8},
 
-	// Sharded-engine worker count, alone and inside a parallel sweep.
-	{name: "stream-metrics-shards", tool: "upc-stream", args: table31, observe: "metrics",
-		ref: "-shards=1", alts: shards8},
-	{name: "uts-digest-shards", tool: "upc-uts", args: table32, observe: "digest",
-		ref: "-shards=1", alts: shards8},
-	{name: "uts-analyze-shards", tool: "upc-uts", args: table32, observe: "analyze",
-		ref: "-shards=1", alts: shards8},
-	{name: "uts-digest-shards-in-sweep", tool: "upc-uts", args: table32, observe: "digest",
-		ref: "-shards=1 -parallel=1", alts: []string{"-shards=2 -parallel=2"}},
-
 	// Table 3.2's twelve UTS jobs fill the reorder window at width 2;
 	// peak RSS is bounded by the window, not by the sweep (buffering
 	// every job until the pool drained peaked at 4.2 GB).
@@ -95,14 +84,11 @@ var rows = []row{
 
 	// Rendered tables with no observer: Figure 3.1b's hit/miss columns
 	// come off the translation-cache counters and Table 3.2's steal
-	// columns off the UTS results. -shards=4 against the legacy engine
-	// is deliberate for Figure 3.1b.
+	// columns off the UTS results.
 	{name: "figure31b-render", tool: "upc-experiments", args: onlyF31b,
-		ref: "-parallel=1", alts: []string{"-parallel=8", "-shards=4"}},
+		ref: "-parallel=1", alts: parallel8},
 	{name: "table32-render-parallel", tool: "upc-experiments", args: onlyT32,
 		ref: "-parallel=1", alts: parallel8},
-	{name: "table32-render-shards", tool: "upc-experiments", args: onlyT32,
-		ref: "-shards=1", alts: []string{"-shards=4"}},
 
 	// Message chaos: drops, duplicates and delays, including the fault
 	// class of the comm matrix.
@@ -112,8 +98,6 @@ var rows = []row{
 		ref: "-parallel=1", alts: parallel8},
 	{name: "uts-lossy-analyze-parallel", tool: "upc-uts", args: table32, faults: lossy, observe: "analyze",
 		ref: "-parallel=1", alts: parallel8},
-	{name: "uts-lossy-digest-shards", tool: "upc-uts", args: table32, faults: lossy, observe: "digest",
-		ref: "-shards=1", alts: shards8},
 
 	// Crash/revive churn: failovers, rejoins, post-rejoin steals and
 	// the rejoin-class waits of the analysis.
@@ -121,8 +105,6 @@ var rows = []row{
 		ref: "-parallel=1", alts: parallel8},
 	{name: "uts-churn-metrics-parallel", tool: "upc-uts", args: table32, faults: churn, observe: "metrics",
 		ref: "-parallel=1", alts: parallel8},
-	{name: "uts-churn-metrics-shards", tool: "upc-uts", args: table32, faults: churn, observe: "metrics",
-		ref: "-shards=1", alts: shards8},
 	{name: "figure33-churn-analyze-parallel", tool: "upc-uts", args: figure33, faults: churn, observe: "analyze",
 		ref: "-parallel=1", alts: parallel8},
 

@@ -50,7 +50,7 @@ type FuncNode struct {
 	// resolved (and therefore assumed non-collective).
 	Callees []string
 	// DirectCollective records a call to a recognized collective
-	// operation (Barrier, AllReduce..., ShardBarrier.Wait, ...) in the
+	// operation (Barrier, AllReduce, ...) in the
 	// body; MayCollect closes it over Callees.
 	DirectCollective bool
 	MayCollect       bool
@@ -211,7 +211,7 @@ func (prog *Program) build() {
 // Like the rest of the suite, collectives are keyed on names rather
 // than import paths so the testdata stub types trigger the same logic:
 // barrier-family method names on any receiver, the Group reduction and
-// broadcast methods, ShardBarrier.Wait, and the upc package-level
+// broadcast methods, and the upc package-level
 // collective functions (the Alloc family is collective too: allocation
 // ends in a barrier).
 
@@ -258,8 +258,6 @@ func CollectiveCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		switch {
 		case collectiveMethods[name]:
 			return name, true
-		case name == "Wait" && recvTypeName(recv.Type()) == "shardbarrier":
-			return "ShardBarrier.Wait", true
 		case groupCollectiveMethods[name] && recvTypeName(recv.Type()) == "group":
 			return name, true
 		}

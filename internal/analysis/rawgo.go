@@ -8,9 +8,7 @@ import (
 
 // Rawgo flags raw Go concurrency outside the two packages allowed to
 // own OS-level parallelism: internal/sim (the engine's coroutine
-// handoff, and the sharded engine's lane worker pool — the OS threads
-// sim.ShardGroup.Run fans a conservative-lookahead window out over) and
-// internal/sweep (the experiment worker pool). A bare `go`
+// handoff) and internal/sweep (the experiment worker pool). A bare `go`
 // statement silently escapes the virtual clock — the goroutine runs in
 // host time, invisible to the engine, and its interleaving breaks the
 // determinism guarantee; bare sync primitives and channels block OS
@@ -27,12 +25,9 @@ var Rawgo = &Analyzer{
 }
 
 // rawgoExempt are the packages that implement the sanctioned
-// concurrency; prefixes so their test units match too. internal/sim
-// covers both the single-engine scheduler and the shard workers that
-// advance lanes in parallel (internal/sim/shard.go) — everything else,
-// including the sharded apps and the fabric's cross-lane messaging,
-// stays on simulated processes and is delivered onto lane engines by
-// the group's merge, so the analyzer still applies there in full.
+// concurrency; prefixes so their test units match too. Everything
+// else stays on simulated processes, so the analyzer applies there in
+// full.
 var rawgoExempt = []string{
 	"repro/internal/sim",
 	"repro/internal/sweep",

@@ -2,8 +2,8 @@
 // collalign must catch: collectives guarded by thread-identity
 // branches, thread-dependent loop trip counts enclosing collectives,
 // and the same bugs hidden behind a call. The stub types mirror the
-// upc.Thread / group / ShardBarrier method shapes; the analyzer keys
-// on method names and thread-identity expressions, not import paths.
+// upc.Thread / group method shapes; the analyzer keys on method names
+// and thread-identity expressions, not import paths.
 package colldata
 
 type thread struct{ ID, N int }
@@ -11,10 +11,6 @@ type thread struct{ ID, N int }
 func (*thread) Barrier() {}
 
 func (t *thread) IsLeader() bool { return t.ID == 0 }
-
-type shardBarrier struct{}
-
-func (*shardBarrier) Wait(p *int, lane int) {}
 
 var work int
 
@@ -60,12 +56,5 @@ func switchDivergent(t *thread) {
 		t.Barrier()
 	default:
 		work++
-	}
-}
-
-// Shard-runtime collectives count too.
-func shardCond(t *thread, b *shardBarrier) {
-	if t.ID%2 == 0 { // want "thread-conditional branch"
-		b.Wait(nil, 0)
 	}
 }

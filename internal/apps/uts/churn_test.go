@@ -108,65 +108,3 @@ func TestChurnSoak(t *testing.T) {
 		}
 	}
 }
-
-// shardChurnRun executes the sharded traversal under churn. RunSharded
-// verifies the exact count; the caller checks the recovery counters.
-func shardChurnRun(t *testing.T, seed int64) Result {
-	t.Helper()
-	cfg := churnConfig()
-	cfg.Seed = seed
-	r, err := RunSharded(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-// TestShardChurnRejoinCountsExactTree is the sharded acceptance
-// scenario: lanes 1 and 2 bounce, dying workers will their work to the
-// lane-0 orphan pool, revived workers rejoin and steal again, and the
-// count stays exact at any -shards worker count (the engine's
-// lane-invariance makes that a byte-level property; here we check the
-// counters that prove recovery happened).
-func TestShardChurnRejoinCountsExactTree(t *testing.T) {
-	r := shardChurnRun(t, 1)
-	if got := r.Counters.Get("failovers"); got < 4 || got > 12 {
-		t.Errorf("failovers = %d, want within [4, 12] for three crash windows", got)
-	}
-	if got, died := r.Counters.Get("rejoins"), r.Counters.Get("failovers"); got != died {
-		t.Errorf("rejoins = %d, failovers = %d: every churn death must rejoin", got, died)
-	}
-	if r.Counters.Get("orphans_taken") == 0 {
-		t.Error("lane-0 workers adopted no orphaned work despite churn")
-	}
-	if r.Counters.Get("steals_rejoined") == 0 {
-		t.Error("no revived worker stole after rejoining — churn windows leave no work, retune the schedule")
-	}
-}
-
-// TestShardChurnDeterministic replays the sharded churn scenario.
-func TestShardChurnDeterministic(t *testing.T) {
-	a := shardChurnRun(t, 1)
-	b := shardChurnRun(t, 1)
-	if a.Elapsed != b.Elapsed || a.Counters.String() != b.Counters.String() {
-		t.Errorf("sharded churn replays differ:\n%v %v\n%v %v", a.Elapsed, a.Counters, b.Elapsed, b.Counters)
-	}
-}
-
-// TestShardChurnRejectsUnrecoverable: permanent crashes and crashes of
-// lane 0 have no sharded recovery story and must be refused up front.
-func TestShardChurnRejectsUnrecoverable(t *testing.T) {
-	cfg := churnConfig()
-	cfg.Faults = &fault.Schedule{Actions: []fault.Action{
-		{Op: fault.OpCrash, At: 0.001, Node: 1, Src: -1, Dst: -1},
-	}}
-	if _, err := RunSharded(cfg); err == nil {
-		t.Error("permanent crash accepted by sharded run")
-	}
-	cfg.Faults = &fault.Schedule{Actions: []fault.Action{
-		{Op: fault.OpCrash, At: 0.001, Until: 0.002, Node: 0, Src: -1, Dst: -1},
-	}}
-	if _, err := RunSharded(cfg); err == nil {
-		t.Error("crash of coordinator lane 0 accepted by sharded run")
-	}
-}

@@ -67,54 +67,44 @@ func TestTraceCountersMatch(t *testing.T) {
 
 // TestStealsByThreadMatchTrace checks Result.StealsByThread against the
 // stream: every thread's entry — zero included — equals the number of
-// uts/steal instants its proc emitted, for the legacy and the sharded
-// traversal. Procs are mapped to thread ids by their spawn names
-// ("upc<id>" and "uts<lane>.<worker>").
+// uts/steal instants its proc emitted. Procs are mapped to thread ids by
+// their spawn names ("upc<id>").
 func TestStealsByThreadMatchTrace(t *testing.T) {
-	const perNode = 2
-	for _, sharded := range []bool{false, true} {
-		buf := trace.NewBuffer()
-		cfg := tracedConfig(buf)
-		run := Run
-		if sharded {
-			run = RunSharded
-		}
-		r, err := run(cfg)
-		if err != nil {
-			t.Fatalf("sharded=%v: %v", sharded, err)
-		}
-		thread := map[int32]int{}
-		got := make([]int64, cfg.Threads)
-		for _, e := range buf.Events() {
-			switch {
-			case e.Kind == trace.KProcSpawn:
-				var id, lane, worker int
-				if _, err := fmt.Sscanf(e.Name, "upc%d", &id); err == nil && !sharded {
-					thread[e.Proc] = id
-				} else if _, err := fmt.Sscanf(e.Name, "uts%d.%d", &lane, &worker); err == nil && sharded {
-					thread[e.Proc] = lane*perNode + worker
-				}
-			case e.Kind == trace.KInstant && e.Cat == "uts" && e.Name == "steal":
-				id, ok := thread[e.Proc]
-				if !ok {
-					t.Fatalf("sharded=%v: steal from proc %d, which is no worker", sharded, e.Proc)
-				}
-				got[id]++
+	buf := trace.NewBuffer()
+	cfg := tracedConfig(buf)
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thread := map[int32]int{}
+	got := make([]int64, cfg.Threads)
+	for _, e := range buf.Events() {
+		switch {
+		case e.Kind == trace.KProcSpawn:
+			var id int
+			if _, err := fmt.Sscanf(e.Name, "upc%d", &id); err == nil {
+				thread[e.Proc] = id
 			}
-		}
-		if len(r.StealsByThread) != cfg.Threads {
-			t.Fatalf("sharded=%v: %d per-thread entries, want %d", sharded, len(r.StealsByThread), cfg.Threads)
-		}
-		var total int64
-		for id, n := range r.StealsByThread {
-			if n != got[id] {
-				t.Errorf("sharded=%v: thread %d steals = %d, trace has %d", sharded, id, n, got[id])
+		case e.Kind == trace.KInstant && e.Cat == "uts" && e.Name == "steal":
+			id, ok := thread[e.Proc]
+			if !ok {
+				t.Fatalf("steal from proc %d, which is no worker", e.Proc)
 			}
-			total += n
+			got[id]++
 		}
-		if total == 0 || total != r.Counters.Get("steals") {
-			t.Errorf("sharded=%v: per-thread steals sum to %d, steals counter = %d", sharded, total, r.Counters.Get("steals"))
+	}
+	if len(r.StealsByThread) != cfg.Threads {
+		t.Fatalf("%d per-thread entries, want %d", len(r.StealsByThread), cfg.Threads)
+	}
+	var total int64
+	for id, n := range r.StealsByThread {
+		if n != got[id] {
+			t.Errorf("thread %d steals = %d, trace has %d", id, n, got[id])
 		}
+		total += n
+	}
+	if total == 0 || total != r.Counters.Get("steals") {
+		t.Errorf("per-thread steals sum to %d, steals counter = %d", total, r.Counters.Get("steals"))
 	}
 }
 

@@ -288,37 +288,6 @@ func TestAnalysisParallelInvariance(t *testing.T) {
 	}
 }
 
-// shardExport runs one sharded UTS traversal at the given shard worker
-// count and returns the serialized analysis.
-func shardExport(t *testing.T, workers int) []byte {
-	t.Helper()
-	old := sim.ShardWorkers()
-	sim.SetShardWorkers(workers)
-	defer sim.SetShardWorkers(old)
-	rec := NewRecorder()
-	if _, err := uts.RunSharded(uts.Config{
-		Threads: 8, PerNode: 2, Strategy: uts.LocalRapid,
-		Tree: uts.Small(30000), Seed: 7, Tracer: rec,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return marshal(t, rec.Export())
-}
-
-// TestAnalysisShardInvariance: same property on the node-sharded
-// parallel engine — byte-identical at any -shards worker count.
-func TestAnalysisShardInvariance(t *testing.T) {
-	base := shardExport(t, 1)
-	if len(base) == 0 {
-		t.Fatal("empty export")
-	}
-	for _, w := range []int{2, 4} {
-		if got := shardExport(t, w); !bytes.Equal(got, base) {
-			t.Errorf("analysis bytes at %d shard workers differ from 1", w)
-		}
-	}
-}
-
 // TestExportRoundTrip: WriteFile/LoadExport preserve the analysis.
 func TestExportRoundTrip(t *testing.T) {
 	rec := NewRecorder()

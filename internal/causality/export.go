@@ -14,7 +14,7 @@ import (
 // cross-run totals. Every slice is pre-sorted with deterministic
 // tie-breaks and no map reaches the encoder, so equal streams produce
 // byte-identical files — the property the equivalence gate
-// compares across -parallel and -shards worker counts.
+// compares across -parallel worker counts.
 type Export struct {
 	Runs []RunAnalysis `json:"runs"`
 	// TotalMakespanNS sums the run makespans.
@@ -26,7 +26,6 @@ type Export struct {
 // RunAnalysis is one run's wait-state and critical-path analysis.
 type RunAnalysis struct {
 	Seed       int64 `json:"seed"`
-	Sharded    bool  `json:"sharded,omitempty"`
 	MakespanNS int64 `json:"makespan_ns"`
 	Procs      int   `json:"procs"`
 	Waits      int   `json:"waits"`
@@ -144,7 +143,7 @@ func segmentList(cats map[string]int64, total int64) []SegmentExport {
 // analyze builds one run's full analysis.
 func (r *run) analyze() RunAnalysis {
 	ra := RunAnalysis{
-		Seed: r.seed, Sharded: r.shard, MakespanNS: r.maxTime,
+		Seed: r.seed, MakespanNS: r.maxTime,
 		Procs: len(r.order), Edges: r.edges, DeliverNS: r.deliverB,
 	}
 

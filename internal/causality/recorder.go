@@ -2,10 +2,10 @@
 // analysis engine (the Scalasca-style layer of DESIGN §14). A Recorder
 // rides a trace session's serialized, replay-ordered event stream —
 // the same stream the digest and the metrics manifest consume, which
-// is what makes the analysis byte-identical at any -parallel or
-// -shards worker count — and reconstructs the happens-before graph
-// from the completion-edge instants the model layers emit (barrier and
-// collective generations, lock handoffs, fabric/ShardNet deliveries,
+// is what makes the analysis byte-identical at any -parallel worker
+// count — and reconstructs the happens-before graph from the
+// completion-edge instants the model layers emit (barrier and
+// collective generations, lock handoffs, fabric deliveries,
 // fault retries, message matches; see trace.CatEdge). From the graph
 // it computes, per run:
 //
@@ -109,7 +109,6 @@ type procState struct {
 // run accumulates one engine's stream.
 type run struct {
 	seed       int64
-	shard      bool
 	maxTime    int64
 	procs      map[int32]*procState
 	order      []int32 // proc ids in spawn order
@@ -121,10 +120,9 @@ type run struct {
 	cpCache    *cpAccum
 }
 
-func newRun(seed int64, shard bool) *run {
+func newRun(seed int64) *run {
 	return &run{
 		seed:       seed,
-		shard:      shard,
 		procs:      map[int32]*procState{},
 		gens:       map[genKey]*genInfo{},
 		threadProc: map[int]int32{},
@@ -170,14 +168,14 @@ func (rec *Recorder) ObserveEdge() bool { return true }
 func (rec *Recorder) Emit(e trace.Event) {
 	if e.Kind == trace.KRunBegin {
 		rec.endRun()
-		rec.cur = newRun(e.Arg, e.Aux == "shard")
+		rec.cur = newRun(e.Arg)
 		return
 	}
 	r := rec.cur
 	if r == nil {
 		// Events before any run boundary (a bare engine without sim.New's
 		// KRunBegin) land in an implicit run.
-		r = newRun(0, false)
+		r = newRun(0)
 		rec.cur = r
 	}
 	if e.Time > r.maxTime {
@@ -369,7 +367,7 @@ func (r *run) classify(ps *procState, w *wait) {
 	case "upc-lock", "mutex", "semaphore":
 		w.class = ClassLock
 		return
-	case "barrier", "shard-barrier":
+	case "barrier":
 		w.class = ClassBarrier
 		return
 	case "mpi-recv":

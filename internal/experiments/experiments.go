@@ -17,7 +17,6 @@ import (
 	"repro/internal/causality"
 	"repro/internal/perf"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -25,14 +24,8 @@ import (
 
 const seed = 1
 
-// Table31 regenerates Table 3.1 (twisted STREAM triad). With -shards
-// (sim.SetShardWorkers > 0) it renders the sharded companion table
-// instead: the ring-twisted triad across fabric nodes on the
-// node-sharded parallel engine.
+// Table31 regenerates Table 3.1 (twisted STREAM triad).
 func Table31(w io.Writer) error {
-	if sim.ShardWorkers() > 0 {
-		return Table31Sharded(w)
-	}
 	rs, err := stream.Table31(seed)
 	if err != nil {
 		return err
@@ -165,12 +158,8 @@ func Figure33(w io.Writer, quick bool) error {
 }
 
 // Table32 regenerates Table 3.2 (UTS profiling: overall improvement and
-// local-steal percentages). With -shards (sim.SetShardWorkers > 0) it
-// runs the traversal on the node-sharded parallel engine instead.
+// local-steal percentages).
 func Table32(w io.Writer, quick bool) error {
-	if sim.ShardWorkers() > 0 {
-		return Table32Sharded(w, quick)
-	}
 	type row struct {
 		net   string
 		procs int

@@ -3,15 +3,12 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // TestXlateFigureDeterminism is the new figure's determinism gate: the
 // rendered table and the trace stream (which carries the xlate_access /
 // xlate_hit / xlate_miss counter flushes that feed metrics manifests)
-// must be byte-identical at -parallel=1 and -parallel=8, and unchanged
-// by the -shards engine setting.
+// must be byte-identical at -parallel=1 and -parallel=8.
 func TestXlateFigureDeterminism(t *testing.T) {
 	render := func(w *strings.Builder) error { return FigureXlate(w) }
 	out1, dig1, n1 := renderAll(t, 1, render)
@@ -21,16 +18,5 @@ func TestXlateFigureDeterminism(t *testing.T) {
 	}
 	if n1 != n8 || dig1 != dig8 {
 		t.Errorf("trace stream differs: %016x/%d vs %016x/%d events", dig1, n1, dig8, n8)
-	}
-
-	prev := sim.ShardWorkers()
-	sim.SetShardWorkers(4)
-	defer sim.SetShardWorkers(prev)
-	outS, digS, nS := renderAll(t, 1, render)
-	if out1 != outS {
-		t.Errorf("figure differs under -shards:\n--- plain ---\n%s\n--- shards ---\n%s", out1, outS)
-	}
-	if n1 != nS || dig1 != digS {
-		t.Errorf("trace stream differs under -shards: %016x/%d vs %016x/%d events", dig1, n1, digS, nS)
 	}
 }

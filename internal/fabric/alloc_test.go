@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // The allocation-regression tests pin the untraced one-sided hot path
@@ -61,33 +60,6 @@ func TestBlockingGetNoAlloc(t *testing.T) {
 	}
 }
 
-func TestShardPutNoAlloc(t *testing.T) {
-	old := sim.ShardWorkers()
-	sim.SetShardWorkers(1)
-	defer sim.SetShardWorkers(old)
-	g := sim.NewShardGroup(1, 2, trace.Default())
-	net := NewShardNet(g, QDRInfiniBand())
-	per := -1.0
-	sink := 0
-	apply := func() { sink++ }
-	g.Lane(0).Go("putter", func(p *sim.Proc) {
-		pt := net.Port(0)
-		for i := 0; i < 64; i++ {
-			pt.Put(p, 1, 8, apply)
-		}
-		per = testing.AllocsPerRun(200, func() { pt.Put(p, 1, 8, apply) })
-	})
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if per != 0 {
-		t.Errorf("shard Put allocates %v allocs/op, want 0", per)
-	}
-	if out := net.PoolStats().Add(g.ArrivalPoolStats()).Outstanding(); out != 0 {
-		t.Errorf("pool leak: %d records outstanding after quiescence", out)
-	}
-}
-
 // idleFaults is a fault model whose hooks are armed but never fire:
 // every message is delivered, no node is ever down. It pins the cost of
 // having the fault plumbing consulted on the hot path.
@@ -127,37 +99,6 @@ func TestFaultArmedPutNoAlloc(t *testing.T) {
 	}
 	if out := c.PoolStats().Outstanding(); out != 0 {
 		t.Errorf("pool leak: %d records outstanding after quiescence", out)
-	}
-}
-
-// TestShardPutChurnArmedNoAlloc pins the membership-epoch tag on the
-// sharded path: once any outage is booked the group stamps every
-// message with its endpoints' issue-time incarnations and evaluates the
-// stale fence at arrival. An outage on a lane the traffic never touches
-// arms all of that without dropping anything — and Put must stay at
-// zero allocations per op.
-func TestShardPutChurnArmedNoAlloc(t *testing.T) {
-	old := sim.ShardWorkers()
-	sim.SetShardWorkers(1)
-	defer sim.SetShardWorkers(old)
-	g := sim.NewShardGroup(1, 3, trace.Default())
-	g.SetOutage(2, sim.Time(sim.Second), sim.Time(2*sim.Second))
-	net := NewShardNet(g, QDRInfiniBand())
-	per := -1.0
-	sink := 0
-	apply := func() { sink++ }
-	g.Lane(0).Go("putter", func(p *sim.Proc) {
-		pt := net.Port(0)
-		for i := 0; i < 64; i++ {
-			pt.Put(p, 1, 8, apply)
-		}
-		per = testing.AllocsPerRun(200, func() { pt.Put(p, 1, 8, apply) })
-	})
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if per != 0 {
-		t.Errorf("churn-armed shard Put allocates %v allocs/op, want 0", per)
 	}
 }
 

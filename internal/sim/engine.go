@@ -27,17 +27,6 @@ type Engine struct {
 	inRun   bool
 	nextID  int
 
-	// limit bounds the dispatch loop: events at or beyond it stay on the
-	// heap and control returns to the driver. Run uses the open bound
-	// maxTime; windowed lane execution under a ShardGroup narrows it to
-	// the current LBTS each round.
-	limit Time
-
-	// lane and group identify a shard-lane engine (see shard.go); a
-	// standalone engine has lane -1 and a nil group.
-	lane  int
-	group *ShardGroup
-
 	rng    *rand.Rand
 	tracer trace.Tracer
 	clock  bool // emit KClock advances (tracer opted in via trace.ClockObserver)
@@ -57,8 +46,6 @@ func New(seed int64) *Engine {
 		parked: make(chan struct{}, 1),
 		rng:    rand.New(rand.NewSource(seed)),
 		tracer: trace.Default(),
-		limit:  maxTime,
-		lane:   -1,
 	}
 	e.clock = trace.WantsClock(e.tracer)
 	if e.tracer != nil {
@@ -66,33 +53,6 @@ func New(seed int64) *Engine {
 	}
 	return e
 }
-
-// newLane returns a lane engine owned by a ShardGroup. It differs from
-// New in three ways: the tracer is supplied by the group (a per-lane
-// buffer merged at window barriers) instead of trace.Default, no
-// KRunBegin is emitted (the group emits a single one for the whole
-// sharded run), and proc ids start at lane*LaneStride so ids stay
-// unique — and stable across worker counts — in the merged stream.
-func newLane(group *ShardGroup, lane int, seed int64, tr trace.Tracer) *Engine {
-	e := &Engine{
-		parked: make(chan struct{}, 1),
-		rng:    rand.New(rand.NewSource(seed)),
-		tracer: tr,
-		limit:  maxTime,
-		lane:   lane,
-		group:  group,
-		nextID: lane * LaneStride,
-	}
-	e.clock = trace.WantsClock(e.tracer)
-	return e
-}
-
-// Lane reports the engine's lane index within its ShardGroup, or -1 for
-// a standalone engine.
-func (e *Engine) Lane() int { return e.lane }
-
-// Group reports the owning ShardGroup, or nil for a standalone engine.
-func (e *Engine) Group() *ShardGroup { return e.group }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -183,13 +143,9 @@ func (e *Engine) Run() error {
 	if e.inRun {
 		return fmt.Errorf("sim: Run called reentrantly")
 	}
-	if e.group != nil {
-		return fmt.Errorf("sim: Run called on lane %d of a ShardGroup (use ShardGroup.Run)", e.lane)
-	}
 	e.inRun = true
 	defer func() { e.inRun = false }()
 
-	e.limit = maxTime
 	e.handoff(nil)
 	<-e.parked
 	e.repanic()
@@ -198,19 +154,6 @@ func (e *Engine) Run() error {
 		return fmt.Errorf("sim: deadlock at %v: %d live processes: %v", e.now, e.nLive, stuck)
 	}
 	return nil
-}
-
-// runWindow advances the lane up to (but not including) limit: it
-// dispatches every pending event with time < limit and returns once the
-// lane quiesces at the window edge. Remaining events stay on the heap
-// for later windows. Panics inside the window are recorded in the
-// engine's panic fields for the group driver to re-raise; deadlock
-// detection is deferred to the group (a lane with parked processes and
-// an empty heap may simply be waiting for a cross-lane message).
-func (e *Engine) runWindow(limit Time) {
-	e.limit = limit
-	e.handoff(nil)
-	<-e.parked
 }
 
 // repanic re-raises a recorded simulation panic with its origin noted;
@@ -246,15 +189,6 @@ func (e *Engine) stuckProcs() []string {
 	return stuck
 }
 
-// nextEventAt reports the time of the earliest pending event, if any.
-// Valid only while the lane is quiescent (between windows).
-func (e *Engine) nextEventAt() (Time, bool) {
-	if e.events.Len() == 0 {
-		return 0, false
-	}
-	return e.events.a[0].at, true
-}
-
 // handoff is the dispatch loop, run by whichever goroutine is giving up
 // control (a parking or finishing process, or Run itself at startup). It
 // pops events — executing callbacks and clock moves inline in engine
@@ -284,9 +218,6 @@ func (e *Engine) handoff(parker *Proc) {
 	}()
 	e.cur = nil
 	for e.events.Len() > 0 {
-		if e.events.a[0].at >= e.limit {
-			break // window edge: leave the event for a later LBTS round
-		}
 		ev := e.events.pop()
 		if ev.at < e.now {
 			panic(fmt.Sprintf("sim: time ran backwards: %v -> %v", e.now, ev.at))

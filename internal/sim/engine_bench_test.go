@@ -19,12 +19,3 @@ func BenchmarkServerDelay(b *testing.B)       { simbench.ServerDelay(b) }
 func BenchmarkSharedLink32Flows(b *testing.B) { simbench.SharedLink32Flows(b) }
 func BenchmarkFabricPut(b *testing.B)         { simbench.FabricPut(b) }
 func BenchmarkFabricFlows4096(b *testing.B)   { simbench.FabricFlows4096(b) }
-
-// Sharded-engine benchmarks: the cross-lane message hot path and the
-// end-to-end traversal at growing -shards worker counts (virtual-time
-// results are identical at every count; wall clock is the measurement).
-func BenchmarkShardPut(b *testing.B)  { simbench.ShardPut(b) }
-func BenchmarkUTSShard1(b *testing.B) { simbench.UTSShard1(b) }
-func BenchmarkUTSShard2(b *testing.B) { simbench.UTSShard2(b) }
-func BenchmarkUTSShard4(b *testing.B) { simbench.UTSShard4(b) }
-func BenchmarkUTSShard8(b *testing.B) { simbench.UTSShard8(b) }

@@ -2,8 +2,7 @@ package sim
 
 // FreeList is a typed LIFO free list for pooled simulation objects.
 // Because the engine runs model code sequentially (one process or event
-// callback at a time per lane, with cross-lane access ordered by the
-// ShardGroup round barrier), no locking is needed: a pool is owned by
+// callback at a time), no locking is needed: a pool is owned by
 // whatever model object embeds it and touched only from that object's
 // execution context.
 //

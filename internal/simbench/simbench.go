@@ -199,24 +199,15 @@ func FabricFlows4096(b *testing.B) {
 }
 
 // All lists the recorded microbenchmarks in BENCH_sim.json order.
-// Parallel marks the sharded-engine benchmarks whose point is OS-thread
-// parallelism: the recorder leaves GOMAXPROCS alone for those instead
-// of pinning to one P.
 var All = []struct {
-	Name     string
-	Fn       func(*testing.B)
-	Parallel bool
+	Name string
+	Fn   func(*testing.B)
 }{
-	{"PingPongYield", PingPongYield, false},
-	{"Advance", Advance, false},
-	{"BarrierStorm1k", BarrierStorm1k, false},
-	{"ServerDelay", ServerDelay, false},
-	{"SharedLink32Flows", SharedLink32Flows, false},
-	{"FabricPut", FabricPut, false},
-	{"FabricFlows4096", FabricFlows4096, false},
-	{"ShardPut", ShardPut, false},
-	{"UTSShard1", UTSShard1, false},
-	{"UTSShard2", UTSShard2, true},
-	{"UTSShard4", UTSShard4, true},
-	{"UTSShard8", UTSShard8, true},
+	{"PingPongYield", PingPongYield},
+	{"Advance", Advance},
+	{"BarrierStorm1k", BarrierStorm1k},
+	{"ServerDelay", ServerDelay},
+	{"SharedLink32Flows", SharedLink32Flows},
+	{"FabricPut", FabricPut},
+	{"FabricFlows4096", FabricFlows4096},
 }

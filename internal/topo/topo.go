@@ -77,18 +77,6 @@ func (m *Machine) Validate() error {
 	return nil
 }
 
-// NodeView returns a single-node copy of the machine: same sockets,
-// cores, SMT and rates, Nodes = 1. Sharded execution builds one of
-// these per lane so each lane engine owns a private intra-node resource
-// model (cores, memory controllers, NIC) while the cross-node fabric is
-// modeled by the lane-to-lane message layer.
-func (m *Machine) NodeView() *Machine {
-	view := *m
-	view.Nodes = 1
-	view.Name = m.Name + "/node"
-	return &view
-}
-
 // Place locates one hardware thread slot in the cluster.
 type Place struct {
 	Node   int // cluster node

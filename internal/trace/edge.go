@@ -31,9 +31,8 @@ const (
 	// (prevHolderThread, acquirerThread, prevHolderNode, acquirerNode).
 	EdgeLockGrant = "lock-grant"
 	// EdgeDeliver records a one-sided transfer leg completing at its
-	// destination (fabric put/get legs, ShardNet cross-lane RPCs). Arg
-	// is the byte volume, Arg2 packs the src/dst nodes, Aux the
-	// conduit or lane label.
+	// destination (fabric put/get legs). Arg is the byte volume, Arg2
+	// packs the src/dst nodes, Aux the conduit label.
 	EdgeDeliver = "deliver"
 	// EdgeRetry records a fault-layer reissue: the waiter timed out and
 	// re-injected the operation. Proc is the retrying process, Arg the

@@ -2,15 +2,13 @@ package trace
 
 // MergeStreams k-way merges several time-sorted event streams into dst,
 // ordering by (Time, stream index) and preserving each stream's own
-// emission order among equal timestamps. It is the replay half of
-// sharded execution: each lane engine records one window's events into
-// its own Buffer, and the group merges the buffers at the barrier, so
-// the combined stream — and therefore the TraceDigest and every
-// manifest built from it — is a pure function of the simulation
-// content, independent of how many worker threads advanced the lanes.
+// emission order among equal timestamps. The merged stream — and
+// therefore the TraceDigest and every manifest built from it — depends
+// only on the streams' contents, never on the order in which their
+// producers filled them.
 //
 // Streams must individually be sorted by Time (engine emission order
-// guarantees this: virtual time never runs backwards within a lane).
+// guarantees this: virtual time never runs backwards within one engine).
 func MergeStreams(dst Tracer, streams [][]Event) {
 	// pos[i] is the cursor into streams[i].
 	switch len(streams) {
@@ -38,8 +36,7 @@ func MergeStreams(dst Tracer, streams [][]Event) {
 			return
 		}
 		// Drain the run of equal-or-earlier-than-the-next-contender events
-		// from the winning stream in one go: long same-lane bursts (the
-		// common case — a proc computing between cross-lane messages) cost
+		// from the winning stream in one go: long same-stream bursts cost
 		// one scan of the contenders instead of one per event.
 		s := streams[min]
 		next := int64(0)
@@ -63,7 +60,7 @@ func MergeStreams(dst Tracer, streams [][]Event) {
 
 // lowestReady reports the lowest stream index (other than skip) whose
 // cursor sits at time t, or len(streams) if none does. It resolves the
-// equal-timestamp tie: the event from the lowest lane index goes first.
+// equal-timestamp tie: the event from the lowest stream index goes first.
 func lowestReady(streams [][]Event, pos []int, skip int, t int64) int {
 	for i, s := range streams {
 		if i == skip || pos[i] >= len(s) {

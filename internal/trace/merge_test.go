@@ -53,7 +53,7 @@ func TestMergeStreams(t *testing.T) {
 }
 
 // TestMergeStreamsDigest: merging must be reference-equal for the
-// digest too (the property sharded execution relies on).
+// digest too.
 func TestMergeStreamsDigest(t *testing.T) {
 	a := []Event{{Time: 1, Name: "a1"}, {Time: 5, Name: "a2"}}
 	b := []Event{{Time: 1, Name: "b1"}, {Time: 1, Name: "b2"}, {Time: 9, Name: "b3"}}
@@ -113,8 +113,8 @@ func checkMerge(t *testing.T, name string, streams [][]Event) {
 	}
 }
 
-// TestMergeStreamsTieBreaks pins the ordering contract the causality
-// replay builds on, at its edges: every-lane ties at a single instant,
+// TestMergeStreamsTieBreaks pins the ordering contract at its edges
+// (a "lane" is one input stream): every-lane ties at a single instant,
 // long equal-time bursts within one lane racing a lower lane's single
 // event, byte-identical events duplicated across lanes, and lanes that
 // drain at different rates (including empty ones).

@@ -144,7 +144,7 @@ func WantsUtil(t Tracer) bool {
 // EdgeObserver is the opt-in capability for completion-edge events: one
 // KInstant in category CatEdge per happens-before edge the model layers
 // establish (barrier/collective arrivals and releases, lock handoffs,
-// fabric and ShardNet deliveries, fault retries, message matches). The
+// fabric deliveries, fault retries, message matches). The
 // causality analyzer is the one built-in sink that asks for them; the
 // emitters skip the instants — and every argument computation feeding
 // them — unless the installed tracer implements this interface and

@@ -1,6 +1,6 @@
 // Package tracecli wires the shared flags of the cmd/upc-* binaries:
-// importing it registers -trace, -digest, -metrics, -analyze, -parallel,
-// -shards and -faults, and Start/Finish bracket the run. With -trace=out.json every engine the
+// importing it registers -trace, -digest, -metrics, -analyze, -parallel
+// and -faults, and Start/Finish bracket the run. With -trace=out.json every engine the
 // run creates streams into one Chrome trace-event file (open it in
 // Perfetto or chrome://tracing), and the run's TraceDigest — an
 // order-sensitive hash of the full event stream, identical across
@@ -16,10 +16,7 @@
 // the manifest as its "analysis" section. With -parallel=N the experiment sweeps fan
 // independent simulations out over N worker threads; results, stdout,
 // the TraceDigest and the manifest are byte-identical at any N (see
-// internal/sweep). With -shards=N the experiments that have sharded
-// variants run each simulation on the node-sharded parallel engine with
-// N worker threads advancing the lanes; output is again byte-identical
-// at any N >= 1 (see internal/sim's ShardGroup).
+// internal/sweep).
 package tracecli
 
 import (
@@ -34,7 +31,6 @@ import (
 	"repro/internal/causality"
 	"repro/internal/fault"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 )
@@ -50,10 +46,6 @@ var metricsPath = flag.String("metrics", "",
 
 var parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
 	"worker threads for experiment sweeps (1 = sequential; output is identical at any value)")
-
-var shards = flag.Int("shards", 0,
-	"run sharded-engine experiment variants with N worker threads inside each simulation "+
-		"(0 = legacy single-engine experiments; output is identical at any N >= 1)")
 
 var analyzePath = flag.String("analyze", "",
 	"write the causality analysis (wait states, blame, critical path) as JSON, "+
@@ -81,7 +73,6 @@ func Start() {
 // start is Start without the exit, for tests.
 func start() error {
 	sweep.SetWorkers(*parallel)
-	sim.SetShardWorkers(*shards)
 	// The fault schedule is installed before the tracing early-return:
 	// -faults works on its own, without any tracing flag.
 	if *faultsPath != "" {
@@ -181,16 +172,11 @@ func toolName() string {
 // change no simulated outcome and -metrics names the output file, so
 // recording them would make equal runs produce unequal manifests (the
 // equivalence gate compares manifests across -parallel=1 and -parallel=8).
-// -shards is excluded for the worker-count part of the same reason:
-// -shards=1 and -shards=8 select the same sharded simulation and must
-// yield byte-identical manifests (the gate compares those too); the legacy/
-// sharded experiment switch it also carries is visible in the rendered
-// tables instead.
 func runParams() map[string]string {
 	p := map[string]string{}
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "trace", "digest", "metrics", "parallel", "shards", "analyze":
+		case "trace", "digest", "metrics", "parallel", "analyze":
 			return
 		}
 		if strings.HasPrefix(f.Name, "test.") {

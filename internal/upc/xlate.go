@@ -22,7 +22,7 @@ import "repro/internal/sim"
 // Accounting is exact and deterministic: per-thread counters accumulate
 // accesses, hits and misses, and each barrier flushes the deltas as
 // trace counters (xlate_access / xlate_hit / xlate_miss), so metrics
-// manifests carry identical totals at any -parallel or -shards setting.
+// manifests carry identical totals at any -parallel setting.
 
 const (
 	// xlateHitFraction is the share of the full software decode a
@@ -86,7 +86,7 @@ func (t *Thread) XlateStats() (accesses, hits, misses int64) {
 // flushXlateCounters emits the translation counter deltas accumulated
 // since the last flush. Called at barriers — a deterministic point in
 // every thread's event order — so the merged counter stream is
-// byte-identical at any -parallel or -shards setting. Free when
+// byte-identical at any -parallel setting. Free when
 // untraced or when no fine-grained access happened since the last
 // barrier.
 func (t *Thread) flushXlateCounters() {
