@@ -223,18 +223,51 @@ func TestProfile(t *testing.T) {
 	}
 }
 
-// synthStream drives one small synthetic run through a Collection.
-func synthStream(c *Collection) {
-	c.Emit(trace.Event{Kind: trace.KRunBegin, Proc: trace.EngineProc, Cat: "sim", Name: "run", Arg: 42})
-	c.Emit(trace.Event{Time: 0, Kind: trace.KProcSpawn, Proc: 0, Cat: "sim", Name: "t0"})
-	c.Emit(span(10, trace.KSpanBegin, 0, "app", "work"))
-	c.Emit(commEvent("put", trace.ClassPSHM, 64, 0, 1, 0, 0))
-	c.Emit(linkEvent(20, "mem0", 1, 0))
-	c.Emit(linkEvent(40, "mem0", 0, 0))
-	c.Emit(trace.Event{Time: 50, Kind: trace.KCounter, Proc: 0, Name: "steals", Arg: 3})
-	c.Emit(trace.Event{Time: 60, Kind: trace.KInstant, Proc: 0, Cat: "uts", Name: "steal", Arg: 2})
-	c.Emit(span(100, trace.KSpanEnd, 0, "app", "work"))
-	c.Emit(trace.Event{Time: 100, Kind: trace.KProcExit, Proc: 0, Cat: "sim", Name: "t0"})
+// TestProfileSkipsUnclosedSpans: a span that opens but never closes
+// leaves no phase or folded line, even when a later span nests under it
+// and closes.
+func TestProfileSkipsUnclosedSpans(t *testing.T) {
+	p := NewProfile()
+	p.Record(span(0, trace.KSpanBegin, 0, "app", "daemon"))
+	p.EndRun()
+	if e := p.Export(); e != nil {
+		t.Fatalf("Export() of an unclosed span = %+v, want nil", e)
+	}
+	p.Record(span(0, trace.KSpanBegin, 0, "app", "daemon"))
+	p.Record(span(5, trace.KSpanBegin, 0, "upc", "lock"))
+	p.Record(span(9, trace.KSpanEnd, 0, "upc", "lock"))
+	p.EndRun()
+	e := p.Export()
+	if e == nil || len(e.Phases) != 1 || e.Phases[0].Name != "upc/lock" {
+		t.Fatalf("Export().Phases = %+v, want upc/lock only", e)
+	}
+	if got := e.FoldedText(); got != "app/daemon;upc/lock 4\n" {
+		t.Errorf("FoldedText() = %q", got)
+	}
+}
+
+// synthEvents is one small synthetic run.
+func synthEvents() []trace.Event {
+	return []trace.Event{
+		{Kind: trace.KRunBegin, Proc: trace.EngineProc, Cat: "sim", Name: "run", Arg: 42},
+		{Time: 0, Kind: trace.KProcSpawn, Proc: 0, Cat: "sim", Name: "t0"},
+		span(10, trace.KSpanBegin, 0, "app", "work"),
+		commEvent("put", trace.ClassPSHM, 64, 0, 1, 0, 0),
+		linkEvent(20, "mem0", 1, 0),
+		linkEvent(40, "mem0", 0, 0),
+		{Time: 50, Kind: trace.KCounter, Proc: 0, Name: "steals", Arg: 3},
+		{Time: 60, Kind: trace.KInstant, Proc: 0, Cat: "uts", Name: "steal", Arg: 2},
+		span(100, trace.KSpanEnd, 0, "app", "work"),
+		{Time: 100, Kind: trace.KProcExit, Proc: 0, Cat: "sim", Name: "t0"},
+	}
+}
+
+// synthStream drives synthEvents through t (a Collection, or a session's
+// default tracer chain).
+func synthStream(t trace.Tracer) {
+	for _, e := range synthEvents() {
+		t.Emit(e)
+	}
 }
 
 func TestCollectionManifest(t *testing.T) {
@@ -343,5 +376,86 @@ func TestSummary(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
+	}
+}
+
+func TestCollectionSharesSessionDigest(t *testing.T) {
+	if trace.Default() != nil {
+		t.Fatal("test requires a clean default tracer")
+	}
+	own := NewCollection()
+	synthStream(own) // standalone: hashes for itself
+	if own.shared || own.Events() != 10 {
+		t.Fatalf("standalone collection shared=%v events=%d, want its own digest of 10", own.shared, own.Events())
+	}
+
+	s := trace.StartSession("")
+	c := NewCollection()
+	s.Attach(c)
+	if !c.shared {
+		t.Fatal("a collection attached to a fresh session must share its digest")
+	}
+	synthStream(trace.Default())
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Digest() != s.Digest() || c.Events() != s.Events() {
+		t.Errorf("shared digest %016x (%d events), session %016x (%d)", c.Digest(), c.Events(), s.Digest(), s.Events())
+	}
+	if c.Digest() != own.Digest() || c.Events() != own.Events() {
+		t.Errorf("shared digest %016x (%d events), standalone %016x (%d)", c.Digest(), c.Events(), own.Digest(), own.Events())
+	}
+	var a, b bytes.Buffer
+	if err := c.Manifest("upc-test", nil).Write(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := own.Manifest("upc-test", nil).Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("shared and standalone collections of one stream wrote different manifests")
+	}
+}
+
+func TestLateCollectionKeepsOwnDigest(t *testing.T) {
+	if trace.Default() != nil {
+		t.Fatal("test requires a clean default tracer")
+	}
+	evs := synthEvents()
+	suffix := NewCollection()
+	for _, e := range evs[3:] {
+		suffix.Emit(e)
+	}
+
+	s := trace.StartSession("")
+	for _, e := range evs[:3] {
+		trace.Default().Emit(e)
+	}
+	c := NewCollection()
+	s.Attach(c)
+	if c.shared {
+		t.Fatal("a collection attached after the first event must keep its own digest")
+	}
+	for _, e := range evs[3:] {
+		trace.Default().Emit(e)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Events() != int64(len(evs)-3) || c.Digest() != suffix.Digest() {
+		t.Errorf("late collection digest %016x (%d events), want its suffix's %016x (%d)", c.Digest(), c.Events(), suffix.Digest(), len(evs)-3)
+	}
+	if s.Events() != int64(len(evs)) || c.Digest() == s.Digest() {
+		t.Errorf("session digest %016x (%d events) must cover the whole stream", s.Digest(), s.Events())
+	}
+}
+
+func TestShareDigestIgnoredAfterOwnEvents(t *testing.T) {
+	c := NewCollection()
+	c.Emit(synthEvents()[0])
+	d := trace.NewDigest()
+	c.ShareDigest(d)
+	if c.shared || c.Events() != 1 {
+		t.Errorf("collection with its own events adopted a shared digest (shared=%v, events=%d)", c.shared, c.Events())
 	}
 }

@@ -17,13 +17,26 @@ import (
 // stacks.
 type Profile struct {
 	open   map[int32][]profFrame
+	root   profNode // its children are the outermost spans
 	phases map[string]*phaseAgg
 	folded map[string]*foldAgg
 }
 
+// spanName identifies a span by category and name.
+type spanName struct{ cat, name string }
+
+// profNode is one distinct span stack: the node of a span's stack is its
+// parent's child under the span's name. A node resolves its folded path
+// and aggregates once, on creation, so span events build no strings.
+type profNode struct {
+	path     string // folded stack including this span
+	children map[spanName]*profNode
+	phase    *phaseAgg
+	fold     *foldAgg
+}
+
 type profFrame struct {
-	key   string // cat/name
-	path  string // folded stack including this frame
+	node  *profNode
 	start int64
 	child int64 // inclusive ns of completed children
 }
@@ -52,12 +65,12 @@ func NewProfile() *Profile {
 func (p *Profile) Record(e trace.Event) {
 	switch e.Kind {
 	case trace.KSpanBegin:
-		key := e.Cat + "/" + e.Name
-		path := key
-		if stack := p.open[e.Proc]; len(stack) > 0 {
-			path = stack[len(stack)-1].path + ";" + key
+		stack := p.open[e.Proc]
+		parent := &p.root
+		if len(stack) > 0 {
+			parent = stack[len(stack)-1].node
 		}
-		p.open[e.Proc] = append(p.open[e.Proc], profFrame{key: key, path: path, start: e.Time})
+		p.open[e.Proc] = append(stack, profFrame{node: p.child(parent, e), start: e.Time})
 	case trace.KSpanEnd:
 		stack := p.open[e.Proc]
 		if len(stack) == 0 {
@@ -74,29 +87,50 @@ func (p *Profile) Record(e trace.Event) {
 		if len(stack) > 0 {
 			stack[len(stack)-1].child += incl
 		}
-		ph := p.phases[f.key]
-		if ph == nil {
-			ph = &phaseAgg{}
-			p.phases[f.key] = ph
-		}
+		ph := f.node.phase
 		ph.count++
 		ph.incl += incl
 		ph.excl += excl
-		fa := p.folded[f.path]
-		if fa == nil {
-			fa = &foldAgg{}
-			p.folded[f.path] = fa
-		}
+		fa := f.node.fold
 		fa.count++
 		fa.excl += excl
 	}
 }
 
+// child returns the node of span e opened under parent, creating it on
+// first use. Phases and folded lines are keyed by their strings, so two
+// nodes that render to the same key share one aggregate.
+func (p *Profile) child(parent *profNode, e trace.Event) *profNode {
+	id := spanName{cat: e.Cat, name: e.Name}
+	if n := parent.children[id]; n != nil {
+		return n
+	}
+	key := e.Cat + "/" + e.Name
+	path := key
+	if parent != &p.root {
+		path = parent.path + ";" + key
+	}
+	n := &profNode{path: path, phase: p.phases[key], fold: p.folded[path]}
+	if n.phase == nil {
+		n.phase = &phaseAgg{}
+		p.phases[key] = n.phase
+	}
+	if n.fold == nil {
+		n.fold = &foldAgg{}
+		p.folded[path] = n.fold
+	}
+	if parent.children == nil {
+		parent.children = map[spanName]*profNode{}
+	}
+	parent.children[id] = n
+	return n
+}
+
 // EndRun discards spans left open at a run boundary (they never closed
 // within their run, so they have no measurable duration).
 func (p *Profile) EndRun() {
-	for k := range p.open {
-		delete(p.open, k)
+	for k, stack := range p.open {
+		p.open[k] = stack[:0]
 	}
 }
 
@@ -123,24 +157,29 @@ type ProfileExport struct {
 	Folded []FoldedLine `json:"folded,omitempty"`
 }
 
-// Export builds the manifest form, or nil if no spans closed.
+// Export builds the manifest form, or nil if no spans closed. Spans that
+// opened but never closed leave empty aggregates, which are skipped.
 func (p *Profile) Export() *ProfileExport {
-	if len(p.phases) == 0 {
+	names := make([]string, 0, len(p.phases))
+	for k, a := range p.phases {
+		if a.count > 0 {
+			names = append(names, k)
+		}
+	}
+	if len(names) == 0 {
 		return nil
 	}
 	e := &ProfileExport{}
-	names := make([]string, 0, len(p.phases))
-	for k := range p.phases {
-		names = append(names, k)
-	}
 	sort.Strings(names)
 	for _, n := range names {
 		a := p.phases[n]
 		e.Phases = append(e.Phases, PhaseStat{Name: n, Count: a.count, InclusiveNS: a.incl, ExclusiveNS: a.excl})
 	}
 	paths := make([]string, 0, len(p.folded))
-	for k := range p.folded {
-		paths = append(paths, k)
+	for k, a := range p.folded {
+		if a.count > 0 {
+			paths = append(paths, k)
+		}
 	}
 	sort.Strings(paths)
 	for _, pa := range paths {

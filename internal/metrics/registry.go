@@ -22,50 +22,87 @@ import (
 // safe for concurrent use; like every trace sink it relies on the
 // engine's serialized emission (and the sweep layer's buffer replay)
 // for ordering.
+//
+// Every entry lives behind a pointer that stays put once the name is
+// first used, so a hot caller can resolve a name once and update the
+// entry directly afterwards (Collection caches them per event key).
 type Registry struct {
-	counters map[string]int64
-	gauges   map[string]int64
+	counters map[string]*int64
+	gauges   map[string]*int64
 	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]int64{},
-		gauges:   map[string]int64{},
+		counters: map[string]*int64{},
+		gauges:   map[string]*int64{},
 		hists:    map[string]*Histogram{},
 	}
 }
 
-// Add adds delta to the named counter.
-func (r *Registry) Add(name string, delta int64) { r.counters[name] += delta }
-
-// Counter reports the named counter's total (0 if never added).
-func (r *Registry) Counter(name string) int64 { return r.counters[name] }
-
-// Set overwrites the named gauge.
-func (r *Registry) Set(name string, v int64) { r.gauges[name] = v }
-
-// SetMax raises the named gauge to v if v exceeds its current value
-// (a peak-tracking gauge; absent gauges start at v).
-func (r *Registry) SetMax(name string, v int64) {
-	if cur, ok := r.gauges[name]; !ok || v > cur {
-		r.gauges[name] = v
+// counter returns the named counter, creating it at zero.
+func (r *Registry) counter(name string) *int64 {
+	c := r.counters[name]
+	if c == nil {
+		c = new(int64)
+		r.counters[name] = c
 	}
+	return c
 }
 
-// Gauge reports the named gauge's value (0 if never set).
-func (r *Registry) Gauge(name string) int64 { return r.gauges[name] }
+// gauge returns the named gauge, creating it at v.
+func (r *Registry) gauge(name string, v int64) *int64 {
+	g := r.gauges[name]
+	if g == nil {
+		g = &v
+		r.gauges[name] = g
+	}
+	return g
+}
 
-// Observe records one sample into the named histogram.
-func (r *Registry) Observe(name string, v int64) {
+// hist returns the named histogram, creating it empty with v as the
+// minimum its first sample will confirm.
+func (r *Registry) hist(name string, v int64) *Histogram {
 	h := r.hists[name]
 	if h == nil {
 		h = &Histogram{Min: v}
 		r.hists[name] = h
 	}
-	h.observe(v)
+	return h
 }
+
+// Add adds delta to the named counter.
+func (r *Registry) Add(name string, delta int64) { *r.counter(name) += delta }
+
+// Counter reports the named counter's total (0 if never added).
+func (r *Registry) Counter(name string) int64 { return deref(r.counters[name]) }
+
+// Set overwrites the named gauge.
+func (r *Registry) Set(name string, v int64) { *r.gauge(name, v) = v }
+
+// SetMax raises the named gauge to v if v exceeds its current value
+// (a peak-tracking gauge; absent gauges start at v).
+func (r *Registry) SetMax(name string, v int64) { setMax(r.gauge(name, v), v) }
+
+func setMax(g *int64, v int64) {
+	if v > *g {
+		*g = v
+	}
+}
+
+// Gauge reports the named gauge's value (0 if never set).
+func (r *Registry) Gauge(name string) int64 { return deref(r.gauges[name]) }
+
+func deref(p *int64) int64 {
+	if p == nil {
+		return 0
+	}
+	return *p
+}
+
+// Observe records one sample into the named histogram.
+func (r *Registry) Observe(name string, v int64) { r.hist(name, v).observe(v) }
 
 // Hist reports the named histogram, or nil if it has no samples.
 func (r *Registry) Hist(name string) *Histogram { return r.hists[name] }
@@ -131,13 +168,13 @@ func (r *Registry) Counters() map[string]int64 { return copyMap(r.counters) }
 // Gauges returns a copy of every gauge.
 func (r *Registry) Gauges() map[string]int64 { return copyMap(r.gauges) }
 
-func copyMap(m map[string]int64) map[string]int64 {
+func copyMap(m map[string]*int64) map[string]int64 {
 	if len(m) == 0 {
 		return nil
 	}
 	out := make(map[string]int64, len(m))
 	for k, v := range m {
-		out[k] = v
+		out[k] = *v
 	}
 	return out
 }

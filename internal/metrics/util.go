@@ -52,12 +52,21 @@ func NewUtilTimelines() *UtilTimelines {
 
 // Record aggregates one CatLink event (Name link, Arg active count
 // after the change, Arg2 capacity).
-func (u *UtilTimelines) Record(e trace.Event) {
+func (u *UtilTimelines) Record(e trace.Event) { u.update(u.link(e), e) }
+
+// link returns the timeline of e's link, creating it on the link's
+// first event.
+func (u *UtilTimelines) link(e trace.Event) *linkUtil {
 	l := u.links[e.Name]
 	if l == nil {
 		l = &linkUtil{name: e.Name, capacity: e.Arg2}
 		u.links[e.Name] = l
 	}
+	return l
+}
+
+// update applies e, an event of link l, to l's timeline.
+func (u *UtilTimelines) update(l *linkUtil, e trace.Event) {
 	u.advance(l, e.Time)
 	l.active = e.Arg
 	if e.Arg > l.peak {

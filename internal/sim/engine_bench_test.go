@@ -19,3 +19,4 @@ func BenchmarkServerDelay(b *testing.B)       { simbench.ServerDelay(b) }
 func BenchmarkSharedLink32Flows(b *testing.B) { simbench.SharedLink32Flows(b) }
 func BenchmarkFabricPut(b *testing.B)         { simbench.FabricPut(b) }
 func BenchmarkFabricFlows4096(b *testing.B)   { simbench.FabricFlows4096(b) }
+func BenchmarkObserverEmit(b *testing.B)      { simbench.ObserverEmit(b) }

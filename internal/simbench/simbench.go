@@ -1,9 +1,9 @@
-// Package simbench holds the engine microbenchmark bodies shared by the
-// go-test benchmarks (internal/sim) and the cmd/upc-bench recorder. They
-// live outside a _test.go file so upc-bench can drive them through
-// testing.Benchmark and write the results — ns/op and allocs/op — to
-// BENCH_sim.json, the committed baseline the CI bench job regresses
-// against.
+// Package simbench holds the engine and observer microbenchmark bodies
+// shared by the go-test benchmarks (internal/sim) and the cmd/upc-bench
+// recorder. They live outside a _test.go file so upc-bench can drive
+// them through testing.Benchmark and write the results — ns/op and
+// allocs/op — to BENCH_sim.json, the committed baseline the CI bench job
+// regresses against.
 //
 // Every figure and table of the reproduction is regenerated through
 // millions of park/unpark cycles, event-heap operations and resource
@@ -15,8 +15,10 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topo"
+	"repro/internal/trace"
 )
 
 // PingPongYield is the headline handoff benchmark: two processes
@@ -198,6 +200,49 @@ func FabricFlows4096(b *testing.B) {
 	}
 }
 
+// observerMix is ObserverEmit's event cycle: the kinds an observed UTS
+// sweep emits most — link-occupancy changes, transfers, plain instants,
+// spans and counters — in roughly their proportions there.
+var observerMix = [...]trace.Event{
+	{Kind: trace.KInstant, Proc: 3, Cat: trace.CatComm, Name: "get", Aux: trace.ClassNetwork, Arg: 8, Arg2: trace.PackEndpoints(7, 3, 1, 0)},
+	{Kind: trace.KInstant, Proc: trace.EngineProc, Cat: trace.CatLink, Name: "nic-tx1", Arg: 1, Arg2: 3200000000},
+	{Kind: trace.KInstant, Proc: trace.EngineProc, Cat: trace.CatLink, Name: "nic-rx0", Arg: 1, Arg2: 3200000000},
+	{Kind: trace.KInstant, Proc: 3, Cat: "fabric", Name: "get", Aux: trace.ClassNetwork, Arg: 8, Arg2: 7},
+	{Kind: trace.KSpanBegin, Proc: 3, Cat: "upc", Name: "lock"},
+	{Kind: trace.KInstant, Proc: trace.EngineProc, Cat: trace.CatLink, Name: "nic-tx1", Arg: 0, Arg2: 3200000000},
+	{Kind: trace.KInstant, Proc: trace.EngineProc, Cat: trace.CatLink, Name: "nic-rx0", Arg: 0, Arg2: 3200000000},
+	{Kind: trace.KInstant, Proc: trace.EngineProc, Cat: "fabric", Name: "deliver", Arg: 8, Arg2: 3},
+	{Kind: trace.KSpanEnd, Proc: 3, Cat: "upc", Name: "lock"},
+	{Kind: trace.KCounter, Proc: 3, Cat: "uts", Name: "probes", Arg: 1},
+}
+
+// ObserverEmit measures the observer pipeline of a -digest -metrics run:
+// each op delivers one event of a fixed mix through a digest-only trace
+// session with a metrics.Collection attached, paying the fan-out, the
+// session digest (which the collection shares) and the collection's
+// aggregation. Every registry entry the mix feeds is resolved on its
+// first event, so the op allocates nothing.
+func ObserverEmit(b *testing.B) {
+	b.ReportAllocs()
+	prev := trace.Default()
+	trace.SetDefault(nil)
+	defer trace.SetDefault(prev)
+	s := trace.StartSession("")
+	defer s.Close()
+	s.Attach(metrics.NewCollection())
+	tr := trace.Default()
+	tr.Emit(trace.Event{Kind: trace.KRunBegin, Proc: trace.EngineProc, Cat: "sim", Name: "run", Arg: 1})
+	for _, e := range observerMix {
+		tr.Emit(e)
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		e := observerMix[n%len(observerMix)]
+		e.Time = int64(n)
+		tr.Emit(e)
+	}
+}
+
 // All lists the recorded microbenchmarks in BENCH_sim.json order.
 var All = []struct {
 	Name string
@@ -210,4 +255,5 @@ var All = []struct {
 	{"SharedLink32Flows", SharedLink32Flows},
 	{"FabricPut", FabricPut},
 	{"FabricFlows4096", FabricFlows4096},
+	{"ObserverEmit", ObserverEmit},
 }

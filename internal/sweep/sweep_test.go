@@ -309,3 +309,45 @@ func TestStreamStress(t *testing.T) {
 		t.Error("width-8 stream differs from the serial stream")
 	}
 }
+
+// TestMultiChunkJobsMatchSerial runs jobs long enough to fill several of
+// a trace.Buffer's pooled chunks, so buffered jobs recycle chunks that
+// earlier replays returned; the delivered stream must still equal the
+// serial one at every width.
+func TestMultiChunkJobsMatchSerial(t *testing.T) {
+	const n = 16
+	count := func(i int) int { return 2500*(i%4+1) + i }
+	stream := func(w int) []trace.Event {
+		buf := trace.NewBuffer()
+		setup(t, w, buf)
+		err := Run(n, func(i int, tr trace.Tracer) error {
+			if tr == nil {
+				tr = trace.Default()
+			}
+			for k := 0; k < count(i); k++ {
+				if k == count(i)/2 && i%3 == 0 {
+					time.Sleep(time.Millisecond) //upcvet:wallclock -- host-side jitter to shuffle worker finish order
+				}
+				tr.Emit(trace.Event{Time: int64(k), Kind: trace.KInstant, Name: "job", Arg: int64(i), Arg2: int64(k)})
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Events()
+	}
+	serial := stream(1)
+	want := 0
+	for i := 0; i < n; i++ {
+		want += count(i)
+	}
+	if len(serial) != want {
+		t.Fatalf("serial stream has %d events, want %d", len(serial), want)
+	}
+	for _, w := range []int{2, 8} {
+		if par := stream(w); !reflect.DeepEqual(par, serial) {
+			t.Errorf("width-%d stream differs from the serial stream", w)
+		}
+	}
+}

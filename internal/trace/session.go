@@ -44,14 +44,28 @@ func StartSession(path string) *Session {
 // after StartSession to fail fast on a bad path.
 func (s *Session) Err() error { return s.err }
 
+// DigestSharer is implemented by sinks that keep a digest of the stream
+// they see (metrics.Collection records one in its manifest). A sink
+// attached before the session's first event sees exactly the session's
+// stream, so Attach hands it the session's digest through ShareDigest
+// and the sink stops hashing every event a second time.
+type DigestSharer interface {
+	ShareDigest(*Digest)
+}
+
 // Attach adds another sink to the session's process-default chain (the
 // -metrics collectors ride the same stream as the digest). Call between
 // StartSession and the first simulation; Close removes it along with the
-// session's own sinks.
+// session's own sinks. A DigestSharer attached while the session's digest
+// has seen no event is handed that digest.
 func (s *Session) Attach(t Tracer) {
-	if t != nil {
-		SetDefault(Tee(Default(), t))
+	if t == nil {
+		return
 	}
+	if ds, ok := t.(DigestSharer); ok && s.dg.Events() == 0 {
+		ds.ShareDigest(s.dg)
+	}
+	SetDefault(Tee(Default(), t))
 }
 
 // Close restores the previous default tracer and writes the trace file.

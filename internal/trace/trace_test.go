@@ -206,3 +206,32 @@ func TestSessionDefaultTracer(t *testing.T) {
 		t.Error("session digest is zero")
 	}
 }
+
+// sharer records the digest Session.Attach hands it.
+type sharer struct {
+	Digest
+	got *Digest
+}
+
+func (s *sharer) ShareDigest(d *Digest) { s.got = d }
+
+func TestAttachSharesDigestOnlyBeforeFirstEvent(t *testing.T) {
+	if Default() != nil {
+		t.Fatal("test requires a clean default tracer")
+	}
+	s := StartSession("")
+	early := &sharer{}
+	s.Attach(early)
+	if early.got != s.dg {
+		t.Error("a sink attached before the first event was not handed the session digest")
+	}
+	Default().Emit(Event{Kind: KRunBegin})
+	late := &sharer{}
+	s.Attach(late)
+	if late.got != nil {
+		t.Error("a sink attached after the first event was handed the session digest")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

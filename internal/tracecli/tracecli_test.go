@@ -2,6 +2,7 @@ package tracecli
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -174,9 +175,9 @@ func TestMetricsExport(t *testing.T) {
 			t.Errorf("go-test flag %q leaked into params", k)
 		}
 	}
-	// The digest the manifest records is the session's.
-	if !strings.Contains(b.String(), m.Digest) {
-		t.Errorf("manifest digest %s not in digest line %q", m.Digest, b.String())
+	// The digest and event count the manifest records are the session's.
+	if want := fmt.Sprintf("TraceDigest: %s (%d events)\n", m.Digest, m.Events); b.String() != want {
+		t.Errorf("digest line %q, manifest says %q", b.String(), want)
 	}
 }
 
