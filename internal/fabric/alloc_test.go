@@ -9,10 +9,18 @@ import (
 
 // The allocation-regression tests pin the untraced one-sided hot path
 // at zero allocations per operation: operation records, flows and
-// delivery legs all come from free lists, and the blocking wrappers
-// release their records internally. testing.AllocsPerRun runs inside
-// the simulated process — the engine is otherwise idle, so any count it
-// sees is the operation's own.
+// delivery legs all come from free lists, and the blocking Put releases
+// its record internally. testing.AllocsPerRun runs inside the simulated
+// process — the engine is otherwise idle, so any count it sees is the
+// operation's own.
+
+// blockingGet issues a get, waits for its delivery and releases the
+// handle.
+func blockingGet(p *sim.Proc, ep, src *Endpoint) {
+	op := ep.GetAsync(p, src, 8, nil)
+	op.WaitRemote(p)
+	op.Release()
+}
 
 func TestBlockingPutNoAlloc(t *testing.T) {
 	e := sim.New(1)
@@ -45,9 +53,9 @@ func TestBlockingGetNoAlloc(t *testing.T) {
 	per := -1.0
 	e.Go("p", func(p *sim.Proc) {
 		for i := 0; i < 64; i++ {
-			src.Get(p, dst, 8, nil)
+			blockingGet(p, src, dst)
 		}
-		per = testing.AllocsPerRun(200, func() { src.Get(p, dst, 8, nil) })
+		per = testing.AllocsPerRun(200, func() { blockingGet(p, src, dst) })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -83,10 +91,10 @@ func TestFaultArmedPutNoAlloc(t *testing.T) {
 	e.Go("p", func(p *sim.Proc) {
 		for i := 0; i < 64; i++ {
 			src.Put(p, dst, 8, nil)
-			src.Get(p, dst, 8, nil)
+			blockingGet(p, src, dst)
 		}
 		putPer = testing.AllocsPerRun(200, func() { src.Put(p, dst, 8, nil) })
-		getPer = testing.AllocsPerRun(200, func() { src.Get(p, dst, 8, nil) })
+		getPer = testing.AllocsPerRun(200, func() { blockingGet(p, src, dst) })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -102,23 +110,27 @@ func TestFaultArmedPutNoAlloc(t *testing.T) {
 	}
 }
 
+// TestSharedLinkTransferNoAlloc pins the blocking flow path that
+// Compute and MemTouch charge through: a warm Net.Transfer recycles its
+// flow record and settling callback.
 func TestSharedLinkTransferNoAlloc(t *testing.T) {
 	e := sim.New(1)
-	l := sim.NewSharedLink(e, 1e9)
+	n := NewNet(e)
+	l := NewLink("l", 1e9)
 	per := -1.0
 	e.Go("p", func(p *sim.Proc) {
 		for i := 0; i < 64; i++ {
-			l.Transfer(p, 1000)
+			n.Transfer(p, 1000, 0, l)
 		}
-		per = testing.AllocsPerRun(200, func() { l.Transfer(p, 1000) })
+		per = testing.AllocsPerRun(200, func() { n.Transfer(p, 1000, 0, l) })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if per != 0 {
-		t.Errorf("SharedLink.Transfer allocates %v allocs/op, want 0", per)
+		t.Errorf("Net.Transfer allocates %v allocs/op, want 0", per)
 	}
-	if out := l.PoolStats().Outstanding(); out != 0 {
+	if out := n.PoolStats().Outstanding(); out != 0 {
 		t.Errorf("pool leak: %d records outstanding after quiescence", out)
 	}
 }

@@ -38,10 +38,8 @@ type Cluster struct {
 	// legs pay a single bool test.
 	edges bool
 
-	// Operation free lists (see pool.go).
-	putPool sim.FreeList[putOp]
-	getPool sim.FreeList[getOp]
-	memPool sim.FreeList[memOp]
+	// ops recycles one-sided operation records (see pool.go).
+	ops sim.FreeList[opRecord]
 }
 
 // NewCluster wires machine m onto engine e with the given conduit. It
@@ -92,69 +90,21 @@ func (c *Cluster) Compute(p *sim.Proc, pl topo.Place, seconds float64) {
 	c.Net.Transfer(p, int64(seconds*workScale+0.5), workScale, c.CoreLink(pl))
 }
 
-// MemRate reports the effective point-to-point copy *payload* bandwidth
-// between two places on the same node, before contention. A copy both
-// reads and writes, so the payload rate is half the controller bandwidth,
-// NUMA-penalized across sockets.
-func (c *Cluster) MemRate(from, to topo.Place) float64 {
-	if !topo.SameNode(from, to) {
-		return 0
-	}
-	if from.Socket == to.Socket {
-		return c.Mach.MemBWSocket / 2
-	}
-	return c.Mach.MemBWSocket / c.Mach.NUMAFactor / 2
-}
-
-// MemCopy moves size bytes between two places on one node through the
-// socket memory controllers, charging the per-operation overhead first.
-// Cross-socket copies traverse both controllers and pay the NUMA factor.
-// Placements spanning nodes yield a typed error (only the network moves
-// data between nodes).
-func (c *Cluster) MemCopy(p *sim.Proc, from, to topo.Place, size int64, overhead sim.Duration) error {
-	if !topo.SameNode(from, to) {
-		return crossNodeErr("memcopy", from, to)
-	}
-	if overhead > 0 {
-		p.Advance(overhead)
-	}
-	if size <= 0 {
-		return nil
-	}
-	if c.Eng.Tracing() {
-		p.TraceInstant("fabric", "memcopy", socketAux(from, to), size, 0)
-	}
-	if from.Socket == to.Socket {
-		// A same-socket copy reads and writes through one controller:
-		// 2x the payload crosses the link.
-		c.Net.Transfer(p, 2*size, 0, c.MemLink(from.Node, from.Socket))
-		return nil
-	}
-	// Cross-socket: the payload crosses the interconnect once, touching
-	// both controllers; the flow cap encodes the 2x read+write traffic and
-	// the NUMA penalty.
-	cap := c.Mach.MemBWSocket / c.Mach.NUMAFactor / 2
-	c.Net.Transfer(p, size, cap,
-		c.MemLink(from.Node, from.Socket), c.MemLink(to.Node, to.Socket))
-	return nil
-}
-
-// crossNodeErr builds the typed error of a copy spanning nodes.
-func crossNodeErr(op string, from, to topo.Place) error {
-	return &Error{
-		Op:     op,
-		Detail: fmt.Sprintf("node %d to node %d", from.Node, to.Node),
-		Err:    ErrCrossNode,
-	}
-}
-
-// MemCopyAsync starts an intra-node copy without blocking: the caller is
-// charged only the per-operation overhead; the returned handle's events
-// fire when the copy drains (apply, which may be nil, runs then).
-// Placements spanning nodes yield a typed error and no handle.
+// MemCopyAsync starts a copy of size bytes between two places on one
+// node through the socket memory controllers without blocking: the
+// caller is charged only the per-operation overhead; the returned
+// handle's events fire when the copy drains (apply, which may be nil,
+// runs then). Cross-socket copies traverse both controllers and pay the
+// NUMA factor. Placements spanning nodes yield a typed error and no
+// handle.
 func (c *Cluster) MemCopyAsync(p *sim.Proc, from, to topo.Place, size int64, overhead sim.Duration, apply func()) (*NetOp, error) {
 	if !topo.SameNode(from, to) {
-		return nil, crossNodeErr("memcopy", from, to)
+		// Only the network moves data between nodes.
+		return nil, &Error{
+			Op:     "memcopy",
+			Detail: fmt.Sprintf("node %d to node %d", from.Node, to.Node),
+			Err:    ErrCrossNode,
+		}
 	}
 	if overhead > 0 {
 		p.Advance(overhead)
@@ -162,12 +112,14 @@ func (c *Cluster) MemCopyAsync(p *sim.Proc, from, to topo.Place, size int64, ove
 	if c.Eng.Tracing() {
 		p.TraceInstant("fabric", "memcopy", socketAux(from, to), size, 0)
 	}
-	o := c.getMemOp()
-	o.apply = apply
+	o := c.acquireOp()
+	o.apply, o.stage = apply, opCopy
 	if from.Socket == to.Socket {
 		// Read + write through one controller: 2x the payload.
 		c.Net.StartAction(2*size, 0, o, c.MemLink(from.Node, from.Socket))
 	} else {
+		// The payload touches both controllers once; the cap encodes
+		// the 2x read+write traffic and the NUMA penalty.
 		cap := c.Mach.MemBWSocket / c.Mach.NUMAFactor / 2
 		c.Net.StartAction(size, cap, o,
 			c.MemLink(from.Node, from.Socket), c.MemLink(to.Node, to.Socket))
@@ -296,9 +248,9 @@ type NetOp struct {
 	Local sim.Event
 	// Remote fires when the payload has been applied at the target.
 	Remote sim.Event
-	// owner is the pooled operation record carrying this handle, nil for
-	// standalone handles (MemCopyAsync on an unpooled path, tests).
-	owner releasable
+	// owner is the pooled operation record carrying this handle, nil
+	// only for a zero NetOp.
+	owner *opRecord
 }
 
 // WaitLocal suspends p until the source buffer is reusable.
@@ -319,51 +271,58 @@ func (op *NetOp) Release() {
 	}
 }
 
-// PutAsync injects a one-sided put of size bytes from ep to dst. The
-// caller is charged the send overhead and its share of injection
-// serialization; the returned handle's Remote event fires when the data is
-// applied at the target (apply, which may be nil, runs then, in engine
-// context). Same-node endpoints take the conduit's loopback path.
-func (ep *Endpoint) PutAsync(p *sim.Proc, dst *Endpoint, size int64, apply func()) *NetOp {
-	cond := &ep.c.Conduit
-	o := ep.c.getPutOp()
-	o.ep, o.dst, o.size, o.apply = ep, dst, size, apply
+// inject is the injection preamble PutAsync and GetAsync share: it takes
+// a record for the operation ep initiates with peer, charges ep the send
+// overhead and its share of injection serialization, traces the message
+// and draws its fault verdict. It returns the record and the one-way
+// wire latency between the two nodes, before any fault delay.
+func (ep *Endpoint) inject(p *sim.Proc, isGet bool, peer *Endpoint, size int64, apply func()) (*opRecord, sim.Duration) {
+	c := ep.c
+	cond := &c.Conduit
+	o := c.acquireOp()
+	name := "put"
+	o.from, o.to = ep, peer
+	if isGet {
+		name = "get"
+		o.from, o.to = peer, ep
+	}
+	o.size, o.apply, o.isGet = size, apply, isGet
 	if !ep.Shared {
 		p.Advance(cond.SendOverhead)
 	}
 	ep.gapTx.Delay(p, ep.txOccupancy(size))
-	if ep.c.Eng.Tracing() {
-		p.TraceInstant("fabric", "put", cond.Name, size, int64(ep.conn.Active()))
+	if c.Eng.Tracing() {
+		p.TraceInstant("fabric", name, cond.Name, size, int64(o.from.conn.Active()))
 	}
 
 	// Fault injection decides the message's fate at injection time, in
-	// deterministic proc order. The payload still drains from the source
-	// either way (the NIC did the work), so Local always fires.
+	// deterministic proc order.
 	o.verdict = VerdictDeliver
 	extra := sim.Duration(0)
-	if ep.c.faults != nil {
-		o.verdict, extra = ep.c.messageVerdict(ep.node, dst.node, size)
+	if c.faults != nil {
+		o.verdict, extra = c.messageVerdict(ep.node, peer.node, size)
 	}
-
-	if dst.node == ep.node {
-		o.lat = cond.LoopbackLatency
-	} else {
-		o.lat = cond.Latency
+	lat := cond.Latency
+	if peer.node == ep.node {
+		lat = cond.LoopbackLatency
 	}
+	o.lat = lat
 	if o.verdict == VerdictDelay {
 		o.lat += extra
 	}
-	// o is the flow's completion action; it schedules the delivery legs
-	// when the payload drains (inline for empty payloads).
-	if dst.node == ep.node {
-		// Network loopback still runs through the HCA: it consumes the
-		// node's NIC resources, which is exactly what PSHM avoids.
-		ep.c.Net.StartAction(size, cond.LoopbackBW, o,
-			ep.conn, ep.c.egress[ep.node], ep.c.ingress[ep.node])
-	} else {
-		ep.c.Net.StartAction(size, cond.ConnBW, o,
-			ep.conn, ep.c.egress[ep.node], ep.c.ingress[dst.node])
-	}
+	return o, lat
+}
+
+// PutAsync injects a one-sided put of size bytes from ep to dst. The
+// caller is charged the send overhead and its share of injection
+// serialization; the returned handle's Remote event fires when the data is
+// applied at the target (apply, which may be nil, runs then, in engine
+// context). Same-node endpoints take the conduit's loopback path. The
+// payload drains from the source whatever the verdict (the NIC did the
+// work), so Local always fires.
+func (ep *Endpoint) PutAsync(p *sim.Proc, dst *Endpoint, size int64, apply func()) *NetOp {
+	o, _ := ep.inject(p, false, dst, size, apply)
+	o.startPayload()
 	return &o.op
 }
 
@@ -383,56 +342,14 @@ func (ep *Endpoint) Put(p *sim.Proc, dst *Endpoint, size int64, apply func()) {
 // GetAsync injects a one-sided get of size bytes from src into ep's node.
 // The request travels to src as a small control message; the payload
 // streams back on src's connection. apply (may be nil) runs at delivery.
+// One verdict covers the whole round trip: a drop loses the request leg
+// (no payload ever starts), a delay or duplicate applies to the
+// returning payload.
 func (ep *Endpoint) GetAsync(p *sim.Proc, src *Endpoint, size int64, apply func()) *NetOp {
-	cond := &ep.c.Conduit
-	o := ep.c.getGetOp()
-	o.ep, o.src, o.size, o.apply = ep, src, size, apply
-	if !ep.Shared {
-		p.Advance(cond.SendOverhead)
-	}
-	ep.gapTx.Delay(p, ep.txOccupancy(size))
-	if ep.c.Eng.Tracing() {
-		p.TraceInstant("fabric", "get", cond.Name, size, int64(src.conn.Active()))
-	}
-
-	// One verdict covers the whole round trip: a drop loses the request
-	// leg (no payload ever starts), a delay or duplicate applies to the
-	// returning payload. Drawn at injection time, in deterministic proc
-	// order.
-	o.verdict = VerdictDeliver
-	extra := sim.Duration(0)
-	if ep.c.faults != nil {
-		o.verdict, extra = ep.c.messageVerdict(ep.node, src.node, size)
-	}
-
-	o.sameNode = src.node == ep.node
-	reqLat := cond.Latency
-	o.lat = cond.Latency
-	if o.sameNode {
-		reqLat = cond.LoopbackLatency
-		o.lat = cond.LoopbackLatency
-	}
-	if o.verdict == VerdictDelay {
-		o.lat += extra
-	}
-	o.stage = gReq
+	o, reqLat := ep.inject(p, true, src, size, apply)
+	o.stage = opReq
 	ep.c.Eng.AfterAction(reqLat, o)
 	return &o.op
-}
-
-// Get is the blocking form of GetAsync. The operation record is released
-// internally, so the blocking path is fully pooled.
-func (ep *Endpoint) Get(p *sim.Proc, src *Endpoint, size int64, apply func()) {
-	op := ep.GetAsync(p, src, size, apply)
-	op.WaitRemote(p)
-	op.Release()
-}
-
-// RTT performs a control-message round trip from ep to dst (e.g. a lock
-// acquire or an AM request/reply), charging overheads and injection gaps on
-// both sides, and suspends p for its duration.
-func (ep *Endpoint) RTT(p *sim.Proc, dst *Endpoint) {
-	ep.Get(p, dst, 8, nil)
 }
 
 // BarrierCost estimates the network portion of a dissemination barrier

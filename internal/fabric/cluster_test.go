@@ -72,19 +72,31 @@ func TestComputeSeparateCoresIndependent(t *testing.T) {
 	}
 }
 
+// memCopy copies size bytes between two places of one node and waits
+// for the copy to drain.
+func memCopy(t *testing.T, p *sim.Proc, c *Cluster, from, to topo.Place, size int64, overhead sim.Duration) {
+	op, err := c.MemCopyAsync(p, from, to, size, overhead, nil)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	op.WaitRemote(p)
+	op.Release()
+}
+
 func TestMemCopyLocalVsCrossSocket(t *testing.T) {
 	e, c := lehmanCluster(1)
 	size := int64(64 << 20)
 	var local, cross sim.Time
 	e.Go("local", func(p *sim.Proc) {
 		start := p.Now()
-		c.MemCopy(p, topo.Place{Socket: 0}, topo.Place{Socket: 0, Core: 1}, size, 0)
+		memCopy(t, p, c, topo.Place{Socket: 0}, topo.Place{Socket: 0, Core: 1}, size, 0)
 		local = p.Now() - start
 	})
 	e.Go("cross", func(p *sim.Proc) {
 		p.Advance(sim.Second) // avoid contention with the local copy
 		start := p.Now()
-		c.MemCopy(p, topo.Place{Socket: 0}, topo.Place{Socket: 1}, size, 0)
+		memCopy(t, p, c, topo.Place{Socket: 0}, topo.Place{Socket: 1}, size, 0)
 		cross = p.Now() - start
 	})
 	if err := e.Run(); err != nil {
@@ -98,25 +110,23 @@ func TestMemCopyLocalVsCrossSocket(t *testing.T) {
 
 func TestMemCopyAcrossNodesError(t *testing.T) {
 	e, c := lehmanCluster(1)
-	var blockErr, asyncErr error
+	var op *NetOp
+	var err error
 	e.Go("p", func(p *sim.Proc) {
-		blockErr = c.MemCopy(p, topo.Place{Node: 0}, topo.Place{Node: 1}, 100, 0)
-		_, asyncErr = c.MemCopyAsync(p, topo.Place{Node: 0}, topo.Place{Node: 1}, 100, 0, nil)
+		op, err = c.MemCopyAsync(p, topo.Place{Node: 0}, topo.Place{Node: 1}, 100, 0, nil)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		err  error
-	}{{"MemCopy", blockErr}, {"MemCopyAsync", asyncErr}} {
-		if !errors.Is(tc.err, ErrCrossNode) {
-			t.Errorf("cross-node %s error = %v, want ErrCrossNode", tc.name, tc.err)
-		}
-		var fe *Error
-		if !errors.As(tc.err, &fe) || fe.Op != "memcopy" {
-			t.Errorf("cross-node %s error %v is not a typed *fabric.Error with Op memcopy", tc.name, tc.err)
-		}
+	if op != nil {
+		t.Error("cross-node MemCopyAsync returned a handle")
+	}
+	if !errors.Is(err, ErrCrossNode) {
+		t.Errorf("cross-node MemCopyAsync error = %v, want ErrCrossNode", err)
+	}
+	var fe *Error
+	if !errors.As(err, &fe) || fe.Op != "memcopy" {
+		t.Errorf("cross-node MemCopyAsync error %v is not a typed *fabric.Error with Op memcopy", err)
 	}
 }
 
@@ -158,8 +168,10 @@ func TestGetRoundTrip(t *testing.T) {
 	var rtt sim.Duration
 	e.Go("p", func(p *sim.Proc) {
 		start := p.Now()
-		ep0.Get(p, ep1, 8, func() { applied = true })
+		op := ep0.GetAsync(p, ep1, 8, func() { applied = true })
+		op.WaitRemote(p)
 		rtt = p.Now() - start
+		op.Release()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -264,7 +276,7 @@ func TestLoopbackSlowerThanMemCopy(t *testing.T) {
 		epA.Put(p, epB, size, nil)
 		loop = p.Now() - start
 		start = p.Now()
-		c.MemCopy(p, topo.Place{Socket: 0}, topo.Place{Socket: 1}, size, 200*sim.Nanosecond)
+		memCopy(t, p, c, topo.Place{Socket: 0}, topo.Place{Socket: 1}, size, 200*sim.Nanosecond)
 		shm = p.Now() - start
 	})
 	if err := e.Run(); err != nil {

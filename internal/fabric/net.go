@@ -90,7 +90,7 @@ func (l *Link) share() float64 {
 // Each class keeps its flows in a min-heap on remaining bytes, so the
 // next completion is the least rem[0]/rate over the live classes, and a
 // drain pops only the flows that ran dry. Completions found in one pass
-// finish in launch order (FlowOp.seq). A class whose last flow finishes
+// finish in launch order (flowOp.seq). A class whose last flow finishes
 // is parked: it leaves Net.classes and its links' class lists but stays
 // in byKey, so a key that comes back pays no allocation.
 type Net struct {
@@ -100,7 +100,7 @@ type Net struct {
 	recent  *flowClass             // the last launch's class: a repeated key skips the map
 	slab    []flowClass            // unused classes, allocated classSlab at a time
 	flows   int                    // flows in flight, over all classes
-	seq     uint64                 // launch counter; FlowOp.seq orders completions
+	seq     uint64                 // launch counter; flowOp.seq orders completions
 	last    sim.Time
 	// epoch numbers settling passes: it stamps the classes a pass has
 	// recomputed (flowClass.gen) and the one settling callback still live.
@@ -116,9 +116,9 @@ type Net struct {
 	// for the extra events, and the untraced hot path stays a bool check.
 	util bool
 
-	pool  sim.FreeList[FlowOp]  // recycled flows (Transfer / StartAction)
+	pool  sim.FreeList[flowOp]  // recycled flows
 	ticks sim.FreeList[netTick] // recycled settling callbacks
-	fin   []*FlowOp             // reschedule's completion scratch
+	fin   []*flowOp             // reschedule's completion scratch
 
 	// settled, when set, runs after every settling pass. It is a test
 	// seam: the differential test checks each pass against a from-scratch
@@ -188,10 +188,10 @@ type flowClass struct {
 	rate  float64   // bytes/second, shared by every flow of the class
 	rem   []float64 // bytes left per flow, a min-heap parallel to flows
 	rem0  [1]float64
-	flows []*FlowOp
+	flows []*flowOp
 
 	gen    uint64 // epoch of the settling pass that last set rate
-	flow0  [1]*FlowOp
+	flow0  [1]*flowOp
 	key    flowKey
 	nlinks int32
 	idx    int32               // index into Net.classes while live
@@ -221,7 +221,7 @@ func (c *flowClass) settleRate() float64 {
 }
 
 // push adds f with rem bytes left to the heap.
-func (c *flowClass) push(f *FlowOp, rem float64) {
+func (c *flowClass) push(f *flowOp, rem float64) {
 	i := len(c.rem)
 	c.rem = append(c.rem, rem)
 	c.flows = append(c.flows, f)
@@ -237,7 +237,7 @@ func (c *flowClass) push(f *FlowOp, rem float64) {
 }
 
 // pop removes and returns the flow with the least bytes left.
-func (c *flowClass) pop() *FlowOp {
+func (c *flowClass) pop() *flowOp {
 	top := c.flows[0]
 	last := len(c.rem) - 1
 	rem, f := c.rem[last], c.flows[last]
@@ -265,64 +265,21 @@ func (c *flowClass) pop() *FlowOp {
 	return top
 }
 
-// FlowOp is an in-flight transfer. Wait on Done (a sim.Event) or use
-// Wait; OnComplete callbacks run in engine context when the flow drains.
-// Its rate and remaining bytes live in its flow class.
-//
-// Flows created by Start are handles the caller may retain and poll
-// after completion. Flows created by StartAction or Transfer are pooled:
-// they return to the Net's free list the moment they drain, so no
-// reference to them may escape.
-type FlowOp struct {
-	class  *flowClass // the class the flow settles with while in flight
-	seq    uint64     // launch order: completions in one pass run by seq
-	size   int64
-	done   sim.Event
-	act    sim.Action // pooled completion callback, run before onDone
-	onDone []func()
-	pooled bool
+// flowOp is an in-flight transfer. Its rate and remaining bytes live in
+// its flow class. Every flow is pooled: it returns to the Net's free list
+// the moment it drains, so no reference to it escapes the Net.
+type flowOp struct {
+	class *flowClass // the class the flow settles with while in flight
+	seq   uint64     // launch order: completions in one pass run by seq
+	done  sim.Event  // wakes a blocked Transfer
+	act   sim.Action // StartAction's completion callback
 }
 
-// Done reports whether the transfer has drained.
-func (f *FlowOp) Done() bool { return f.done.Fired() }
-
-// Wait suspends p until the flow drains.
-func (f *FlowOp) Wait(p *sim.Proc) { f.done.Wait(p) }
-
-// OnComplete registers fn to run in engine context when the flow drains.
-// If the flow already drained, fn runs immediately.
-func (f *FlowOp) OnComplete(fn func()) {
-	if f.done.Fired() {
-		fn()
-		return
-	}
-	f.onDone = append(f.onDone, fn)
-}
-
-// Size reports the flow's total bytes.
-func (f *FlowOp) Size() int64 { return f.size }
-
-// Start launches a transfer of size bytes across the given links, with an
-// optional per-flow rate cap (bytes/second; <= 0 for uncapped). A zero or
-// negative size completes immediately. The returned handle may be
-// retained and polled after completion, so Start flows are not pooled;
-// allocation-free paths use StartAction or Transfer.
-func (n *Net) Start(size int64, cap float64, links ...*Link) *FlowOp {
-	k := classKey(cap, links)
-	f := &FlowOp{size: size} //upcvet:poolalloc -- caller-retained handle, pollable after completion; left to the GC by the Start contract
-	if size <= 0 {
-		n.finishFlow(f)
-		return f
-	}
-	n.launch(f, k)
-	return f
-}
-
-// StartAction launches a pooled transfer whose completion runs act in
-// engine context. The flow returns to the free list the moment it
-// drains: no handle escapes, and a warm Net starts and completes the
-// flow without touching the allocator. A zero or negative size runs act
-// immediately.
+// StartAction launches a transfer of size bytes across the given links,
+// with an optional per-flow rate cap (bytes/second; <= 0 for uncapped),
+// whose completion runs act in engine context. A warm Net starts and
+// completes the flow without touching the allocator. A zero or negative
+// size runs act immediately.
 func (n *Net) StartAction(size int64, cap float64, act sim.Action, links ...*Link) {
 	if size <= 0 {
 		if act != nil {
@@ -330,18 +287,26 @@ func (n *Net) StartAction(size int64, cap float64, act sim.Action, links ...*Lin
 		}
 		return
 	}
-	k := classKey(cap, links)
-	f := n.pool.Get()
-	f.size = size
-	f.act = act
-	f.pooled = true
-	n.launch(f, k)
+	n.launch(size, classKey(cap, links), act)
 }
 
-// launch registers a prepared flow in the class of key k and settles
-// rates. size must be positive: the flow cannot complete inside launch,
-// only from a later settling callback.
-func (n *Net) launch(f *FlowOp, k flowKey) {
+// Transfer is the blocking form of StartAction: it suspends p until the
+// flow drains. The completion wake dequeues the waiter before the flow
+// record is recycled, so the caller never observes the reuse.
+func (n *Net) Transfer(p *sim.Proc, size int64, cap float64, links ...*Link) {
+	if size <= 0 {
+		return
+	}
+	// launch cannot complete a positive-size flow inline, so the wait is
+	// always armed before the completion fires.
+	n.launch(size, classKey(cap, links), nil).done.Wait(p)
+}
+
+// launch registers a new flow of size bytes, completing with act, in the
+// class of key k, settles rates and returns the flow. size must be
+// positive: the flow cannot complete inside launch, only from a later
+// settling callback.
+func (n *Net) launch(size int64, k flowKey, act sim.Action) *flowOp {
 	n.account()
 	c := n.recent
 	if c == nil || c.key != k {
@@ -365,8 +330,9 @@ func (n *Net) launch(f *FlowOp, k flowKey) {
 		n.unpark(c)
 	}
 	n.seq++
-	f.class, f.seq = c, n.seq
-	c.push(f, float64(f.size))
+	f := n.pool.Get()
+	f.class, f.seq, f.act = c, n.seq, act
+	c.push(f, float64(size))
 	n.flows++
 	for _, l := range c.links() {
 		l.active++
@@ -380,6 +346,7 @@ func (n *Net) launch(f *FlowOp, k flowKey) {
 		c.rate = c.settleRate()
 	}
 	n.reschedule()
+	return f
 }
 
 // unpark makes an idle class live: it joins Net.classes and its links'
@@ -424,7 +391,7 @@ func (n *Net) park(c *flowClass) {
 
 // unlink takes a drained flow off its links: each link's active count
 // drops and the link is queued for the next settling pass.
-func (n *Net) unlink(f *FlowOp) {
+func (n *Net) unlink(f *flowOp) {
 	for _, l := range f.class.links() {
 		l.active--
 		n.markDirty(l)
@@ -457,23 +424,6 @@ func (l *Link) capacityArg() int64 {
 	return int64(l.Capacity)
 }
 
-// Transfer is the blocking form of Start. The flow record is pooled: the
-// completion wake dequeues the waiter before the record is recycled, so
-// the caller never observes the reuse.
-func (n *Net) Transfer(p *sim.Proc, size int64, cap float64, links ...*Link) {
-	if size <= 0 {
-		return
-	}
-	k := classKey(cap, links)
-	f := n.pool.Get()
-	f.size = size
-	f.pooled = true
-	n.launch(f, k)
-	// launch cannot complete a positive-size flow inline, so the wait is
-	// always armed before the completion fires.
-	f.Wait(p)
-}
-
 // Nudge re-settles all in-flight flows after an external change to link
 // state (a fault action degrading capacity or toggling Down). It charges
 // progress at the old rates up to now, then recomputes every live link's
@@ -485,27 +435,19 @@ func (n *Net) Nudge() {
 	n.reschedule()
 }
 
-// finishFlow completes f: fire the event (waking blocked Transfers),
-// run the pooled completion action, then any OnComplete closures, and
-// recycle pooled records. By the time the record returns to the free
-// list every waiter has been dequeued by the Fire, so reuse cannot
-// disturb them.
-func (n *Net) finishFlow(f *FlowOp) {
+// finishFlow completes f: fire the event (waking a blocked Transfer),
+// run the completion action, and recycle the record. By the time the
+// record returns to the free list every waiter has been dequeued by the
+// Fire, so reuse cannot disturb them.
+func (n *Net) finishFlow(f *flowOp) {
 	f.done.Fire()
 	if a := f.act; a != nil {
 		f.act = nil
 		a.Run()
 	}
-	for _, fn := range f.onDone {
-		fn()
-	}
-	f.onDone = nil
-	if f.pooled {
-		f.class = nil
-		f.pooled = false
-		f.done.Reset()
-		n.pool.Put(f)
-	}
+	f.class = nil
+	f.done.Reset()
+	n.pool.Put(f)
 }
 
 // drainEps is the remainder, in bytes, at which a flow counts as drained.
@@ -536,7 +478,7 @@ func (n *Net) account() {
 // classes left empty, and returns the flows in launch order, the order
 // completions run in, after taking each off its links in that order. The
 // result reuses buf's backing array.
-func (n *Net) drain(buf []*FlowOp) []*FlowOp {
+func (n *Net) drain(buf []*flowOp) []*flowOp {
 	done := buf[:0]
 	for i := 0; i < len(n.classes); {
 		c := n.classes[i]
@@ -549,7 +491,7 @@ func (n *Net) drain(buf []*FlowOp) []*FlowOp {
 		}
 		i++
 	}
-	slices.SortFunc(done, func(a, b *FlowOp) int { return cmp.Compare(a.seq, b.seq) })
+	slices.SortFunc(done, func(a, b *flowOp) int { return cmp.Compare(a.seq, b.seq) })
 	for _, f := range done {
 		n.unlink(f)
 	}

@@ -1,20 +1,19 @@
-// Free-list pools for the one-sided hot path. A put, get or intra-node
-// copy used to allocate a NetOp handle plus a chain of closures (flow
-// completion, latency arrival, receive drain); each is now a pooled
-// staged record implementing sim.Action, so a warm cluster issues and
-// completes one-sided operations without touching the allocator — with
-// fault injection active too: verdicts are fields, a duplicate delivery
-// is a second inline leg, and drops simply short-circuit the chain.
+// The pooled record of the one-sided hot path. A put, a get and an
+// intra-node copy each run as one staged opRecord implementing
+// sim.Action, taken from its cluster's single free list, so a warm
+// cluster issues and completes one-sided operations without touching
+// the allocator — with fault injection active too: verdicts are fields,
+// a duplicate delivery is a second inline leg, and drops simply
+// short-circuit the chain.
 //
 // Lifecycle: a record carries a reference count of in-flight machinery
 // (scheduled actions) plus a caller hold. Machinery legs deref as they
 // are consumed; the caller hold is dropped by NetOp.Release (or
-// internally by the blocking Put/Get wrappers). The record returns to
-// its cluster's free list when both reach zero, which makes release
-// always safe: releasing early just defers recycling until the last
-// in-flight leg drains. Callers that never Release (handles parked in
-// long-lived structures) degrade to garbage collection, exactly the
-// pre-pooling behavior.
+// internally by the blocking Put wrapper). The record returns to its
+// cluster's free list when both reach zero, which makes release always
+// safe: releasing early just defers recycling until the last in-flight
+// leg drains. Callers that never Release (handles parked in long-lived
+// structures) leave their records to the garbage collector.
 package fabric
 
 import (
@@ -22,166 +21,53 @@ import (
 	"repro/internal/trace"
 )
 
-// releasable is the pool-owner hook behind NetOp.Release.
-type releasable interface{ release() }
+// Record stages. A put starts at opSent, when its payload flow is
+// launched; a get starts at opReq, when its request is sent; a memory
+// copy starts and ends at opCopy.
+const (
+	opReq  uint8 = iota // get: request latency elapsed at the source side
+	opInj               // get: source injection port free: start the payload flow
+	opSent              // payload drained from the source: schedule delivery legs
+	opCopy              // memory copy drained: apply and complete
+)
 
-// Leg stages shared by put and get delivery legs.
+// Delivery leg stages.
 const (
 	legLat uint8 = iota // latency elapsed: check liveness, enter rx queue
 	legRx               // receive processing done: apply and complete
 )
 
-// putOp is the pooled record of one PutAsync: flow-completion action,
-// per-delivery legs and the caller-visible NetOp in a single object.
-type putOp struct {
-	c       *Cluster
-	ep      *Endpoint // source endpoint
-	dst     *Endpoint
-	size    int64
-	lat     sim.Duration // delivery latency, including any fault delay
-	verdict Verdict
-	apply   func()
-	op      NetOp
-	refs    int32 // in-flight machinery: flow completion + delivery legs
-	held    bool  // caller hold (dropped by NetOp.Release)
-	legs    [2]putLeg
-}
-
-// putLeg is one delivery of a put payload: a second leg runs only under
-// a duplicate verdict, so chaos schedules stay on the pooled path.
-type putLeg struct {
-	o     *putOp
-	stage uint8
-}
-
-// getPutOp acquires a put record with one machinery reference (the
-// pending flow completion) and the caller hold.
-func (c *Cluster) getPutOp() *putOp {
-	o := c.putPool.Get()
-	if o.c == nil {
-		o.c = c
-		o.op.owner = o
-		o.legs[0].o = o
-		o.legs[1].o = o
-	}
-	o.refs = 1
-	o.held = true
-	return o
-}
-
-func (o *putOp) deref() {
-	o.refs--
-	if o.refs == 0 && !o.held {
-		o.recycle()
-	}
-}
-
-func (o *putOp) release() {
-	if !o.held {
-		return
-	}
-	o.held = false
-	if o.refs == 0 {
-		o.recycle()
-	}
-}
-
-func (o *putOp) recycle() {
-	o.ep = nil
-	o.dst = nil
-	o.apply = nil
-	o.op.Local.Reset()
-	o.op.Remote.Reset()
-	o.c.putPool.Put(o)
-}
-
-// Run is the flow-completion action: the payload has drained from the
-// source, so the local buffer is reusable; the verdict then decides how
-// many delivery legs (0–2) cross the wire.
-func (o *putOp) Run() {
-	o.op.Local.Fire()
-	c := o.c
-	deliveries := 1
-	switch o.verdict {
-	case VerdictDrop:
-		c.traceFault("drop", o.ep.node, o.dst.node, o.size)
-		o.deref()
-		return
-	case VerdictDuplicate:
-		deliveries = 2
-		c.traceFault("dup", o.ep.node, o.dst.node, o.size)
-	case VerdictDelay:
-		c.traceFault("delay", o.ep.node, o.dst.node, o.size)
-	}
-	o.refs += int32(deliveries)
-	for i := 0; i < deliveries; i++ {
-		o.legs[i].stage = legLat
-		c.Eng.AfterAction(o.lat, &o.legs[i])
-	}
-	o.deref() // flow leg consumed
-}
-
-func (l *putLeg) Run() {
-	o := l.o
-	c := o.c
-	eng := c.Eng
-	switch l.stage {
-	case legLat:
-		if c.NodeDown(o.dst.node) {
-			// Target crashed while the message was in flight.
-			c.traceFault("drop", o.ep.node, o.dst.node, o.size)
-			o.deref()
-			return
-		}
-		rxDone := o.dst.gapRx.Schedule(eng.Now(), o.dst.rxOccupancy())
-		l.stage = legRx
-		eng.AfterAction(rxDone-eng.Now(), l)
-	case legRx:
-		if o.apply != nil {
-			o.apply()
-		}
-		eng.TraceInstant("fabric", "deliver", c.Conduit.Name, o.size, 0)
-		if c.edges {
-			eng.TraceInstant(trace.CatEdge, trace.EdgeDeliver, c.Conduit.Name,
-				o.size, trace.PackEndpoints(0, 0, o.ep.node, o.dst.node))
-		}
-		o.op.Remote.Fire()
-		o.deref()
-	}
-}
-
-// Get-op stages: the request leg travels to the source, injection waits
-// on the source's ports, then the payload flow streams back.
-const (
-	gReq  uint8 = iota // request latency elapsed at the source side
-	gInj               // source injection port free: start the payload flow
-	gFlow              // payload drained: schedule delivery legs
-)
-
-// getOp is the pooled record of one GetAsync round trip.
-type getOp struct {
+// opRecord is the pooled record of one PutAsync, GetAsync or
+// MemCopyAsync: flow-completion action, per-delivery legs and the
+// caller-visible NetOp in a single object. A put or get is described in
+// payload terms: the payload streams from the endpoint from to the
+// endpoint to, whichever of them initiated it.
+type opRecord struct {
 	c        *Cluster
-	ep       *Endpoint // requesting endpoint
-	src      *Endpoint
+	from, to *Endpoint // payload source and destination (nil for a copy)
 	size     int64
-	lat      sim.Duration // payload return latency, including fault delay
+	lat      sim.Duration // payload delivery latency, including any fault delay
 	verdict  Verdict
-	sameNode bool
+	isGet    bool // a get has a single completion, at delivery
 	apply    func()
 	stage    uint8
 	op       NetOp
-	refs     int32
-	held     bool
-	legs     [2]getLeg
+	refs     int32 // in-flight machinery: flow completion + delivery legs
+	held     bool  // caller hold (dropped by NetOp.Release)
+	legs     [2]deliveryLeg
 }
 
-type getLeg struct {
-	o     *getOp
+// deliveryLeg is one delivery of a payload: a second leg runs only under
+// a duplicate verdict, so chaos schedules stay on the pooled path.
+type deliveryLeg struct {
+	o     *opRecord
 	stage uint8
 }
 
-func (c *Cluster) getGetOp() *getOp {
-	o := c.getPool.Get()
+// acquireOp takes a record with one machinery reference (the pending
+// first stage) and the caller hold.
+func (c *Cluster) acquireOp() *opRecord {
+	o := c.ops.Get()
 	if o.c == nil {
 		o.c = c
 		o.op.owner = o
@@ -193,14 +79,14 @@ func (c *Cluster) getGetOp() *getOp {
 	return o
 }
 
-func (o *getOp) deref() {
+func (o *opRecord) deref() {
 	o.refs--
 	if o.refs == 0 && !o.held {
 		o.recycle()
 	}
 }
 
-func (o *getOp) release() {
+func (o *opRecord) release() {
 	if !o.held {
 		return
 	}
@@ -210,49 +96,67 @@ func (o *getOp) release() {
 	}
 }
 
-func (o *getOp) recycle() {
-	o.ep = nil
-	o.src = nil
+func (o *opRecord) recycle() {
+	o.from = nil
+	o.to = nil
 	o.apply = nil
 	o.op.Local.Reset()
 	o.op.Remote.Reset()
-	o.c.getPool.Put(o)
+	o.c.ops.Put(o)
 }
 
-func (o *getOp) Run() {
+// startPayload launches the payload flow from the source's connection
+// through its node's egress NIC into the destination node's ingress NIC,
+// with the record as the flow's completion action (run inline for an
+// empty payload).
+func (o *opRecord) startPayload() {
+	c := o.c
+	o.stage = opSent
+	cap := c.Conduit.ConnBW
+	if o.from.node == o.to.node {
+		// Network loopback still runs through the HCA: it consumes the
+		// node's NIC resources, which is exactly what PSHM avoids.
+		cap = c.Conduit.LoopbackBW
+	}
+	c.Net.StartAction(o.size, cap, o, o.from.conn, c.egress[o.from.node], c.ingress[o.to.node])
+}
+
+func (o *opRecord) Run() {
 	c := o.c
 	eng := c.Eng
-	cond := &c.Conduit
 	switch o.stage {
-	case gReq:
-		if o.verdict == VerdictDrop || c.NodeDown(o.src.node) {
+	case opReq:
+		if o.verdict == VerdictDrop || c.NodeDown(o.from.node) {
 			// Request lost, or the source crashed before it arrived.
-			c.traceFault("drop", o.ep.node, o.src.node, o.size)
+			c.traceFault("drop", o.to.node, o.from.node, o.size)
 			o.deref()
 			return
 		}
 		// Request processed at the source endpoint.
-		reqDone := o.src.gapRx.Schedule(eng.Now(), o.src.rxOccupancy())
-		injStart := o.src.gapTx.Schedule(reqDone, o.src.txOccupancy(o.size))
-		o.stage = gInj
+		reqDone := o.from.gapRx.Schedule(eng.Now(), o.from.rxOccupancy())
+		injStart := o.from.gapTx.Schedule(reqDone, o.from.txOccupancy(o.size))
+		o.stage = opInj
 		eng.AfterAction(injStart-eng.Now(), o)
-	case gInj:
-		o.stage = gFlow
-		if o.sameNode {
-			c.Net.StartAction(o.size, cond.LoopbackBW, o,
-				o.src.conn, c.egress[o.src.node], c.ingress[o.src.node])
-		} else {
-			c.Net.StartAction(o.size, cond.ConnBW, o,
-				o.src.conn, c.egress[o.src.node], c.ingress[o.ep.node])
+	case opInj:
+		o.startPayload()
+	case opSent:
+		// A put's source buffer is reusable once the payload drained;
+		// the verdict then decides how many delivery legs (0–2) cross
+		// the wire. A get's request-leg drop never reaches this stage.
+		if !o.isGet {
+			o.op.Local.Fire()
 		}
-	case gFlow:
 		deliveries := 1
 		switch o.verdict {
+		case VerdictDrop:
+			c.traceFault("drop", o.from.node, o.to.node, o.size)
+			o.deref()
+			return
 		case VerdictDuplicate:
 			deliveries = 2
-			c.traceFault("dup", o.src.node, o.ep.node, o.size)
+			c.traceFault("dup", o.from.node, o.to.node, o.size)
 		case VerdictDelay:
-			c.traceFault("delay", o.src.node, o.ep.node, o.size)
+			c.traceFault("delay", o.from.node, o.to.node, o.size)
 		}
 		o.refs += int32(deliveries)
 		for i := 0; i < deliveries; i++ {
@@ -260,22 +164,29 @@ func (o *getOp) Run() {
 			eng.AfterAction(o.lat, &o.legs[i])
 		}
 		o.deref() // flow leg consumed
+	case opCopy:
+		if o.apply != nil {
+			o.apply()
+		}
+		o.op.Local.Fire()
+		o.op.Remote.Fire()
+		o.deref()
 	}
 }
 
-func (l *getLeg) Run() {
+func (l *deliveryLeg) Run() {
 	o := l.o
 	c := o.c
 	eng := c.Eng
 	switch l.stage {
 	case legLat:
-		if c.NodeDown(o.ep.node) {
-			// Requester crashed while the payload was in flight.
-			c.traceFault("drop", o.src.node, o.ep.node, o.size)
+		if c.NodeDown(o.to.node) {
+			// Destination crashed while the payload was in flight.
+			c.traceFault("drop", o.from.node, o.to.node, o.size)
 			o.deref()
 			return
 		}
-		rxDone := o.ep.gapRx.Schedule(eng.Now(), o.ep.rxOccupancy())
+		rxDone := o.to.gapRx.Schedule(eng.Now(), o.to.rxOccupancy())
 		l.stage = legRx
 		eng.AfterAction(rxDone-eng.Now(), l)
 	case legRx:
@@ -285,71 +196,16 @@ func (l *getLeg) Run() {
 		eng.TraceInstant("fabric", "deliver", c.Conduit.Name, o.size, 0)
 		if c.edges {
 			eng.TraceInstant(trace.CatEdge, trace.EdgeDeliver, c.Conduit.Name,
-				o.size, trace.PackEndpoints(0, 0, o.src.node, o.ep.node))
+				o.size, trace.PackEndpoints(0, 0, o.from.node, o.to.node))
 		}
-		o.op.Local.Fire() // a get has a single completion
+		o.op.Local.Fire() // a get's single completion; a put's fired at drain
 		o.op.Remote.Fire()
 		o.deref()
 	}
 }
 
-// memOp is the pooled record of one MemCopyAsync: a single flow with an
-// apply-and-complete action.
-type memOp struct {
-	c     *Cluster
-	apply func()
-	op    NetOp
-	refs  int32
-	held  bool
-}
-
-func (c *Cluster) getMemOp() *memOp {
-	o := c.memPool.Get()
-	if o.c == nil {
-		o.c = c
-		o.op.owner = o
-	}
-	o.refs = 1
-	o.held = true
-	return o
-}
-
-func (o *memOp) deref() {
-	o.refs--
-	if o.refs == 0 && !o.held {
-		o.recycle()
-	}
-}
-
-func (o *memOp) release() {
-	if !o.held {
-		return
-	}
-	o.held = false
-	if o.refs == 0 {
-		o.recycle()
-	}
-}
-
-func (o *memOp) recycle() {
-	o.apply = nil
-	o.op.Local.Reset()
-	o.op.Remote.Reset()
-	o.c.memPool.Put(o)
-}
-
-func (o *memOp) Run() {
-	if o.apply != nil {
-		o.apply()
-	}
-	o.op.Local.Fire()
-	o.op.Remote.Fire()
-	o.deref()
-}
-
-// PoolStats sums the cluster's operation pools and the flow engine's.
+// PoolStats sums the cluster's operation pool and the flow engine's.
 // At quiescence with every handle released, Outstanding() is zero.
 func (c *Cluster) PoolStats() sim.PoolStats {
-	s := c.putPool.Stats().Add(c.getPool.Stats()).Add(c.memPool.Stats())
-	return s.Add(c.Net.PoolStats())
+	return c.ops.Stats().Add(c.Net.PoolStats())
 }

@@ -26,13 +26,12 @@ func TestNudgeWakesFlowStalledOnDownLink(t *testing.T) {
 	e := sim.New(1)
 	n := NewNet(e)
 	l := NewLink("l", 1000)
-	f := n.Start(1000, 0, l)
 	var done sim.Time
-	f.OnComplete(func() { done = e.Now() })
+	n.StartAction(1000, 0, actionFunc(func() { done = e.Now() }), l)
 	const down, restore = 250 * sim.Millisecond, 1250 * sim.Millisecond
 	e.After(down, func() { l.Down = true; n.Nudge() })
 	e.After(restore-1, func() {
-		if f.Done() {
+		if done != 0 {
 			t.Error("flow drained while its only link was down")
 		}
 	})
@@ -55,11 +54,10 @@ func TestNudgeResettlesFlowAfterCapacityDegrade(t *testing.T) {
 	n := NewNet(e)
 	x := NewLink("x", 1000)
 	y := NewLink("y", 2000)
-	a := n.Start(3000, 0, x, y) // 1000 B/s: x's whole capacity, half of y
-	b := n.Start(1000, 0, y)    // 1000 B/s: half of y
 	var doneA, doneB sim.Time
-	a.OnComplete(func() { doneA = e.Now() })
-	b.OnComplete(func() { doneB = e.Now() })
+	// a: 1000 B/s, x's whole capacity and half of y. b: half of y.
+	n.StartAction(3000, 0, actionFunc(func() { doneA = e.Now() }), x, y)
+	n.StartAction(1000, 0, actionFunc(func() { doneB = e.Now() }), y)
 	const degrade = 500 * sim.Millisecond
 	e.After(degrade, func() { x.Capacity = 500; n.Nudge() })
 	if err := e.Run(); err != nil {
@@ -92,19 +90,17 @@ func TestFlowDuplicateLinkPanics(t *testing.T) {
 				a.Active(), b.Active(), n.Active())
 		}
 	}()
-	n.Start(100, 0, a, b, a)
+	n.StartAction(100, 0, nil, a, b, a)
 }
 
-// settleFlow is one scripted flow: its size, cap, link indices, whether
-// it goes through the pooled StartAction path, and an optional flow its
-// completion starts.
+// settleFlow is one scripted flow: its size, cap, link indices, and an
+// optional flow its completion starts.
 type settleFlow struct {
-	id     int
-	size   int64
-	cap    float64
-	links  []int
-	pooled bool
-	chain  *settleFlow
+	id    int
+	size  int64
+	cap   float64
+	links []int
+	chain *settleFlow
 }
 
 // settleOp is one scripted action at a virtual time: start a flow, or
@@ -144,7 +140,8 @@ func genSettleScript(seed int64) []settleOp {
 	var flow func(depth int) *settleFlow
 	flow = func(depth int) *settleFlow {
 		id++
-		f := &settleFlow{id: id, size: 1 + rng.Int63n(200000), pooled: rng.Intn(2) == 0}
+		f := &settleFlow{id: id, size: 1 + rng.Int63n(200000)}
+		rng.Intn(2) // drawn and discarded: keeps the seeded scripts, and settleGolden, unchanged
 		if rng.Intn(3) == 0 {
 			f.cap = 1e5 + rng.Float64()*1e6
 		}
@@ -179,10 +176,6 @@ type settleCompletion struct {
 	id int
 	at sim.Time
 }
-
-type actionFunc func()
-
-func (f actionFunc) Run() { f() }
 
 // runSettleScript plays ops on a fresh Net and reports every completion
 // in the order it ran. After every settling pass it checks the classes
@@ -311,11 +304,7 @@ func playSettleScript(t *testing.T, n *Net, links []*Link, ops []settleOp) []set
 				start(sf.chain)
 			}
 		}
-		if sf.pooled {
-			n.StartAction(sf.size, sf.cap, actionFunc(done), ls...)
-		} else {
-			n.Start(sf.size, sf.cap, ls...).OnComplete(done)
-		}
+		n.StartAction(sf.size, sf.cap, actionFunc(done), ls...)
 	}
 	for _, op := range ops {
 		e.After(op.at, func() {
@@ -384,8 +373,10 @@ func genClassScript(seed int64) []settleOp {
 	id := 0
 	flow := func(size int64) *settleFlow {
 		id++
-		return &settleFlow{id: id, size: size, cap: caps[rng.Intn(2)],
-			links: sets[rng.Intn(len(sets))], pooled: rng.Intn(2) == 0}
+		f := &settleFlow{id: id, size: size, cap: caps[rng.Intn(2)],
+			links: sets[rng.Intn(len(sets))]}
+		rng.Intn(2) // drawn and discarded: keeps the seeded scripts, and settleGolden, unchanged
+		return f
 	}
 	var ops []settleOp
 	for len(ops) < 300 {

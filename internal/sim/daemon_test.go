@@ -6,19 +6,26 @@ import (
 
 func TestDaemonDoesNotBlockTermination(t *testing.T) {
 	e := New(1)
-	var mb Mailbox
+	var (
+		tasks []int
+		ready WaitQueue
+	)
 	worked := 0
 	e.Go("worker", func(p *Proc) {
 		p.SetDaemon(true)
 		for {
-			mb.Recv(p)
+			for len(tasks) == 0 {
+				ready.Wait(p, "idle")
+			}
+			tasks = tasks[1:]
 			worked++
 		}
 	})
 	e.Go("main", func(p *Proc) {
 		for i := 0; i < 3; i++ {
 			p.Advance(10)
-			mb.Send(i)
+			tasks = append(tasks, i)
+			ready.WakeOne()
 		}
 		p.Advance(10)
 	})

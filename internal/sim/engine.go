@@ -375,7 +375,7 @@ func (p *Proc) Go(name string, fn func(*Proc)) *Proc {
 }
 
 // WaitQueue is a FIFO list of parked processes; the building block for
-// condition variables, mailboxes and resource queues. It is a ring over a
+// mutexes, barriers, events and resource queues. It is a ring over a
 // power-of-two backing array, so WakeOne dequeues in O(1) instead of
 // shifting every remaining waiter, and woken slots are always cleared so
 // the array retains no *Proc references.

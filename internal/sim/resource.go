@@ -46,211 +46,3 @@ func (s *Server) Schedule(now Time, d Duration) Time {
 
 // BusyUntil reports the completion time of the last accepted request.
 func (s *Server) BusyUntil() Time { return s.busyUntil }
-
-// SharedLink models a bandwidth resource shared by concurrent flows with
-// processor-sharing fairness: while n flows are active each proceeds at
-// capacity/n. It reproduces the first-order behaviour of a memory
-// controller or a network link carrying simultaneous transfers.
-//
-// Accounting is incremental: because every active flow is served at the
-// same instantaneous rate, the link tracks one number — served, the
-// cumulative bytes delivered to each flow since it joined an idle link —
-// and a flow is just the served value at which it completes. Advancing
-// the clock is O(1) regardless of how many flows are active (it used to
-// charge every flow on every start/finish), and flows complete in served
-// order out of a min-heap keyed by that finish point.
-type SharedLink struct {
-	eng      *Engine
-	capacity float64 // bytes per second
-	served   float64 // per-flow bytes delivered since the link went busy
-	flows    flowHeap
-	last     Time               // time of the last work-accounting update
-	epoch    uint64             // invalidates stale completion callbacks
-	pool     FreeList[flow]     // recycled flow records (Transfer path)
-	ticks    FreeList[linkTick] // recycled completion callbacks
-}
-
-type flow struct {
-	end      float64 // served value at which this flow completes
-	done     WaitQueue
-	finished bool
-	handle   bool // escaped via a Flow handle: stays off the free list
-}
-
-// flowHeap is a min-heap of active flows ordered by completion point.
-type flowHeap []*flow
-
-func (h *flowHeap) push(f *flow) {
-	*h = append(*h, f)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if a[parent].end <= a[i].end {
-			break
-		}
-		a[i], a[parent] = a[parent], a[i]
-		i = parent
-	}
-}
-
-func (h *flowHeap) pop() *flow {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a[n] = nil
-	a = a[:n]
-	*h = a
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && a[c+1].end < a[c].end {
-			c++
-		}
-		if a[i].end <= a[c].end {
-			break
-		}
-		a[i], a[c] = a[c], a[i]
-		i = c
-	}
-	return top
-}
-
-// NewSharedLink creates a link with the given capacity in bytes/second on
-// engine e. A non-positive capacity makes all transfers instantaneous.
-func NewSharedLink(e *Engine, capacity float64) *SharedLink {
-	return &SharedLink{eng: e, capacity: capacity}
-}
-
-// Capacity reports the link's total bandwidth in bytes/second.
-func (l *SharedLink) Capacity() float64 { return l.capacity }
-
-// Active reports the number of in-flight flows.
-func (l *SharedLink) Active() int { return len(l.flows) }
-
-// Transfer moves size bytes across the link, suspending p until the flow
-// completes under processor sharing with all concurrent flows.
-func (l *SharedLink) Transfer(p *Proc, size int64) {
-	if size <= 0 || l.capacity <= 0 {
-		return
-	}
-	f := l.start(size)
-	if !f.finished {
-		f.done.Wait(p, "sharedlink")
-	}
-}
-
-// StartTransfer begins a flow without suspending the caller and returns a
-// completion handle. Wait on it from any process. A handle may be polled
-// long after completion, so handle-carrying flows are exempt from the
-// free list and left to the garbage collector.
-func (l *SharedLink) StartTransfer(size int64) *Flow {
-	if size <= 0 || l.capacity <= 0 {
-		return &Flow{f: &flow{finished: true}} //upcvet:poolalloc -- degenerate zero-size flow; the handle is pollable after return, so it is exempt like StartTransfer
-	}
-	f := l.start(size)
-	f.handle = true
-	return &Flow{f: f, l: l}
-}
-
-// PoolStats reports the combined free-list accounting for the link's
-// flow records and completion callbacks. At quiescence with no
-// outstanding Flow handles, Outstanding() must be zero.
-func (l *SharedLink) PoolStats() PoolStats {
-	return l.pool.Stats().Add(l.ticks.Stats())
-}
-
-// Flow is a handle to an in-flight SharedLink transfer.
-type Flow struct {
-	f *flow
-	l *SharedLink
-}
-
-// Done reports whether the transfer has completed.
-func (fl *Flow) Done() bool { return fl.f.finished }
-
-// Wait suspends p until the transfer completes.
-func (fl *Flow) Wait(p *Proc) {
-	if !fl.f.finished {
-		fl.f.done.Wait(p, "flow-wait")
-	}
-}
-
-func (l *SharedLink) start(size int64) *flow {
-	l.account()
-	f := l.pool.Get()
-	f.end = l.served + float64(size)
-	f.finished = false
-	f.handle = false
-	l.flows.push(f)
-	l.reschedule()
-	return f
-}
-
-// account advances the per-flow service accumulator by the bandwidth
-// share delivered since the last update — O(1) however many flows are
-// active, since processor sharing serves them all at the same rate.
-func (l *SharedLink) account() {
-	now := l.eng.Now()
-	if now > l.last && len(l.flows) > 0 {
-		l.served += l.capacity / float64(len(l.flows)) * (now - l.last).Seconds()
-	}
-	l.last = now
-}
-
-// reschedule completes any drained flows and books the next completion
-// callback for the earliest remaining one. Completed flows return to the
-// link's free list: WakeAll has already dequeued every waiter, and the
-// WaitQueue ring is retained across reuse so a warm link never touches
-// the allocator.
-func (l *SharedLink) reschedule() {
-	const eps = 1e-6 // bytes; absorbs float rounding
-	for len(l.flows) > 0 && l.flows[0].end-l.served <= eps {
-		f := l.flows.pop()
-		f.finished = true
-		f.done.WakeAll()
-		if !f.handle {
-			l.pool.Put(f)
-		}
-	}
-	l.epoch++
-	if len(l.flows) == 0 {
-		// Idle: rebase the accumulator so it cannot lose precision over
-		// arbitrarily long simulations.
-		l.served = 0
-		return
-	}
-	rate := l.capacity / float64(len(l.flows))
-	dt := FromSeconds((l.flows[0].end - l.served) / rate)
-	if dt < 1 {
-		dt = 1 // guarantee forward progress despite rounding
-	}
-	t := l.ticks.Get()
-	t.l = l
-	t.epoch = l.epoch
-	l.eng.AfterAction(dt, t)
-}
-
-// linkTick is the pooled completion callback for a SharedLink: one is
-// booked per reschedule, and a stale epoch means a fresher one has been
-// booked since. A tick releases itself before re-entering the link so
-// the nested reschedule can reuse it immediately.
-type linkTick struct {
-	l     *SharedLink
-	epoch uint64
-}
-
-func (t *linkTick) Run() {
-	l, epoch := t.l, t.epoch
-	t.l = nil
-	l.ticks.Put(t)
-	if l.epoch != epoch {
-		return // the flow set changed; a fresher callback is booked
-	}
-	l.account()
-	l.reschedule()
-}

@@ -2,9 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestServerFCFSPipelining(t *testing.T) {
@@ -54,159 +52,5 @@ func TestServerScheduleWithoutBlocking(t *testing.T) {
 	}
 	if got := srv.Schedule(120, 10); got != 160 {
 		t.Errorf("pipelined Schedule = %v, want 160", got)
-	}
-}
-
-func TestSharedLinkSingleFlow(t *testing.T) {
-	e := New(1)
-	l := NewSharedLink(e, 1000) // 1000 B/s
-	var done Time
-	e.Go("p", func(p *Proc) {
-		l.Transfer(p, 500)
-		done = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if want := Time(500 * Millisecond); absTime(done-want) > Millisecond {
-		t.Errorf("500B at 1000B/s finished at %v, want ~%v", done, want)
-	}
-}
-
-func TestSharedLinkFairSharing(t *testing.T) {
-	e := New(1)
-	l := NewSharedLink(e, 1000)
-	var doneA, doneB Time
-	// Two equal 500B flows starting together: each gets 500 B/s, both end
-	// at ~1s (not 0.5s).
-	e.Go("a", func(p *Proc) { l.Transfer(p, 500); doneA = p.Now() })
-	e.Go("b", func(p *Proc) { l.Transfer(p, 500); doneB = p.Now() })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := Time(Second)
-	if absTime(doneA-want) > 2*Millisecond || absTime(doneB-want) > 2*Millisecond {
-		t.Errorf("concurrent flows finished at %v, %v; want ~%v each", doneA, doneB, want)
-	}
-}
-
-func TestSharedLinkLateArrival(t *testing.T) {
-	e := New(1)
-	l := NewSharedLink(e, 1000)
-	var doneA, doneB Time
-	// A: 1000B from t=0. B: 500B from t=0.5s. A runs alone 0..0.5 (500B
-	// done), then shares: each does 500B at 500B/s -> both end at 1.5s.
-	e.Go("a", func(p *Proc) { l.Transfer(p, 1000); doneA = p.Now() })
-	e.Go("b", func(p *Proc) {
-		p.Advance(Time(500 * Millisecond))
-		l.Transfer(p, 500)
-		doneB = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := Time(1500 * Millisecond)
-	if absTime(doneA-want) > 3*Millisecond {
-		t.Errorf("A finished at %v, want ~%v", doneA, want)
-	}
-	if absTime(doneB-want) > 3*Millisecond {
-		t.Errorf("B finished at %v, want ~%v", doneB, want)
-	}
-}
-
-func TestSharedLinkConservation(t *testing.T) {
-	// Property: total bytes / capacity <= makespan <= sum per-flow times,
-	// and makespan >= largest flow alone.
-	f := func(seed int64, sizes [4]uint16) bool {
-		e := New(seed)
-		l := NewSharedLink(e, 1e6)
-		var total int64
-		var finish Time
-		for i, sz := range sizes {
-			size := int64(sz) + 1
-			total += size
-			e.Go(fmt.Sprintf("f%d", i), func(p *Proc) {
-				l.Transfer(p, size)
-				if p.Now() > finish {
-					finish = p.Now()
-				}
-			})
-		}
-		if err := e.Run(); err != nil {
-			return false
-		}
-		lower := TransferTime(total, 1e6)
-		// Allow a small epsilon for event rounding.
-		return finish >= lower-Time(len(sizes))*2
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSharedLinkNonBlockingHandle(t *testing.T) {
-	e := New(1)
-	l := NewSharedLink(e, 1000)
-	var done Time
-	e.Go("p", func(p *Proc) {
-		fl := l.StartTransfer(500)
-		if fl.Done() {
-			t.Error("transfer should not be instantly done")
-		}
-		p.Advance(100 * Millisecond) // overlap with other work
-		fl.Wait(p)
-		done = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if want := Time(500 * Millisecond); absTime(done-want) > 2*Millisecond {
-		t.Errorf("overlapped transfer ended at %v, want ~%v", done, want)
-	}
-}
-
-func TestSharedLinkZeroCapacityIsFree(t *testing.T) {
-	e := New(1)
-	l := NewSharedLink(e, 0)
-	e.Go("p", func(p *Proc) {
-		l.Transfer(p, 1<<30)
-		if p.Now() != 0 {
-			t.Errorf("zero-capacity link should be free, took %v", p.Now())
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func absTime(t Time) Time {
-	if t < 0 {
-		return -t
-	}
-	return t
-}
-
-func TestSharedLinkManyFlowsApproximation(t *testing.T) {
-	// n equal flows of size s on capacity c must all complete near n*s/c.
-	for _, n := range []int{2, 8, 32} {
-		e := New(1)
-		l := NewSharedLink(e, 1e9)
-		size := int64(1 << 20)
-		var worst Time
-		for i := 0; i < n; i++ {
-			e.Go(fmt.Sprintf("f%d", i), func(p *Proc) {
-				l.Transfer(p, size)
-				if p.Now() > worst {
-					worst = p.Now()
-				}
-			})
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		want := TransferTime(int64(n)*size, 1e9)
-		if math.Abs(float64(worst-want)) > float64(want)/100 {
-			t.Errorf("n=%d: makespan %v, want ~%v", n, worst, want)
-		}
 	}
 }

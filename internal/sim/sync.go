@@ -44,39 +44,6 @@ func (m *Mutex) Unlock(p *Proc) {
 // Holder reports the current owner, or nil.
 func (m *Mutex) Holder() *Proc { return m.holder }
 
-// Semaphore is a counting semaphore in virtual time.
-type Semaphore struct {
-	count int
-	q     WaitQueue
-}
-
-// NewSemaphore returns a semaphore with an initial count.
-func NewSemaphore(count int) *Semaphore { return &Semaphore{count: count} }
-
-// Acquire takes one unit, suspending p until available. A contended
-// acquisition is traced as a "sim/semaphore" span covering the wait.
-func (s *Semaphore) Acquire(p *Proc) {
-	if s.count > 0 {
-		s.count--
-		return
-	}
-	end := p.TraceSpan("sim", "semaphore")
-	for s.count <= 0 {
-		s.q.Wait(p, "semaphore")
-	}
-	s.count--
-	end()
-}
-
-// Release returns one unit and wakes a waiter.
-func (s *Semaphore) Release() {
-	s.count++
-	s.q.WakeOne()
-}
-
-// Count reports the available units.
-func (s *Semaphore) Count() int { return s.count }
-
 // Barrier synchronizes a fixed population of n processes. It is reusable
 // across generations.
 type Barrier struct {
@@ -101,45 +68,6 @@ func (b *Barrier) Wait(p *Proc) {
 
 // N reports the participant count.
 func (b *Barrier) N() int { return b.n }
-
-// Mailbox is an unbounded FIFO channel between simulated processes.
-type Mailbox struct {
-	q       []any
-	waiters WaitQueue
-}
-
-// Send appends v and wakes one waiting receiver. It never blocks.
-func (m *Mailbox) Send(v any) {
-	m.q = append(m.q, v)
-	m.waiters.WakeOne()
-}
-
-// Recv removes and returns the oldest message, suspending p while empty.
-func (m *Mailbox) Recv(p *Proc) any {
-	for len(m.q) == 0 {
-		m.waiters.Wait(p, "mailbox")
-	}
-	v := m.q[0]
-	copy(m.q, m.q[1:])
-	m.q[len(m.q)-1] = nil
-	m.q = m.q[:len(m.q)-1]
-	return v
-}
-
-// TryRecv removes the oldest message if one exists.
-func (m *Mailbox) TryRecv() (any, bool) {
-	if len(m.q) == 0 {
-		return nil, false
-	}
-	v := m.q[0]
-	copy(m.q, m.q[1:])
-	m.q[len(m.q)-1] = nil
-	m.q = m.q[:len(m.q)-1]
-	return v, true
-}
-
-// Len reports the queued message count.
-func (m *Mailbox) Len() int { return len(m.q) }
 
 // Event is a one-shot completion flag that any number of processes can
 // wait on; the counterpart of a non-blocking operation handle.

@@ -74,30 +74,6 @@ func TestMutexUnlockByNonHolderPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	e := New(1)
-	sem := NewSemaphore(2)
-	active, peak := 0, 0
-	for i := 0; i < 6; i++ {
-		e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			sem.Acquire(p)
-			active++
-			if active > peak {
-				peak = active
-			}
-			p.Advance(10)
-			active--
-			sem.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if peak != 2 {
-		t.Errorf("peak concurrency = %d, want 2", peak)
-	}
-}
-
 func TestBarrierReleasesTogether(t *testing.T) {
 	e := New(1)
 	b := NewBarrier(3)
@@ -139,49 +115,6 @@ func TestBarrierReusableAcrossGenerations(t *testing.T) {
 	}
 	if counts[0] != 5 || counts[1] != 5 {
 		t.Errorf("rounds completed = %v, want [5 5]", counts)
-	}
-}
-
-func TestMailboxFIFOAndBlocking(t *testing.T) {
-	e := New(1)
-	var mb Mailbox
-	var got []int
-	var recvTime Time
-	e.Go("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, mb.Recv(p).(int))
-		}
-		recvTime = p.Now()
-	})
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Advance(10)
-			mb.Send(i)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != "[0 1 2]" {
-		t.Errorf("messages = %v, want [0 1 2]", got)
-	}
-	if recvTime != 30 {
-		t.Errorf("last receive at %v, want 30", recvTime)
-	}
-}
-
-func TestMailboxTryRecv(t *testing.T) {
-	var mb Mailbox
-	if _, ok := mb.TryRecv(); ok {
-		t.Error("TryRecv on empty mailbox must fail")
-	}
-	mb.Send("x")
-	v, ok := mb.TryRecv()
-	if !ok || v != "x" {
-		t.Errorf("TryRecv = %v,%v; want x,true", v, ok)
-	}
-	if mb.Len() != 0 {
-		t.Errorf("Len = %d after drain", mb.Len())
 	}
 }
 

@@ -96,19 +96,20 @@ func ServerDelay(b *testing.B) {
 	}
 }
 
-// SharedLink32Flows measures sim.SharedLink, the engine's standalone
-// processor-sharing link, under load: 32 processes keep concurrent flows
-// on one link, so every start/finish exercises its incremental accounting
-// with ~32 active flows. No production path uses sim.SharedLink; the
-// fabric fluid model is timed by FabricFlows4096.
+// SharedLink32Flows measures the blocking flow path that Compute and
+// MemTouch charge through, fabric.Net.Transfer, under load: 32
+// processes each keep moving 1000 B over one 1 GB/s link, so every
+// start and finish settles a class of ~32 flows and wakes its waiter.
+// FabricFlows4096 times the pooled completion-action path at scale.
 func SharedLink32Flows(b *testing.B) {
 	b.ReportAllocs()
 	e := sim.New(1)
-	l := sim.NewSharedLink(e, 1e9)
+	n := fabric.NewNet(e)
+	l := fabric.NewLink("link", 1e9)
 	for i := 0; i < 32; i++ {
 		e.Go(fmt.Sprintf("f%d", i), func(p *sim.Proc) {
-			for n := 0; n < b.N; n++ {
-				l.Transfer(p, 1000)
+			for k := 0; k < b.N; k++ {
+				n.Transfer(p, 1000, 0, l)
 			}
 		})
 	}
