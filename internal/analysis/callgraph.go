@@ -210,40 +210,22 @@ func (prog *Program) build() {
 //
 // Like the rest of the suite, collectives are keyed on names rather
 // than import paths so the testdata stub types trigger the same logic:
-// barrier-family method names on any receiver, the Group reduction and
-// broadcast methods, and the upc package-level
+// barrier-family method names on any receiver and the upc package-level
 // collective functions (the Alloc family is collective too: allocation
 // ends in a barrier).
 
 var collectiveMethods = map[string]bool{
-	"Barrier":       true,
-	"BarrierNotify": true,
-	"BarrierWait":   true,
-	"BarrierErr":    true,
-}
-
-var groupCollectiveMethods = map[string]bool{
-	"ReduceSum":    true,
-	"ReduceSumErr": true,
-	"ReduceSumInt": true,
-	"Broadcast":    true,
+	"Barrier":    true,
+	"BarrierErr": true,
 }
 
 var collectiveFuncs = map[string]bool{
 	"AllReduce":       true,
 	"AllReduceSum":    true,
-	"AllReduceMax":    true,
 	"AllReduceSumInt": true,
-	"Broadcast":       true,
-	"AllGather":       true,
-	"BroadcastT":      true,
-	"ScatterT":        true,
-	"GatherT":         true,
 	"Alloc":           true,
 	"Alloc2D":         true,
 	"AllocLock":       true,
-	"AllocAtomicI64":  true,
-	"CastTable":       true,
 }
 
 // CollectiveCall reports whether the call is a recognized collective
@@ -254,19 +236,10 @@ func CollectiveCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	name := fn.Name()
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		switch {
-		case collectiveMethods[name]:
-			return name, true
-		case groupCollectiveMethods[name] && recvTypeName(recv.Type()) == "group":
-			return name, true
-		}
-		return "", false
+	if fn.Type().(*types.Signature).Recv() != nil {
+		return name, collectiveMethods[name]
 	}
-	if collectiveFuncs[name] {
-		return name, true
-	}
-	return "", false
+	return name, collectiveFuncs[name]
 }
 
 // recvTypeName is the lower-cased defined-type name behind a receiver

@@ -14,7 +14,7 @@ import (
 // determinism guarantee; bare sync primitives and channels block OS
 // threads instead of simulated processes. Model code must spawn through
 // sim.Engine.Go / sim.Proc and synchronize with sim.WaitQueue,
-// sim.Mutex and friends; host-side fan-out goes through sweep.Run.
+// sim.Event and friends; host-side fan-out goes through sweep.Run.
 // The rare legitimate use (a host-side memo cache shared across sweep
 // workers) carries //upcvet:rawgo with a reason.
 var Rawgo = &Analyzer{
@@ -55,7 +55,7 @@ func runRawgo(pass *Pass) error {
 			}
 			if path == "sync" || path == "sync/atomic" {
 				pass.ReportAnnotatable(imp.Pos(),
-					"import of %q outside internal/sim and internal/sweep: simulated code synchronizes through sim.WaitQueue/sim.Mutex, host fan-out through sweep.Run", path)
+					"import of %q outside internal/sim and internal/sweep: simulated code synchronizes through sim.WaitQueue/sim.Event, host fan-out through sweep.Run", path)
 			}
 		}
 		ast.Inspect(file, func(n ast.Node) bool {

@@ -728,25 +728,20 @@ type accessSpec struct {
 	write                bool
 }
 
-var accessFuncs = map[string][]accessSpec{
-	"PutT":         {{arr: 1, owner: 2, idx: -1, off: 3, write: true}},
-	"PutAsyncT":    {{arr: 1, owner: 2, idx: -1, off: 3, write: true}},
-	"PutTErr":      {{arr: 1, owner: 2, idx: -1, off: 3, write: true}},
-	"PutAsyncTErr": {{arr: 1, owner: 2, idx: -1, off: 3, write: true}},
-	"GetT":         {{arr: 1, owner: 3, idx: -1, off: 4, write: false}},
-	"GetAsyncT":    {{arr: 1, owner: 3, idx: -1, off: 4, write: false}},
-	"GetTErr":      {{arr: 1, owner: 3, idx: -1, off: 4, write: false}},
-	"GetAsyncTErr": {{arr: 1, owner: 3, idx: -1, off: 4, write: false}},
-	"ReadElem":     {{arr: 1, owner: -1, idx: 2, off: -1, write: false}},
-	"ReadElemErr":  {{arr: 1, owner: -1, idx: 2, off: -1, write: false}},
-	"WriteElem":    {{arr: 1, owner: -1, idx: 2, off: -1, write: true}},
-	"WriteElemErr": {{arr: 1, owner: -1, idx: 2, off: -1, write: true}},
-	"CopyT": {
-		{arr: 1, owner: 2, idx: -1, off: 3, write: true},
-		{arr: 4, owner: 5, idx: -1, off: 6, write: false},
-	},
-	"PutRect": {{arr: 1, owner: 2, idx: -1, off: -1, write: true}},
-	"GetRect": {{arr: 1, owner: 3, idx: -1, off: -1, write: false}},
+var accessFuncs = map[string]accessSpec{
+	"PutT":         {arr: 1, owner: 2, idx: -1, off: 3, write: true},
+	"PutAsyncT":    {arr: 1, owner: 2, idx: -1, off: 3, write: true},
+	"PutTErr":      {arr: 1, owner: 2, idx: -1, off: 3, write: true},
+	"PutAsyncTErr": {arr: 1, owner: 2, idx: -1, off: 3, write: true},
+	"GetT":         {arr: 1, owner: 3, idx: -1, off: 4, write: false},
+	"GetAsyncT":    {arr: 1, owner: 3, idx: -1, off: 4, write: false},
+	"GetTErr":      {arr: 1, owner: 3, idx: -1, off: 4, write: false},
+	"GetAsyncTErr": {arr: 1, owner: 3, idx: -1, off: 4, write: false},
+	"ReadElem":     {arr: 1, owner: -1, idx: 2, off: -1, write: false},
+	"ReadElemErr":  {arr: 1, owner: -1, idx: 2, off: -1, write: false},
+	"WriteElem":    {arr: 1, owner: -1, idx: 2, off: -1, write: true},
+	"WriteElemErr": {arr: 1, owner: -1, idx: 2, off: -1, write: true},
+	"GetRect":      {arr: 1, owner: 3, idx: -1, off: -1, write: false},
 }
 
 func (w *raceWalker) expr(e ast.Expr) {
@@ -829,10 +824,8 @@ func (w *raceWalker) call(call *ast.CallExpr) {
 	fn := calleeFunc(w.unit.Info, call)
 	// Shared-access API calls: record the array accesses.
 	if fn != nil && fn.Type().(*types.Signature).Recv() == nil {
-		if specs, ok := accessFuncs[fn.Name()]; ok {
-			for _, spec := range specs {
-				w.apiAccess(call, spec)
-			}
+		if spec, ok := accessFuncs[fn.Name()]; ok {
+			w.apiAccess(call, spec)
 			for _, a := range call.Args {
 				w.expr(a)
 			}

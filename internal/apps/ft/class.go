@@ -47,9 +47,6 @@ func ClassByName(name string) (Class, bool) {
 // Total reports the grid's element count.
 func (c Class) Total() int { return c.NX * c.NY * c.NZ }
 
-// Bytes reports the grid's size in bytes (complex128 elements).
-func (c Class) Bytes() int64 { return int64(c.Total()) * 16 }
-
 // Decomposable reports whether the class divides across p slabs in both
 // the z and y dimensions (the 1D decomposition's requirement).
 func (c Class) Decomposable(p int) bool {

@@ -137,23 +137,6 @@ func mergePhases(res *Result, phases map[string]sim.Duration) {
 	}
 }
 
-// GFlopRate reports the benchmark's achieved Gflop/s using the NAS
-// convention for FT's operation count.
-func (r Result) GFlopRate(c Class) float64 {
-	n := float64(c.Total())
-	// One full 3D transform + evolve per iteration.
-	opsPerIter := n * (14.8 + 5*log2f(c.NX) + 5*log2f(c.NY) + 5*log2f(c.NZ))
-	return opsPerIter * float64(c.Iters) / r.Elapsed.Seconds() / 1e9
-}
-
-func log2f(n int) float64 {
-	l := 0.0
-	for m := 1; m < n; m <<= 1 {
-		l++
-	}
-	return l
-}
-
 func (c *Config) validate() error {
 	if c.Machine == nil {
 		return fmt.Errorf("ft: Config.Machine is required")

@@ -131,12 +131,7 @@ func TestModelModeProducesPhases(t *testing.T) {
 	if r.Comm <= 0 || r.Comm > r.Elapsed {
 		t.Errorf("comm = %v of %v", r.Comm, r.Elapsed)
 	}
-	if rate := r.GFlopRate(r0class("S")); rate <= 0 {
-		t.Errorf("GFlop rate %g", rate)
-	}
 }
-
-func r0class(n string) Class { c, _ := ClassByName(n); return c }
 
 func TestModelComputeScalesWithThreads(t *testing.T) {
 	r4, err := Run(modelCfg(UPCProcesses, SplitPhase, 4, 4, 0))

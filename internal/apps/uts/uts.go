@@ -405,7 +405,7 @@ func (w *worker) die() bool {
 }
 
 // rejoin re-enters a revived worker into the traversal: runtime
-// membership first (barrier population, checkpoint restore), then the
+// membership first (barrier population), then the
 // application's own structures — fresh backoff state and a membership
 // bump so every worker rebuilds its probe rings around the rejoiner.
 func (w *worker) rejoin() {

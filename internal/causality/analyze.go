@@ -31,7 +31,7 @@ func (r *run) waitCat(ps *procState, w *wait) string {
 		return CatPSHM
 	case ClassCommLoop, ClassCommNet:
 		return CatNetwork
-	case ClassFaultRetry, ClassCkpt, ClassRejoin:
+	case ClassFaultRetry, ClassRejoin:
 		return CatFault
 	case ClassBarrier, ClassCollective, ClassLock, ClassLateSender:
 		if w.blamedNode >= 0 && ps.node >= 0 && w.blamedNode == ps.node {
@@ -74,15 +74,6 @@ func (a *cpAccum) add(r *run, cat string, p int32, node int, ns int64) {
 		name = ps.name
 	}
 	a.folded[cat+";"+name] += ns
-}
-
-// total sums every category (equals the run makespan by construction).
-func (a *cpAccum) total() int64 {
-	var t int64
-	for _, v := range a.cats {
-		t += v
-	}
-	return t
 }
 
 // criticalPath walks backward from the run's final event. Each step

@@ -39,7 +39,6 @@ const (
 	ClassCommLoop   = "comm-loopback"
 	ClassCommNet    = "comm-network"
 	ClassFaultRetry = "fault-retry"
-	ClassCkpt       = "ckpt"
 	ClassRejoin     = "rejoin"
 	ClassLateSender = "late-sender"
 	ClassIdle       = "idle"
@@ -263,27 +262,16 @@ func (r *run) edge(e trace.Event) {
 			w.class = ClassLateSender
 			w.blamedThread, w.blamedNode = src, srcNode
 		}
-	case trace.EdgeCkpt:
-		// The checkpointing thread just finished shipping its replica to
-		// the buddy: the preceding transfer wait is checkpoint overhead,
-		// blamed on the buddy holding the replica.
-		ps := r.proc(e.Proc)
-		owner, buddy, ownerNode, buddyNode := trace.UnpackEndpoints(e.Arg2)
-		r.learn(ps, owner, ownerNode)
-		if w := ps.lastWait(); w != nil && w.end <= e.Time {
-			w.class = ClassCkpt
-			w.blamedThread, w.blamedNode = buddy, buddyNode
-		}
 	case trace.EdgeRejoin:
-		// A reincarnated thread re-entered membership: the restore pull
-		// that preceded this edge is recovery time, blamed on the replica
-		// holder the state came back from.
+		// A reincarnated thread re-entered membership: the revival park
+		// that preceded this edge is recovery time, blamed on the edge's
+		// source (the rejoiner itself: rejoin restores no peer state).
 		ps := r.proc(e.Proc)
-		buddy, rejoiner, buddyNode, rejoinerNode := trace.UnpackEndpoints(e.Arg2)
+		src, rejoiner, srcNode, rejoinerNode := trace.UnpackEndpoints(e.Arg2)
 		r.learn(ps, rejoiner, rejoinerNode)
 		if w := ps.lastWait(); w != nil && w.end <= e.Time {
 			w.class = ClassRejoin
-			w.blamedThread, w.blamedNode = buddy, buddyNode
+			w.blamedThread, w.blamedNode = src, srcNode
 		}
 	case trace.EdgeDeliver:
 		r.delivers++
@@ -342,7 +330,7 @@ func (r *run) classify(ps *procState, w *wait) {
 		switch sp.cat {
 		case "upc":
 			switch sp.name {
-			case "barrier", "barrier-wait":
+			case "barrier":
 				r.classifyGen(ps, w, ClassBarrier)
 				return
 			case "collective":
@@ -351,20 +339,11 @@ func (r *run) classify(ps *procState, w *wait) {
 			case "lock":
 				w.class = ClassLock // blame attached by the grant edge
 				return
-			case "ckpt":
-				w.class = ClassCkpt // blame attached by the ckpt edge
-				return
-			}
-		case "sim":
-			switch sp.name {
-			case "mutex", "semaphore":
-				w.class = ClassLock
-				return
 			}
 		}
 	}
 	switch w.reason {
-	case "upc-lock", "mutex", "semaphore":
+	case "upc-lock":
 		w.class = ClassLock
 		return
 	case "barrier":
@@ -373,7 +352,7 @@ func (r *run) classify(ps *procState, w *wait) {
 	case "mpi-recv":
 		w.class = ClassLateSender // blame attached by the msg-match edge
 		return
-	case "uts-idle", "mailbox":
+	case "uts-idle":
 		w.class = ClassIdle
 		return
 	case "upc-revive", "uts-revive":

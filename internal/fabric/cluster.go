@@ -239,9 +239,6 @@ func (c *Cluster) MustEndpoint(node int) *Endpoint {
 	return ep
 }
 
-// Node reports the endpoint's node.
-func (ep *Endpoint) Node() int { return ep.node }
-
 // NetOp is a handle to an in-flight one-sided operation.
 type NetOp struct {
 	// Local fires when the source buffer is reusable (payload injected).

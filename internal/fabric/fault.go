@@ -52,12 +52,6 @@ func (c *Cluster) NodeDown(node int) bool {
 	return c.faults != nil && c.faults.NodeDown(node)
 }
 
-// EgressLink reports the node's NIC transmit link ("nic-tx<node>").
-func (c *Cluster) EgressLink(node int) *Link { return c.egress[node] }
-
-// IngressLink reports the node's NIC receive link ("nic-rx<node>").
-func (c *Cluster) IngressLink(node int) *Link { return c.ingress[node] }
-
 // LinkByName resolves a cluster-owned link (core/mem/NIC) by its name,
 // or nil. Per-endpoint connection links are owned by their endpoints and
 // not resolvable here.

@@ -151,11 +151,6 @@ func (inj *Injector) setDown(node int, down bool) {
 	}
 }
 
-// Epoch reports the current membership view number: the count of
-// crash/revive transitions so far. Stamp it on control traffic that must
-// be fenced against reincarnation.
-func (inj *Injector) Epoch() int64 { return inj.epoch }
-
 // Incarnation reports how many completed reincarnations node has had: 0
 // for its original life, bumped at each revival. An operation whose
 // endpoint incarnations at delivery differ from those at issue is stale.

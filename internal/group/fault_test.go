@@ -10,45 +10,43 @@ import (
 )
 
 // TestGroupSurvivesMemberCrash: a spanning group loses its node-1 members
-// mid-run. The survivors' barrier must release on the live members alone
-// and the reduction must combine only their contributions.
+// mid-run. The survivors' barrier must release on the live members alone.
 func TestGroupSurvivesMemberCrash(t *testing.T) {
 	c := cfg(8, 4)
 	c.Faults = &fault.Schedule{Actions: []fault.Action{
 		{Op: fault.OpCrash, At: 0.001, Node: 1, Src: -1, Dst: -1},
 	}}
-	sums := make([]float64, 8)
+	passed := make([]int, 8)
 	_, err := upc.Run(c, func(th *upc.Thread) {
 		g, gerr := New(th, []int{0, 1, 2, 3, 4, 5, 6, 7})
 		if gerr != nil {
 			t.Error(gerr)
 			return
 		}
-		if got := g.ReduceSum(1); got != 8 {
-			t.Errorf("thread %d pre-crash sum = %g, want 8", th.ID, got)
-		}
+		g.Barrier()
 		th.P.Advance(2 * sim.Millisecond)
 		if th.Failed() {
 			th.Retire()
 			return
 		}
-		if berr := g.BarrierErr(); berr != nil {
-			t.Errorf("thread %d survivor barrier: %v", th.ID, berr)
-			return
+		for i := 0; i < 2; i++ {
+			if berr := g.BarrierErr(); berr != nil {
+				t.Errorf("thread %d survivor barrier: %v", th.ID, berr)
+				return
+			}
+			passed[th.ID]++
 		}
-		s, serr := g.ReduceSumErr(1)
-		if serr != nil {
-			t.Errorf("thread %d survivor reduce: %v", th.ID, serr)
-			return
-		}
-		sums[th.ID] = s
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := 0; id < 4; id++ {
-		if sums[id] != 4 {
-			t.Errorf("survivor %d post-crash sum = %g, want 4", id, sums[id])
+	for id := 0; id < 8; id++ {
+		want := 0
+		if id < 4 {
+			want = 2
+		}
+		if passed[id] != want {
+			t.Errorf("thread %d passed %d post-crash barriers, want %d", id, passed[id], want)
 		}
 	}
 }

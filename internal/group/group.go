@@ -1,10 +1,10 @@
 // Package group implements the cooperative thread-group extension of
 // Chapter 3: UPC threads grouped by hardware locality (or any
-// application-chosen membership), with group-scoped barriers, collectives,
-// and the privatized pointer tables (Figure 3.1) that let group members
-// access each other's shared partitions at plain memory speed. Groups may
-// overlap, matching the thesis's requirement that multiple hardware
-// hierarchies be exploitable concurrently.
+// application-chosen membership), with group-scoped barriers priced at
+// the dissemination cost of the nodes the group spans. Members reach each
+// other's shared partitions through upc.Shared.Cast. Groups may overlap,
+// matching the thesis's requirement that multiple hardware hierarchies be
+// exploitable concurrently.
 package group
 
 import (
@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/internal/topo"
 	"repro/internal/upc"
 )
 
@@ -35,18 +34,6 @@ type state struct {
 	notified int
 	inGen    []bool // which member ranks notified this generation (faults only)
 	ev       *sim.Event
-	collSeq  map[int]int // per-member collective sequence counters
-	colls    []*collSlot
-}
-
-type collSlot struct {
-	arrived int
-	present []bool // which member ranks contributed (faults only)
-	combine func([]any) any
-	fired   bool
-	vals    []any
-	result  any
-	ev      *sim.Event
 }
 
 // New builds the group containing exactly the given UPC threads; members
@@ -84,11 +71,10 @@ func New(t *upc.Thread, members []int) (*Group, error) {
 			nodes[rt.PlaceOf(m).Node] = true
 		}
 		return &state{
-			n:       len(ms),
-			cost:    rt.Cluster.BarrierCost(len(nodes)),
-			inGen:   make([]bool, len(ms)),
-			ev:      &sim.Event{},
-			collSeq: make(map[int]int),
+			n:     len(ms),
+			cost:  rt.Cluster.BarrierCost(len(nodes)),
+			inGen: make([]bool, len(ms)),
+			ev:    &sim.Event{},
 		}
 	}).(*state)
 	return &Group{T: t, Members: ms, Rank: rank, st: st}, nil
@@ -110,26 +96,6 @@ func NodeGroup(t *upc.Thread) *Group {
 		panic("group: NodeGroup: " + err.Error()) // layout guarantees validity
 	}
 	return g
-}
-
-// Size reports the member count.
-func (g *Group) Size() int { return len(g.Members) }
-
-// Leader reports the lowest-numbered member.
-func (g *Group) Leader() int { return g.Members[0] }
-
-// IsLeader reports whether the calling thread is the group leader.
-func (g *Group) IsLeader() bool { return g.Rank == 0 }
-
-// OnOneNode reports whether every member shares the caller's node (and so
-// pointer tables will be fully populated under PSHM/pthreads).
-func (g *Group) OnOneNode() bool {
-	for _, m := range g.Members {
-		if g.T.Distance(m) == topo.LevelRemote {
-			return false
-		}
-	}
-	return true
 }
 
 // Barrier synchronizes the group's members only, at the dissemination cost
@@ -217,161 +183,4 @@ func (g *Group) maybeRelease() {
 	}
 	st.ev = &sim.Event{}
 	g.T.Runtime().Eng.After(st.cost, ev.Fire)
-}
-
-// collective runs one group-scoped rendezvous (same machinery as the
-// global collectives, keyed per group). Under an installed fault schedule
-// it panics with the typed error collectiveErr would return.
-func (g *Group) collective(val any, combine func([]any) any) any {
-	r, err := g.collectiveErr(val, combine)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// collectiveErr joins the member's next collective slot. With faults
-// installed the slot fires once every live member has contributed — dead
-// members' slots stay nil and combine closures skip them — and a
-// rendezvous that can never complete returns a typed error.
-func (g *Group) collectiveErr(val any, combine func([]any) any) (any, error) {
-	end := g.T.P.TraceSpanArg("group", "collective", "", int64(g.st.n))
-	defer end()
-	st := g.st
-	seq := st.collSeq[g.T.ID]
-	st.collSeq[g.T.ID] = seq + 1
-	for len(st.colls) <= seq {
-		st.colls = append(st.colls, nil)
-	}
-	if st.colls[seq] == nil {
-		st.colls[seq] = &collSlot{vals: make([]any, st.n), present: make([]bool, st.n), ev: &sim.Event{}}
-	}
-	slot := st.colls[seq]
-	slot.vals[g.Rank] = val
-	slot.arrived++
-	t := g.T
-	rt := t.Runtime()
-	if !rt.FaultsOn() {
-		if slot.arrived == st.n {
-			slot.result = combine(slot.vals)
-			rt.Eng.After(st.cost, slot.ev.Fire)
-		}
-		slot.ev.Wait(t.P)
-		return slot.result, nil
-	}
-	if t.Failed() {
-		return nil, &fault.CommError{Op: "group-collective", Src: t.ID, Dst: t.ID, Err: fault.ErrNodeDown}
-	}
-	slot.present[g.Rank] = true
-	slot.combine = combine
-	g.maybeFire(slot)
-	rp := rt.RetryPolicy()
-	attempts := 0
-	for try := 0; try <= rp.MaxRetries; try++ {
-		attempts++
-		if slot.ev.WaitTimeout(t.P, rp.AttemptTimeout(try, st.cost)) {
-			return slot.result, nil
-		}
-		t.FaultEvent("timeout", t.ID, 0)
-		if t.Failed() {
-			return nil, &fault.CommError{Op: "group-collective", Src: t.ID, Dst: t.ID,
-				Attempts: attempts, Err: fault.ErrNodeDown}
-		}
-		g.maybeFire(slot)
-	}
-	return nil, &fault.CommError{Op: "group-collective", Src: t.ID, Dst: t.ID,
-		Attempts: attempts, Err: fault.ErrTimeout}
-}
-
-// maybeFire fires a collective slot once every live member is present.
-func (g *Group) maybeFire(slot *collSlot) {
-	if slot.fired || slot.arrived == 0 {
-		return
-	}
-	for i, m := range g.Members {
-		if g.T.Alive(m) && !slot.present[i] {
-			return
-		}
-	}
-	slot.fired = true
-	slot.result = slot.combine(slot.vals)
-	g.T.Runtime().Eng.After(g.st.cost, slot.ev.Fire)
-}
-
-// ReduceSum sums one float64 contribution per member and returns the total
-// on every member. Dead members contribute zero.
-func (g *Group) ReduceSum(v float64) float64 {
-	r, err := g.ReduceSumErr(v)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// ReduceSumErr is ReduceSum with failure detection: it completes over the
-// live members and returns a typed error when the rendezvous cannot.
-func (g *Group) ReduceSumErr(v float64) (float64, error) {
-	r, err := g.collectiveErr(v, func(vals []any) any {
-		s := 0.0
-		for _, x := range vals {
-			if x != nil {
-				s += x.(float64)
-			}
-		}
-		return s
-	})
-	if err != nil {
-		return 0, err
-	}
-	return r.(float64), nil
-}
-
-// ReduceSumInt sums one int64 contribution per member. Dead members
-// contribute zero.
-func (g *Group) ReduceSumInt(v int64) int64 {
-	r := g.collective(v, func(vals []any) any {
-		var s int64
-		for _, x := range vals {
-			if x != nil {
-				s += x.(int64)
-			}
-		}
-		return s
-	})
-	return r.(int64)
-}
-
-// Broadcast distributes the leader's value to every member.
-func (g *Group) Broadcast(v any) any {
-	return g.collective(v, func(vals []any) any { return vals[0] })
-}
-
-// Table is a privatized pointer table (Figure 3.1): per group member, the
-// direct slice onto that member's partition of a shared array, or nil when
-// the segment is not castable from this thread (off-node, or no shared
-// memory support). It is built once at startup and indexed by group rank.
-type Table[T any] struct {
-	segs [][]T
-}
-
-// CastTable privatizes pointers to every group member's partition of s.
-func CastTable[T any](g *Group, s *upc.Shared[T]) *Table[T] {
-	tb := &Table[T]{segs: make([][]T, len(g.Members))}
-	for i, m := range g.Members {
-		tb.segs[i] = s.Cast(g.T, m)
-	}
-	return tb
-}
-
-// Seg reports member rank's privatized partition, or nil if uncastable.
-func (tb *Table[T]) Seg(rank int) []T { return tb.segs[rank] }
-
-// Complete reports whether every member's segment was castable.
-func (tb *Table[T]) Complete() bool {
-	for _, s := range tb.segs {
-		if s == nil {
-			return false
-		}
-	}
-	return true
 }

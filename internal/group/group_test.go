@@ -19,22 +19,29 @@ func cfg(threads, perNode int) upc.Config {
 	}
 }
 
+// onOneNode reports whether every member shares the caller's node.
+func onOneNode(g *Group) bool {
+	for _, m := range g.Members {
+		if g.T.Distance(m) == topo.LevelRemote {
+			return false
+		}
+	}
+	return true
+}
+
 func TestNodeGroupMembership(t *testing.T) {
 	_, err := upc.Run(cfg(8, 4), func(th *upc.Thread) {
 		g := NodeGroup(th)
-		if g.Size() != 4 {
-			t.Errorf("thread %d: group size %d, want 4", th.ID, g.Size())
+		if len(g.Members) != 4 {
+			t.Errorf("thread %d: group size %d, want 4", th.ID, len(g.Members))
 		}
-		if want := (th.ID / 4) * 4; g.Leader() != want {
-			t.Errorf("thread %d: leader %d, want %d", th.ID, g.Leader(), want)
-		}
-		if g.IsLeader() != (th.ID%4 == 0) {
-			t.Errorf("thread %d: IsLeader = %v", th.ID, g.IsLeader())
+		if want := (th.ID / 4) * 4; g.Members[0] != want {
+			t.Errorf("thread %d: lowest member %d, want %d", th.ID, g.Members[0], want)
 		}
 		if g.Members[g.Rank] != th.ID {
 			t.Errorf("thread %d: rank %d maps to member %d", th.ID, g.Rank, g.Members[g.Rank])
 		}
-		if !g.OnOneNode() {
+		if !onOneNode(g) {
 			t.Errorf("thread %d: node group must be on one node", th.ID)
 		}
 	})
@@ -96,29 +103,6 @@ func TestGroupBarrierOnlySyncsMembers(t *testing.T) {
 	}
 }
 
-func TestGroupCollectives(t *testing.T) {
-	_, err := upc.Run(cfg(8, 4), func(th *upc.Thread) {
-		g := NodeGroup(th)
-		// Sum of member ids within the node.
-		want := 0.0
-		for _, m := range g.Members {
-			want += float64(m)
-		}
-		if got := g.ReduceSum(float64(th.ID)); got != want {
-			t.Errorf("thread %d: ReduceSum = %g, want %g", th.ID, got, want)
-		}
-		if got := g.ReduceSumInt(2); got != int64(2*g.Size()) {
-			t.Errorf("ReduceSumInt = %d", got)
-		}
-		if got := g.Broadcast(th.ID * 10).(int); got != g.Leader()*10 {
-			t.Errorf("thread %d: Broadcast = %d, want %d", th.ID, got, g.Leader()*10)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOverlappingGroups(t *testing.T) {
 	// Each thread joins its node group AND a "column" group of same-rank
 	// threads across nodes; both must work concurrently.
@@ -128,13 +112,13 @@ func TestOverlappingGroups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s := node.ReduceSumInt(1); s != 4 {
-			t.Errorf("node group sum = %d, want 4", s)
+		node.Barrier()
+		col.Barrier()
+		node.Barrier()
+		if len(node.Members) != 4 || len(col.Members) != 2 {
+			t.Errorf("node group %v, column group %v", node.Members, col.Members)
 		}
-		if s := col.ReduceSumInt(1); s != 2 {
-			t.Errorf("column group sum = %d, want 2", s)
-		}
-		if col.OnOneNode() {
+		if onOneNode(col) {
 			t.Error("column group spans nodes")
 		}
 	})
@@ -164,6 +148,9 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestCastTable builds the privatized pointer table of Figure 3.1 — one
+// direct slice per node-group member, through upc.Shared.Cast — and
+// checks it is complete exactly when the node has shared memory.
 func TestCastTable(t *testing.T) {
 	for _, pshm := range []bool{true, false} {
 		c := cfg(8, 4)
@@ -175,18 +162,21 @@ func TestCastTable(t *testing.T) {
 			}
 			th.Barrier()
 			g := NodeGroup(th)
-			tb := CastTable(g, s)
-			if tb.Complete() != pshm {
-				t.Errorf("pshm=%v: table complete = %v", pshm, tb.Complete())
-			}
-			if pshm {
-				for r, m := range g.Members {
-					seg := tb.Seg(r)
-					if seg == nil || seg[0] != float64(m) {
-						t.Errorf("pshm table seg(%d) wrong: %v", r, seg)
-					}
+			complete := true
+			for r, m := range g.Members {
+				seg := s.Cast(th, m)
+				if seg == nil {
+					complete = false
+					continue
 				}
-			} else if tb.Seg(g.Rank) == nil {
+				if got := seg[0]; got != float64(m) {
+					t.Errorf("pshm=%v: table seg(%d)[0] = %v, want %d", pshm, r, got, m)
+				}
+			}
+			if complete != pshm {
+				t.Errorf("pshm=%v: table complete = %v", pshm, complete)
+			}
+			if s.Cast(th, g.Members[g.Rank]) == nil {
 				t.Error("own segment must always be castable")
 			}
 		})
@@ -215,9 +205,7 @@ func TestSocketGroups(t *testing.T) {
 				t.Errorf("thread %d grouped with off-socket %d", th.ID, m)
 			}
 		}
-		if s := g.ReduceSumInt(1); s != int64(g.Size()) {
-			t.Errorf("socket group reduce = %d, want %d", s, g.Size())
-		}
+		g.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -177,9 +177,6 @@ func (c *Collection) addSeed(seed int64) {
 	}
 }
 
-// Runs reports the number of runs observed so far.
-func (c *Collection) Runs() int64 { return c.runs }
-
 // Events reports the number of events observed so far.
 func (c *Collection) Events() int64 { return c.dg.Events() }
 
@@ -190,10 +187,6 @@ func (c *Collection) Events() int64 { return c.dg.Events() }
 // first event, hashes what it receives itself: the suffix of the stream
 // from its attachment on.
 func (c *Collection) Digest() uint64 { return c.dg.Sum64() }
-
-// VirtualNS reports the summed final virtual time across runs,
-// including the still-open one.
-func (c *Collection) VirtualNS() int64 { return c.totalNS + c.curMax }
 
 // Manifest finalizes the collection and builds the run manifest. Call
 // once, after the last simulation finished; further events would

@@ -185,43 +185,6 @@ func (m *CommMatrix) Nodes() []NodeCell {
 	return out
 }
 
-// Groups aggregates the matrix to an application-chosen granularity:
-// groupOf maps a UPC thread id to its group index (for example the
-// thesis's node groups, or a 2-level pyramid's supernode groups). The
-// result is sorted by (src group, dst group, class).
-func (m *CommMatrix) Groups(groupOf func(thread int) int) []NodeCell {
-	agg := map[commKey]*commVal{}
-	//upcvet:ordered -- Pack/UnpackEndpoints are pure bit packing; agg accumulates commutatively
-	for k, c := range m.cells {
-		st, dt, _, _ := trace.UnpackEndpoints(k.ep)
-		gk := commKey{ep: trace.PackEndpoints(0, 0, groupOf(st), groupOf(dt)), class: k.class}
-		a := agg[gk]
-		if a == nil {
-			a = &commVal{}
-			agg[gk] = a
-		}
-		a.msgs += c.msgs
-		a.bytes += c.bytes
-	}
-	out := make([]NodeCell, 0, len(agg))
-	//upcvet:ordered -- UnpackEndpoints is pure bit decoding; out is sorted below
-	for k, c := range agg {
-		_, _, sg, dg := trace.UnpackEndpoints(k.ep)
-		out = append(out, NodeCell{Src: sg, Dst: dg, Class: k.class, Messages: c.msgs, Bytes: c.bytes})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		return a.Class < b.Class
-	})
-	return out
-}
-
 // ClassTotal is the per-path-class rollup of the matrix.
 type ClassTotal struct {
 	Class    string `json:"class"`

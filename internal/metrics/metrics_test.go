@@ -18,18 +18,18 @@ func TestRegistry(t *testing.T) {
 	if got := r.Counter("a"); got != 5 {
 		t.Errorf("Counter(a) = %d, want 5", got)
 	}
-	r.Set("g", 7)
-	r.SetMax("g", 3)
+	*r.gauge("g", 7) = 7
+	setMax(r.gauge("g", 3), 3)
 	if got := r.Gauge("g"); got != 7 {
 		t.Errorf("Gauge(g) = %d, want 7 (SetMax must not lower)", got)
 	}
-	r.SetMax("g", 11)
+	setMax(r.gauge("g", 11), 11)
 	if got := r.Gauge("g"); got != 11 {
 		t.Errorf("Gauge(g) = %d, want 11", got)
 	}
-	r.Observe("h", 0)
-	r.Observe("h", 1)
-	r.Observe("h", 1500)
+	for _, v := range []int64{0, 1, 1500} {
+		r.hist("h", v).observe(v)
+	}
 	h := r.Hist("h")
 	if h.Count != 3 || h.Sum != 1501 || h.Min != 0 || h.Max != 1500 {
 		t.Errorf("hist = %+v", h)
@@ -90,17 +90,6 @@ func TestCommMatrix(t *testing.T) {
 		t.Errorf("Nodes() = %+v, want %+v", nodes, wantNodes)
 	}
 
-	// Group aggregation: even/odd threads.
-	groups := m.Groups(func(th int) int { return th % 2 })
-	wantGroups := []NodeCell{
-		{Src: 0, Dst: 0, Class: "network", Messages: 1, Bytes: 400},
-		{Src: 0, Dst: 1, Class: "pshm", Messages: 2, Bytes: 150},
-		{Src: 1, Dst: 1, Class: "self", Messages: 1, Bytes: 8},
-	}
-	if !reflect.DeepEqual(groups, wantGroups) {
-		t.Errorf("Groups(parity) = %+v, want %+v", groups, wantGroups)
-	}
-
 	classes := m.Classes()
 	if len(classes) != 3 || classes[0].Class != "network" || classes[1].Class != "pshm" || classes[2].Class != "self" {
 		t.Errorf("Classes() = %+v", classes)
@@ -126,16 +115,19 @@ func TestThreadsMergeAcrossNodeCoords(t *testing.T) {
 	}
 }
 
+// record feeds one CatLink event to u the way Collection.Emit does.
+func record(u *UtilTimelines, e trace.Event) { u.update(u.link(e), e) }
+
 func linkEvent(tm int64, name string, active, cap int64) trace.Event {
 	return trace.Event{Time: tm, Kind: trace.KInstant, Cat: trace.CatLink, Name: name, Arg: active, Arg2: cap}
 }
 
 func TestUtilTimelines(t *testing.T) {
 	u := NewUtilTimelines()
-	u.Record(linkEvent(100, "nic-tx0", 1, 1e9))
-	u.Record(linkEvent(300, "nic-tx0", 2, 1e9))
-	u.Record(linkEvent(500, "nic-tx0", 0, 1e9))
-	u.Record(linkEvent(900, "nic-tx0", 1, 1e9))
+	record(u, linkEvent(100, "nic-tx0", 1, 1e9))
+	record(u, linkEvent(300, "nic-tx0", 2, 1e9))
+	record(u, linkEvent(500, "nic-tx0", 0, 1e9))
+	record(u, linkEvent(900, "nic-tx0", 1, 1e9))
 	u.EndRun(1000)
 
 	if got := u.Busy("nic-tx0"); got != 500 {
@@ -162,8 +154,8 @@ func TestUtilRebin(t *testing.T) {
 	u := NewUtilTimelines()
 	// Busy from 0 to 1ms: needs several rebins past the initial
 	// 128µs span; total busy time must be preserved.
-	u.Record(linkEvent(0, "core0", 1, 0))
-	u.Record(linkEvent(1_000_000, "core0", 0, 0))
+	record(u, linkEvent(0, "core0", 1, 0))
+	record(u, linkEvent(1_000_000, "core0", 0, 0))
 	u.EndRun(1_000_000)
 	e := u.Export()
 	var total int64

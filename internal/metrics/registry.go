@@ -78,13 +78,6 @@ func (r *Registry) Add(name string, delta int64) { *r.counter(name) += delta }
 // Counter reports the named counter's total (0 if never added).
 func (r *Registry) Counter(name string) int64 { return deref(r.counters[name]) }
 
-// Set overwrites the named gauge.
-func (r *Registry) Set(name string, v int64) { *r.gauge(name, v) = v }
-
-// SetMax raises the named gauge to v if v exceeds its current value
-// (a peak-tracking gauge; absent gauges start at v).
-func (r *Registry) SetMax(name string, v int64) { setMax(r.gauge(name, v), v) }
-
 func setMax(g *int64, v int64) {
 	if v > *g {
 		*g = v
@@ -100,9 +93,6 @@ func deref(p *int64) int64 {
 	}
 	return *p
 }
-
-// Observe records one sample into the named histogram.
-func (r *Registry) Observe(name string, v int64) { r.hist(name, v).observe(v) }
 
 // Hist reports the named histogram, or nil if it has no samples.
 func (r *Registry) Hist(name string) *Histogram { return r.hists[name] }
@@ -130,14 +120,6 @@ func (h *Histogram) observe(v int64) {
 		h.Max = v
 	}
 	h.b[bits.Len64(uint64(v))]++
-}
-
-// Mean reports the mean sample value (0 with no samples).
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
 }
 
 // Bucket reports the count of samples with bit length i.

@@ -50,10 +50,6 @@ func NewUtilTimelines() *UtilTimelines {
 	return &UtilTimelines{links: map[string]*linkUtil{}, width: utilInitialWidth}
 }
 
-// Record aggregates one CatLink event (Name link, Arg active count
-// after the change, Arg2 capacity).
-func (u *UtilTimelines) Record(e trace.Event) { u.update(u.link(e), e) }
-
 // link returns the timeline of e's link, creating it on the link's
 // first event.
 func (u *UtilTimelines) link(e trace.Event) *linkUtil {

@@ -19,9 +19,6 @@ import (
 // faultsOn reports whether this run has a fault schedule installed.
 func (w *World) faultsOn() bool { return w.inj != nil }
 
-// FaultsOn reports whether a fault schedule is installed on this run.
-func (w *World) FaultsOn() bool { return w.faultsOn() }
-
 // nodeDown consults the fault model for node liveness.
 func (w *World) nodeDown(node int) bool { return w.Cluster.NodeDown(node) }
 
@@ -34,12 +31,6 @@ func (w *World) anyNodeDown() bool {
 		}
 	}
 	return false
-}
-
-// Failed reports whether this rank's own node is crashed under the run's
-// fault schedule.
-func (c *Comm) Failed() bool {
-	return c.w.faultsOn() && c.w.nodeDown(c.Place.Node)
 }
 
 // FaultEvent emits one recovery-visibility instant (comm-matrix class
@@ -277,21 +268,6 @@ func (c *Comm) BarrierErr() error {
 	}
 	ev := c.notifyBarrier()
 	return c.waitLadder(ev, "barrier", w.barCost)
-}
-
-// AllreduceSumErr is AllreduceSum with failure detection.
-func (c *Comm) AllreduceSumErr(v float64) (float64, error) {
-	r, err := c.collectiveErr(v, func(vals []any) any {
-		s := 0.0
-		for _, x := range vals {
-			s += x.(float64)
-		}
-		return s
-	})
-	if err != nil {
-		return 0, err
-	}
-	return r.(float64), nil
 }
 
 // waitLadder drives a collective release event through the deadline

@@ -85,7 +85,7 @@ func TestCrashSurfacesTypedErrors(t *testing.T) {
 	}}
 	_, err := Run(chaosCfg(sched), func(c *Comm) {
 		c.P.Advance(2 * sim.Millisecond)
-		if c.Failed() {
+		if c.w.nodeDown(c.Place.Node) {
 			return // ranks on the dead node stop participating
 		}
 		serr := c.SendErr(2, []byte{1})
@@ -102,7 +102,7 @@ func TestCrashSurfacesTypedErrors(t *testing.T) {
 		if berr := c.BarrierErr(); !errors.Is(berr, fault.ErrNodeDown) {
 			t.Errorf("rank %d barrier with dead ranks: %v, want ErrNodeDown", c.Rank, berr)
 		}
-		if _, aerr := c.AllreduceSumErr(1); !errors.Is(aerr, fault.ErrNodeDown) {
+		if _, aerr := c.collectiveErr(1.0, func([]any) any { return nil }); !errors.Is(aerr, fault.ErrNodeDown) {
 			t.Errorf("rank %d allreduce with dead ranks: %v, want ErrNodeDown", c.Rank, aerr)
 		}
 	})

@@ -189,9 +189,6 @@ func NewWorld(cfg Config) (*World, error) {
 	return w, nil
 }
 
-// Comm reports rank i's communicator (for co-scheduled setups).
-func (w *World) Comm(i int) *Comm { return w.comms[i] }
-
 // World reports the communicator's owning world.
 func (c *Comm) World() *World { return c.w }
 
@@ -372,20 +369,6 @@ func (c *Comm) AllreduceSum(v float64) float64 {
 	return r.(float64)
 }
 
-// AllreduceMax takes the max of one float64 per rank on every rank.
-func (c *Comm) AllreduceMax(v float64) float64 {
-	r := c.collective(v, func(vals []any) any {
-		m := vals[0].(float64)
-		for _, x := range vals[1:] {
-			if f := x.(float64); f > m {
-				m = f
-			}
-		}
-		return m
-	})
-	return r.(float64)
-}
-
 func (c *Comm) collective(val any, combine func([]any) any) any {
 	r, err := c.collectiveErr(val, combine)
 	if err != nil {
@@ -424,57 +407,4 @@ func (c *Comm) collectiveErr(val any, combine func([]any) any) (any, error) {
 		return nil, err
 	}
 	return slot.result, nil
-}
-
-// Request is a handle to a non-blocking point-to-point operation.
-type Request struct {
-	op   *fabric.NetOp
-	recv func() []byte // set for Irecv: resolves the payload at Wait
-	data []byte
-}
-
-// Isend starts a non-blocking send (MPI_Isend). Wait returns when the
-// send buffer is reusable.
-func (c *Comm) Isend(dst int, data []byte) *Request {
-	return &Request{op: c.isend(dst, data)}
-}
-
-// Irecv posts a non-blocking receive from src (MPI_Irecv). Wait blocks
-// until a matching message has arrived and returns its payload.
-func (c *Comm) Irecv(src int) *Request {
-	return &Request{recv: func() []byte { return c.Recv(src) }}
-}
-
-// Wait completes the request (MPI_Wait) and, for receives, returns the
-// payload.
-func (c *Comm) Wait(r *Request) []byte {
-	if r.recv != nil {
-		r.data = r.recv()
-		r.recv = nil
-	}
-	if r.data != nil {
-		return r.data
-	}
-	if r.op != nil {
-		r.op.WaitLocal(c.P)
-	}
-	return nil
-}
-
-// Waitall completes a batch of requests.
-func (c *Comm) Waitall(rs []*Request) {
-	for _, r := range rs {
-		c.Wait(r)
-	}
-}
-
-// Probe reports whether a message from src is matchable without blocking
-// (MPI_Iprobe).
-func (c *Comm) Probe(src int) bool {
-	for _, m := range c.w.inbox[c.Rank] {
-		if m.src == src {
-			return true
-		}
-	}
-	return false
 }

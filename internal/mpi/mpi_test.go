@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -127,9 +128,6 @@ func TestBarrierAndReductions(t *testing.T) {
 		c.Barrier()
 		if got := c.AllreduceSum(float64(c.Rank)); got != 15 {
 			t.Errorf("AllreduceSum = %g, want 15", got)
-		}
-		if got := c.AllreduceMax(float64(c.Rank * 2)); got != 10 {
-			t.Errorf("AllreduceMax = %g, want 10", got)
 		}
 	})
 	if err != nil {
@@ -258,57 +256,28 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestIsendIrecvWaitall drives the non-blocking send path (isend, as
+// Sendrecv and the hierarchical alltoall use it): every rank starts a
+// send to every peer, receives from each in turn, and only then waits
+// for its own sends to leave the buffer.
 func TestIsendIrecvWaitall(t *testing.T) {
 	_, err := Run(cfg(4, 2), func(c *Comm) {
-		var reqs []*Request
+		var ops []*fabric.NetOp
 		for d := 0; d < c.Size; d++ {
 			if d != c.Rank {
-				reqs = append(reqs, c.Isend(d, []byte{byte(c.Rank)}))
+				ops = append(ops, c.isend(d, []byte{byte(c.Rank)}))
 			}
 		}
-		var recvs []*Request
-		for s := 0; s < c.Size; s++ {
-			if s != c.Rank {
-				recvs = append(recvs, c.Irecv(s))
+		for src := 0; src < c.Size; src++ {
+			if src == c.Rank {
+				continue
+			}
+			if got := c.Recv(src); len(got) != 1 || got[0] != byte(src) {
+				t.Errorf("rank %d: receive from %d got %v", c.Rank, src, got)
 			}
 		}
-		c.Waitall(reqs)
-		for i, r := range recvs {
-			src := i
-			if src >= c.Rank {
-				src++
-			}
-			if got := c.Wait(r); len(got) != 1 || got[0] != byte(src) {
-				t.Errorf("rank %d: Irecv from %d got %v", c.Rank, src, got)
-			}
-			// Waiting twice returns the same payload.
-			if again := c.Wait(r); again[0] != byte(src) {
-				t.Error("second Wait must return the cached payload")
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestProbe(t *testing.T) {
-	_, err := Run(cfg(2, 2), func(c *Comm) {
-		if c.Rank == 0 {
-			c.P.Advance(sim.Millisecond)
-			c.Send(1, []byte("x"))
-		} else {
-			if c.Probe(0) {
-				t.Error("Probe before send must be false")
-			}
-			c.P.Advance(2 * sim.Millisecond)
-			if !c.Probe(0) {
-				t.Error("Probe after send must be true")
-			}
-			c.Recv(0)
-			if c.Probe(0) {
-				t.Error("Probe after drain must be false")
-			}
+		for _, op := range ops {
+			op.WaitLocal(c.P)
 		}
 	})
 	if err != nil {

@@ -55,18 +55,6 @@ func Median(xs []float64) float64 {
 	return (s[mid-1] + s[mid]) / 2
 }
 
-// Mean reports the arithmetic mean.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Quantile reports the q-quantile (0 <= q <= 1) of a sample set by
 // linear interpolation between order statistics (the convention most
 // numeric packages default to); Quantile(xs, 0.5) equals Median(xs).

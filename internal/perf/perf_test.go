@@ -30,12 +30,6 @@ func TestMedianAndMean(t *testing.T) {
 	if m := Median(nil); m != 0 {
 		t.Errorf("empty median = %g", m)
 	}
-	if m := Mean([]float64{1, 2, 3, 6}); m != 3 {
-		t.Errorf("mean = %g", m)
-	}
-	if m := Mean(nil); m != 0 {
-		t.Errorf("empty mean = %g", m)
-	}
 }
 
 func TestQuantile(t *testing.T) {

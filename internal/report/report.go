@@ -94,24 +94,6 @@ func trimFloat(v float64) string {
 	return fmt.Sprintf("%.4g", v)
 }
 
-// Bytes formats a byte count with a binary unit suffix. Fractions show
-// at most four significant digits, so terabyte-scale sweep totals stay
-// readable rather than falling into %g's scientific notation.
-func Bytes(n int64) string {
-	switch {
-	case n >= 1<<40:
-		return fmt.Sprintf("%sTB", trimFloat(float64(n)/(1<<40)))
-	case n >= 1<<30:
-		return fmt.Sprintf("%sGB", trimFloat(float64(n)/(1<<30)))
-	case n >= 1<<20:
-		return fmt.Sprintf("%sMB", trimFloat(float64(n)/(1<<20)))
-	case n >= 1<<10:
-		return fmt.Sprintf("%sKB", trimFloat(float64(n)/(1<<10)))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
-}
-
 // GBps formats a bytes/second rate in decimal GB/s.
 func GBps(bytesPerSec float64) string {
 	return fmt.Sprintf("%.1f", bytesPerSec/1e9)

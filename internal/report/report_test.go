@@ -50,24 +50,6 @@ func TestFigure(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	if got := Bytes(512); got != "512B" {
-		t.Errorf("Bytes(512) = %q", got)
-	}
-	if got := Bytes(2048); got != "2KB" {
-		t.Errorf("Bytes(2048) = %q", got)
-	}
-	if got := Bytes(3 << 20); got != "3MB" {
-		t.Errorf("Bytes(3MB) = %q", got)
-	}
-	if got := Bytes(5 << 30); got != "5GB" {
-		t.Errorf("Bytes(5GB) = %q", got)
-	}
-	if got := Bytes(1<<40 + 1<<39); got != "1.5TB" {
-		t.Errorf("Bytes(1.5TB) = %q", got)
-	}
-	if got := Bytes(1310650023936); got != "1.192TB" {
-		t.Errorf("Bytes(~1.19TB) = %q", got)
-	}
 	if got := GBps(23.2e9); got != "23.2" {
 		t.Errorf("GBps = %q", got)
 	}

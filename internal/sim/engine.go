@@ -23,7 +23,6 @@ type Engine struct {
 	procs   []*Proc
 	nLive   int
 	nDaemon int
-	cur     *Proc
 	inRun   bool
 	nextID  int
 
@@ -60,10 +59,6 @@ func (e *Engine) Now() Time { return e.now }
 // Rand exposes the engine's deterministic random source. Only simulated
 // processes and event callbacks may use it.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// Cur reports the currently executing process, or nil when the engine
-// itself (an event callback) is running.
-func (e *Engine) Cur() *Proc { return e.cur }
 
 // Go registers a root process that starts at time zero (when called before
 // Run) or at the current time (when called from inside a running
@@ -216,7 +211,6 @@ func (e *Engine) handoff(parker *Proc) {
 			e.parked <- struct{}{}
 		}
 	}()
-	e.cur = nil
 	for e.events.Len() > 0 {
 		ev := e.events.pop()
 		if ev.at < e.now {
@@ -240,7 +234,6 @@ func (e *Engine) handoff(parker *Proc) {
 		if p.finished {
 			continue
 		}
-		e.cur = p
 		if !p.started {
 			p.started = true
 			go p.top()
@@ -279,9 +272,6 @@ type Proc struct {
 	blocked  string // park reason; empty while runnable
 }
 
-// ID reports the process's creation index, unique within its engine.
-func (p *Proc) ID() int { return p.id }
-
 // SetDaemon marks the process as a daemon: a simulation may finish while
 // daemons are still parked (persistent pool workers waiting for tasks).
 // Call it from the process itself or before it first runs.
@@ -296,12 +286,6 @@ func (p *Proc) SetDaemon(on bool) {
 		p.eng.nDaemon--
 	}
 }
-
-// Name reports the label given at creation.
-func (p *Proc) Name() string { return p.name }
-
-// Engine reports the owning engine.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
@@ -375,7 +359,7 @@ func (p *Proc) Go(name string, fn func(*Proc)) *Proc {
 }
 
 // WaitQueue is a FIFO list of parked processes; the building block for
-// mutexes, barriers, events and resource queues. It is a ring over a
+// locks, barriers, events and resource queues. It is a ring over a
 // power-of-two backing array, so WakeOne dequeues in O(1) instead of
 // shifting every remaining waiter, and woken slots are always cleared so
 // the array retains no *Proc references.

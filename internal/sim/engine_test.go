@@ -39,7 +39,7 @@ func TestSimultaneousEventsAreFIFO(t *testing.T) {
 		name := fmt.Sprintf("p%d", i)
 		e.Go(name, func(p *Proc) {
 			p.Advance(100) // all wake at the same instant
-			order = append(order, p.Name())
+			order = append(order, name)
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -153,16 +153,14 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func() []string {
 		e := New(7)
 		var trace []string
-		var mu Mutex
+		var srv Server
 		for i := 0; i < 5; i++ {
 			name := fmt.Sprintf("w%d", i)
 			e.Go(name, func(p *Proc) {
 				for j := 0; j < 3; j++ {
 					p.Advance(Duration(e.Rand().Intn(100)))
-					mu.Lock(p)
-					trace = append(trace, fmt.Sprintf("%s@%d", p.Name(), p.Now()))
-					p.Advance(5)
-					mu.Unlock(p)
+					trace = append(trace, fmt.Sprintf("%s@%d", name, p.Now()))
+					srv.Delay(p, 5)
 				}
 			})
 		}

@@ -43,6 +43,3 @@ func (s *Server) Schedule(now Time, d Duration) Time {
 	s.busyUntil = start + d
 	return s.busyUntil
 }
-
-// BusyUntil reports the completion time of the last accepted request.
-func (s *Server) BusyUntil() Time { return s.busyUntil }

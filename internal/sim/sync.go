@@ -1,49 +1,5 @@
 package sim
 
-// Mutex is a virtual-time mutual-exclusion lock with FIFO handoff.
-type Mutex struct {
-	holder *Proc
-	q      WaitQueue
-}
-
-// Lock acquires the mutex, suspending p until it is available. A
-// contended acquisition is traced as a "sim/mutex" span covering the
-// wait.
-func (m *Mutex) Lock(p *Proc) {
-	if m.holder == nil {
-		m.holder = p
-		return
-	}
-	end := p.TraceSpan("sim", "mutex")
-	for m.holder != nil {
-		m.q.Wait(p, "mutex")
-	}
-	m.holder = p
-	end()
-}
-
-// TryLock acquires the mutex if free, reporting success. It never blocks.
-func (m *Mutex) TryLock(p *Proc) bool {
-	if m.holder != nil {
-		return false
-	}
-	m.holder = p
-	return true
-}
-
-// Unlock releases the mutex and wakes the longest waiter, if any. It
-// panics if p does not hold the lock.
-func (m *Mutex) Unlock(p *Proc) {
-	if m.holder != p {
-		panic("sim: Mutex.Unlock by non-holder " + p.Name())
-	}
-	m.holder = nil
-	m.q.WakeOne()
-}
-
-// Holder reports the current owner, or nil.
-func (m *Mutex) Holder() *Proc { return m.holder }
-
 // Barrier synchronizes a fixed population of n processes. It is reusable
 // across generations.
 type Barrier struct {
@@ -65,9 +21,6 @@ func (b *Barrier) Wait(p *Proc) {
 	}
 	b.q.Wait(p, "barrier")
 }
-
-// N reports the participant count.
-func (b *Barrier) N() int { return b.n }
 
 // Event is a one-shot completion flag that any number of processes can
 // wait on; the counterpart of a non-blocking operation handle.

@@ -5,75 +5,6 @@ import (
 	"testing"
 )
 
-func TestMutexExclusionAndFIFO(t *testing.T) {
-	e := New(1)
-	var mu Mutex
-	var order []string
-	inside := 0
-	for i := 0; i < 4; i++ {
-		e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			mu.Lock(p)
-			inside++
-			if inside != 1 {
-				t.Errorf("mutual exclusion violated: %d inside", inside)
-			}
-			order = append(order, p.Name())
-			p.Advance(10)
-			inside--
-			mu.Unlock(p)
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := "[w0 w1 w2 w3]"
-	if fmt.Sprint(order) != want {
-		t.Errorf("lock handoff order = %v, want %s", order, want)
-	}
-}
-
-func TestMutexTryLock(t *testing.T) {
-	e := New(1)
-	var mu Mutex
-	e.Go("a", func(p *Proc) {
-		if !mu.TryLock(p) {
-			t.Error("TryLock on free mutex must succeed")
-		}
-		p.Advance(50)
-		mu.Unlock(p)
-	})
-	e.Go("b", func(p *Proc) {
-		p.Advance(10)
-		if mu.TryLock(p) {
-			t.Error("TryLock on held mutex must fail")
-		}
-		p.Advance(100)
-		if !mu.TryLock(p) {
-			t.Error("TryLock after release must succeed")
-		}
-		mu.Unlock(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMutexUnlockByNonHolderPanics(t *testing.T) {
-	e := New(1)
-	var mu Mutex
-	e.Go("a", func(p *Proc) { mu.Lock(p) })
-	e.Go("b", func(p *Proc) {
-		p.Advance(1)
-		mu.Unlock(p) // not the holder
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unlock by non-holder")
-		}
-	}()
-	e.Run()
-}
-
 func TestBarrierReleasesTogether(t *testing.T) {
 	e := New(1)
 	b := NewBarrier(3)

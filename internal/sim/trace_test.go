@@ -9,20 +9,18 @@ import (
 // traceScenario runs a tiny two-proc simulation exercising spans,
 // instants, counters, parks and resource waits on engine e.
 func traceScenario(e *Engine) {
-	var mu Mutex
+	var ready Event
 	var srv Server
 	e.Go("worker0", func(p *Proc) {
 		end := p.TraceSpan("test", "phase")
-		mu.Lock(p)
 		p.Advance(10 * Microsecond)
-		mu.Unlock(p)
+		ready.Fire()
 		end()
 		p.TraceCounter("test", "items", 3)
 	})
 	e.Go("worker1", func(p *Proc) {
-		mu.Lock(p) // contends with worker0
+		ready.Wait(p) // parks until worker0 fires
 		srv.Delay(p, 5*Microsecond)
-		mu.Unlock(p)
 		p.TraceInstant("test", "done", "ok", 1, 2)
 	})
 	if err := e.Run(); err != nil {
@@ -73,10 +71,6 @@ func TestEngineLifecycleEvents(t *testing.T) {
 	}
 	if got := len(spans["test/phase"]); got != 1 {
 		t.Errorf("test/phase span count = %d, want 1", got)
-	}
-	// worker1's contended Lock produces a sim/mutex span covering the wait.
-	if s := spans["sim/mutex"]; len(s) != 1 || s[0] <= 0 {
-		t.Errorf("sim/mutex spans = %v, want one with positive duration", s)
 	}
 	if items != 3 {
 		t.Errorf("items counter = %d, want 3", items)

@@ -45,9 +45,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Kinds lists all sub-thread runtimes.
-func Kinds() []Kind { return []Kind{OMP, Cilk, Pool} }
-
 // Per-runtime cost parameters, calibrated to the relative standings of
 // Figure 4.6 (OpenMP best, pool close behind, Cilk++ trailing).
 func (k Kind) forkOverhead() sim.Duration {
@@ -85,15 +82,15 @@ func (k Kind) computeFactor() float64 {
 // sub-threads (Section 4.2.3).
 type Safety int
 
+// The values match MPI's THREAD_* ordering, whose THREAD_SERIALIZED (2)
+// this model does not tell apart from Multiple.
 const (
 	// Single: no sub-thread may issue UPC operations.
-	Single Safety = iota
+	Single Safety = 0
 	// Funneled: only the master executes UPC operations.
-	Funneled
-	// Serialized: sub-threads may issue UPC operations one at a time.
-	Serialized
+	Funneled Safety = 1
 	// Multiple: unrestricted concurrent UPC operations.
-	Multiple
+	Multiple Safety = 3
 )
 
 // String names the safety level.
@@ -103,8 +100,6 @@ func (s Safety) String() string {
 		return "single"
 	case Funneled:
 		return "funneled"
-	case Serialized:
-		return "serialized"
 	case Multiple:
 		return "multiple"
 	}
@@ -134,7 +129,6 @@ type Team struct {
 	inFlight int
 	idle     sim.WaitQueue // parked workers
 	syncers  sim.WaitQueue // masters blocked in Sync
-	netMu    sim.Mutex     // serializes UPC calls under Serialized
 	inPar    bool          // a parallel region is open (ParallelFor)
 }
 
@@ -170,9 +164,6 @@ func NewTeam(t *upc.Thread, cfg Config) (*Team, error) {
 // Size reports the team size (master included).
 func (tm *Team) Size() int { return tm.Cfg.N }
 
-// Places reports the hardware slots of the team's workers.
-func (tm *Team) Places() []topo.Place { return tm.places }
-
 // Sub is a sub-thread execution context during a task.
 type Sub struct {
 	Team  *Team
@@ -205,8 +196,7 @@ func (s *Sub) MemStreamHomed(bytes int64, homeSocket int) {
 }
 
 // UPC returns the UPC thread view this sub-thread uses for one-sided
-// operations, after enforcing the team's thread-safety level. Under
-// Serialized the caller must bracket operations with LockNet/UnlockNet.
+// operations, after enforcing the team's thread-safety level.
 func (s *Sub) UPC() *upc.Thread {
 	switch s.Team.Cfg.Safety {
 	case Single:
@@ -217,21 +207,6 @@ func (s *Sub) UPC() *upc.Thread {
 		}
 	}
 	return s.Team.T.OnProc(s.P, s.Place)
-}
-
-// LockNet serializes a UPC operation sequence under the Serialized safety
-// level (no-op under Multiple).
-func (s *Sub) LockNet() {
-	if s.Team.Cfg.Safety == Serialized {
-		s.Team.netMu.Lock(s.P)
-	}
-}
-
-// UnlockNet releases the serialization taken by LockNet.
-func (s *Sub) UnlockNet() {
-	if s.Team.Cfg.Safety == Serialized {
-		s.Team.netMu.Unlock(s.P)
-	}
 }
 
 // ---- Scheduling ----

@@ -124,10 +124,6 @@ func (m *Machine) ScatterPlaces(node, n int) ([]Place, error) {
 	return out, nil
 }
 
-// NodeOf reports the cluster node of context rank under a blocked layout
-// of perNode contexts per node.
-func NodeOf(rank, perNode int) int { return rank / perNode }
-
 // SameNodeRanks lists every rank in [0,total) that shares a node with
 // rank, under a blocked layout with perNode contexts per node. This is the
 // information the paper's runtime thread-layout query exposes ("which

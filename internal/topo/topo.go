@@ -51,9 +51,6 @@ func (m *Machine) HWThreadsPerNode() int { return m.CoresPerNode() * m.ThreadsPe
 // TotalCores reports physical cores in the whole machine.
 func (m *Machine) TotalCores() int { return m.Nodes * m.CoresPerNode() }
 
-// TotalHWThreads reports hardware thread slots in the whole machine.
-func (m *Machine) TotalHWThreads() int { return m.Nodes * m.HWThreadsPerNode() }
-
 // Validate reports a descriptive error if the machine is malformed.
 func (m *Machine) Validate() error {
 	switch {
@@ -151,6 +148,3 @@ func Distance(a, b Place) Level {
 
 // SameNode reports whether both places share a node (hence shared memory).
 func SameNode(a, b Place) bool { return a.Node == b.Node }
-
-// SameSocket reports whether both places share a ccNUMA domain.
-func SameSocket(a, b Place) bool { return a.Node == b.Node && a.Socket == b.Socket }

@@ -22,9 +22,6 @@ func NewChromeWriter() *ChromeWriter { return &ChromeWriter{} }
 // Emit buffers one event.
 func (w *ChromeWriter) Emit(e Event) { w.events = append(w.events, e) }
 
-// Events reports how many events are buffered.
-func (w *ChromeWriter) Events() int { return len(w.events) }
-
 // engineTid is the tid used for engine-context events (Proc < 0); it is
 // far above any real proc id so the track sorts last.
 const engineTid = 999999

@@ -44,16 +44,11 @@ const (
 	// volume, Arg2 packs (senderRank, receiverRank, senderNode,
 	// receiverNode).
 	EdgeMsgMatch = "msg-match"
-	// EdgeCkpt records a barrier-aligned checkpoint replica landing at
-	// its buddy. Proc is the checkpointing process, Arg the snapshot byte
-	// volume, Arg2 packs (ownerThread, buddyThread, ownerNode,
-	// buddyNode), Aux the barrier generation as decimal text.
-	EdgeCkpt = "ckpt"
-	// EdgeRejoin records a reincarnated thread re-entering membership:
-	// dead[] cleared, checkpoint restored, barrier/collective and steal
-	// sets re-admitted. Proc is the rejoining process, Arg the restored
-	// byte volume, Arg2 packs (buddyThread, rejoinerThread, buddyNode,
-	// rejoinerNode) — the happens-before edge runs from the replica
-	// holder to the rejoiner.
+	// EdgeRejoin records a reincarnated thread re-entering membership
+	// with zero state: dead[] cleared, barrier/collective and steal sets
+	// re-admitted. Proc is the rejoining process, Arg the restored byte
+	// volume (always 0), Arg2 packs (sourceThread, rejoinerThread,
+	// sourceNode, rejoinerNode), where the source is the rejoiner itself
+	// because no peer holds state for it.
 	EdgeRejoin = "rejoin"
 )

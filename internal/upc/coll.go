@@ -136,44 +136,3 @@ func AllReduce[T any](t *Thread, val T, elemBytes int, combine func(a, b T) T) T
 func AllReduceSum(t *Thread, v float64) float64 {
 	return AllReduce(t, v, 8, func(a, b float64) float64 { return a + b })
 }
-
-// AllReduceMax takes the maximum of one float64 per thread.
-func AllReduceMax(t *Thread, v float64) float64 {
-	return AllReduce(t, v, 8, func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
-// AllReduceSumInt sums one int64 per thread.
-func AllReduceSumInt(t *Thread, v int64) int64 {
-	return AllReduce(t, v, 8, func(a, b int64) int64 { return a + b })
-}
-
-// Broadcast distributes root's value to every thread (upc_all_broadcast).
-// Under fault injection the root must contribute before crashing; fault
-// schedules must keep the broadcast root's node alive.
-func Broadcast[T any](t *Thread, root int, val T, elemBytes int) T {
-	r := runCollective(t, val, int64(elemBytes), func(vals []any) any {
-		return vals[root]
-	})
-	return r.(T)
-}
-
-// AllGather returns the slice of every thread's contribution, indexed by
-// thread id, on every thread (upc_all_gather_all). Entries of threads
-// that crashed before contributing are the zero value.
-func AllGather[T any](t *Thread, val T, elemBytes int) []T {
-	r := runCollective(t, val, int64(elemBytes)*int64(t.N), func(vals []any) any {
-		out := make([]T, len(vals))
-		for i, v := range vals {
-			if v != nil {
-				out[i] = v.(T)
-			}
-		}
-		return out
-	})
-	return r.([]T)
-}

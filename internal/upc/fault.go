@@ -67,6 +67,53 @@ func (t *Thread) Retire() {
 	}
 }
 
+// ReviveScheduled reports whether the fault schedule revives this
+// thread's node after the current virtual time — i.e. whether parking
+// in AwaitRevive is guaranteed a wake-up. A thread whose node died for
+// good sees false and should Retire permanently.
+func (t *Thread) ReviveScheduled() bool {
+	rt := t.rt
+	return rt.faultsOn() && rt.inj.WillRevive(t.Place.Node)
+}
+
+// AwaitRevive parks the thread until its node's scheduled revival.
+// Check ReviveScheduled first: without a booked revival the park would
+// never wake. Returns immediately when the node is up.
+func (t *Thread) AwaitRevive() {
+	rt := t.rt
+	if !rt.faultsOn() {
+		return
+	}
+	node := t.Place.Node
+	for rt.Cluster.NodeDown(node) {
+		rt.reviveQ[node].Wait(t.P, "upc-revive")
+	}
+}
+
+// Rejoin re-admits a retired thread after its node's revival with zero
+// state: the dead mark clears (barrier membership includes it again
+// from the next generation) and the rejoin edge is emitted for the
+// causality analyzer. The thread must rebuild its own data and re-enter
+// the application's membership structures (steal rings, probe sets)
+// itself. Collective slots opened while the thread was dead are not
+// replayed — rejoined threads must not lag into old collective
+// sequences. Returns the restored byte volume, which is 0: nothing is
+// restored. No-op unless the thread actually retired.
+func (t *Thread) Rejoin() int64 {
+	rt := t.rt
+	if !rt.faultsOn() || !rt.dead[t.ID] {
+		return 0
+	}
+	rt.dead[t.ID] = false
+	rt.nDead--
+	t.FaultEvent("rejoin", t.ID, 0)
+	if rt.edges {
+		t.P.TraceInstant(trace.CatEdge, trace.EdgeRejoin, "", 0,
+			trace.PackEndpoints(t.ID, t.ID, rt.places[t.ID].Node, t.Place.Node))
+	}
+	return 0
+}
+
 // FaultEvent emits one recovery-visibility instant (comm-matrix class
 // fault) from this thread toward peer: timeouts, retries, failovers.
 // Free when untraced.
@@ -111,7 +158,7 @@ func (t *Thread) epochStale(peer int, si, pi int64) bool {
 // membership-epoch fence: if either endpoint node was reincarnated
 // since issue, or the destination is down at delivery, the payload is
 // dropped (with a comm-matrix "stale-drop" instant) instead of
-// corrupting the new life's restored state. Fault-free runs and
+// corrupting the new life's state. Fault-free runs and
 // payload-free transfers pass through untouched, keeping the hot path
 // allocation-free.
 func (t *Thread) fenceApply(peer int, bytes int64, apply func()) func() {
@@ -174,8 +221,8 @@ func (t *Thread) reliableWait(opName string, peer int, bytes int64,
 		// Epoch fence before the liveness checks: an endpoint that crashed
 		// AND revived within the timeout window is alive again, but the op
 		// belongs to its previous incarnation — retrying it into the new
-		// life would bypass the checkpoint restore. Typed as ErrStaleEpoch
-		// so callers reissue fresh operations instead.
+		// life would deliver stale data. Typed as ErrStaleEpoch so callers
+		// reissue fresh operations instead.
 		if t.epochStale(peer, si, pi) {
 			op.Release()
 			return nil, t.commError(opName, peer, attempts, fault.ErrStaleEpoch)
@@ -243,46 +290,12 @@ func (t *Thread) WaitSyncErr(h *Handle) error {
 	}
 	op, err := t.reliableWait(h.opName, h.peer, h.bytes, h.op, h.reissue, h.srcInc, h.dstInc)
 	h.reissue = nil
-	h.op = nil // the wait consumed the operation either way; Try reads done
+	h.op = nil // the wait consumed the operation either way
 	if err != nil {
 		return err
 	}
 	op.Release()
 	return nil
-}
-
-// BarrierErr is Barrier with failure detection: instead of hanging when
-// the barrier can never release, it gives up after the retry policy's
-// deadline ladder and returns a typed error. A barrier that is merely
-// slow (survivors still arriving within the deadlines) succeeds.
-func (t *Thread) BarrierErr() error {
-	rt := t.rt
-	if !rt.faultsOn() {
-		t.Barrier()
-		return nil
-	}
-	if t.Failed() {
-		return t.commError("barrier", t.ID, 0, fault.ErrNodeDown)
-	}
-	t.flushXlateCounters()
-	end := t.P.TraceSpan("upc", "barrier")
-	defer end()
-	gen := rt.bar.seq
-	ev := rt.bar.notify(rt, t.ID)
-	rp := rt.retry
-	attempts := 0
-	for try := 0; try <= rp.MaxRetries; try++ {
-		attempts++
-		if ev.WaitTimeout(t.P, rp.AttemptTimeout(try, rt.barCost)) {
-			t.maybeCkpt(gen)
-			return nil
-		}
-		t.FaultEvent("timeout", t.ID, 0)
-		if t.Failed() {
-			return t.commError("barrier", t.ID, attempts, fault.ErrNodeDown)
-		}
-	}
-	return t.commError("barrier", t.ID, attempts, fault.ErrTimeout)
 }
 
 // ---- Error-returning one-sided operations ----

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -67,10 +68,7 @@ func TestCrashRetireSurvivorsFinish(t *testing.T) {
 				th.Retire()
 				return
 			}
-			if err := th.BarrierErr(); err != nil {
-				t.Errorf("thread %d round %d barrier: %v", th.ID, r, err)
-				return
-			}
+			th.Barrier()
 			done[th.ID]++
 		}
 		if th.ID == 0 {
@@ -103,6 +101,8 @@ func TestCrashRetireSurvivorsFinish(t *testing.T) {
 	}
 }
 
+func addInt64(a, b int64) int64 { return a + b }
+
 // TestRetireReleasesCollective: threads retire between two collectives;
 // the survivors' second reduction completes and combines only their
 // contributions.
@@ -112,7 +112,7 @@ func TestRetireReleasesCollective(t *testing.T) {
 	}}
 	sums := make([]int64, 8)
 	_, err := Run(faultCfg(sched), func(th *Thread) {
-		if got := AllReduceSumInt(th, int64(th.ID)); got != 28 {
+		if got := AllReduce(th, int64(th.ID), 8, addInt64); got != 28 {
 			t.Errorf("thread %d pre-crash sum = %d, want 28", th.ID, got)
 		}
 		th.P.Advance(2 * sim.Millisecond)
@@ -120,7 +120,7 @@ func TestRetireReleasesCollective(t *testing.T) {
 			th.Retire()
 			return
 		}
-		sums[th.ID] = AllReduceSumInt(th, int64(th.ID))
+		sums[th.ID] = AllReduce(th, int64(th.ID), 8, addInt64)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,38 +129,6 @@ func TestRetireReleasesCollective(t *testing.T) {
 		if sums[id] != 0+1+2+3 {
 			t.Errorf("survivor %d post-crash sum = %d, want 6", id, sums[id])
 		}
-	}
-}
-
-// TestBarrierErrTimesOut: a peer that never arrives (and never retires)
-// must not hang BarrierErr — the deadline ladder runs dry and returns a
-// typed timeout.
-func TestBarrierErrTimesOut(t *testing.T) {
-	// The schedule only has to exist to arm failure detection; its one
-	// rule activates long after the test is over.
-	sched := &fault.Schedule{Actions: []fault.Action{
-		{Op: fault.OpDrop, At: 30, Prob: 0.5, Src: -1, Dst: -1},
-	}}
-	cfg := testCfg(2, 1, Processes, true)
-	cfg.Faults = sched
-	var barErr error
-	_, err := Run(cfg, func(th *Thread) {
-		//upcvet:collalign -- deliberate no-show exercising the barrier timeout ladder
-		if th.ID == 1 {
-			th.P.Advance(20 * sim.Second) // never shows up
-			return
-		}
-		barErr = th.BarrierErr()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(barErr, fault.ErrTimeout) {
-		t.Errorf("barrier against absent peer: err = %v, want ErrTimeout", barErr)
-	}
-	var ce *fault.CommError
-	if !errors.As(barErr, &ce) || ce.Op != "barrier" {
-		t.Errorf("barrier error = %#v, want CommError{Op: barrier}", barErr)
 	}
 }
 
@@ -234,9 +202,7 @@ func TestChaosRunDeterministic(t *testing.T) {
 				if err := PutTErr(th, s, peer, r, []int{th.ID*100 + r}); err != nil {
 					t.Errorf("thread %d round %d: %v", th.ID, r, err)
 				}
-				if err := th.BarrierErr(); err != nil {
-					t.Errorf("thread %d round %d barrier: %v", th.ID, r, err)
-				}
+				th.Barrier()
 			}
 		})
 		if err != nil {
@@ -282,5 +248,114 @@ func TestFaultFreePathUnchanged(t *testing.T) {
 			t.Errorf("thread %d: armed-but-idle schedule moved finish %v -> %v",
 				id, plain[id], armed[id])
 		}
+	}
+}
+
+// TestRejoinZeroState is the reincarnation path at the UPC level: node 1
+// crashes and revives mid-run, its threads retire, park until the
+// revival and rejoin with zero state, and the next plain barrier waits
+// for all 8 threads again.
+func TestRejoinZeroState(t *testing.T) {
+	sched := &fault.Schedule{Actions: []fault.Action{
+		{Op: fault.OpCrash, At: 0.001, Until: 0.002, Node: 1, Src: -1, Dst: -1},
+	}}
+	cfg := faultCfg(sched)
+	coll := metrics.NewCollection()
+	cfg.Tracer = coll
+	restored := make([]int64, 8)
+	released := make([]sim.Time, 8)
+	rejoined := make([]bool, 8)
+	_, err := Run(cfg, func(th *Thread) {
+		th.Barrier()
+		th.P.Advance(1500 * sim.Microsecond)
+		if th.Failed() {
+			th.Retire()
+			if !th.ReviveScheduled() {
+				t.Errorf("thread %d: scheduled revival not visible", th.ID)
+				return
+			}
+			th.AwaitRevive()
+			restored[th.ID] = th.Rejoin()
+			rejoined[th.ID] = true
+		}
+		// The rejoined threads arrive last: a barrier that releases after
+		// their arrival proves they are members again.
+		target := sim.Time(3 * sim.Millisecond)
+		if rejoined[th.ID] {
+			target = sim.Time(4 * sim.Millisecond)
+		}
+		th.P.Advance(target - th.Now())
+		th.Barrier()
+		released[th.ID] = th.Now()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 8; id++ {
+		if rejoined[id] != (id >= 4) {
+			t.Errorf("thread %d rejoined = %v, want %v", id, rejoined[id], id >= 4)
+		}
+		if restored[id] != 0 {
+			t.Errorf("thread %d Rejoin = %d, want 0", id, restored[id])
+		}
+		if released[id] <= sim.Time(4*sim.Millisecond) {
+			t.Errorf("thread %d left the barrier at %v, before the rejoined threads arrived at 4ms",
+				id, released[id])
+		}
+	}
+	if got := coll.Reg.Counter("comm.rejoin.msgs"); got != 4 {
+		t.Errorf("rejoin instants = %d, want 4 (one per revived thread)", got)
+	}
+}
+
+// TestStaleEpochFenceDropsStraddlingPut pins the membership-epoch fence:
+// a put issued before a crash whose payload would land after the node's
+// revival must NOT corrupt the new incarnation's restored state — the
+// delivery-time fence drops the payload and the waiter gets a typed
+// ErrStaleEpoch instead of a silent success.
+func TestStaleEpochFenceDropsStraddlingPut(t *testing.T) {
+	// A short bounce: down at 1ms, back at 1.05ms — shorter than the
+	// straddling transfer, so the payload arrives into the next life.
+	sched := &fault.Schedule{Actions: []fault.Action{
+		{Op: fault.OpCrash, At: 0.001, Until: 0.00105, Node: 1, Src: -1, Dst: -1},
+	}}
+	cfg := faultCfg(sched)
+	coll := metrics.NewCollection()
+	cfg.Tracer = coll
+	var staleErr error
+	var dstWord int
+	_, err := Run(cfg, func(th *Thread) {
+		const block = 1 << 16
+		s := Alloc[int](th, 8*block, 8, block)
+		th.Barrier()
+		if th.ID == 0 {
+			// Issue at 0.9ms; the ~256KB transfer keeps the payload in
+			// flight across the whole bounce window.
+			th.P.Advance(900 * sim.Microsecond)
+			payload := make([]int, 1<<15)
+			for i := range payload {
+				payload[i] = i + 1
+			}
+			staleErr = PutTErr(th, s, 4, 0, payload)
+			dstWord = s.Partition(4)[0]
+		} else {
+			th.P.Advance(2 * sim.Millisecond)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(staleErr, fault.ErrStaleEpoch) {
+		t.Fatalf("straddling put: err = %v, want ErrStaleEpoch", staleErr)
+	}
+	var ce *fault.CommError
+	if !errors.As(staleErr, &ce) || ce.Op != "put" || ce.Dst != 4 {
+		t.Errorf("straddling put error = %#v, want CommError{Op: put, Dst: 4}", staleErr)
+	}
+	if dstWord != 0 {
+		t.Errorf("destination partition = %d after fenced put, want 0 (payload must be dropped)", dstWord)
+	}
+	if coll.Reg.Counter("comm.stale-drop.msgs") == 0 {
+		t.Error("no stale-drop instant: the fence never fired, the payload landed somewhere")
 	}
 }

@@ -2,8 +2,8 @@
 // simulated cluster fabric: SPMD thread launch (MYTHREAD/THREADS), a
 // partitioned global address space with block-cyclic shared arrays,
 // one-sided bulk copies (blocking and asynchronous with explicit
-// synchronization handles), split-phase barriers, global locks,
-// collectives, the Berkeley castability extension (pointer privatization),
+// synchronization handles), barriers, global locks, reductions, the
+// Berkeley castability extension (pointer privatization),
 // and the runtime thread-layout query. Two backend regimes mirror the
 // Berkeley UPC options the thesis evaluates: process-based threads (one
 // network connection each, optionally with inter-process shared memory —
@@ -62,9 +62,6 @@ type Config struct {
 	// zero value selects fault.DefaultRetryPolicy. Only consulted when a
 	// fault schedule is installed.
 	Retry fault.RetryPolicy
-	// Ckpt arms barrier-aligned checkpointing of registered shared arrays
-	// and application state (see CkptConfig); the zero value disables it.
-	Ckpt CkptConfig
 }
 
 // sharedMem reports whether two threads on the same node can address each
@@ -128,13 +125,6 @@ type Runtime struct {
 	// reviveQ parks threads awaiting their node's scheduled revival, one
 	// queue per node, woken by the injector's transition observer.
 	reviveQ []sim.WaitQueue
-
-	// Checkpoint state (see ckpt.go): ckptEvery caches Cfg.Ckpt.Every so
-	// the barrier path pays one integer test when disarmed.
-	ckptEvery int64
-	persist   []ckptObject
-	ckptApps  []Checkpointer
-	ckptStore []ckptRec
 }
 
 // Intern returns the runtime-scoped singleton for key, creating it with mk
@@ -228,17 +218,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			}
 		})
 	}
-	rt.ckptEvery = cfg.Ckpt.Every
-	if rt.ckptEvery < 0 {
-		rt.ckptEvery = 0
-	}
-	if rt.ckptEvery > 0 {
-		rt.ckptStore = make([]ckptRec, cfg.Threads)
-		for i := range rt.ckptStore {
-			rt.ckptStore[i].gen = -1
-		}
-		rt.ckptApps = make([]Checkpointer, cfg.Threads)
-	}
 	rt.barCost = cl.BarrierCost(rt.nodesUsed)
 	rt.bar = newPhaseBarrier(cfg.Threads)
 	m := cfg.Machine
@@ -306,9 +285,6 @@ func (rt *Runtime) packSelf(id int) int64 {
 
 // Thread reports thread i's context (valid after NewRuntime).
 func (rt *Runtime) Thread(i int) *Thread { return rt.threads[i] }
-
-// NodesUsed reports how many cluster nodes the layout spans.
-func (rt *Runtime) NodesUsed() int { return rt.nodesUsed }
 
 // OnNodeTransition registers fn to run in engine context at every
 // crash/revive transition of the installed fault schedule; a no-op

@@ -85,9 +85,6 @@ func (s *Shared[T]) N() int { return s.n }
 // Block reports the layout block size.
 func (s *Shared[T]) Block() int { return s.block }
 
-// ElemBytes reports the per-element size used for cost accounting.
-func (s *Shared[T]) ElemBytes() int { return s.elemBytes }
-
 // Owner reports the thread with affinity to element i.
 func (s *Shared[T]) Owner(i int) int {
 	return (i / s.block) % len(s.segs)
@@ -125,26 +122,6 @@ func (s *Shared[T]) PartLen(th int) int {
 		extra = s.block
 	}
 	return full*s.block + extra
-}
-
-// Persist registers the array with the barrier-aligned checkpoint
-// layer: every checkpointed generation snapshots each thread's blocks
-// into its buddy replica, and Rejoin restores them. Every thread calls
-// it (like Alloc); registration dedups. No-op when Config.Ckpt is
-// disarmed.
-func (s *Shared[T]) Persist(t *Thread) { t.rt.persistObj(s) }
-
-// ckptSave implements ckptObject: a deep copy of thread th's partition
-// plus its modeled byte volume.
-func (s *Shared[T]) ckptSave(th int) (any, int64) {
-	snap := append([]T(nil), s.segs[th]...)
-	return snap, int64(len(snap) * s.elemBytes)
-}
-
-// ckptRestore implements ckptObject: reinstall thread th's partition
-// from a snapshot taken by ckptSave.
-func (s *Shared[T]) ckptRestore(th int, snap any) {
-	copy(s.segs[th], snap.([]T))
 }
 
 // Partition returns owner's backing slice regardless of castability. It
@@ -227,33 +204,5 @@ func ReadElem[T any](t *Thread, s *Shared[T], i int) T {
 func WriteElem[T any](t *Thread, s *Shared[T], i int, v T) {
 	if err := WriteElemErr(t, s, i, v); err != nil {
 		panic(err)
-	}
-}
-
-func checkRange(partLen, off, n int, op string) {
-	if err := checkRangeErr(partLen, off, n, op); err != nil {
-		panic(err)
-	}
-}
-
-// CopyT copies n elements between two shared locations (upc_memcpy):
-// from srcOwner's partition of src at srcOff into dstOwner's partition of
-// dst at dstOff. When the caller owns neither side (a third-party copy)
-// the data is staged through the caller, as the Berkeley runtime does: a
-// get from the source followed by a put to the destination.
-func CopyT[T any](t *Thread, dst *Shared[T], dstOwner, dstOff int,
-	src *Shared[T], srcOwner, srcOff, n int) {
-	checkRange(len(src.segs[srcOwner]), srcOff, n, "Copy(src)")
-	checkRange(len(dst.segs[dstOwner]), dstOff, n, "Copy(dst)")
-	switch {
-	case srcOwner == t.ID:
-		PutT(t, dst, dstOwner, dstOff, src.segs[srcOwner][srcOff:srcOff+n])
-	case dstOwner == t.ID:
-		GetT(t, src, dst.segs[dstOwner][dstOff:dstOff+n], srcOwner, srcOff)
-	default:
-		buf := make([]T, n)
-		GetT(t, src, buf, srcOwner, srcOff)
-		//upcvet:sharedrace -- one switch arm runs per call; both arms write the same caller-chosen dstOwner/dstOff span
-		PutT(t, dst, dstOwner, dstOff, buf)
 	}
 }

@@ -54,9 +54,6 @@ func Alloc2D[T any](t *Thread, rows, cols, pr, pc, elemBytes int) *Shared2D[T] {
 // Dims reports the global shape.
 func (s *Shared2D[T]) Dims() (rows, cols int) { return s.rows, s.cols }
 
-// Grid reports the processor grid shape.
-func (s *Shared2D[T]) Grid() (pr, pc int) { return s.pr, s.pc }
-
 // TileDims reports each thread's tile shape.
 func (s *Shared2D[T]) TileDims() (tr, tc int) { return s.tileR, s.tileC }
 
@@ -75,29 +72,6 @@ func (s *Shared2D[T]) LocalOf(r, c int) int {
 
 // Tile returns this thread's tile (row-major tileR×tileC).
 func (s *Shared2D[T]) Tile(t *Thread) []T { return s.segs[t.ID] }
-
-// Persist registers the array with the barrier-aligned checkpoint
-// layer, like Shared.Persist.
-func (s *Shared2D[T]) Persist(t *Thread) { t.rt.persistObj(s) }
-
-// ckptSave implements ckptObject: a deep copy of thread th's tile.
-func (s *Shared2D[T]) ckptSave(th int) (any, int64) {
-	snap := append([]T(nil), s.segs[th]...)
-	return snap, int64(len(snap) * s.elemBytes)
-}
-
-// ckptRestore implements ckptObject.
-func (s *Shared2D[T]) ckptRestore(th int, snap any) {
-	copy(s.segs[th], snap.([]T))
-}
-
-// CastTile privatizes owner's tile when castable, as Shared.Cast.
-func (s *Shared2D[T]) CastTile(t *Thread, owner int) []T {
-	if !t.Castable(owner) {
-		return nil
-	}
-	return s.segs[owner]
-}
 
 // RowNeighbor reports the thread to the given grid-column offset on this
 // thread's grid row (wrapping), for systolic algorithms.
@@ -118,42 +92,6 @@ func (s *Shared2D[T]) checkRect(r0, c0, h, w int, op string) {
 		panic(fmt.Sprintf("upc: %s rect (%d,%d)+%dx%d outside %dx%d tile",
 			op, r0, c0, h, w, s.tileR, s.tileC))
 	}
-}
-
-// PutRect writes an h×w rectangle (row-major in src) into owner's tile at
-// tile-local (r0, c0), blocking. A full-width rectangle moves as one
-// contiguous transfer; otherwise each row is one strided message, as
-// upc_memcpy on a strided region would issue.
-func PutRect[T any](t *Thread, s *Shared2D[T], owner, r0, c0, h, w int, src []T) {
-	s.checkRect(r0, c0, h, w, "PutRect")
-	if len(src) != h*w {
-		panic(fmt.Sprintf("upc: PutRect src %d != %dx%d", len(src), h, w))
-	}
-	snap := append([]T(nil), src...)
-	dst := s.segs[owner]
-	if w == s.tileC && c0 == 0 {
-		op := t.putBytes(owner, int64(h*w*s.elemBytes), func() {
-			copy(dst[r0*s.tileC:(r0+h)*s.tileC], snap)
-		})
-		(&Handle{op: op}).waitPut(t, owner)
-		return
-	}
-	handles := make([]*Handle, 0, h)
-	for i := 0; i < h; i++ {
-		i := i
-		op := t.putBytes(owner, int64(w*s.elemBytes), func() {
-			copy(dst[(r0+i)*s.tileC+c0:(r0+i)*s.tileC+c0+w], snap[i*w:(i+1)*w])
-		})
-		handles = append(handles, &Handle{op: op})
-	}
-	t.WaitAll(handles)
-	t.remoteAck(owner)
-}
-
-// waitPut completes a single blocking put with its remote acknowledgement.
-func (h *Handle) waitPut(t *Thread, owner int) {
-	t.WaitSync(h)
-	t.remoteAck(owner)
 }
 
 // GetRect reads an h×w rectangle from owner's tile at tile-local (r0, c0)

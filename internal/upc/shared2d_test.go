@@ -52,32 +52,25 @@ func TestOwnerLocalRoundTrip2D(t *testing.T) {
 func TestPutGetRectContiguousAndStrided(t *testing.T) {
 	_, err := Run(testCfg(4, 2, Processes, true), func(th *Thread) {
 		s := Alloc2D[int32](th, 16, 16, 2, 2, 4)
-		th.Barrier()
-		if th.ID == 0 {
-			// Full-width rectangle into thread 3's tile (contiguous path).
-			full := make([]int32, 2*8)
-			for i := range full {
-				full[i] = int32(1000 + i)
-			}
-			PutRect(th, s, 3, 1, 0, 2, 8, full)
-			// Narrow strided rectangle into thread 1's tile.
-			narrow := []int32{7, 8, 9, 17, 18, 19}
-			PutRect(th, s, 1, 2, 3, 2, 3, narrow)
+		tile := s.Tile(th)
+		for i := range tile {
+			tile[i] = int32(th.ID*1000 + i)
 		}
 		th.Barrier()
-		if th.ID == 3 {
+		if th.ID == 0 {
+			// Full-width rectangle from thread 3's tile (contiguous path).
 			got := make([]int32, 2*8)
 			GetRect(th, s, got, 3, 1, 0, 2, 8)
 			for i := range got {
-				if got[i] != int32(1000+i) {
-					t.Fatalf("contiguous rect [%d] = %d", i, got[i])
+				if want := int32(3000 + 8 + i); got[i] != want {
+					t.Fatalf("contiguous rect [%d] = %d, want %d", i, got[i], want)
 				}
 			}
 		}
-		if th.ID == 2 { // read thread 1's strided rect remotely
+		if th.ID == 2 { // read a narrow strided rect of thread 1's tile remotely
 			got := make([]int32, 6)
 			GetRect(th, s, got, 1, 2, 3, 2, 3)
-			want := []int32{7, 8, 9, 17, 18, 19}
+			want := []int32{1019, 1020, 1021, 1027, 1028, 1029}
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("strided rect [%d] = %d, want %d", i, got[i], want[i])
@@ -98,10 +91,10 @@ func TestStridedRectCostsMoreThanContiguous(t *testing.T) {
 		if th.ID == 0 {
 			buf := make([]float64, 64*64)
 			start := th.Now()
-			PutRect(th, s, 1, 0, 0, 16, 256, buf[:16*256]) // full width: one message
+			GetRect(th, s, buf[:16*256], 1, 0, 0, 16, 256) // full width: one message
 			contig = th.Now() - start
 			start = th.Now()
-			PutRect(th, s, 1, 0, 0, 64, 64, buf) // 64 strided messages
+			GetRect(th, s, buf, 1, 0, 0, 64, 64) // 64 strided messages
 			strided = th.Now() - start
 		}
 	})
@@ -147,6 +140,6 @@ func TestAlloc2DValidation(t *testing.T) {
 	mustPanic("untileable", func(th *Thread) { Alloc2D[int](th, 9, 8, 2, 2, 8) })
 	mustPanic("bad rect", func(th *Thread) {
 		s := Alloc2D[int](th, 8, 8, 2, 2, 8)
-		PutRect(th, s, 0, 3, 3, 4, 4, make([]int, 16))
+		GetRect(th, s, make([]int, 16), 0, 3, 3, 4, 4)
 	})
 }

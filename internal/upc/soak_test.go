@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -179,71 +178,5 @@ func TestBackendsComputeIdenticalData(t *testing.T) {
 	c := run(Pthreads, false)
 	if fmt.Sprint(a) != fmt.Sprint(b) || fmt.Sprint(b) != fmt.Sprint(c) {
 		t.Error("backends must compute identical data")
-	}
-}
-
-func TestCopyTAllRoutings(t *testing.T) {
-	_, err := Run(testCfg(4, 2, Processes, true), func(th *Thread) {
-		a := Alloc[int64](th, 32, 8, 8)
-		b := Alloc[int64](th, 32, 8, 8)
-		for i := range a.Local(th) {
-			a.Local(th)[i] = int64(th.ID*1000 + i)
-		}
-		th.Barrier()
-		if th.ID == 0 {
-			// Source-local: my partition of a -> thread 1's b.
-			CopyT(th, b, 1, 0, a, 0, 0, 8)
-			// Destination-local: thread 2's a -> my b.
-			CopyT(th, b, 0, 0, a, 2, 0, 8)
-			// Third party: thread 3's a -> thread 1's b (staged here).
-			CopyT(th, b, 1, 0, a, 3, 0, 4)
-		}
-		th.Barrier()
-		if th.ID == 1 {
-			loc := b.Local(th)
-			for i := 0; i < 4; i++ {
-				if loc[i] != int64(3000+i) {
-					t.Errorf("third-party copy[%d] = %d, want %d", i, loc[i], 3000+i)
-				}
-			}
-			for i := 4; i < 8; i++ {
-				if loc[i] != int64(i) {
-					t.Errorf("source-local copy[%d] = %d, want %d", i, loc[i], i)
-				}
-			}
-		}
-		if th.ID == 0 {
-			for i := 0; i < 8; i++ {
-				if b.Local(th)[i] != int64(2000+i) {
-					t.Errorf("dest-local copy[%d] = %d", i, b.Local(th)[i])
-				}
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCopyTThirdPartyCostsTwoLegs(t *testing.T) {
-	var direct, thirdParty sim.Duration
-	_, err := Run(testCfg(6, 2, Processes, true), func(th *Thread) {
-		a := Alloc[byte](th, 6*4096, 1, 4096)
-		b := Alloc[byte](th, 6*4096, 1, 4096)
-		th.Barrier()
-		if th.ID == 0 {
-			start := th.Now()
-			CopyT(th, b, 2, 0, a, 0, 0, 4096) // one leg (source local, remote dst)
-			direct = th.Now() - start
-			start = th.Now()
-			CopyT(th, b, 4, 0, a, 2, 0, 4096) // two legs through the caller
-			thirdParty = th.Now() - start
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if thirdParty < direct+direct/2 {
-		t.Errorf("third-party copy (%v) should cost ~2 legs vs direct (%v)", thirdParty, direct)
 	}
 }

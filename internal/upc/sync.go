@@ -8,9 +8,8 @@ import (
 	"repro/internal/trace"
 )
 
-// phaseBarrier implements both upc_barrier and the split-phase
-// upc_notify/upc_wait pair: each generation is a sim.Event that fires the
-// dissemination cost after the last notify. Under fault injection a
+// phaseBarrier implements upc_barrier: each generation is a sim.Event
+// that fires the dissemination cost after the last notify. Under fault injection a
 // generation releases when every *live* thread has arrived, so a node
 // crash does not hang the survivors (retiring threads re-check pending
 // generations; see Thread.Retire).
@@ -116,9 +115,6 @@ func AllocLock(t *Thread, home int) *Lock {
 	t.Barrier()
 	return l
 }
-
-// Home reports the lock's home thread.
-func (l *Lock) Home() int { return l.home }
 
 // controlCost charges the one-way control-message cost between t and the
 // lock's home.

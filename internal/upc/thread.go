@@ -27,10 +27,9 @@ type Thread struct {
 	Place topo.Place
 	ep    *fabric.Endpoint
 
-	pendingBar *sim.Event
-	allocSeq   int
-	collSeq    int
-	xl         xlateState // shared-pointer translation accounting
+	allocSeq int
+	collSeq  int
+	xl       xlateState // shared-pointer translation accounting
 }
 
 // Runtime reports the owning runtime.
@@ -47,7 +46,6 @@ func (t *Thread) OnProc(p *sim.Proc, place topo.Place) *Thread {
 	v := *t
 	v.P = p
 	v.Place = place
-	v.pendingBar = nil
 	return &v
 }
 
@@ -83,37 +81,10 @@ func (t *Thread) Castable(other int) bool {
 
 // Barrier executes upc_barrier: all THREADS threads rendezvous; the
 // release is charged the dissemination cost across the nodes in use.
-// When Config.Ckpt arms checkpointing, the selected generations double
-// as coordinated checkpoint lines (see ckpt.go); split-phase barriers
-// never checkpoint.
 func (t *Thread) Barrier() {
 	t.flushXlateCounters()
 	end := t.P.TraceSpan("upc", "barrier")
-	gen := t.rt.bar.seq
 	ev := t.rt.bar.notify(t.rt, t.ID)
-	ev.Wait(t.P)
-	end()
-	t.maybeCkpt(gen)
-}
-
-// BarrierNotify begins a split-phase barrier (upc_notify).
-func (t *Thread) BarrierNotify() {
-	if t.pendingBar != nil {
-		panic("upc: BarrierNotify without matching BarrierWait")
-	}
-	t.flushXlateCounters()
-	t.P.TraceInstant("upc", "barrier-notify", "", 0, 0)
-	t.pendingBar = t.rt.bar.notify(t.rt, t.ID)
-}
-
-// BarrierWait completes a split-phase barrier (upc_wait).
-func (t *Thread) BarrierWait() {
-	if t.pendingBar == nil {
-		panic("upc: BarrierWait without BarrierNotify")
-	}
-	ev := t.pendingBar
-	t.pendingBar = nil
-	end := t.P.TraceSpan("upc", "barrier-wait")
 	ev.Wait(t.P)
 	end()
 }
@@ -182,9 +153,6 @@ type Handle struct {
 	// retried into the new life (fault.ErrStaleEpoch).
 	srcInc, dstInc int64
 }
-
-// Try reports whether the operation has completed, without blocking.
-func (h *Handle) Try() bool { return h.op == nil || h.op.Remote.Fired() }
 
 // HandleFor wraps a raw fabric operation as a UPC handle, for extensions
 // that issue fabric transfers directly (e.g. the manual cast+memcpy path

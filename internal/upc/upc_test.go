@@ -68,39 +68,6 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
-func TestSplitPhaseBarrierOverlaps(t *testing.T) {
-	// A thread that does 1ms of local work between notify and wait should
-	// finish no later than notify-time + max(work, barrier wait).
-	var full, split sim.Duration
-	_, err := Run(testCfg(4, 2, Processes, true), func(th *Thread) {
-		start := th.Now()
-		th.Barrier()
-		th.Compute(0.001)
-		full = th.Now() - start
-
-		start = th.Now()
-		th.BarrierNotify()
-		th.Compute(0.001) // overlapped with barrier propagation
-		th.BarrierWait()
-		split = th.Now() - start
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if split > full {
-		t.Errorf("split-phase (%v) should not exceed barrier-then-compute (%v)", split, full)
-	}
-}
-
-func TestBarrierWaitWithoutNotifyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Run(testCfg(1, 1, Processes, true), func(th *Thread) { th.BarrierWait() })
-}
-
 func TestLayoutMathProperties(t *testing.T) {
 	// Owner/LocalIndex <-> GlobalIndex is a bijection and partitions sum
 	// to N, for arbitrary (n, block, threads).
@@ -207,7 +174,7 @@ func TestPutAsyncOverlapsAndApexAtSync(t *testing.T) {
 				src[i] = byte(i)
 			}
 			h := PutAsyncT(th, s, 1, 0, src)
-			if h.Try() {
+			if h.op.Remote.Fired() {
 				t.Error("1MB put should not complete instantly")
 			}
 			// Mutating the source after initiation must not corrupt the
@@ -217,8 +184,8 @@ func TestPutAsyncOverlapsAndApexAtSync(t *testing.T) {
 			}
 			th.Compute(0.0001)
 			th.WaitSync(h)
-			if !h.Try() {
-				t.Error("handle must report complete after WaitSync")
+			if h.op != nil {
+				t.Error("WaitSync must consume the handle's operation")
 			}
 		}
 		th.Barrier()
@@ -381,20 +348,11 @@ func TestCollectives(t *testing.T) {
 		if got := AllReduceSum(th, float64(th.ID)); got != 15 {
 			t.Errorf("AllReduceSum = %g, want 15", got)
 		}
-		if got := AllReduceMax(th, float64(th.ID*th.ID)); got != 25 {
-			t.Errorf("AllReduceMax = %g, want 25", got)
+		if got := AllReduce(th, th.ID*th.ID, 8, func(a, b int) int { return max(a, b) }); got != 25 {
+			t.Errorf("AllReduce(max) = %d, want 25", got)
 		}
-		if got := AllReduceSumInt(th, int64(1)); got != 6 {
-			t.Errorf("AllReduceSumInt = %d, want 6", got)
-		}
-		if got := Broadcast(th, 2, th.ID*7, 8); got != 14 {
-			t.Errorf("Broadcast = %d, want 14", got)
-		}
-		all := AllGather(th, th.ID+100, 8)
-		for i, v := range all {
-			if v != i+100 {
-				t.Errorf("AllGather[%d] = %d, want %d", i, v, i+100)
-			}
+		if got := AllReduce(th, int64(1), 8, addInt64); got != 6 {
+			t.Errorf("AllReduce(int64 sum) = %d, want 6", got)
 		}
 	})
 	if err != nil {
