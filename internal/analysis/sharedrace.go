@@ -31,7 +31,9 @@
 // Loops containing collectives are walked twice so the tail of
 // iteration k shares a phase with the head of iteration k+1 — deleting
 // the barrier at the bottom of a stencil loop is exactly the bug this
-// must catch.
+// must catch. Collectives inside an SPMD closure (a function literal
+// taking the thread) do not make an enclosing host loop a phase loop:
+// each iteration launches a fresh run.
 package analysis
 
 import (
@@ -273,6 +275,7 @@ type raceWalker struct {
 	guarded map[types.Object]bool
 
 	phase   int
+	spmd    int // phases advanced inside SPMD closures (never wrap a host loop)
 	locks   int // flow-tracked Lock/TryLock depth; accesses under it are exempt
 	maxExit int
 	branch  []branchStep
@@ -412,19 +415,20 @@ func (w *raceWalker) stmt(s ast.Stmt) bool {
 				w.stmt(s.Post)
 			}
 		}
-		before := w.phase
+		before, spmd := w.phase, w.spmd
 		walkBody()
-		if w.phase > before {
-			// The loop contains collectives: walk again so iteration
-			// k's tail shares a phase with iteration k+1's head.
+		if w.phase-before > w.spmd-spmd {
+			// The loop itself contains collectives: walk again so
+			// iteration k's tail shares a phase with iteration k+1's
+			// head.
 			walkBody()
 		}
 		return false
 	case *ast.RangeStmt:
 		w.expr(s.X)
-		before := w.phase
+		before, spmd := w.phase, w.spmd
 		w.stmts(s.Body.List)
-		if w.phase > before {
+		if w.phase-before > w.spmd-spmd {
 			w.stmts(s.Body.List)
 		}
 		return false
@@ -750,7 +754,11 @@ func (w *raceWalker) expr(e ast.Expr) {
 	}
 	switch e := ast.Unparen(e).(type) {
 	case *ast.FuncLit:
+		before := w.phase
 		w.stmts(e.Body.List)
+		if spmdClosure(w.unit.Info, e) {
+			w.spmd += w.phase - before
+		}
 	case *ast.CallExpr:
 		w.call(e)
 	case *ast.IndexExpr:
@@ -795,6 +803,17 @@ func (w *raceWalker) expr(e ast.Expr) {
 	case *ast.TypeAssertExpr:
 		w.expr(e.X)
 	}
+}
+
+// spmdClosure reports whether fl is an SPMD program body: a function
+// literal taking the executing thread.
+func spmdClosure(info *types.Info, fl *ast.FuncLit) bool {
+	for _, f := range fl.Type.Params.List {
+		if tv, ok := info.Types[f.Type]; ok && recvTypeName(tv.Type) == "thread" {
+			return true
+		}
+	}
+	return false
 }
 
 // indexAccess records x[i] when x resolves to a shared-array slice.

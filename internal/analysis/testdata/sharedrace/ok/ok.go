@@ -108,3 +108,26 @@ func annotated(t *thread, s *shared) int64 {
 			(t.ID+1)%t.N)
 	return v
 }
+
+// run launches body as one SPMD program over fresh threads.
+func run(body func(t *thread)) {}
+
+func report(args ...any) {}
+
+// A host loop around the SPMD closure launches a fresh run per
+// iteration: the closure's last phase never meets its first, so the
+// loop must not wrap the closure's phases into each other.
+func hostLoopAroundRun(s *shared, configs []int) {
+	for range configs {
+		run(func(t *thread) {
+			la := s.Local(t)
+			la[0] = int64(t.ID)
+			t.Barrier()
+			seg := s.Cast(t, (t.ID+1)%t.N)
+			if seg == nil {
+				return
+			}
+			report(seg)
+		})
+	}
+}

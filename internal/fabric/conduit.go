@@ -44,6 +44,14 @@ type Conduit struct {
 	PinRate float64
 }
 
+// ExpectXfer estimates the fault-free completion time of a transfer of
+// the given byte volume over one connection: a round trip plus the
+// streaming time. Retry deadlines add it to every attempt, so big
+// payloads on slow conduits are not declared lost while still streaming.
+func (c *Conduit) ExpectXfer(bytes int64) sim.Duration {
+	return 2*c.Latency + sim.TransferTime(bytes, c.ConnBW)
+}
+
 // QDRInfiniBand models Lehman's Mellanox ConnectX QDR fabric: ~2.4 GB/s
 // unidirectional point-to-point (Figure 2.2), single connection saturating
 // ~1.5 GB/s, small-message round trips in the 4–5 us range.

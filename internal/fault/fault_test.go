@@ -272,9 +272,6 @@ func TestCommErrorUnwraps(t *testing.T) {
 
 func TestZeroPolicyDefaults(t *testing.T) {
 	var rp RetryPolicy
-	if rp.enabled() {
-		t.Error("zero policy must read as disabled")
-	}
 	if rp.OrDefault() != DefaultRetryPolicy() {
 		t.Error("OrDefault of a zero policy must be the default policy")
 	}

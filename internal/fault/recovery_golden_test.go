@@ -20,7 +20,7 @@ import (
 // digest (completion edges included), end time and error strings. It
 // pins the order of every timeout, back-off, retry, stale drop, barrier
 // and collective release the upc, mpi and group recovery paths make.
-const recoveryGolden = "568b86c8fd3f735c7bf304e19e43fd19308d391072c316da05142f0faf5cad68"
+const recoveryGolden = "5be7b69582810aeb8b5b6f1cc46523e029dfb59d79bc467bebf556e73c0769af"
 
 // edgeDigest is a Digest that also asks for completion-edge instants, so
 // barrier, collective, retry and rejoin edges are hashed too.
@@ -100,6 +100,27 @@ var recoveryScenarios = []recoveryScenario{
 				errs[th.ID] += fmt.Sprintf("%s|%s|%v;", errString(perr), errString(gerr), buf)
 				th.Barrier()
 			}
+		})
+		fmt.Fprintln(w, errs)
+		return st.Elapsed, err
+	}},
+	{"upc-armed-put-stream", func(t *testing.T, tr trace.Tracer, w io.Writer) (sim.Duration, error) {
+		// Back-to-back protected puts under an armed schedule that never
+		// drops: each put's attempt timer outlives the put, and its
+		// pooled record is recycled for the next one.
+		sched := &fault.Schedule{Actions: []fault.Action{
+			{Op: fault.OpDelay, At: 0, Until: 0.002, Prob: 0.1, Extra: 0.0001, Src: -1, Dst: -1},
+		}}
+		errs := make([]string, 8)
+		st, err := upc.Run(upcCfg(sched, tr), func(th *upc.Thread) {
+			s := upc.Alloc[int](th, 8*64, 8, 64)
+			peer := (th.ID + 4) % 8
+			for i := 0; i < 64; i++ {
+				if perr := upc.PutTErr(th, s, peer, i, []int{i}); perr != nil {
+					errs[th.ID] += perr.Error() + ";"
+				}
+			}
+			th.Barrier()
 		})
 		fmt.Fprintln(w, errs)
 		return st.Elapsed, err

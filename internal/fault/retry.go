@@ -70,19 +70,14 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// enabled reports whether the policy is usable (a zero policy is not).
-func (rp RetryPolicy) enabled() bool { return rp.Timeout > 0 }
-
-// orDefault replaces a zero policy with the default.
-func (rp RetryPolicy) orDefault() RetryPolicy {
-	if rp.enabled() {
+// OrDefault replaces a zero policy (no base timeout) with
+// DefaultRetryPolicy.
+func (rp RetryPolicy) OrDefault() RetryPolicy {
+	if rp.Timeout > 0 {
 		return rp
 	}
 	return DefaultRetryPolicy()
 }
-
-// OrDefault replaces a zero policy with DefaultRetryPolicy.
-func (rp RetryPolicy) OrDefault() RetryPolicy { return rp.orDefault() }
 
 // timeoutScaleCap bounds the per-attempt timeout growth: later attempts
 // wait longer (a degraded-but-alive link needs patience, not traffic)

@@ -10,7 +10,6 @@ package group
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/sim"
@@ -23,17 +22,10 @@ type Group struct {
 	Members []int // UPC thread ids, ascending
 	Rank    int   // this thread's index within Members
 
-	st *state
-}
-
-// state is the group-shared synchronization record, interned on the
-// runtime so that every member resolves to the same object.
-type state struct {
-	n        int
-	cost     sim.Duration
-	notified int
-	inGen    []bool // which member ranks notified this generation (faults only)
-	ev       *sim.Event
+	// rv is the group's barrier, interned on the runtime so that every
+	// member resolves to the same rendezvous; cost is its release cost.
+	rv   *sim.Rendezvous
+	cost sim.Duration
 }
 
 // New builds the group containing exactly the given UPC threads; members
@@ -64,28 +56,19 @@ func New(t *upc.Thread, members []int) (*Group, error) {
 		return nil, fmt.Errorf("group: thread %d not in its own group %v", t.ID, ms)
 	}
 	rt := t.Runtime()
-	key := "group:" + memberKey(ms)
-	st := rt.Intern(key, func() any {
-		nodes := map[int]bool{}
-		for _, m := range ms {
-			nodes[rt.PlaceOf(m).Node] = true
+	rv := rt.Intern("group:"+fmt.Sprint(ms), func() any {
+		var live func(int) bool // under faults dead members are skipped
+		if rt.FaultsOn() {
+			live = func(i int) bool { return t.Alive(ms[i]) }
 		}
-		return &state{
-			n:     len(ms),
-			cost:  rt.Cluster.BarrierCost(len(nodes)),
-			inGen: make([]bool, len(ms)),
-			ev:    &sim.Event{},
-		}
-	}).(*state)
-	return &Group{T: t, Members: ms, Rank: rank, st: st}, nil
-}
-
-func memberKey(ms []int) string {
-	parts := make([]string, len(ms))
-	for i, m := range ms {
-		parts[i] = fmt.Sprint(m)
+		return sim.NewRendezvous(len(ms), live)
+	}).(*sim.Rendezvous)
+	nodes := map[int]bool{}
+	for _, m := range ms {
+		nodes[rt.PlaceOf(m).Node] = true
 	}
-	return strings.Join(parts, ",")
+	return &Group{T: t, Members: ms, Rank: rank, rv: rv,
+		cost: rt.Cluster.BarrierCost(len(nodes))}, nil
 }
 
 // NodeGroup builds the group of all UPC threads sharing this thread's
@@ -103,23 +86,9 @@ func NodeGroup(t *upc.Thread) *Group {
 // installed fault schedule it panics with the typed error BarrierErr would
 // return instead of hanging on a crashed member.
 func (g *Group) Barrier() {
-	if g.T.Runtime().FaultsOn() {
-		if err := g.BarrierErr(); err != nil {
-			panic(err)
-		}
-		return
+	if err := g.BarrierErr(); err != nil {
+		panic(err)
 	}
-	end := g.T.P.TraceSpanArg("group", "barrier", "", int64(g.st.n))
-	st := g.st
-	ev := st.ev
-	st.notified++
-	if st.notified == st.n {
-		st.notified = 0
-		st.ev = &sim.Event{}
-		g.T.Runtime().Eng.After(st.cost, ev.Fire)
-	}
-	ev.Wait(g.T.P)
-	end()
 }
 
 // BarrierErr is Barrier with failure detection: the generation releases
@@ -128,59 +97,38 @@ func (g *Group) Barrier() {
 // policy's deadline ladder instead of hanging.
 func (g *Group) BarrierErr() error {
 	t := g.T
-	rt := t.Runtime()
-	if !rt.FaultsOn() {
-		g.Barrier()
-		return nil
-	}
 	if t.Failed() {
 		return &fault.CommError{Op: "group-barrier", Src: t.ID, Dst: t.ID, Err: fault.ErrNodeDown}
 	}
-	end := t.P.TraceSpanArg("group", "barrier", "", int64(g.st.n))
+	end := t.P.TraceSpanArg("group", "barrier", "", int64(len(g.Members)))
 	defer end()
-	st := g.st
-	ev := st.ev
-	st.notified++
-	st.inGen[g.Rank] = true
-	g.maybeRelease()
-	rp := rt.RetryPolicy()
-	attempts := 0
-	for try := 0; try <= rp.MaxRetries; try++ {
-		attempts++
-		if ev.WaitTimeout(t.P, rp.AttemptTimeout(try, st.cost)) {
-			return nil
-		}
-		t.FaultEvent("timeout", t.ID, 0)
-		if t.Failed() {
-			return &fault.CommError{Op: "group-barrier", Src: t.ID, Dst: t.ID,
-				Attempts: attempts, Err: fault.ErrNodeDown}
-		}
-		// A member may have died since the last check, which is exactly
-		// what completes the generation on the survivors.
-		g.maybeRelease()
+	ev := g.rv.Arrive(g.Rank)
+	g.release()
+	rt := t.Runtime()
+	if !rt.FaultsOn() {
+		ev.Wait(t.P)
+		return nil
 	}
-	return &fault.CommError{Op: "group-barrier", Src: t.ID, Dst: t.ID,
-		Attempts: attempts, Err: fault.ErrTimeout}
+	return rt.RetryPolicy().Wait(&fault.Wait{
+		Op: "group-barrier", Src: t.ID, Dst: t.ID, Xfer: g.cost, P: t.P, Done: ev,
+		Down: func() bool {
+			if t.Failed() {
+				return true
+			}
+			// A member may have died since the last check, which is
+			// exactly what completes the generation on the survivors.
+			g.release()
+			return false
+		},
+		Event: t.FaultEvent,
+	})
 }
 
-// maybeRelease fires the barrier generation once every live member has
-// notified. Called on each arrival and again from the deadline ladder,
-// which picks up members that died mid-generation.
-func (g *Group) maybeRelease() {
-	st := g.st
-	if st.notified == 0 {
-		return
+// release releases the open barrier generation once every live member
+// has arrived. Called on each arrival and again from the deadline
+// ladder, which picks up members that died mid-generation.
+func (g *Group) release() {
+	if g.rv.Complete() {
+		g.rv.Release(g.T.Runtime().Eng, g.cost)
 	}
-	for i, m := range g.Members {
-		if g.T.Alive(m) && !st.inGen[i] {
-			return
-		}
-	}
-	ev := st.ev
-	st.notified = 0
-	for i := range st.inGen {
-		st.inGen[i] = false
-	}
-	st.ev = &sim.Event{}
-	g.T.Runtime().Eng.After(st.cost, ev.Fire)
 }

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -19,14 +18,11 @@ import (
 // faultsOn reports whether this run has a fault schedule installed.
 func (w *World) faultsOn() bool { return w.inj != nil }
 
-// nodeDown consults the fault model for node liveness.
-func (w *World) nodeDown(node int) bool { return w.Cluster.NodeDown(node) }
-
 // anyNodeDown reports whether any node hosting a rank is down — the
 // condition that turns a barrier timeout into a crash diagnosis.
 func (w *World) anyNodeDown() bool {
 	for n := 0; n < w.nodes; n++ {
-		if w.nodeDown(n) {
+		if w.Cluster.NodeDown(n) {
 			return true
 		}
 	}
@@ -43,138 +39,77 @@ func (c *Comm) FaultEvent(name string, peer int, bytes int64) {
 		trace.PackEndpoints(c.Rank, peer, c.Place.Node, c.w.places[peer].Node))
 }
 
-// expectXfer estimates the fault-free completion time of a transfer, fed
-// into the retry policy's per-attempt timeouts.
-func (c *Comm) expectXfer(bytes int64) sim.Duration {
-	cond := &c.w.Cluster.Conduit
-	return 2*cond.Latency + sim.TransferTime(bytes, cond.ConnBW)
-}
-
-// commError builds the typed failure of an exhausted recovery.
+// commError builds the typed failure of an operation refused at issue.
 func (c *Comm) commError(op string, peer, attempts int, cause error) error {
 	return &fault.CommError{Op: op, Src: c.Rank, Dst: peer, Attempts: attempts, Err: cause}
 }
 
-// incPair reports the current incarnations of this rank's node and
-// peer's node. Only call under an installed fault schedule.
-func (c *Comm) incPair(peer int) (int64, int64) {
-	w := c.w
-	return w.inj.Incarnation(c.Place.Node), w.inj.Incarnation(w.places[peer].Node)
+// fence takes the membership-epoch fence of an operation between this
+// rank and peer: the zero fault.Fence without a fault schedule.
+func (c *Comm) fence(peer int) fault.Fence {
+	return c.w.inj.Fence(c.Rank, peer, c.Place.Node, c.w.places[peer].Node)
 }
 
-// epochStale reports whether an operation issued at incarnations
-// (si, pi) straddles a reincarnation of either endpoint node — the
-// membership-epoch fence. Stale operations surface as ErrStaleEpoch
-// instead of being retried into the node's new life.
-func (c *Comm) epochStale(peer int, si, pi int64) bool {
-	ni, npi := c.incPair(peer)
-	return ni != si || npi != pi
+// retryWait drives a cross-node transfer toward peer through the run's
+// deadline ladder, re-issuing it on each timeout, until done fires or a
+// crash, a reincarnation or exhausted retries end the wait.
+func (c *Comm) retryWait(op string, peer int, bytes int64, done *sim.Event,
+	reissue func(attempt int) *sim.Event) error {
+	w := c.w
+	peerNode := w.places[peer].Node
+	return w.retry.Wait(&fault.Wait{
+		Op: op, Src: c.Rank, Dst: peer, Bytes: bytes,
+		Xfer: w.Cluster.Conduit.ExpectXfer(bytes),
+		P:    c.P, Done: done, Fence: c.fence(peer),
+		Down:    func() bool { return w.Cluster.NodeDown(c.Place.Node) || w.Cluster.NodeDown(peerNode) },
+		Event:   c.FaultEvent,
+		Reissue: reissue,
+	})
 }
 
-// fencePayload wraps a cross-node payload arrival with the
-// delivery-time membership-epoch fence: a payload sent before a
-// reincarnation of either endpoint is dropped (with a comm-matrix
-// "stale-drop" instant) instead of firing into the new life's restored
-// state. Fault-free runs pass through untouched.
-func (c *Comm) fencePayload(dst int, bytes int64, apply func()) func() {
+// releaseWait waits for a barrier or collective release through the
+// deadline ladder, diagnosing a stall with any node down as a crash.
+func (c *Comm) releaseWait(op string, ev *sim.Event) error {
 	w := c.w
-	if apply == nil || !w.faultsOn() {
-		return apply
-	}
-	srcN, dstN := c.Place.Node, w.places[dst].Node
-	si, di := w.inj.Incarnation(srcN), w.inj.Incarnation(dstN)
-	rank, peer := c.Rank, dst
-	return func() {
-		if w.inj.Incarnation(srcN) != si || w.inj.Incarnation(dstN) != di ||
-			w.nodeDown(dstN) {
-			if w.Eng.Tracing() {
-				w.Eng.TraceInstant(trace.CatComm, "stale-drop", trace.ClassFault,
-					bytes, trace.PackEndpoints(rank, peer, srcN, dstN))
-			}
-			return
-		}
-		apply()
-	}
+	return w.retry.Wait(&fault.Wait{
+		Op: op, Src: c.Rank, Dst: c.Rank, Xfer: w.barCost, P: c.P, Done: ev,
+		Down:  w.anyNodeDown,
+		Event: c.FaultEvent,
+	})
 }
 
 // SendErr is Send with fault recovery and typed errors.
 func (c *Comm) SendErr(dst int, data []byte) error {
-	if err := c.sendCheck(dst); err != nil {
-		return err
-	}
 	snap := make([]byte, len(data))
 	copy(snap, data)
-	op, msg := c.post(dst, int64(len(data)), snap)
-	return c.finishSend(op, msg, dst)
+	return c.send(dst, int64(len(data)), snap)
 }
 
 // SendModelErr is SendModel with fault recovery and typed errors.
-func (c *Comm) SendModelErr(dst int, bytes int64) error {
-	if err := c.sendCheck(dst); err != nil {
-		return err
-	}
-	op, msg := c.post(dst, bytes, nil)
-	return c.finishSend(op, msg, dst)
-}
+func (c *Comm) SendModelErr(dst int, bytes int64) error { return c.send(dst, bytes, nil) }
 
-// sendCheck fails a send fast when either end is already down.
-func (c *Comm) sendCheck(dst int) error {
-	if !c.w.faultsOn() {
-		return nil
-	}
-	if c.w.nodeDown(c.Place.Node) || c.w.nodeDown(c.w.places[dst].Node) {
+// send posts a message and applies the protocol's blocking rule, failing
+// fast when either end is already down. Eager sends complete when the
+// payload leaves the source buffer (loss is recovered receiver-side);
+// rendezvous sends block for delivery and retransmit on timeout.
+func (c *Comm) send(dst int, bytes int64, data []byte) error {
+	w := c.w
+	if w.faultsOn() && (w.Cluster.NodeDown(c.Place.Node) || w.Cluster.NodeDown(w.places[dst].Node)) {
 		return c.commError("send", dst, 0, fault.ErrNodeDown)
 	}
-	return nil
-}
-
-// finishSend applies the protocol's blocking rule to a posted message.
-// Eager sends complete when the payload leaves the source buffer (loss is
-// recovered receiver-side); rendezvous sends block for delivery and
-// retransmit on timeout.
-func (c *Comm) finishSend(op *fabric.NetOp, msg *message, dst int) error {
-	if msg.bytes <= EagerThreshold {
+	op, msg := c.post(dst, bytes, data)
+	if bytes <= EagerThreshold {
 		op.WaitLocal(c.P)
 		return nil
 	}
-	w := c.w
 	if !w.faultsOn() || topo.SameNode(c.Place, w.places[dst]) {
 		op.WaitRemote(c.P)
 		return nil
 	}
-	rp := w.retry
-	xfer := c.expectXfer(msg.bytes)
-	dstNode := w.places[dst].Node
-	si, di := c.incPair(dst)
-	attempts := 1
-	for try := 0; ; try++ {
-		if op.Remote.WaitTimeout(c.P, rp.AttemptTimeout(try, xfer)) {
-			return nil
-		}
-		c.FaultEvent("timeout", dst, msg.bytes)
-		// Epoch fence before the liveness diagnosis: an endpoint that
-		// crashed and revived within the window is up again, but this send
-		// belongs to its previous incarnation.
-		if c.epochStale(dst, si, di) {
-			return c.commError("send", dst, attempts, fault.ErrStaleEpoch)
-		}
-		if w.nodeDown(c.Place.Node) || w.nodeDown(dstNode) {
-			return c.commError("send", dst, attempts, fault.ErrNodeDown)
-		}
-		if try >= rp.MaxRetries {
-			return c.commError("send", dst, attempts, fault.ErrTimeout)
-		}
-		c.P.Advance(rp.BackoffFor(try + 1))
-		if c.epochStale(dst, si, di) {
-			return c.commError("send", dst, attempts, fault.ErrStaleEpoch)
-		}
-		if w.nodeDown(c.Place.Node) || w.nodeDown(dstNode) {
-			return c.commError("send", dst, attempts, fault.ErrNodeDown)
-		}
-		c.FaultEvent("retry", dst, msg.bytes)
-		op = c.transfer(dst, msg.bytes, msg.arrived.Fire)
-		attempts++
-	}
+	return c.retryWait("send", dst, bytes, &op.Remote, func(int) *sim.Event {
+		op = c.transfer(dst, bytes, msg.arrived.Fire)
+		return &op.Remote
+	})
 }
 
 // RecvErr is Recv with fault recovery and typed errors: it gives up when
@@ -188,18 +123,21 @@ func (c *Comm) RecvErr(src int) ([]byte, error) {
 		m.arrived.Wait(c.P)
 		return m.data, nil
 	}
+	// The matching wait stays outside fault.Wait: it re-diagnoses on
+	// every inbox wake, a wake that brings another source's message
+	// re-arms the same attempt's deadline, and only expiries count.
 	rp := w.retry
 	srcNode := w.places[src].Node
-	si, pi := c.incPair(src)
+	fence := c.fence(src)
 	timeouts := 0
 	for {
 		if m := c.matchNow(src); m != nil {
 			return c.awaitPayload(m, src)
 		}
-		if c.epochStale(src, si, pi) {
+		if fence.Stale() {
 			return nil, c.commError("recv", src, timeouts, fault.ErrStaleEpoch)
 		}
-		if w.nodeDown(c.Place.Node) || w.nodeDown(srcNode) {
+		if w.Cluster.NodeDown(c.Place.Node) || w.Cluster.NodeDown(srcNode) {
 			return nil, c.commError("recv", src, timeouts, fault.ErrNodeDown)
 		}
 		if timeouts > rp.MaxRetries {
@@ -221,36 +159,14 @@ func (c *Comm) awaitPayload(m *message, src int) ([]byte, error) {
 		m.arrived.Wait(c.P)
 		return m.data, nil
 	}
-	rp := w.retry
-	xfer := c.expectXfer(m.bytes)
-	srcNode := w.places[src].Node
-	si, pi := c.incPair(src)
-	attempts := 1
-	for try := 0; ; try++ {
-		if m.arrived.WaitTimeout(c.P, rp.AttemptTimeout(try, xfer)) {
-			return m.data, nil
-		}
-		c.FaultEvent("timeout", src, m.bytes)
-		if c.epochStale(src, si, pi) {
-			return nil, c.commError("recv", src, attempts, fault.ErrStaleEpoch)
-		}
-		if w.nodeDown(c.Place.Node) || w.nodeDown(srcNode) {
-			return nil, c.commError("recv", src, attempts, fault.ErrNodeDown)
-		}
-		if try >= rp.MaxRetries {
-			return nil, c.commError("recv", src, attempts, fault.ErrTimeout)
-		}
-		c.P.Advance(rp.BackoffFor(try + 1))
-		if c.epochStale(src, si, pi) {
-			return nil, c.commError("recv", src, attempts, fault.ErrStaleEpoch)
-		}
-		if w.nodeDown(c.Place.Node) || w.nodeDown(srcNode) {
-			return nil, c.commError("recv", src, attempts, fault.ErrNodeDown)
-		}
-		c.FaultEvent("retry", src, m.bytes)
+	err := c.retryWait("recv", src, m.bytes, m.arrived, func(int) *sim.Event {
 		c.ep.GetAsync(c.P, w.eps[src], m.bytes, m.arrived.Fire)
-		attempts++
+		return m.arrived
+	})
+	if err != nil {
+		return nil, err
 	}
+	return m.data, nil
 }
 
 // BarrierErr is Barrier with failure detection: instead of hanging when
@@ -260,31 +176,11 @@ func (c *Comm) awaitPayload(m *message, src int) ([]byte, error) {
 func (c *Comm) BarrierErr() error {
 	w := c.w
 	if !w.faultsOn() {
-		c.Barrier()
+		c.notifyBarrier().Wait(c.P)
 		return nil
 	}
-	if w.nodeDown(c.Place.Node) {
+	if w.Cluster.NodeDown(c.Place.Node) {
 		return c.commError("barrier", c.Rank, 0, fault.ErrNodeDown)
 	}
-	ev := c.notifyBarrier()
-	return c.waitLadder(ev, "barrier", w.barCost)
-}
-
-// waitLadder drives a collective release event through the deadline
-// ladder, diagnosing crashes.
-func (c *Comm) waitLadder(ev *sim.Event, op string, cost sim.Duration) error {
-	w := c.w
-	rp := w.retry
-	attempts := 0
-	for try := 0; try <= rp.MaxRetries; try++ {
-		attempts++
-		if ev.WaitTimeout(c.P, rp.AttemptTimeout(try, cost)) {
-			return nil
-		}
-		c.FaultEvent("timeout", c.Rank, 0)
-		if w.nodeDown(c.Place.Node) || w.anyNodeDown() {
-			return c.commError(op, c.Rank, attempts, fault.ErrNodeDown)
-		}
-	}
-	return c.commError(op, c.Rank, attempts, fault.ErrTimeout)
+	return c.releaseWait("barrier", c.notifyBarrier())
 }

@@ -85,7 +85,7 @@ func TestCrashSurfacesTypedErrors(t *testing.T) {
 	}}
 	_, err := Run(chaosCfg(sched), func(c *Comm) {
 		c.P.Advance(2 * sim.Millisecond)
-		if c.w.nodeDown(c.Place.Node) {
+		if c.w.Cluster.NodeDown(c.Place.Node) {
 			return // ranks on the dead node stop participating
 		}
 		serr := c.SendErr(2, []byte{1})

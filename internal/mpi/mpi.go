@@ -59,8 +59,8 @@ type World struct {
 	rxQ     []sim.WaitQueue
 	nodes   int
 	barCost sim.Duration
-	bar     *barrier
-	colls   []*collSlot
+	bar     *sim.Rendezvous
+	coll    collective
 
 	inj   *fault.Injector
 	retry fault.RetryPolicy
@@ -76,16 +76,13 @@ type message struct {
 	arrived *sim.Event
 }
 
-type barrier struct {
-	n, arrived int
-	ev         *sim.Event
-}
-
-type collSlot struct {
-	arrived int
-	vals    []any
-	result  any
-	ev      *sim.Event
+// collective is the world's collective rendezvous: every rank's k-th
+// collective call joins generation k, and the last arrival combines the
+// contributions.
+type collective struct {
+	rv     *sim.Rendezvous
+	vals   []any // this generation's contributions, by rank
+	result any
 }
 
 // Stats summarizes a completed run.
@@ -102,8 +99,6 @@ type Comm struct {
 	Size  int
 	Place topo.Place
 	ep    *fabric.Endpoint
-
-	collSeq int
 }
 
 // Run executes main on every rank and returns run statistics.
@@ -166,7 +161,8 @@ func NewWorld(cfg Config) (*World, error) {
 	w.edges = trace.WantsEdge(eng.Tracer())
 	w.nodes = (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
 	w.barCost = cl.BarrierCost(w.nodes)
-	w.bar = &barrier{n: cfg.Ranks, ev: &sim.Event{}}
+	w.bar = sim.NewRendezvous(cfg.Ranks, nil)
+	w.coll = collective{rv: sim.NewRendezvous(cfg.Ranks, nil), vals: make([]any, cfg.Ranks)}
 	for i := range w.eps {
 		w.eps[i] = cl.MustEndpoint(places[i].Node)
 	}
@@ -220,7 +216,7 @@ func (c *Comm) transfer(dst int, bytes int64, apply func()) *fabric.NetOp {
 		}
 		return op
 	}
-	return c.ep.PutAsync(c.P, w.eps[dst], bytes, c.fencePayload(dst, bytes, apply))
+	return c.ep.PutAsync(c.P, w.eps[dst], bytes, c.fence(dst).Deliver(bytes, apply))
 }
 
 // post enqueues a matching record of the given byte volume at the
@@ -273,16 +269,11 @@ func (c *Comm) SendrecvModel(dst int, bytes int64, src int) {
 // delivered in send order. Under an installed fault schedule it recovers
 // lost messages and panics with the typed error RecvErr would return.
 func (c *Comm) Recv(src int) []byte {
-	if c.w.faultsOn() {
-		data, err := c.RecvErr(src)
-		if err != nil {
-			panic(err)
-		}
-		return data
+	data, err := c.RecvErr(src)
+	if err != nil {
+		panic(err)
 	}
-	m := c.match(src)
-	m.arrived.Wait(c.P)
-	return m.data
+	return data
 }
 
 // match dequeues the oldest inbox record from src, blocking until one is
@@ -333,78 +324,58 @@ func (c *Comm) Sendrecv(dst int, data []byte, src int) []byte {
 // schedule it panics with the typed error BarrierErr would return
 // instead of hanging on a crashed rank.
 func (c *Comm) Barrier() {
-	if c.w.faultsOn() {
-		if err := c.BarrierErr(); err != nil {
-			panic(err)
-		}
-		return
+	if err := c.BarrierErr(); err != nil {
+		panic(err)
 	}
-	ev := c.notifyBarrier()
-	ev.Wait(c.P)
 }
 
 // notifyBarrier registers arrival at the world barrier and returns the
 // generation's release event; the last arrival books the release.
 func (c *Comm) notifyBarrier() *sim.Event {
 	b := c.w.bar
-	ev := b.ev
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.ev = &sim.Event{}
-		c.w.Eng.After(c.w.barCost, ev.Fire)
+	ev := b.Arrive(c.Rank)
+	if b.Complete() {
+		b.Release(c.w.Eng, c.w.barCost)
 	}
 	return ev
 }
 
 // AllreduceSum sums one float64 per rank on every rank (MPI_Allreduce).
 func (c *Comm) AllreduceSum(v float64) float64 {
-	r := c.collective(v, func(vals []any) any {
+	r, err := c.collectiveErr(v, func(vals []any) any {
 		s := 0.0
 		for _, x := range vals {
 			s += x.(float64)
 		}
 		return s
 	})
-	return r.(float64)
-}
-
-func (c *Comm) collective(val any, combine func([]any) any) any {
-	r, err := c.collectiveErr(val, combine)
 	if err != nil {
 		panic(err)
 	}
-	return r
+	return r.(float64)
 }
 
-// collectiveErr joins the rank's next collective slot and waits for its
-// release — through the failure-detecting deadline ladder when a fault
+// collectiveErr joins the rank's next collective generation and waits
+// for its release — through the failure-detecting deadline ladder when a fault
 // schedule is installed.
 func (c *Comm) collectiveErr(val any, combine func([]any) any) (any, error) {
 	w := c.w
-	for len(w.colls) <= c.collSeq {
-		w.colls = append(w.colls, nil)
-	}
-	if w.colls[c.collSeq] == nil {
-		w.colls[c.collSeq] = &collSlot{vals: make([]any, c.Size), ev: &sim.Event{}}
-	}
-	slot := w.colls[c.collSeq]
-	c.collSeq++
-	slot.vals[c.Rank] = val
-	slot.arrived++
-	if slot.arrived == c.Size {
-		slot.result = combine(slot.vals)
-		w.Eng.After(w.barCost, slot.ev.Fire)
+	col := &w.coll
+	col.vals[c.Rank] = val
+	ev := col.rv.Arrive(c.Rank)
+	if col.rv.Complete() {
+		col.result = combine(col.vals)
+		col.rv.Release(w.Eng, w.barCost)
 	}
 	if !w.faultsOn() {
-		slot.ev.Wait(c.P)
-		return slot.result, nil
+		ev.Wait(c.P)
+		return col.result, nil
 	}
-	if w.nodeDown(c.Place.Node) {
+	if w.Cluster.NodeDown(c.Place.Node) {
 		return nil, c.commError("allreduce", c.Rank, 0, fault.ErrNodeDown)
 	}
-	if err := c.waitLadder(slot.ev, "allreduce", w.barCost); err != nil {
+	if err := c.releaseWait("allreduce", ev); err != nil {
 		return nil, err
 	}
-	return slot.result, nil
+	return col.result, nil
 }

@@ -91,3 +91,67 @@ func (ev *Event) WaitTimeout(p *Proc, d Duration) bool {
 	}
 	return ev.fired
 }
+
+// Rendezvous is a reusable synchronization point of n parties, one
+// Event per generation; every runtime's barriers and collectives are
+// built on it. Without liveness a generation is complete when all n
+// parties arrived, and an arrival is a bare counter. With liveness it
+// also records who arrived, and a generation is complete once every
+// party still missing is dead; callers re-check when a party dies.
+type Rendezvous struct {
+	n, arrived int
+	seq        int64
+	ev         *Event
+	live       func(party int) bool
+	in         []bool // arrived this generation (liveness only)
+}
+
+// NewRendezvous returns a rendezvous of n parties; live, when non-nil,
+// reports whether a party is alive.
+func NewRendezvous(n int, live func(party int) bool) *Rendezvous {
+	r := &Rendezvous{n: n, ev: &Event{}, live: live} //upcvet:poolalloc -- once per barrier or collective site
+	if live != nil {
+		r.in = make([]bool, n)
+	}
+	return r
+}
+
+// Arrive registers party at the open generation and returns its release
+// event.
+func (r *Rendezvous) Arrive(party int) *Event {
+	r.arrived++
+	if r.in != nil {
+		r.in[party] = true
+	}
+	return r.ev
+}
+
+// Seq reports the open generation's sequence number.
+func (r *Rendezvous) Seq() int64 { return r.seq }
+
+// Complete reports whether the open generation may release.
+func (r *Rendezvous) Complete() bool {
+	if r.in == nil {
+		return r.arrived == r.n
+	}
+	if r.arrived == 0 {
+		return false
+	}
+	for i, in := range r.in {
+		if !in && r.live(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// Release books the open generation's event to fire after cost and opens
+// the next generation.
+func (r *Rendezvous) Release(eng *Engine, cost Duration) {
+	ev := r.ev
+	r.arrived = 0
+	clear(r.in)
+	r.seq++
+	r.ev = &Event{} //upcvet:poolalloc -- one event per generation, amortized over its n waiters
+	eng.After(cost, ev.Fire)
+}

@@ -4,7 +4,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -16,11 +15,8 @@ import (
 // the survivors finish the run. Without a schedule every hook collapses
 // to a nil check and the runtime behaves exactly as before.
 
-// faultsOn reports whether this run has a fault schedule installed.
-func (rt *Runtime) faultsOn() bool { return rt.inj != nil }
-
 // FaultsOn reports whether a fault schedule is installed on this run.
-func (rt *Runtime) FaultsOn() bool { return rt.faultsOn() }
+func (rt *Runtime) FaultsOn() bool { return rt.inj != nil }
 
 // RetryPolicy reports the run's active retry policy (zero when no fault
 // schedule is installed).
@@ -33,24 +29,24 @@ func (rt *Runtime) LiveThreads() int { return rt.Cfg.Threads - rt.nDead }
 // run's fault schedule. Fault-tolerant applications poll it at work-loop
 // boundaries and Retire when it reports true.
 func (t *Thread) Failed() bool {
-	return t.rt.faultsOn() && t.rt.Cluster.NodeDown(t.Place.Node)
+	return t.rt.FaultsOn() && t.rt.Cluster.NodeDown(t.Place.Node)
 }
 
 // Alive reports whether peer is usable as a communication target: it has
 // not retired and its node is up. Always true without a fault schedule.
 func (t *Thread) Alive(peer int) bool {
 	rt := t.rt
-	if !rt.faultsOn() {
+	if !rt.FaultsOn() {
 		return true
 	}
 	return !rt.dead[peer] && !rt.Cluster.NodeDown(rt.places[peer].Node)
 }
 
 // Retire removes this thread from the SPMD collective population after
-// its node crashed: the in-progress barrier generation and collective
-// slots re-check for release on the survivors alone, and future ones
-// never wait for it. Idempotent; the thread must not issue further
-// barriers or collectives afterwards.
+// its node crashed: the open barrier and collective generations re-check
+// for release on the survivors alone, and future ones never wait for it.
+// Idempotent; the thread must not issue further barriers or collectives
+// afterwards.
 func (t *Thread) Retire() {
 	rt := t.rt
 	if rt.dead[t.ID] {
@@ -59,12 +55,8 @@ func (t *Thread) Retire() {
 	rt.dead[t.ID] = true
 	rt.nDead++
 	t.FaultEvent("retire", t.ID, 0)
-	rt.bar.maybeRelease(rt, t.ID)
-	for _, slot := range rt.colls {
-		if slot != nil && !slot.fired && slot.combine != nil && slot.complete(rt) {
-			slot.fire(rt, t.ID)
-		}
-	}
+	rt.releaseBarrier(t.ID)
+	rt.releaseColl(t.ID)
 }
 
 // ReviveScheduled reports whether the fault schedule revives this
@@ -73,7 +65,7 @@ func (t *Thread) Retire() {
 // good sees false and should Retire permanently.
 func (t *Thread) ReviveScheduled() bool {
 	rt := t.rt
-	return rt.faultsOn() && rt.inj.WillRevive(t.Place.Node)
+	return rt.FaultsOn() && rt.inj.WillRevive(t.Place.Node)
 }
 
 // AwaitRevive parks the thread until its node's scheduled revival.
@@ -81,7 +73,7 @@ func (t *Thread) ReviveScheduled() bool {
 // never wake. Returns immediately when the node is up.
 func (t *Thread) AwaitRevive() {
 	rt := t.rt
-	if !rt.faultsOn() {
+	if !rt.FaultsOn() {
 		return
 	}
 	node := t.Place.Node
@@ -91,18 +83,15 @@ func (t *Thread) AwaitRevive() {
 }
 
 // Rejoin re-admits a retired thread after its node's revival with zero
-// state: the dead mark clears (barrier membership includes it again
-// from the next generation) and the rejoin edge is emitted for the
-// causality analyzer. The thread must rebuild its own data and re-enter
-// the application's membership structures (steal rings, probe sets)
-// itself. Collective slots opened while the thread was dead are not
-// replayed — rejoined threads must not lag into old collective
-// sequences. Returns the restored byte volume, which is 0: nothing is
-// restored. No-op unless the thread actually retired.
-func (t *Thread) Rejoin() int64 {
+// state: the dead mark clears (barrier and collective membership
+// includes it again from the open generation) and the rejoin edge is
+// emitted for the causality analyzer. The thread must rebuild its own
+// data and re-enter the application's membership structures (steal
+// rings, probe sets) itself. No-op unless the thread actually retired.
+func (t *Thread) Rejoin() {
 	rt := t.rt
-	if !rt.faultsOn() || !rt.dead[t.ID] {
-		return 0
+	if !rt.FaultsOn() || !rt.dead[t.ID] {
+		return
 	}
 	rt.dead[t.ID] = false
 	rt.nDead--
@@ -111,7 +100,6 @@ func (t *Thread) Rejoin() int64 {
 		t.P.TraceInstant(trace.CatEdge, trace.EdgeRejoin, "", 0,
 			trace.PackEndpoints(t.ID, t.ID, rt.places[t.ID].Node, t.Place.Node))
 	}
-	return 0
 }
 
 // FaultEvent emits one recovery-visibility instant (comm-matrix class
@@ -125,177 +113,70 @@ func (t *Thread) FaultEvent(name string, peer int, bytes int64) {
 		trace.PackEndpoints(t.ID, peer, t.Place.Node, t.rt.places[peer].Node))
 }
 
-// networkPath reports whether a transfer to peer crosses the NIC (the
-// conduit or its loopback) — the paths where messages can be lost.
-// Shared-memory copies are not subject to message faults.
-func (t *Thread) networkPath(peer int) bool {
-	if peer == t.ID {
-		return false
-	}
-	return !(topo.SameNode(t.Place, t.rt.places[peer]) && t.rt.Cfg.sharedMem())
-}
-
 // retriable reports whether an op toward peer needs timeout/retry
-// protection: only network paths under an installed fault schedule.
+// protection: only network paths (the conduit or its loopback) under an
+// installed fault schedule. Shared-memory copies cannot lose messages.
 func (t *Thread) retriable(peer int) bool {
-	return t.rt.faultsOn() && t.networkPath(peer)
+	return t.rt.FaultsOn() && !t.Castable(peer)
 }
 
-// nodeInc reports the current incarnation of peer's node. Only call
-// under an installed fault schedule.
-func (t *Thread) nodeInc(peer int) int64 {
-	return t.rt.inj.Incarnation(t.rt.places[peer].Node)
+// fence takes the membership-epoch fence of an operation this thread
+// issues toward peer: the zero fault.Fence without a fault schedule.
+func (t *Thread) fence(peer int) fault.Fence {
+	return t.rt.inj.Fence(t.ID, peer, t.Place.Node, t.rt.places[peer].Node)
 }
 
-// epochStale reports whether an op issued when this thread's node and
-// peer's node had incarnations (si, pi) now straddles a reincarnation
-// of either end — the membership-epoch fence.
-func (t *Thread) epochStale(peer int, si, pi int64) bool {
-	return t.nodeInc(t.ID) != si || t.nodeInc(peer) != pi
-}
-
-// fenceApply wraps a network payload apply with the delivery-time
-// membership-epoch fence: if either endpoint node was reincarnated
-// since issue, or the destination is down at delivery, the payload is
-// dropped (with a comm-matrix "stale-drop" instant) instead of
-// corrupting the new life's state. Fault-free runs and
-// payload-free transfers pass through untouched, keeping the hot path
-// allocation-free.
-func (t *Thread) fenceApply(peer int, bytes int64, apply func()) func() {
-	rt := t.rt
-	if apply == nil || !rt.faultsOn() {
-		return apply
+// protect issues an op toward peer on a protected path with its retry
+// context armed, so WaitSyncErr recovers lost messages; it fails fast
+// when either end is already down.
+func (t *Thread) protect(opName string, peer int, bytes int64, issue func() *fabric.NetOp) (*Handle, error) {
+	if t.Failed() || !t.Alive(peer) {
+		return nil, &fault.CommError{Op: opName, Src: t.ID, Dst: peer, Err: fault.ErrNodeDown}
 	}
-	srcN, dstN := t.Place.Node, rt.places[peer].Node
-	si, pi := rt.inj.Incarnation(srcN), rt.inj.Incarnation(dstN)
-	tid, pid := t.ID, peer
-	return func() {
-		if rt.inj.Incarnation(srcN) != si || rt.inj.Incarnation(dstN) != pi ||
-			rt.Cluster.NodeDown(dstN) {
-			if rt.Eng.Tracing() {
-				rt.Eng.TraceInstant(trace.CatComm, "stale-drop", trace.ClassFault,
-					bytes, trace.PackEndpoints(tid, pid, srcN, dstN))
-			}
-			return
-		}
-		apply()
-	}
-}
-
-// expectXfer estimates the fault-free completion time of a transfer, fed
-// into the retry policy's per-attempt timeouts so big payloads on slow
-// conduits are not declared lost while still streaming.
-func (t *Thread) expectXfer(bytes int64) sim.Duration {
-	cond := &t.rt.Cluster.Conduit
-	return 2*cond.Latency + sim.TransferTime(bytes, cond.ConnBW)
-}
-
-// commError builds the typed failure of an exhausted recovery.
-func (t *Thread) commError(op string, peer, attempts int, cause error) error {
-	return &fault.CommError{Op: op, Src: t.ID, Dst: peer, Attempts: attempts, Err: cause}
-}
-
-// reliableWait drives an already-issued network op to completion under
-// the retry policy: each attempt gets a growing virtual-time deadline;
-// on timeout the op is re-issued after a capped exponential backoff
-// (payload applies are idempotent copies, so a late original delivery or
-// an injected duplicate is harmless). Returns the op that completed, or
-// a typed CommError when retries are exhausted or a node died.
-func (t *Thread) reliableWait(opName string, peer int, bytes int64,
-	op *fabric.NetOp, reissue func() *fabric.NetOp, si, pi int64) (*fabric.NetOp, error) {
-	rp := t.rt.retry
-	xfer := t.expectXfer(bytes)
-	attempts := 1
-	for try := 0; ; try++ {
-		if op.Remote.WaitTimeout(t.P, rp.AttemptTimeout(try, xfer)) {
-			// The fabric-level completion fired, but if an endpoint was
-			// reincarnated since issue the delivery-time fence dropped the
-			// payload — success here would be a lie.
-			if t.epochStale(peer, si, pi) {
-				op.Release()
-				return nil, t.commError(opName, peer, attempts, fault.ErrStaleEpoch)
-			}
-			return op, nil
-		}
-		t.FaultEvent("timeout", peer, bytes)
-		// Epoch fence before the liveness checks: an endpoint that crashed
-		// AND revived within the timeout window is alive again, but the op
-		// belongs to its previous incarnation — retrying it into the new
-		// life would deliver stale data. Typed as ErrStaleEpoch so callers
-		// reissue fresh operations instead.
-		if t.epochStale(peer, si, pi) {
-			op.Release()
-			return nil, t.commError(opName, peer, attempts, fault.ErrStaleEpoch)
-		}
-		if t.Failed() || !t.Alive(peer) {
-			op.Release()
-			return nil, t.commError(opName, peer, attempts, fault.ErrNodeDown)
-		}
-		if try >= rp.MaxRetries {
-			op.Release()
-			return nil, t.commError(opName, peer, attempts, fault.ErrTimeout)
-		}
-		t.P.Advance(rp.BackoffFor(try + 1))
-		// The peer may have crashed (or crossed a reincarnation) while we
-		// backed off.
-		if t.epochStale(peer, si, pi) {
-			op.Release()
-			return nil, t.commError(opName, peer, attempts, fault.ErrStaleEpoch)
-		}
-		if t.Failed() || !t.Alive(peer) {
-			op.Release()
-			return nil, t.commError(opName, peer, attempts, fault.ErrNodeDown)
-		}
-		t.FaultEvent("retry", peer, bytes)
-		if t.rt.edges {
-			t.P.TraceInstant(trace.CatEdge, trace.EdgeRetry, opName, int64(attempts),
-				trace.PackEndpoints(t.ID, peer, t.Place.Node, t.rt.places[peer].Node))
-		}
-		// Abandon the timed-out op before reissuing: dropping the hold lets
-		// its pooled record recycle once any in-flight legs (a delayed
-		// original, an injected duplicate) drain. Nothing reads it again —
-		// the handle is repointed at the reissue.
-		op.Release()
-		op = reissue()
-		attempts++
-	}
-}
-
-// armRetry attaches the retry context to a freshly issued async handle
-// when the op needs protection; WaitSync then recovers lost messages
-// transparently. No-op (and no allocation is retained) otherwise.
-func (t *Thread) armRetry(h *Handle, opName string, peer int, bytes int64,
-	reissue func() *fabric.NetOp) {
-	if !t.retriable(peer) {
-		return
-	}
-	h.t, h.opName, h.peer, h.bytes, h.reissue = t, opName, peer, bytes, reissue
-	h.srcInc, h.dstInc = t.nodeInc(t.ID), t.nodeInc(peer)
+	return &Handle{op: issue(), opName: opName, peer: peer, bytes: bytes,
+		reissue: issue, fence: t.fence(peer)}, nil
 }
 
 // WaitSyncErr blocks until the asynchronous operation completes,
 // recovering lost messages under the run's retry policy when the handle
-// was issued on a protected path. It is the error-returning form of
-// WaitSync.
+// was issued on a protected path: the op is re-issued on each timeout
+// (payload applies are idempotent copies, so a late original delivery or
+// an injected duplicate is harmless) until it completes, retries run
+// out, or a node died. It is the error-returning form of WaitSync.
 func (t *Thread) WaitSyncErr(h *Handle) error {
-	if h.op == nil {
+	op := h.op
+	if op == nil {
 		return nil
 	}
+	h.op = nil // the wait consumes the operation either way
 	if h.reissue == nil {
-		op := h.op
-		h.op = nil
 		op.WaitRemote(t.P)
 		op.Release()
 		return nil
 	}
-	op, err := t.reliableWait(h.opName, h.peer, h.bytes, h.op, h.reissue, h.srcInc, h.dstInc)
+	rt := t.rt
+	err := rt.retry.Wait(&fault.Wait{
+		Op: h.opName, Src: t.ID, Dst: h.peer, Bytes: h.bytes,
+		Xfer: rt.Cluster.Conduit.ExpectXfer(h.bytes),
+		P:    t.P, Done: &op.Remote, Fence: h.fence,
+		Down:  func() bool { return t.Failed() || !t.Alive(h.peer) },
+		Event: t.FaultEvent,
+		Reissue: func(attempt int) *sim.Event {
+			if rt.edges {
+				t.P.TraceInstant(trace.CatEdge, trace.EdgeRetry, h.opName, int64(attempt),
+					trace.PackEndpoints(t.ID, h.peer, t.Place.Node, rt.places[h.peer].Node))
+			}
+			// Abandon the timed-out op before reissuing: dropping the
+			// hold lets its pooled record recycle once any in-flight legs
+			// (a delayed original, an injected duplicate) drain.
+			op.Release()
+			op = h.reissue()
+			return &op.Remote
+		},
+	})
 	h.reissue = nil
-	h.op = nil // the wait consumed the operation either way
-	if err != nil {
-		return err
-	}
 	op.Release()
-	return nil
+	return err
 }
 
 // ---- Error-returning one-sided operations ----
@@ -336,29 +217,21 @@ func (t *Thread) GetBytesErr(src int, bytes int64) error {
 		op.Release()
 		return nil
 	}
-	if t.Failed() || !t.Alive(src) {
-		return t.commError("get", src, 0, fault.ErrNodeDown)
+	h, err := t.protect("get", src, bytes, func() *fabric.NetOp { return t.getBytes(src, bytes, nil) })
+	if err != nil {
+		return err
 	}
-	issue := func() *fabric.NetOp { return t.getBytes(src, bytes, nil) }
-	h := &Handle{op: issue()}
-	t.armRetry(h, "get", src, bytes, issue)
 	return t.WaitSyncErr(h)
 }
 
-// putBytesAsyncErr issues a protected put, failing fast when either end
-// is already down. The async contract hands the caller an owned Handle,
-// so this path allocates exactly that handle on fault-free runs.
+// putBytesAsyncErr issues a put, retry-armed on protected paths. The
+// async contract hands the caller an owned Handle, so this path
+// allocates exactly that handle on fault-free runs.
 func (t *Thread) putBytesAsyncErr(dst int, bytes int64, apply func()) (*Handle, error) {
 	if !t.retriable(dst) {
 		return &Handle{op: t.putBytes(dst, bytes, apply)}, nil
 	}
-	if t.Failed() || !t.Alive(dst) {
-		return nil, t.commError("put", dst, 0, fault.ErrNodeDown)
-	}
-	issue := func() *fabric.NetOp { return t.putBytes(dst, bytes, apply) }
-	h := &Handle{op: issue()}
-	t.armRetry(h, "put", dst, bytes, issue)
-	return h, nil
+	return t.protect("put", dst, bytes, func() *fabric.NetOp { return t.putBytes(dst, bytes, apply) })
 }
 
 // PutAsyncTErr is PutAsyncT with typed range errors and a retry-armed
@@ -394,19 +267,16 @@ func GetAsyncTErr[T any](t *Thread, s *Shared[T], dst []T, owner, off int) (*Han
 	if err := checkRangeErr(len(s.segs[owner]), off, len(dst), "Get"); err != nil {
 		return nil, err
 	}
-	if t.retriable(owner) && (t.Failed() || !t.Alive(owner)) {
-		return nil, t.commError("get", owner, 0, fault.ErrNodeDown)
-	}
 	src := s.segs[owner]
 	n := len(dst)
+	bytes := int64(n * s.elemBytes)
 	issue := func() *fabric.NetOp {
-		return t.getBytes(owner, int64(n*s.elemBytes), func() {
-			copy(dst, src[off:off+n])
-		})
+		return t.getBytes(owner, bytes, func() { copy(dst, src[off:off+n]) })
 	}
-	h := &Handle{op: issue()}
-	t.armRetry(h, "get", owner, int64(n*s.elemBytes), issue)
-	return h, nil
+	if !t.retriable(owner) {
+		return &Handle{op: issue()}, nil
+	}
+	return t.protect("get", owner, bytes, issue)
 }
 
 // GetTErr is GetT with fault recovery and typed errors.

@@ -105,7 +105,8 @@ type Runtime struct {
 
 	nodesUsed int
 	barCost   sim.Duration
-	bar       *phaseBarrier
+	bar       *sim.Rendezvous
+	coll      collective
 	// edges is true when the installed tracer opted into completion-edge
 	// instants (trace.EdgeObserver); cached once so the hot paths pay a
 	// single bool test.
@@ -113,7 +114,6 @@ type Runtime struct {
 	allocs    []*sharedShape
 	nextArray uint32 // shared-array ids for translation-cache keys
 	xlate     xlateCosts
-	colls     []*collSlot
 	interned  map[string]any
 
 	// Fault-injection state: inj is nil when the run has no fault
@@ -219,7 +219,12 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		})
 	}
 	rt.barCost = cl.BarrierCost(rt.nodesUsed)
-	rt.bar = newPhaseBarrier(cfg.Threads)
+	var live func(int) bool // barrier and collective membership under faults
+	if inj != nil {
+		live = func(id int) bool { return !rt.dead[id] }
+	}
+	rt.bar = sim.NewRendezvous(cfg.Threads, live)
+	rt.coll = collective{rv: sim.NewRendezvous(cfg.Threads, live), vals: make([]any, cfg.Threads)}
 	m := cfg.Machine
 	rt.xlate = xlateCosts{
 		miss:   sim.FromSeconds(m.PtrXlate),

@@ -2,6 +2,7 @@ package upc
 
 import (
 	"repro/internal/fabric"
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -28,7 +29,6 @@ type Thread struct {
 	ep    *fabric.Endpoint
 
 	allocSeq int
-	collSeq  int
 	xl       xlateState // shared-pointer translation accounting
 }
 
@@ -84,7 +84,10 @@ func (t *Thread) Castable(other int) bool {
 func (t *Thread) Barrier() {
 	t.flushXlateCounters()
 	end := t.P.TraceSpan("upc", "barrier")
-	ev := t.rt.bar.notify(t.rt, t.ID)
+	rt := t.rt
+	ev := rt.bar.Arrive(t.ID)
+	rt.syncEdge(t.ID, trace.EdgeBarArrive, "barrier", rt.bar.Seq())
+	rt.releaseBarrier(t.ID)
 	ev.Wait(t.P)
 	end()
 }
@@ -141,17 +144,13 @@ type Handle struct {
 	op *fabric.NetOp
 
 	// Retry context, armed when the op was issued on a network path under
-	// an installed fault schedule (see armRetry): WaitSync then recovers
+	// an installed fault schedule (see protect): WaitSync then recovers
 	// lost messages by re-issuing. All nil/zero on fault-free runs.
-	t       *Thread
 	opName  string
 	peer    int
 	bytes   int64
 	reissue func() *fabric.NetOp
-	// Issue-time incarnations of both endpoint nodes: an op that
-	// straddles a reincarnation of either end is stale and must not be
-	// retried into the new life (fault.ErrStaleEpoch).
-	srcInc, dstInc int64
+	fence   fault.Fence // issue-time membership epoch of both ends
 }
 
 // HandleFor wraps a raw fabric operation as a UPC handle, for extensions
@@ -253,7 +252,7 @@ func (t *Thread) putBytes(dst int, bytes int64, apply func()) *fabric.NetOp {
 	if topo.SameNode(t.Place, dstPlace) && rt.Cfg.sharedMem() {
 		return t.localCopy(t.Place, dstPlace, bytes, t.shmOverhead(), apply)
 	}
-	return t.ep.PutAsync(t.P, rt.eps[dst], bytes, t.fenceApply(dst, bytes, apply))
+	return t.ep.PutAsync(t.P, rt.eps[dst], bytes, t.fence(dst).Deliver(bytes, apply))
 }
 
 // getBytes moves bytes from thread src toward this thread, applying the
@@ -268,7 +267,7 @@ func (t *Thread) getBytes(src int, bytes int64, apply func()) *fabric.NetOp {
 	if topo.SameNode(t.Place, srcPlace) && rt.Cfg.sharedMem() {
 		return t.localCopy(srcPlace, t.Place, bytes, t.shmOverhead(), apply)
 	}
-	return t.ep.GetAsync(t.P, rt.eps[src], bytes, t.fenceApply(src, bytes, apply))
+	return t.ep.GetAsync(t.P, rt.eps[src], bytes, t.fence(src).Deliver(bytes, apply))
 }
 
 // localCopy is MemCopyAsync on a placement pair the caller's path
