@@ -356,8 +356,8 @@ func (c *Comm) AllreduceSum(v float64) float64 {
 }
 
 // collectiveErr joins the rank's next collective generation and waits
-// for its release — through the failure-detecting deadline ladder when a fault
-// schedule is installed.
+// for its release — through the failure-detecting deadline ladder when
+// a fault schedule is installed.
 func (c *Comm) collectiveErr(val any, combine func([]any) any) (any, error) {
 	w := c.w
 	col := &w.coll
