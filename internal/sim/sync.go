@@ -129,7 +129,8 @@ func (r *Rendezvous) Arrive(party int) *Event {
 // Seq reports the open generation's sequence number.
 func (r *Rendezvous) Seq() int64 { return r.seq }
 
-// Complete reports whether the open generation may release.
+// Complete reports whether the open generation may release; one that
+// nobody has arrived at never may.
 func (r *Rendezvous) Complete() bool {
 	if r.in == nil {
 		return r.arrived == r.n
