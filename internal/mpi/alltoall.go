@@ -1,9 +1,8 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
-
-	"repro/internal/sim"
 )
 
 // hierThreshold is the per-destination slice size (bytes) at or below
@@ -23,142 +22,213 @@ func (c *Comm) Alltoall(send [][]byte) [][]byte {
 	if len(send) != c.Size {
 		panic(fmt.Sprintf("mpi: Alltoall with %d slices for %d ranks", len(send), c.Size))
 	}
-	w := c.w
-	if w.Cfg.RanksPerNode > 1 && w.nodes > 1 && c.Size == w.nodes*w.Cfg.RanksPerNode &&
-		uniformSizes(send) && len(send[0]) <= hierThreshold {
-		return c.alltoallHierarchical(send)
+	slice := int64(len(send[0]))
+	if uniformSizes(send) && c.hierarchical(slice) {
+		return c.alltoallHierarchical(send, slice)
 	}
-	return c.alltoallPairwise(send)
+	return c.alltoallPairwise(send, 0)
+}
+
+// AlltoallModel runs the complete-exchange communication pattern for
+// uniform per-destination slices of the given byte size without carrying
+// payloads — the model-mode form of Alltoall, with the same algorithm
+// selection and the same messages.
+func (c *Comm) AlltoallModel(slice int64) {
+	if c.hierarchical(slice) {
+		c.alltoallHierarchical(nil, slice)
+		return
+	}
+	c.alltoallPairwise(nil, slice)
 }
 
 // AlltoallPairwise forces the naive pairwise-exchange algorithm (used by
 // the ablation benchmarks).
 func (c *Comm) AlltoallPairwise(send [][]byte) [][]byte {
-	return c.alltoallPairwise(send)
+	return c.alltoallPairwise(send, 0)
 }
 
-func (c *Comm) alltoallPairwise(send [][]byte) [][]byte {
-	out := make([][]byte, c.Size)
-	out[c.Rank] = append([]byte(nil), send[c.Rank]...)
-	for step := 1; step < c.Size; step++ {
-		to := (c.Rank + step) % c.Size
-		from := (c.Rank - step + c.Size) % c.Size
-		out[from] = c.Sendrecv(to, send[to], from)
-	}
+// hierarchical reports whether the tuned selection takes the
+// node-aggregated algorithm for uniform slices of the given size.
+func (c *Comm) hierarchical(slice int64) bool {
+	w := c.w
+	return w.Cfg.RanksPerNode > 1 && w.nodes > 1 && c.Size == w.nodes*w.Cfg.RanksPerNode &&
+		slice <= hierThreshold
+}
+
+// alltoallPairwise exchanges with every other rank in turn. A nil send
+// runs the pattern payload-free with slice bytes per message (model
+// mode) and returns nil.
+func (c *Comm) alltoallPairwise(send [][]byte, slice int64) [][]byte {
+	out := selfSlot(send, c.Rank)
+	c.ring(send, slice, out, 0, c.Size)
 	return out
+}
+
+// selfSlot starts an all-to-all's result with the rank's own slice (nil
+// in model mode).
+func selfSlot(send [][]byte, rank int) [][]byte {
+	if send == nil {
+		return nil
+	}
+	out := make([][]byte, len(send))
+	out[rank] = bytes.Clone(send[rank])
+	return out
+}
+
+// ring exchanges pairwise with every other rank of base..base+n-1 in
+// turn, storing the arrivals in out (when non-nil). In model mode (nil
+// send) each message carries slice bytes payload-free.
+func (c *Comm) ring(send [][]byte, slice int64, out [][]byte, base, n int) {
+	i := c.Rank - base
+	for step := 1; step < n; step++ {
+		to := base + (i+step)%n
+		from := base + (i-step+n)%n
+		var data []byte
+		size := slice
+		if send != nil {
+			data, size = bytes.Clone(send[to]), int64(len(send[to]))
+		}
+		in := c.sendrecv(to, size, data, from)
+		if out != nil {
+			out[from] = in
+		}
+	}
 }
 
 // alltoallHierarchical aggregates per node pair: each remote node nd is
 // assigned to the local *handler* rank nd%per, which collects its node's
 // contributions for nd over shared memory, exchanges one aggregated block
-// with nd's corresponding handler on the wire, and scatters the arrivals
-// locally. Wire traffic drops from per² messages per node pair to one,
-// spread across all of the node's connections.
-func (c *Comm) alltoallHierarchical(send [][]byte) [][]byte {
+// with nd's corresponding handler on the wire, and hands each local rank
+// its share of the arrival in one message. Wire traffic drops from per²
+// messages per node pair to one, spread across all of the node's
+// connections. A nil send runs the same messages payload-free (model
+// mode) and returns nil.
+func (c *Comm) alltoallHierarchical(send [][]byte, slice int64) [][]byte {
 	w := c.w
 	per := w.Cfg.RanksPerNode
 	myNode := c.Rank / per
 	li := c.Rank % per
-	slice := len(send[0])
-	out := make([][]byte, c.Size)
+	base := myNode * per
+	blk := int64(per) * slice // one rank's slices for one node
+	mine := func(nd int) bool { return nd != myNode && nd%per == li }
 
 	// Node-local exchange goes directly over shared memory, pairwise.
-	out[c.Rank] = append([]byte(nil), send[c.Rank]...)
-	for step := 1; step < per; step++ {
-		to := myNode*per + (li+step)%per
-		from := myNode*per + (li-step+per)%per
-		out[from] = c.Sendrecv(to, send[to], from)
-	}
+	out := selfSlot(send, c.Rank)
+	c.ring(send, slice, out, base, per)
 
-	// myNodes lists the remote nodes this rank handles, ascending.
-	handled := func(lr int) []int {
-		var nds []int
-		for nd := 0; nd < w.nodes; nd++ {
-			if nd != myNode && nd%per == lr {
-				nds = append(nds, nd)
-			}
-		}
-		return nds
-	}
-	mine := handled(li)
-
-	// Phase 1: ship each remote node's block to its local handler. A
-	// block is concat(send[dr]) over nd's ranks, ascending.
-	blockFor := func(vec [][]byte, nd int) []byte {
-		blk := make([]byte, 0, per*slice)
-		for dr := nd * per; dr < (nd+1)*per; dr++ {
-			blk = append(blk, vec[dr]...)
-		}
-		return blk
+	// Phase 1: ship each remote node's block — concat(send[dr]) over nd's
+	// ranks, ascending — to its local handler, and collect the node's
+	// blocks for the nodes this rank handles: agg[nd] holds local rank
+	// lr's block for nd at offset lr*blk.
+	var agg [][]byte
+	if send != nil {
+		agg = make([][]byte, w.nodes)
 	}
 	for nd := 0; nd < w.nodes; nd++ {
-		if nd == myNode || nd%per == li {
-			continue
+		switch {
+		case nd == myNode:
+		case !mine(nd):
+			c.sendOwned(base+nd%per, blk, concat(send, nd*per, per))
+		case agg != nil:
+			agg[nd] = make([]byte, int64(per)*blk)
+			copy(agg[nd][int64(li)*blk:], concat(send, nd*per, per))
 		}
-		c.Send(myNode*per+nd%per, blockFor(send, nd))
 	}
-	// Collect the node's contributions for each node I handle:
-	// contrib[k][lr] is local rank lr's block for mine[k].
-	contrib := make([][][]byte, len(mine))
-	for k, nd := range mine {
-		contrib[k] = make([][]byte, per)
-		contrib[k][li] = blockFor(send, nd)
-	}
-	// Each other local rank sends me its blocks for my nodes, ascending.
 	for lr := 0; lr < per; lr++ {
 		if lr == li {
 			continue
 		}
-		for k := range mine {
-			contrib[k][lr] = c.Recv(myNode*per + lr)
+		for nd := 0; nd < w.nodes; nd++ {
+			if mine(nd) {
+				in := c.Recv(base + lr)
+				if agg != nil {
+					copy(agg[nd][int64(lr)*blk:], in)
+				}
+			}
 		}
 	}
 
 	// Phase 2: exchange aggregated node-pair blocks with the partner
 	// handlers, non-blocking sends first to avoid ordering cycles. The
 	// handler for node myNode on node nd is rank nd*per + myNode%per.
-	for k, nd := range mine {
-		agg := make([]byte, 0, per*per*slice)
-		for lr := 0; lr < per; lr++ {
-			agg = append(agg, contrib[k][lr]...)
+	for nd := 0; nd < w.nodes; nd++ {
+		if mine(nd) {
+			c.post(nd*per+myNode%per, int64(per)*blk, at(agg, nd))
 		}
-		c.isend(nd*per+myNode%per, agg)
 	}
-	arrivals := make([][]byte, len(mine))
-	for k, nd := range mine {
-		arrivals[k] = c.Recv(nd*per + myNode%per)
-	}
-
-	// Phase 3: unpack arrivals and scatter to local destinations. An
-	// arrival from nd holds, for each sender lr' on nd (ascending), the
-	// slices for my node's ranks (ascending).
-	for k, nd := range mine {
-		blk := arrivals[k]
-		off := 0
-		for sr := nd * per; sr < (nd+1)*per; sr++ {
-			for dr := myNode * per; dr < (myNode+1)*per; dr++ {
-				piece := blk[off : off+slice]
-				off += slice
-				if dr == c.Rank {
-					out[sr] = append([]byte(nil), piece...)
-				} else {
-					c.Send(dr, piece)
-				}
+	for nd := 0; nd < w.nodes; nd++ {
+		if mine(nd) {
+			in := c.Recv(nd*per + myNode%per)
+			if agg != nil {
+				agg[nd] = in
 			}
 		}
 	}
-	// Receive my slices for non-handled nodes from their local handlers,
-	// in the handlers' deterministic (nd ascending, sr ascending) order.
+
+	// Phase 3: an arrival from nd holds, for each sender on nd
+	// (ascending), the slices for my node's ranks (ascending). Each
+	// local rank gets the per slices meant for it in one message.
 	for nd := 0; nd < w.nodes; nd++ {
-		if nd == myNode || nd%per == li {
+		if !mine(nd) {
 			continue
 		}
-		h := myNode*per + nd%per
-		for sr := nd * per; sr < (nd+1)*per; sr++ {
-			out[sr] = c.Recv(h)
+		for dr := base; dr < base+per; dr++ {
+			var share []byte
+			if agg != nil {
+				share = make([]byte, 0, blk)
+				for s := 0; s < per; s++ {
+					off := int64(s*per+dr-base) * slice
+					share = append(share, agg[nd][off:off+slice]...)
+				}
+			}
+			if dr == c.Rank {
+				scatter(out, share, nd*per, slice)
+			} else {
+				c.sendOwned(dr, blk, share)
+			}
+		}
+	}
+	// Receive my shares of the non-handled nodes from their local
+	// handlers, nd ascending.
+	for nd := 0; nd < w.nodes; nd++ {
+		if nd != myNode && !mine(nd) {
+			scatter(out, c.Recv(base+nd%per), nd*per, slice)
 		}
 	}
 	return out
+}
+
+// at is v[i], or nil in model mode (nil v).
+func at(v [][]byte, i int) []byte {
+	if v == nil {
+		return nil
+	}
+	return v[i]
+}
+
+// concat joins send's slices for ranks lo..lo+n-1 into one owned buffer
+// (nil in model mode).
+func concat(send [][]byte, lo, n int) []byte {
+	if send == nil {
+		return nil
+	}
+	var b []byte
+	for _, s := range send[lo : lo+n] {
+		b = append(b, s...)
+	}
+	return b
+}
+
+// scatter splits a received share into out's slots for the senders
+// lo, lo+1, ... (a no-op in model mode).
+func scatter(out [][]byte, share []byte, lo int, slice int64) {
+	if out == nil {
+		return
+	}
+	for i := int64(0); i < int64(len(share)); i += slice {
+		out[lo] = share[i : i+slice]
+		lo++
+	}
 }
 
 func uniformSizes(v [][]byte) bool {
@@ -168,91 +238,4 @@ func uniformSizes(v [][]byte) bool {
 		}
 	}
 	return true
-}
-
-// AlltoallModel runs the complete-exchange communication pattern for
-// uniform per-destination slices of the given byte size without carrying
-// payloads — the model-mode form of Alltoall with the same size-based
-// algorithm selection.
-func (c *Comm) AlltoallModel(slice int64) {
-	w := c.w
-	if w.Cfg.RanksPerNode > 1 && w.nodes > 1 && c.Size == w.nodes*w.Cfg.RanksPerNode &&
-		slice <= hierThreshold {
-		c.alltoallHierarchicalModel(slice)
-		return
-	}
-	for step := 1; step < c.Size; step++ {
-		to := (c.Rank + step) % c.Size
-		from := (c.Rank - step + c.Size) % c.Size
-		c.SendrecvModel(to, slice, from)
-	}
-}
-
-// alltoallHierarchicalModel mirrors alltoallHierarchical's message pattern
-// with payload-free transfers.
-func (c *Comm) alltoallHierarchicalModel(slice int64) {
-	w := c.w
-	per := w.Cfg.RanksPerNode
-	myNode := c.Rank / per
-	li := c.Rank % per
-
-	for step := 1; step < per; step++ {
-		to := myNode*per + (li+step)%per
-		from := myNode*per + (li-step+per)%per
-		c.SendrecvModel(to, slice, from)
-	}
-	nHandled := 0
-	for nd := 0; nd < w.nodes; nd++ {
-		if nd == myNode {
-			continue
-		}
-		if nd%per == li {
-			nHandled++
-		} else {
-			c.SendModel(myNode*per+nd%per, int64(per)*slice)
-		}
-	}
-	// Receive phase-1 contributions for each handled node.
-	for lr := 0; lr < per; lr++ {
-		if lr == li {
-			continue
-		}
-		for k := 0; k < nHandled; k++ {
-			c.Recv(myNode*per + lr)
-		}
-	}
-	// Phase 2: aggregated node-pair exchanges.
-	for nd := 0; nd < w.nodes; nd++ {
-		if nd == myNode || nd%per != li {
-			continue
-		}
-		msg := &message{src: c.Rank, arrived: &sim.Event{}}
-		c.w.inbox[nd*per+myNode%per] = append(c.w.inbox[nd*per+myNode%per], msg)
-		c.w.rxQ[nd*per+myNode%per].WakeAll()
-		c.transfer(nd*per+myNode%per, int64(per*per)*slice, msg.arrived.Fire)
-	}
-	for nd := 0; nd < w.nodes; nd++ {
-		if nd == myNode || nd%per != li {
-			continue
-		}
-		c.Recv(nd*per + myNode%per)
-	}
-	// Phase 3: scatter arrivals to local destinations.
-	for nd := 0; nd < w.nodes; nd++ {
-		if nd == myNode || nd%per != li {
-			continue
-		}
-		for dr := myNode * per; dr < (myNode+1)*per; dr++ {
-			if dr != c.Rank {
-				c.SendModel(dr, int64(per)*slice)
-			}
-		}
-	}
-	for nd := 0; nd < w.nodes; nd++ {
-		if nd == myNode || nd%per == li {
-			continue
-		}
-		h := myNode*per + nd%per
-		c.Recv(h)
-	}
 }

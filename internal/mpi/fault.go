@@ -85,7 +85,9 @@ func (c *Comm) SendErr(dst int, data []byte) error {
 	return c.send(dst, int64(len(data)), snap)
 }
 
-// SendModelErr is SendModel with fault recovery and typed errors.
+// SendModelErr delivers a payload-free message of the given byte volume
+// to rank dst (the model-mode send, with Send's blocking semantics), with
+// fault recovery and typed errors.
 func (c *Comm) SendModelErr(dst int, bytes int64) error { return c.send(dst, bytes, nil) }
 
 // send posts a message and applies the protocol's blocking rule, failing

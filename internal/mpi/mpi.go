@@ -248,20 +248,21 @@ func (c *Comm) Send(dst int, data []byte) {
 	}
 }
 
-// SendModel delivers a payload-free message of the given byte volume to
-// rank dst: the model-mode transfer for benchmark geometries too large to
-// materialize. Blocking semantics match Send.
-func (c *Comm) SendModel(dst int, bytes int64) {
-	if err := c.SendModelErr(dst, bytes); err != nil {
+// sendOwned is Send of a buffer the caller hands over; nil data sends
+// the byte volume payload-free (model mode).
+func (c *Comm) sendOwned(dst int, bytes int64, data []byte) {
+	if err := c.send(dst, bytes, data); err != nil {
 		panic(err)
 	}
 }
 
-// SendrecvModel is the payload-free form of Sendrecv.
-func (c *Comm) SendrecvModel(dst int, bytes int64, src int) {
-	op, _ := c.post(dst, bytes, nil)
-	c.Recv(src)
+// sendrecv is Sendrecv of a buffer the caller hands over; nil data sends
+// the byte volume payload-free (model mode).
+func (c *Comm) sendrecv(dst int, bytes int64, data []byte, src int) []byte {
+	op, _ := c.post(dst, bytes, data)
+	in := c.Recv(src)
 	op.WaitLocal(c.P)
+	return in
 }
 
 // Recv blocks until a message from src arrives and returns its payload

@@ -247,6 +247,39 @@ func TestHierarchicalBeatsPairwiseForSmallSlices(t *testing.T) {
 	}
 }
 
+// TestAlltoallModelMatchesPayload checks that model mode is the payload
+// exchange without the payloads: AlltoallModel on a slice size must end
+// at the same virtual time as Alltoall on uniform slices of that size,
+// on the hierarchical shapes (16/4 at 512 B, 12/4 at 32 B) and on a
+// pairwise one (8/2 at 8 KB).
+func TestAlltoallModelMatchesPayload(t *testing.T) {
+	for _, tc := range []struct{ ranks, perNode, slice int }{
+		{16, 4, 512}, {12, 4, 32}, {8, 2, 8192},
+	} {
+		run := func(model bool) sim.Duration {
+			st, err := Run(cfg(tc.ranks, tc.perNode), func(c *Comm) {
+				if model {
+					c.AlltoallModel(int64(tc.slice))
+					return
+				}
+				send := make([][]byte, c.Size)
+				for d := range send {
+					send[d] = make([]byte, tc.slice)
+				}
+				c.Alltoall(send)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st.Elapsed
+		}
+		if payload, model := run(false), run(true); payload != model {
+			t.Errorf("%d ranks, %d per node, %d B slices: payload ends at %v, model at %v",
+				tc.ranks, tc.perNode, tc.slice, payload, model)
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{}, func(*Comm) {}); err == nil {
 		t.Error("nil machine must error")
