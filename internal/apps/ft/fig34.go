@@ -114,14 +114,8 @@ func RunExchange(cfg ExchangeConfig) (ExchangeResult, error) {
 	_, err := upc.Run(ucfg, func(t *upc.Thread) {
 		var myCall, myWait sim.Duration
 		put := func(dst int) *upc.Handle {
-			if cast && t.Castable(dst) && dst != t.ID {
-				rt := t.Runtime()
-				op, err := rt.Cluster.MemCopyAsync(t.P, t.Place, rt.PlaceOf(dst), blockBytes,
-					60*sim.Nanosecond, nil)
-				if err != nil {
-					panic(err) // unreachable: Castable implies same node
-				}
-				return upc.HandleFor(op)
+			if cast {
+				return t.CastPutAsync(dst, blockBytes)
 			}
 			return t.PutBytesAsync(dst, blockBytes)
 		}

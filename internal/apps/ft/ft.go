@@ -127,16 +127,6 @@ type Result struct {
 	MaxErr   float64
 }
 
-// mergePhases folds one execution context's phase totals into the
-// result as cross-context maxima (the slowest context bounds the phase).
-func mergePhases(res *Result, phases map[string]sim.Duration) {
-	for name, d := range phases {
-		if d > res.Phases[name] {
-			res.Phases[name] = d
-		}
-	}
-}
-
 func (c *Config) validate() error {
 	if c.Machine == nil {
 		return fmt.Errorf("ft: Config.Machine is required")

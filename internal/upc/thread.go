@@ -153,11 +153,6 @@ type Handle struct {
 	fence   fault.Fence // issue-time membership epoch of both ends
 }
 
-// HandleFor wraps a raw fabric operation as a UPC handle, for extensions
-// that issue fabric transfers directly (e.g. the manual cast+memcpy path
-// of the Figure 3.4 study).
-func HandleFor(op *fabric.NetOp) *Handle { return &Handle{op: op} }
-
 // WaitSync blocks until the asynchronous operation completes
 // (upc_waitsync), recovering lost messages on retry-armed handles. It
 // panics with the typed error WaitSyncErr would return.
@@ -201,6 +196,17 @@ func (t *Thread) PutBytesAsync(dst int, bytes int64) *Handle {
 		panic(err)
 	}
 	return h
+}
+
+// CastPutAsync is PutBytesAsync as the manual optimization of the Figure
+// 3.4 study writes it: toward another castable (same-node, shared
+// memory) thread it casts the destination to a local pointer and issues
+// a plain memcpy instead of upc_memput.
+func (t *Thread) CastPutAsync(dst int, bytes int64) *Handle {
+	if dst == t.ID || !t.Castable(dst) {
+		return t.PutBytesAsync(dst, bytes)
+	}
+	return &Handle{op: t.localCopy(t.Place, t.rt.places[dst], bytes, castOverhead, nil)}
 }
 
 // GetBytes performs a one-sided get of the given byte volume from thread
