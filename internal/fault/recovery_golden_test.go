@@ -20,7 +20,7 @@ import (
 // digest (completion edges included), end time and error strings. It
 // pins the order of every timeout, back-off, retry, stale drop, barrier
 // and collective release the upc, mpi and group recovery paths make.
-const recoveryGolden = "5be7b69582810aeb8b5b6f1cc46523e029dfb59d79bc467bebf556e73c0769af"
+const recoveryGolden = "46447f341771b9f93a3179a7f810807a5057a588b0e66cabdb384a7141b1da49"
 
 // edgeDigest is a Digest that also asks for completion-edge instants, so
 // barrier, collective, retry and rejoin edges are hashed too.

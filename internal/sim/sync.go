@@ -63,31 +63,19 @@ func (ev *Event) Wait(p *Proc) {
 }
 
 // WaitTimeout suspends p until the event fires or d elapses, reporting
-// whether the event fired. On timeout p is removed from the event's wait
-// queue, so a later Fire does not produce a stale wake. The timer event
-// stays on the heap until its time arrives (where it no-ops if the event
-// fired first), which can extend a run's final virtual time; callers on
-// fault-free fast paths should use Wait.
+// whether the event fired. It is WaitQueue.WaitTimeout on the event's
+// queue, so the timer belongs to this one call: on timeout p leaves the
+// queue, and once the call has returned its timer no-ops even if a pool
+// has since reset and recycled the event. The timer event stays on the
+// heap until its time arrives, which can extend a run's final virtual
+// time; callers on fault-free fast paths should use Wait.
 //
 // The fired and timed-out cases are distinguishable even when they
 // coincide: whichever was scheduled first at that instant wins, which is
 // deterministic under the engine's FIFO event order.
 func (ev *Event) WaitTimeout(p *Proc, d Duration) bool {
-	if ev.fired {
-		return true
-	}
-	expired := false
-	p.eng.After(d, func() {
-		if ev.fired || expired {
-			return
-		}
-		expired = true
-		if ev.q.Remove(p) {
-			p.eng.unpark(p)
-		}
-	})
-	for !ev.fired && !expired {
-		ev.q.Wait(p, "event-timeout")
+	if !ev.fired {
+		ev.q.WaitTimeout(p, "event-timeout", d)
 	}
 	return ev.fired
 }

@@ -182,3 +182,34 @@ func TestWaitQueueRemove(t *testing.T) {
 		}
 	}
 }
+
+// TestWaitTimeoutTimerDiesWithItsWait checks that a timed wait's timer
+// cannot reach a later wait on the same event: after a WaitTimeout that
+// the fire ended early and a Reset (an object pool recycling the
+// event), a plain Wait must last until the second fire, not end at the
+// first wait's deadline.
+func TestWaitTimeoutTimerDiesWithItsWait(t *testing.T) {
+	e := New(1)
+	ev := &Event{}
+	var fired bool
+	var firstAt, secondAt Time
+	e.Go("w", func(p *Proc) {
+		fired = ev.WaitTimeout(p, 10*Millisecond)
+		firstAt = p.Now()
+		ev.Reset()
+		ev.Wait(p)
+		secondAt = p.Now()
+	})
+	e.After(1*Millisecond, ev.Fire)
+	e.After(20*Millisecond, ev.Fire)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !fired || firstAt != Time(1*Millisecond) {
+		t.Errorf("timed wait: fired=%v at %d, want true at %d", fired, firstAt, 1*Millisecond)
+	}
+	if secondAt != Time(20*Millisecond) {
+		t.Errorf("plain wait after Reset returned at %d, want %d (the second fire)",
+			secondAt, 20*Millisecond)
+	}
+}
