@@ -31,13 +31,13 @@ func runMPI(cfg Config) (Result, error) {
 		Seed:         cfg.Seed,
 		Tracer:       cfg.Tracer,
 	}
-	r := newRun(&cfg)
+	r := newDriver(&cfg)
 	_, err = mpi.Run(mcfg, func(c *mpi.Comm) {
 		w := &mpiWorker{slab: newSlab(&cfg, c.World().Cluster, c.P, c.Place, c.Rank, c.Size), c: c}
 		if cfg.Verify {
 			w.in = make([]complex128, w.P*w.B)
 		}
-		r.drive(&w.slab, w)
+		r.run(&w.slab, w)
 	})
 	if err != nil {
 		return Result{}, err

@@ -70,21 +70,21 @@ func newSlab(cfg *Config, cl *fabric.Cluster, p *sim.Proc, place topo.Place, ran
 	return s
 }
 
-// run accumulates one FT execution's Result across its execution
-// contexts.
-type run struct {
+// driver runs one FT execution's contexts and accumulates its Result
+// across them.
+type driver struct {
 	cfg         *Config
 	res         Result
 	start, stop sim.Time
 }
 
-func newRun(cfg *Config) *run {
-	return &run{cfg: cfg, res: Result{Phases: map[string]sim.Duration{}}}
+func newDriver(cfg *Config) *driver {
+	return &driver{cfg: cfg, res: Result{Phases: map[string]sim.Duration{}}}
 }
 
-// drive runs one execution context: the verify round trip, or the
-// untimed setup transform followed by the timed loop.
-func (r *run) drive(s *slab, x exchanger) {
+// run runs one execution context: the verify round trip, or the untimed
+// setup transform followed by the timed loop.
+func (r *driver) run(s *slab, x exchanger) {
 	if r.cfg.Verify {
 		s.initData()
 		x.barrier()
@@ -115,7 +115,7 @@ func (r *run) drive(s *slab, x exchanger) {
 
 // merge folds one execution context's phase totals into the result as
 // cross-context maxima (the slowest context bounds the phase).
-func (r *run) merge(phases map[string]sim.Duration) {
+func (r *driver) merge(phases map[string]sim.Duration) {
 	for name, d := range phases {
 		if d > r.res.Phases[name] {
 			r.res.Phases[name] = d
@@ -124,7 +124,7 @@ func (r *run) merge(phases map[string]sim.Duration) {
 }
 
 // result completes the Result once every context has run.
-func (r *run) result() Result {
+func (r *driver) result() Result {
 	res := r.res
 	if r.cfg.Verify {
 		res.Verified = res.MaxErr <= 1e-9

@@ -35,7 +35,7 @@ func runUPC(cfg Config) (Result, error) {
 		Seed:           cfg.Seed,
 		Tracer:         cfg.Tracer,
 	}
-	r := newRun(&cfg)
+	r := newDriver(&cfg)
 	var setupErr error
 	_, err = upc.Run(ucfg, func(t *upc.Thread) {
 		w, err := newUPCWorker(&cfg, t)
@@ -45,7 +45,7 @@ func runUPC(cfg Config) (Result, error) {
 			}
 			return
 		}
-		r.drive(&w.slab, w)
+		r.run(&w.slab, w)
 	})
 	if err != nil {
 		return Result{}, err
