@@ -112,7 +112,7 @@ func TestFaultArmedPutNoAlloc(t *testing.T) {
 
 // TestSharedLinkTransferNoAlloc pins the blocking flow path that
 // Compute and MemTouch charge through: a warm Net.Transfer recycles its
-// flow record and settling callback.
+// flow record and re-arms the Net's one settling timer.
 func TestSharedLinkTransferNoAlloc(t *testing.T) {
 	e := sim.New(1)
 	n := NewNet(e)

@@ -93,6 +93,13 @@ func (l *Link) share() float64 {
 // finish in launch order (flowOp.seq). A class whose last flow finishes
 // is parked: it leaves Net.classes and its links' class lists but stays
 // in byKey, so a key that comes back pays no allocation.
+//
+// Flow starts and drains charge progress and complete dry flows at once,
+// but the settling pass — rates, next-completion scan, booking — runs
+// once per virtual instant, however many starts the instant brings. One
+// re-armable engine timer carries the Net's single settling callback:
+// armed for the end of the instant while a pass is due, then for the
+// next completion.
 type Net struct {
 	eng     *sim.Engine
 	classes []*flowClass           // live classes (at least one flow), unordered
@@ -103,10 +110,20 @@ type Net struct {
 	seq     uint64                 // launch counter; flowOp.seq orders completions
 	last    sim.Time
 	// epoch numbers settling passes: it stamps the classes a pass has
-	// recomputed (flowClass.gen) and the one settling callback still live.
+	// recomputed (flowClass.gen).
 	epoch uint64
 	dirty []*Link // links whose share changed since the last pass
 	full  bool    // next pass re-derives every live link and class (Nudge)
+	// stalled counts the live classes crossing a Down link: their rate is
+	// zero, so a Net whose live classes are all stalled books nothing.
+	stalled int
+	// tick is the settling callback. pending marks it armed for the end
+	// of the instant (settle); otherwise it is armed, if at all, for the
+	// next completion. resv is the engine sequence number the next
+	// completion booking takes, 0 when no live class can progress.
+	tick    *sim.Timer
+	pending bool
+	resv    uint64
 	// drained is raised by account when a flow runs dry; only then does
 	// reschedule look for completions.
 	drained bool
@@ -116,9 +133,8 @@ type Net struct {
 	// for the extra events, and the untraced hot path stays a bool check.
 	util bool
 
-	pool  sim.FreeList[flowOp]  // recycled flows
-	ticks sim.FreeList[netTick] // recycled settling callbacks
-	fin   []*flowOp             // reschedule's completion scratch
+	pool sim.FreeList[flowOp] // recycled flows
+	fin  []*flowOp            // reschedule's completion scratch
 
 	// settled, when set, runs after every settling pass. It is a test
 	// seam: the differential test checks each pass against a from-scratch
@@ -128,7 +144,9 @@ type Net struct {
 
 // NewNet creates a flow engine bound to e.
 func NewNet(e *sim.Engine) *Net {
-	return &Net{eng: e, byKey: make(map[flowKey]*flowClass), util: trace.WantsUtil(e.Tracer())}
+	n := &Net{eng: e, byKey: make(map[flowKey]*flowClass), util: trace.WantsUtil(e.Tracer())}
+	n.tick = e.NewTimer(netTick{n})
+	return n
 }
 
 // Engine reports the owning simulation engine.
@@ -190,16 +208,28 @@ type flowClass struct {
 	rem0  [1]float64
 	flows []*flowOp
 
-	gen    uint64 // epoch of the settling pass that last set rate
-	flow0  [1]*flowOp
-	key    flowKey
-	nlinks int32
-	idx    int32               // index into Net.classes while live
-	slots  [maxFlowLinks]int32 // position in each link's classes list while live
+	gen     uint64 // epoch of the settling pass that last set rate
+	flow0   [1]*flowOp
+	key     flowKey
+	nlinks  int32
+	idx     int32               // index into Net.classes while live
+	slots   [maxFlowLinks]int32 // position in each link's classes list while live
+	stalled bool                // crosses a Down link; counted in Net.stalled while live
 }
 
 // links is the class's link set, a view over the key.
 func (c *flowClass) links() []*Link { return c.key.links[:c.nlinks] }
+
+// crossesDown reports whether any of the class's links is Down, which
+// holds exactly when its settled rate is zero.
+func (c *flowClass) crossesDown() bool {
+	for _, l := range c.links() {
+		if l.Down {
+			return true
+		}
+	}
+	return false
+}
 
 // settleRate reports the class's rate from its cap and its links' cached
 // shares: min(cap, shares), with an uncapped class over only infinite
@@ -303,7 +333,7 @@ func (n *Net) Transfer(p *sim.Proc, size int64, cap float64, links ...*Link) {
 }
 
 // launch registers a new flow of size bytes, completing with act, in the
-// class of key k, settles rates and returns the flow. size must be
+// class of key k, arranges the settling pass and returns the flow. size must be
 // positive: the flow cannot complete inside launch, only from a later
 // settling callback.
 func (n *Net) launch(size int64, k flowKey, act sim.Action) *flowOp {
@@ -352,6 +382,10 @@ func (n *Net) launch(size int64, k flowKey, act sim.Action) *flowOp {
 // unpark makes an idle class live: it joins Net.classes and its links'
 // class lists.
 func (n *Net) unpark(c *flowClass) {
+	c.stalled = c.crossesDown()
+	if c.stalled {
+		n.stalled++
+	}
 	c.idx = int32(len(n.classes))
 	n.classes = append(n.classes, c)
 	for k, l := range c.links() {
@@ -364,6 +398,9 @@ func (n *Net) unpark(c *flowClass) {
 // links' class lists, each by a swap with the last entry. It stays in
 // byKey for the next flow of its key.
 func (n *Net) park(c *flowClass) {
+	if c.stalled {
+		n.stalled--
+	}
 	last := int32(len(n.classes) - 1)
 	if c.idx != last {
 		moved := n.classes[last]
@@ -409,11 +446,8 @@ func (n *Net) markDirty(l *Link) {
 	}
 }
 
-// PoolStats reports the free-list accounting for the net's pooled flows
-// and settling callbacks.
-func (n *Net) PoolStats() sim.PoolStats {
-	return n.pool.Stats().Add(n.ticks.Stats())
-}
+// PoolStats reports the free-list accounting for the net's pooled flows.
+func (n *Net) PoolStats() sim.PoolStats { return n.pool.Stats() }
 
 // capacityArg reports the link capacity rounded to int64 for occupancy
 // events (0 for infinitely fast links).
@@ -426,12 +460,20 @@ func (l *Link) capacityArg() int64 {
 
 // Nudge re-settles all in-flight flows after an external change to link
 // state (a fault action degrading capacity or toggling Down). It charges
-// progress at the old rates up to now, then recomputes every live link's
-// share and every class's rate and rebooks the next completion — including
-// waking flows that were stalled on a link that just came back.
+// progress at the old rates up to now, recounts the classes a Down link
+// stalls, then recomputes every live link's share and every class's rate
+// and rebooks the next completion — including waking flows that were
+// stalled on a link that just came back.
 func (n *Net) Nudge() {
 	n.account()
 	n.full = true
+	n.stalled = 0
+	for _, c := range n.classes {
+		c.stalled = c.crossesDown()
+		if c.stalled {
+			n.stalled++
+		}
+	}
 	n.reschedule()
 }
 
@@ -538,11 +580,17 @@ func (n *Net) recomputeRates() {
 	n.dirty = n.dirty[:0]
 }
 
-// reschedule completes drained flows, recomputes rates, and books the next
-// completion callback. Completions within the booking pad of the earliest
-// settle together, bounding the number of settling passes a staggered
-// drain can trigger while keeping the timing error to a 2^-10 fraction of
-// each flow's own duration.
+// reschedule completes drained flows and arranges the settling pass for
+// the end of the instant, replacing any booked completion. Completions
+// run here, where the flow start or settling callback found them, so
+// every wake they cause keeps its place.
+//
+// Each call takes an engine sequence number for the next completion
+// booking when some live class can progress — exactly when a pass of its
+// own would have booked one — and the end-of-instant pass books with the
+// last number taken. The one booking an instant leaves therefore pops
+// where the last of a per-call pass's bookings would, and every other
+// event keeps its (at, seq).
 func (n *Net) reschedule() {
 	// Detach the completion scratch while it is in use: a completion
 	// callback that starts a new flow re-enters reschedule, which must
@@ -551,7 +599,7 @@ func (n *Net) reschedule() {
 	finished := n.fin
 	n.fin = nil
 	// Completion callbacks run at this instant, so they cannot drain
-	// another flow: one drain per pass finds every completion.
+	// another flow: one drain per call finds every completion.
 	if n.drained {
 		n.drained = false
 		finished = n.drain(finished)
@@ -563,6 +611,24 @@ func (n *Net) reschedule() {
 		}
 	}
 	n.fin = finished[:0]
+	n.resv = 0
+	if len(n.classes) > n.stalled {
+		n.resv = n.eng.Reserve()
+	}
+	if !n.pending {
+		n.pending = true
+		n.tick.ArmEnd()
+	}
+}
+
+// settle is the settling pass, run once at the end of an instant that
+// started or drained flows: it recomputes rates and books the next
+// completion. Completions within the booking pad of the earliest settle
+// together, bounding the number of settling passes a staggered drain can
+// trigger while keeping the timing error to a 2^-10 fraction of each
+// flow's own duration.
+func (n *Net) settle() {
+	n.pending = false
 	n.epoch++
 	n.recomputeRates()
 	if n.settled != nil {
@@ -593,24 +659,20 @@ func (n *Net) reschedule() {
 	if dt < 1 {
 		dt = 1
 	}
-	t := n.ticks.Get()
-	t.n = n
-	t.epoch = n.epoch
-	n.eng.AfterAction(dt, t)
+	// A class that can progress crosses no Down link, so the last
+	// reschedule reserved a number (Down changes only under Nudge).
+	n.tick.Arm(n.eng.Now()+dt, n.resv)
 }
 
-// netTick is the pooled settling callback: one is booked per reschedule,
-// and a stale epoch means a fresher one has been booked since.
-type netTick struct {
-	n     *Net
-	epoch uint64
-}
+// netTick is the Net's settling callback: the end-of-instant pass while
+// one is pending, otherwise the next completion, which charges progress
+// and completes the flows that ran dry.
+type netTick struct{ n *Net }
 
-func (t *netTick) Run() {
-	n, epoch := t.n, t.epoch
-	t.n = nil
-	n.ticks.Put(t)
-	if n.epoch != epoch {
+func (t netTick) Run() {
+	n := t.n
+	if n.pending {
+		n.settle()
 		return
 	}
 	n.account()

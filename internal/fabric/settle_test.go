@@ -465,3 +465,55 @@ func TestClassHeavySettleMatchesFullRecompute(t *testing.T) {
 		t.Errorf("scripts too sparse: %d batched completions, largest class %d flows", batched, crowd)
 	}
 }
+
+// burstGolden is the SHA-256 of TestBurstSettlesOncePerInstant's
+// completion stream, recorded when every flow start ran its own settling
+// pass.
+const burstGolden = "1ea51fad36d583fbe72269ceb7fd9ae1b52e144a8ee89abe9d956ebc5b3f405d"
+
+// TestBurstSettlesOncePerInstant starts 64 flows of staggered sizes at
+// one instant, over two links and two caps, and requires exactly one
+// settling pass at that instant, with the completions of a pass per
+// start.
+func TestBurstSettlesOncePerInstant(t *testing.T) {
+	e := sim.New(1)
+	n := NewNet(e)
+	a, b := NewLink("a", 1e6), NewLink("b", 4e5)
+	b.Beta = 0.1
+	const launch = 10 * sim.Microsecond
+	passes := 0
+	n.settled = func() {
+		if e.Now() == launch {
+			passes++
+		}
+	}
+	var got []settleCompletion
+	e.After(launch, func() {
+		for i := 0; i < 64; i++ {
+			links := []*Link{a}
+			if i%3 == 0 {
+				links = append(links, b)
+			}
+			cap := 0.0
+			if i%4 == 0 {
+				cap = 2e4
+			}
+			n.StartAction(int64(1000+97*i), cap, actionFunc(func() {
+				got = append(got, settleCompletion{i, e.Now()})
+			}), links...)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if passes != 1 {
+		t.Errorf("64 flow starts at one instant ran %d settling passes there, want 1", passes)
+	}
+	if len(got) != 64 {
+		t.Fatalf("%d of 64 flows completed", len(got))
+	}
+	sum := sha256.Sum256([]byte(fmt.Sprint(got)))
+	if h := hex.EncodeToString(sum[:]); h != burstGolden {
+		t.Errorf("completions hash to %s, want %s: %v", h, burstGolden, got)
+	}
+}

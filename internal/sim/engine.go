@@ -20,6 +20,14 @@ type Engine struct {
 	events eventHeap
 	parked chan struct{} // a proc signals here when it parks or finishes
 
+	armed   []*Timer // armed timers, unordered
+	due     *Timer   // the earliest armed timer, nil when none is armed
+	ntimers int
+
+	// unwinding is set while Run stops the processes still parked at its
+	// end: a resumed or parking process then raises unwound.
+	unwinding bool
+
 	procs   []*Proc
 	nLive   int
 	nDaemon int
@@ -127,6 +135,9 @@ func (e *Engine) unpark(p *Proc) {
 // Run executes the simulation until no events remain. It returns a
 // deadlock error if live processes remain parked with an empty event heap.
 // A panic inside a simulated process is re-raised with its origin noted.
+// Either way, the processes still parked when the simulation stops —
+// daemons, deadlocked processes, the bystanders of a panic — are unwound
+// before Run returns, so no process goroutine outlives the run.
 //
 // Control transfers directly between simulated processes: the goroutine
 // that parks or finishes runs the dispatch loop itself (advancing the
@@ -143,12 +154,45 @@ func (e *Engine) Run() error {
 
 	e.handoff(nil)
 	<-e.parked
-	e.repanic()
-	if e.nLive > e.nDaemon {
-		stuck := e.stuckProcs()
-		return fmt.Errorf("sim: deadlock at %v: %d live processes: %v", e.now, e.nLive, stuck)
+	var err error
+	if e.panicVal == nil && e.nLive > e.nDaemon {
+		err = fmt.Errorf("sim: deadlock at %v: %d live processes: %v", e.now, e.nLive, e.stuckProcs())
 	}
-	return nil
+	e.unwind()
+	e.repanic()
+	return err
+}
+
+// unwound is the sentinel a process raises to unwind its goroutine when
+// Run stops it.
+type unwound struct{}
+
+// discard is the event sink while processes unwind: deferred span
+// closers still emit, but the run's stream has already ended.
+type discard struct{}
+
+func (discard) Emit(trace.Event) {}
+
+// unwind stops every started process that has not finished, one at a
+// time in creation order: it resumes the process, whose park raises
+// unwound, and waits until top has recovered it. Deferred model code
+// runs on the way out, so the tracer is swapped for a discarding sink
+// and a park attempted meanwhile raises unwound again instead of
+// dispatching events.
+func (e *Engine) unwind() {
+	tr := e.tracer
+	if tr != nil {
+		e.tracer = discard{}
+	}
+	e.unwinding = true
+	for _, p := range e.procs {
+		if p.started && !p.finished {
+			p.resume <- struct{}{}
+			<-e.parked
+		}
+	}
+	e.unwinding = false
+	e.tracer = tr
 }
 
 // repanic re-raises a recorded simulation panic with its origin noted;
@@ -188,7 +232,8 @@ func (e *Engine) stuckProcs() []string {
 // control (a parking or finishing process, or Run itself at startup). It
 // pops events — executing callbacks and clock moves inline in engine
 // context — until it wakes the next process (ownership passes to that
-// goroutine) or the heap drains (ownership returns to Run). A panic in
+// goroutine) or the heap drains (ownership returns to Run). An armed
+// Timer pops in its (at, seq) place among the heap's events. A panic in
 // engine context is recorded and control is aborted back to Run.
 //
 // parker is the process whose park invoked the loop (nil from Run and
@@ -211,8 +256,16 @@ func (e *Engine) handoff(parker *Proc) {
 			e.parked <- struct{}{}
 		}
 	}()
-	for e.events.Len() > 0 {
-		ev := e.events.pop()
+	for {
+		var ev event
+		if t := e.due; t != nil && (e.events.Len() == 0 || t.ev.before(&e.events.a[0])) {
+			ev = t.ev
+			t.Disarm()
+		} else if e.events.Len() > 0 {
+			ev = e.events.pop()
+		} else {
+			break
+		}
 		if ev.at < e.now {
 			panic(fmt.Sprintf("sim: time ran backwards: %v -> %v", e.now, ev.at))
 		}
@@ -292,11 +345,14 @@ func (p *Proc) Now() Time { return p.eng.now }
 
 // top is the goroutine body wrapping the user function. When the
 // function returns (or panics), the goroutine hands control onward via
-// the dispatch loop; on panic control aborts straight back to Run.
+// the dispatch loop; on panic control aborts straight back to Run, and
+// an unwound process reports back to Run's unwind.
 func (p *Proc) top() {
 	defer func() {
 		e := p.eng
-		if r := recover(); r != nil && e.panicVal == nil {
+		r := recover()
+		_, stopped := r.(unwound)
+		if r != nil && !stopped && e.panicVal == nil {
 			e.panicVal = r
 			e.panicProc = p.name
 			e.panicStack = debug.Stack()
@@ -309,7 +365,7 @@ func (p *Proc) top() {
 		if p.daemon {
 			e.nDaemon--
 		}
-		if e.panicVal != nil {
+		if e.panicVal != nil || e.unwinding {
 			e.parked <- struct{}{}
 			return
 		}
@@ -322,16 +378,25 @@ func (p *Proc) top() {
 // already have arranged a wake (a scheduled event or a WaitQueue entry).
 // The parking goroutine itself dispatches the next event before
 // blocking, so the switch to the next runnable process is direct.
+// Once Run has stopped dispatching, a resumed process raises unwound
+// instead of returning (see Engine.unwind).
 func (p *Proc) park(reason string) {
+	e := p.eng
+	if e.unwinding {
+		panic(unwound{})
+	}
 	p.blocked = reason
-	if e := p.eng; e.tracer != nil {
+	if e.tracer != nil {
 		e.emit(trace.KProcPark, int32(p.id), "sim", p.name, reason, 0, 0)
 	}
-	p.eng.handoff(p)
+	e.handoff(p)
 	if p.selfGrant {
 		p.selfGrant = false
 	} else {
 		<-p.resume
+		if e.unwinding {
+			panic(unwound{})
+		}
 	}
 	p.blocked = ""
 }
