@@ -10,12 +10,10 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/report"
 	"repro/internal/topo"
-	"repro/internal/tracecli"
 )
 
 func main() {
 	flag.Parse()
-	tracecli.Start()
 	var rows [][]string
 	for _, name := range topo.Presets() {
 		m, _ := topo.ByName(name)
@@ -47,5 +45,4 @@ func main() {
 	report.Table(os.Stdout, "Network conduit models",
 		[]string{"conduit", "latency", "overhead", "gap", "conn GB/s", "nic GB/s",
 			"loopback GB/s", "beta"}, rows)
-	tracecli.Finish()
 }

@@ -4,9 +4,9 @@
 // pure function of model and seed: the harness setting -parallel must
 // not change a byte of stdout or of any file a run writes, with or
 // without a fault schedule and with any set of observers attached.
-// Each row of the table below runs one cmd binary at a reference
-// setting and at alternative settings and requires the outputs to match
-// byte for byte; when they do not, upc-metrics and upc-analyze explain
+// Each row of the table below runs upc-experiments on a selection of
+// steps at a reference setting and at alternative settings and requires
+// the outputs to match byte for byte; when they do not, upc-metrics and upc-analyze explain
 // the drift. Run it with
 //
 //	go test -tags equivalence -run TestEquivalence -timeout 45m .
@@ -37,7 +37,6 @@ import (
 // utilization and edge events), so each keeps its own reference run.
 type row struct {
 	name    string
-	tool    string   // binary under cmd/
 	args    []string // workload selection
 	faults  string   // fault schedule for every run, "" = none
 	observe string   // observer flags: any of trace, digest, metrics, analyze
@@ -53,11 +52,10 @@ const (
 )
 
 var (
-	table31   = []string{"-table=3.1"}
-	table32   = []string{"-table=3.2", "-quick"}
-	figure33  = []string{"-figure=3.3", "-quick"}
-	onlyT32   = []string{"-only", "Table 3.2"}
-	onlyF31b  = []string{"-only", "Figure 3.1b"}
+	table31   = []string{"-only", "Table 3.1"}
+	table32   = []string{"-only", "Table 3.2"}
+	figure33  = []string{"-only", "Figure 3.3"}
+	figure31b = []string{"-only", "Figure 3.1b"}
 	parallel8 = []string{"-parallel=8"}
 )
 
@@ -65,15 +63,15 @@ var rows = []row{
 	// Sweep width: same stdout, TraceDigest, trace JSON, manifest and
 	// analysis as the sequential sweep; the first alternative of the
 	// first row is a second identical run.
-	{name: "stream-trace-parallel", tool: "upc-stream", args: table31, observe: "trace",
+	{name: "stream-trace-parallel", args: table31, observe: "trace",
 		ref: "-parallel=1", alts: []string{"-parallel=1", "-parallel=8"}},
-	{name: "stream-metrics-parallel", tool: "upc-stream", args: table31, observe: "metrics",
+	{name: "stream-metrics-parallel", args: table31, observe: "metrics",
 		ref: "-parallel=1", alts: parallel8},
-	{name: "stream-analyze-parallel", tool: "upc-stream", args: table31, observe: "metrics analyze",
+	{name: "stream-analyze-parallel", args: table31, observe: "metrics analyze",
 		ref: "-parallel=1", alts: parallel8},
-	{name: "uts-digest-parallel", tool: "upc-uts", args: table32, observe: "digest",
+	{name: "uts-digest-parallel", args: table32, observe: "digest",
 		ref: "-parallel=1", alts: parallel8},
-	{name: "uts-metrics-parallel", tool: "upc-uts", args: table32, observe: "metrics",
+	{name: "uts-metrics-parallel", args: table32, observe: "metrics",
 		ref: "-parallel=1", alts: parallel8},
 
 	// Table 3.2's twelve UTS jobs fill the reorder window at width 2;
@@ -82,38 +80,38 @@ var rows = []row{
 	// buffer chunks both settings peaked at 410-770 MB on a 2-vCPU host,
 	// where the growing-slice buffer's -parallel=2 run peaked at
 	// 930-1060 MB.
-	{name: "table32-window", tool: "upc-experiments", args: onlyT32, observe: "digest metrics analyze",
+	{name: "table32-window", args: table32, observe: "digest metrics analyze",
 		ref: "-parallel=1", alts: []string{"-parallel=2"}, rssMB: 1024},
 
 	// Rendered tables with no observer: Figure 3.1b's hit/miss columns
 	// come off the translation-cache counters and Table 3.2's steal
 	// columns off the UTS results.
-	{name: "figure31b-render", tool: "upc-experiments", args: onlyF31b,
+	{name: "figure31b-render", args: figure31b,
 		ref: "-parallel=1", alts: parallel8},
-	{name: "table32-render-parallel", tool: "upc-experiments", args: onlyT32,
+	{name: "table32-render-parallel", args: table32,
 		ref: "-parallel=1", alts: parallel8},
 
 	// Message chaos: drops, duplicates and delays, including the fault
 	// class of the comm matrix.
-	{name: "stream-lossy-metrics-parallel", tool: "upc-stream", args: table31, faults: lossy, observe: "metrics",
+	{name: "stream-lossy-metrics-parallel", args: table31, faults: lossy, observe: "metrics",
 		ref: "-parallel=1", alts: parallel8},
-	{name: "uts-lossy-metrics-parallel", tool: "upc-uts", args: table32, faults: lossy, observe: "metrics",
+	{name: "uts-lossy-metrics-parallel", args: table32, faults: lossy, observe: "metrics",
 		ref: "-parallel=1", alts: parallel8},
-	{name: "uts-lossy-analyze-parallel", tool: "upc-uts", args: table32, faults: lossy, observe: "analyze",
+	{name: "uts-lossy-analyze-parallel", args: table32, faults: lossy, observe: "analyze",
 		ref: "-parallel=1", alts: parallel8},
 
 	// Crash/revive churn: failovers, rejoins, post-rejoin steals and
 	// the rejoin-class waits of the analysis.
-	{name: "stream-churn-metrics-parallel", tool: "upc-stream", args: table31, faults: churn, observe: "metrics",
+	{name: "stream-churn-metrics-parallel", args: table31, faults: churn, observe: "metrics",
 		ref: "-parallel=1", alts: parallel8},
-	{name: "uts-churn-metrics-parallel", tool: "upc-uts", args: table32, faults: churn, observe: "metrics",
+	{name: "uts-churn-metrics-parallel", args: table32, faults: churn, observe: "metrics",
 		ref: "-parallel=1", alts: parallel8},
-	{name: "figure33-churn-analyze-parallel", tool: "upc-uts", args: figure33, faults: churn, observe: "analyze",
+	{name: "figure33-churn-analyze-parallel", args: figure33, faults: churn, observe: "analyze",
 		ref: "-parallel=1", alts: parallel8},
 
 	// Negative control: a fault schedule that changes the run must be
 	// seen as a change, or the rows above could pass vacuously.
-	{name: "stream-churn-must-differ", tool: "upc-stream", args: table31, observe: "metrics",
+	{name: "stream-churn-must-differ", args: table31, observe: "metrics",
 		ref: "-parallel=1", alts: []string{"-parallel=1 -faults=" + churn}, differ: true},
 }
 
@@ -123,12 +121,8 @@ var explainers = map[string]string{"metrics.json": "upc-metrics", "analyze.json"
 
 func TestEquivalence(t *testing.T) {
 	bin := t.TempDir()
-	pkgs := []string{"./cmd/upc-metrics", "./cmd/upc-analyze"}
-	for _, r := range rows {
-		pkgs = append(pkgs, "./cmd/"+r.tool)
-	}
-	slices.Sort(pkgs)
-	build := exec.Command("go", append([]string{"build", "-o", bin + "/"}, slices.Compact(pkgs)...)...)
+	build := exec.Command("go", "build", "-o", bin+"/",
+		"./cmd/upc-experiments", "./cmd/upc-metrics", "./cmd/upc-analyze")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -184,9 +178,9 @@ func (r row) run(t *testing.T, bin, dir, setting string) {
 	}
 	defer stdout.Close()
 	var stderr bytes.Buffer
-	cmd := exec.Command(filepath.Join(bin, r.tool), argv...)
+	cmd := exec.Command(filepath.Join(bin, "upc-experiments"), argv...)
 	cmd.Stdout, cmd.Stderr = stdout, &stderr
-	line := r.tool
+	line := "upc-experiments"
 	for _, a := range argv {
 		if strings.Contains(a, " ") {
 			a = strconv.Quote(a)

@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/apps/ft"
 	"repro/internal/apps/netbench"
@@ -423,30 +424,29 @@ func steps(w io.Writer, quick bool) []step {
 	}
 }
 
-// All runs every experiment in order, writing each to w.
-func All(w io.Writer, quick bool) error {
-	for _, s := range steps(w, quick) {
+// Run renders the named experiments in index order, each followed by a
+// blank line; no names means every experiment (the upc-experiments -only
+// flag). Every name is checked before any experiment runs, so an unknown
+// one fails at once and writes nothing.
+func Run(w io.Writer, names []string, quick bool) error {
+	all := steps(w, quick)
+	var have []string
+	for _, s := range all {
+		have = append(have, s.name)
+	}
+	for _, name := range names {
+		if !slices.Contains(have, name) {
+			return fmt.Errorf("unknown experiment %q (have %q)", name, have)
+		}
+	}
+	for _, s := range all {
+		if len(names) > 0 && !slices.Contains(names, s.name) {
+			continue
+		}
 		if err := s.fn(); err != nil {
 			return fmt.Errorf("%s: %w", s.name, err)
 		}
 		fmt.Fprintln(w)
 	}
 	return nil
-}
-
-// Only runs the single experiment whose index name matches name (the
-// upc-experiments -only flag, used by CI to publish one figure as an
-// artifact without the full sweep).
-func Only(w io.Writer, name string, quick bool) error {
-	var names []string
-	for _, s := range steps(w, quick) {
-		if s.name == name {
-			if err := s.fn(); err != nil {
-				return fmt.Errorf("%s: %w", s.name, err)
-			}
-			return nil
-		}
-		names = append(names, s.name)
-	}
-	return fmt.Errorf("unknown experiment %q (have %v)", name, names)
 }

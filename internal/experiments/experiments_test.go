@@ -66,6 +66,44 @@ func TestFigure42Renders(t *testing.T) {
 	}
 }
 
+// TestRunSelection pins -only's semantics on two cheap steps: names
+// given in reverse render in index order, each step exactly as its own
+// function renders it followed by a blank line, and one unknown name
+// fails before anything is written.
+func TestRunSelection(t *testing.T) {
+	var want strings.Builder
+	if err := FigureXlate(&want); err != nil {
+		t.Fatal(err)
+	}
+	want.WriteString("\n")
+	if err := Figure42(&want, "a", true); err != nil {
+		t.Fatal(err)
+	}
+	want.WriteString("\n")
+
+	var got strings.Builder
+	if err := Run(&got, []string{"Figure 4.2(a)", "Figure 3.1b"}, true); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("Run rendered\n%s\nwant Figure 3.1b then Figure 4.2(a):\n%s", got.String(), want.String())
+	}
+
+	got.Reset()
+	err := Run(&got, []string{"Figure 3.1b", "Figure 9.9"}, true)
+	if err == nil {
+		t.Fatal("an unknown experiment name must fail")
+	}
+	for _, name := range []string{"Figure 9.9", "Table 3.1", "Figure 3.1b", "Figure 4.6", "Summary"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %q", err, name)
+		}
+	}
+	if got.Len() != 0 {
+		t.Errorf("a failed selection wrote %d bytes before checking its names", got.Len())
+	}
+}
+
 func TestUTSHelpers(t *testing.T) {
 	cfg := utsConfig("gige", 32, 0, true)
 	if cfg.Granularity != 20 {

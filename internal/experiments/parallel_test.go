@@ -10,10 +10,10 @@ import (
 	"repro/internal/trace"
 )
 
-// renderAll captures what the upc-stream and upc-uts style runs would
-// print at the given sweep width, together with the TraceDigest their
-// -trace session would hash. It restores the previous width and default
-// tracer on return.
+// renderAll captures what a STREAM or UTS step of upc-experiments -only
+// would print at the given sweep width, together with the TraceDigest
+// its -trace session would hash. It restores the previous width and
+// default tracer on return.
 func renderAll(t *testing.T, workers int, render func(w *strings.Builder) error) (string, uint64, int64) {
 	t.Helper()
 	prevWorkers := sweep.Workers()
@@ -33,8 +33,8 @@ func renderAll(t *testing.T, workers int, render func(w *strings.Builder) error)
 }
 
 // TestParallelSweepDeterminism is the -parallel determinism gate as a
-// unit test: the upc-stream sweeps (Tables 3.1 and 4.1) and a scaled-down
-// upc-uts sweep must print byte-identical output and hash byte-identical
+// unit test: the STREAM sweeps (Tables 3.1 and 4.1) and a scaled-down
+// UTS sweep must print byte-identical output and hash byte-identical
 // trace streams at -parallel=1 and -parallel=8.
 func TestParallelSweepDeterminism(t *testing.T) {
 	if testing.Short() {
@@ -46,7 +46,7 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		}
 		return Table41(w)
 	}
-	// The upc-uts path at unit-test scale: the Figure 3.3 sweep shape
+	// The UTS path at unit-test scale: the Figure 3.3 sweep shape
 	// (conduit x strategy x size grid through sweep.Run) on tiny trees.
 	utsRender := func(w *strings.Builder) error {
 		strats := uts.Strategies()

@@ -151,7 +151,7 @@ func TestRunUnwindsParkedProcesses(t *testing.T) {
 	if err == nil {
 		t.Fatal("a parked non-daemon must still be a deadlock")
 	}
-	if want := "sim: deadlock at 5ns: 3 live processes: [late (late-wait) stuck (stuck-forever)]"; err.Error() != want {
+	if want := "sim: deadlock at 5ns: 2 live processes: [late (late-wait) stuck (stuck-forever)]"; err.Error() != want {
 		t.Errorf("deadlock error %q, want %q", err, want)
 	}
 	if got := settleGoroutines(before); got != before {

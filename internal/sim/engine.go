@@ -156,7 +156,8 @@ func (e *Engine) Run() error {
 	<-e.parked
 	var err error
 	if e.panicVal == nil && e.nLive > e.nDaemon {
-		err = fmt.Errorf("sim: deadlock at %v: %d live processes: %v", e.now, e.nLive, e.stuckProcs())
+		stuck := e.stuckProcs()
+		err = fmt.Errorf("sim: deadlock at %v: %d live processes: %v", e.now, len(stuck), stuck)
 	}
 	e.unwind()
 	e.repanic()

@@ -1,4 +1,4 @@
-// Package tracecli wires the shared flags of the cmd/upc-* binaries:
+// Package tracecli wires the shared flags of upc-experiments and upc-ra:
 // importing it registers -trace, -digest, -metrics, -analyze, -parallel
 // and -faults, and Start/Finish bracket the run. With -trace=out.json every engine the
 // run creates streams into one Chrome trace-event file (open it in
