@@ -26,16 +26,25 @@ func main() {
 		"render only these experiments, a comma-separated list of index names "+
 			"(e.g. \"Table 3.1,Figure 3.1b\"), instead of the full sweep")
 	flag.Parse()
-	tracecli.Start()
 	var names []string
 	if *only != "" {
 		for _, name := range strings.Split(*only, ",") {
 			names = append(names, strings.TrimSpace(name))
 		}
 	}
+	// Check the names before tracing starts, so a mistyped one leaves no
+	// empty trace file behind.
+	if err := experiments.Check(names); err != nil {
+		fail(err)
+	}
+	tracecli.Start()
 	if err := experiments.Run(os.Stdout, names, *quick); err != nil {
-		fmt.Fprintln(os.Stderr, "upc-experiments:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	tracecli.Finish()
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "upc-experiments:", err)
+	os.Exit(1)
 }

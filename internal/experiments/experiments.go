@@ -424,14 +424,12 @@ func steps(w io.Writer, quick bool) []step {
 	}
 }
 
-// Run renders the named experiments in index order, each followed by a
-// blank line; no names means every experiment (the upc-experiments -only
-// flag). Every name is checked before any experiment runs, so an unknown
-// one fails at once and writes nothing.
-func Run(w io.Writer, names []string, quick bool) error {
-	all := steps(w, quick)
+// Check returns nil when every one of names is an experiment of the
+// index, and otherwise an error naming the first unknown one and every
+// valid name.
+func Check(names []string) error {
 	var have []string
-	for _, s := range all {
+	for _, s := range steps(nil, false) {
 		have = append(have, s.name)
 	}
 	for _, name := range names {
@@ -439,7 +437,18 @@ func Run(w io.Writer, names []string, quick bool) error {
 			return fmt.Errorf("unknown experiment %q (have %q)", name, have)
 		}
 	}
-	for _, s := range all {
+	return nil
+}
+
+// Run renders the named experiments in index order, each followed by a
+// blank line; no names means every experiment (the upc-experiments -only
+// flag). Every name is checked before any experiment runs, so an unknown
+// one fails at once and writes nothing.
+func Run(w io.Writer, names []string, quick bool) error {
+	if err := Check(names); err != nil {
+		return err
+	}
+	for _, s := range steps(w, quick) {
 		if len(names) > 0 && !slices.Contains(names, s.name) {
 			continue
 		}

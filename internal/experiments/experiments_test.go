@@ -102,6 +102,12 @@ func TestRunSelection(t *testing.T) {
 	if got.Len() != 0 {
 		t.Errorf("a failed selection wrote %d bytes before checking its names", got.Len())
 	}
+	if cerr := Check([]string{"Figure 3.1b", "Figure 9.9"}); cerr == nil || cerr.Error() != err.Error() {
+		t.Errorf("Check reported %v, want Run's error %q", cerr, err)
+	}
+	if cerr := Check(nil); cerr != nil {
+		t.Errorf("Check(nil) = %v, want nil (every experiment)", cerr)
+	}
 }
 
 func TestUTSHelpers(t *testing.T) {

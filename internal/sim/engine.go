@@ -17,7 +17,7 @@ import (
 type Engine struct {
 	now    Time
 	seq    uint64
-	events eventHeap
+	events queue
 	parked chan struct{} // a proc signals here when it parks or finishes
 
 	armed   []*Timer // armed timers, unordered
@@ -85,7 +85,7 @@ func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
 	if e.tracer != nil {
 		e.emit(trace.KProcSpawn, int32(p.id), "sim", name, "", 0, 0)
 	}
-	e.schedule(e.now, p, nil)
+	e.schedule(e.now, (*wake)(p))
 	return p
 }
 
@@ -95,7 +95,7 @@ func (e *Engine) After(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.now+d, nil, fn)
+	e.schedule(e.now+d, funcAction(fn))
 }
 
 // Action is a pre-allocated event callback: hot paths implement Run on a
@@ -112,28 +112,23 @@ func (e *Engine) AfterAction(d Duration, a Action) {
 	if d < 0 {
 		d = 0
 	}
-	e.scheduleAction(e.now+d, a)
+	e.schedule(e.now+d, a)
 }
 
-func (e *Engine) schedule(at Time, p *Proc, fn func()) {
+func (e *Engine) schedule(at Time, a Action) {
 	e.seq++
-	e.events.push(event{at: at, seq: e.seq, proc: p, fn: fn})
-}
-
-func (e *Engine) scheduleAction(at Time, a Action) {
-	e.seq++
-	e.events.push(event{at: at, seq: e.seq, act: a})
+	e.events.push(event{at: at, seq: e.seq, act: a}, e.now)
 }
 
 // unpark schedules a wake for a parked process at the current time. It is
 // exported indirectly through WaitQueue; raw use is reserved for sim's own
 // synchronization primitives.
 func (e *Engine) unpark(p *Proc) {
-	e.schedule(e.now, p, nil)
+	e.schedule(e.now, (*wake)(p))
 }
 
 // Run executes the simulation until no events remain. It returns a
-// deadlock error if live processes remain parked with an empty event heap.
+// deadlock error if live processes remain parked with no event pending.
 // A panic inside a simulated process is re-raised with its origin noted.
 // Either way, the processes still parked when the simulation stops —
 // daemons, deadlocked processes, the bystanders of a panic — are unwound
@@ -143,8 +138,8 @@ func (e *Engine) unpark(p *Proc) {
 // that parks or finishes runs the dispatch loop itself (advancing the
 // clock, executing engine callbacks inline, waking the next process), so
 // a yield costs one goroutine switch instead of a round trip through an
-// engine goroutine. Run's own goroutine only blocks until the heap
-// drains or a panic aborts the simulation.
+// engine goroutine. Run's own goroutine only blocks until no event is
+// pending or a panic aborts the simulation.
 func (e *Engine) Run() error {
 	if e.inRun {
 		return fmt.Errorf("sim: Run called reentrantly")
@@ -233,8 +228,10 @@ func (e *Engine) stuckProcs() []string {
 // control (a parking or finishing process, or Run itself at startup). It
 // pops events — executing callbacks and clock moves inline in engine
 // context — until it wakes the next process (ownership passes to that
-// goroutine) or the heap drains (ownership returns to Run). An armed
-// Timer pops in its (at, seq) place among the heap's events. A panic in
+// goroutine) or nothing is pending (ownership returns to Run). Each pop
+// takes the earliest by (at, seq) of three sources: the heads of the
+// busy per-delay lanes, the heap top and the earliest armed Timer, so
+// an event pops in the same place whichever source holds it. A panic in
 // engine context is recorded and control is aborted back to Run.
 //
 // parker is the process whose park invoked the loop (nil from Run and
@@ -259,11 +256,12 @@ func (e *Engine) handoff(parker *Proc) {
 	}()
 	for {
 		var ev event
-		if t := e.due; t != nil && (e.events.Len() == 0 || t.ev.before(&e.events.a[0])) {
+		next, src := e.events.min()
+		if t := e.due; t != nil && (next == nil || t.ev.before(next)) {
 			ev = t.ev
 			t.Disarm()
-		} else if e.events.Len() > 0 {
-			ev = e.events.pop()
+		} else if next != nil {
+			ev = e.events.pop(src)
 		} else {
 			break
 		}
@@ -276,15 +274,12 @@ func (e *Engine) handoff(parker *Proc) {
 				e.emit(trace.KClock, trace.EngineProc, "sim", "clock", "", int64(e.now), 0)
 			}
 		}
-		if ev.fn != nil {
-			ev.fn()
-			continue
-		}
-		if ev.act != nil {
+		w, ok := ev.act.(*wake)
+		if !ok {
 			ev.act.Run()
 			continue
 		}
-		p := ev.proc
+		p := (*Proc)(w)
 		if p.finished {
 			continue
 		}
@@ -408,14 +403,14 @@ func (p *Proc) Advance(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.eng.schedule(p.eng.now+d, p, nil)
+	p.eng.schedule(p.eng.now+d, (*wake)(p))
 	p.park("advance")
 }
 
 // Yield reschedules the process at the current time, letting any other
 // process with a pending event at now run first (FIFO order).
 func (p *Proc) Yield() {
-	p.eng.schedule(p.eng.now, p, nil)
+	p.eng.schedule(p.eng.now, (*wake)(p))
 	p.park("yield")
 }
 
@@ -490,7 +485,7 @@ func (q *WaitQueue) Remove(p *Proc) bool {
 // Wait, re-checking their condition either way: a false return only
 // means the deadline passed, and in the rare coincidence of a same-tick
 // wake and expiry the condition may in fact hold. As with
-// Event.WaitTimeout, the timer event stays on the heap until its time
+// Event.WaitTimeout, the timer event stays pending until its time
 // arrives, so fault-free fast paths should use Wait.
 func (q *WaitQueue) WaitTimeout(p *Proc, reason string, d Duration) bool {
 	woken := false

@@ -6,9 +6,9 @@ import (
 )
 
 // The allocation-regression tests pin the untraced hot path at zero
-// allocations per operation: the event heap stores events by value, the
-// WaitQueue is a reusable ring, and a process resuming itself never
-// touches a channel, so a warm engine must schedule, park and wake
+// allocations per operation: the event lanes and heap store events by
+// value, the WaitQueue is a reusable ring, and a process resuming itself
+// never touches a channel, so a warm engine must schedule, park and wake
 // without the allocator. testing.AllocsPerRun runs inside the simulated
 // process — the engine is otherwise idle, so any count it sees is the
 // operation's own.
@@ -62,6 +62,42 @@ func TestServerDelayNoAlloc(t *testing.T) {
 	}
 	if per != 0 {
 		t.Errorf("Server.Delay allocates %v allocs/op, want 0", per)
+	}
+}
+
+type nopAction struct{}
+
+func (*nopAction) Run() {}
+
+// TestHeapFallbackNoAlloc books more distinct delays at once than there
+// are lanes, so every operation also pushes and pops through the heap
+// fallback; a warm engine must still not allocate.
+func TestHeapFallbackNoAlloc(t *testing.T) {
+	e := New(1)
+	var nop nopAction
+	per := -1.0
+	spilled := false
+	e.Go("spill", func(p *Proc) {
+		op := func() {
+			for d := Duration(1); d <= 2*nLanes; d++ {
+				e.AfterAction(d, &nop)
+			}
+			spilled = spilled || len(e.events.heap.a) > 0
+			p.Advance(2*nLanes + 1)
+		}
+		for i := 0; i < 64; i++ {
+			op()
+		}
+		per = testing.AllocsPerRun(200, op)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !spilled {
+		t.Error("no booking overflowed the lanes onto the heap")
+	}
+	if per != 0 {
+		t.Errorf("booking past the lanes allocates %v allocs/op, want 0", per)
 	}
 }
 

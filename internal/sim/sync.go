@@ -66,9 +66,9 @@ func (ev *Event) Wait(p *Proc) {
 // whether the event fired. It is WaitQueue.WaitTimeout on the event's
 // queue, so the timer belongs to this one call: on timeout p leaves the
 // queue, and once the call has returned its timer no-ops even if a pool
-// has since reset and recycled the event. The timer event stays on the
-// heap until its time arrives, which can extend a run's final virtual
-// time; callers on fault-free fast paths should use Wait.
+// has since reset and recycled the event. The timer event stays pending
+// until its time arrives, which can extend a run's final virtual time;
+// callers on fault-free fast paths should use Wait.
 //
 // The fired and timed-out cases are distinguishable even when they
 // coincide: whichever was scheduled first at that instant wins, which is

@@ -3,8 +3,8 @@
 // MPI ranks) are goroutines driven as coroutines: exactly one runs at a
 // time, and each yields to the engine whenever it performs a timed action
 // (a compute charge, a message transfer, a barrier, a lock acquire). The
-// engine advances a virtual clock through an event heap; ties are broken by
-// sequence number so runs are bit-for-bit reproducible.
+// engine advances a virtual clock through a queue of pending events; ties
+// are broken by sequence number so runs are bit-for-bit reproducible.
 package sim
 
 import "fmt"

@@ -2,13 +2,13 @@ package sim
 
 import "math"
 
-// Timer is a re-armable engine callback kept outside the event heap. A
+// Timer is a re-armable engine callback kept outside the event queue. A
 // model object that keeps exactly one pending callback, and moves it far
 // more often than it fires, arms one Timer instead of booking a fresh
 // event per move and leaving the superseded ones to pop as no-ops: a
-// re-arm costs no heap push, and a disarmed booking never pops.
+// re-arm books nothing, and a disarmed booking never pops.
 //
-// An armed timer is ordered against heap events by (at, seq) exactly as
+// An armed timer is ordered against booked events by (at, seq) exactly as
 // if it had been booked with AfterAction: arm it with a sequence number
 // taken from Reserve at the point where AfterAction would have been
 // called, and it pops where that event would have. Its callback runs
