@@ -74,6 +74,12 @@ var rows = []row{
 	{name: "uts-metrics-parallel", args: table32, observe: "metrics",
 		ref: "-parallel=1", alts: parallel8},
 
+	// Points shared across steps: Table 3.2 and Summary look up only
+	// Figure 3.3's points, each simulated once, with the causality
+	// recorder Table 3.2 asks for attached to runs Figure 3.3 plans.
+	{name: "plan-shared-digest-parallel", args: []string{"-only", "Figure 3.3,Table 3.2,Summary"},
+		observe: "digest", ref: "-parallel=1", alts: parallel8},
+
 	// Table 3.2's twelve UTS jobs fill the reorder window at width 2;
 	// peak RSS is bounded by the window, not by the sweep (buffering
 	// every job until the pool drained peaked at 4.2 GB). With pooled

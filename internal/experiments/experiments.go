@@ -1,12 +1,15 @@
 // Package experiments regenerates every table and figure of the thesis's
-// evaluation (the per-experiment index of DESIGN.md): each function runs
-// the relevant benchmark sweep on the modeled platforms and renders the
-// same rows or series the paper reports. The quick flag trades sweep
-// breadth for runtime (smaller trees, no SMT points); the shapes are
-// preserved either way.
+// evaluation (the per-experiment index of DESIGN.md) and renders the same
+// rows or series the paper reports. The STREAM, translation, all-to-all
+// and network steps each run a sweep of their own; the UTS and FT steps
+// render from one plan of distinct simulations (plan.go), so a point
+// several of them show runs once. The quick flag trades sweep breadth
+// for runtime (smaller trees, no SMT points); the shapes are preserved
+// either way.
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -119,53 +122,35 @@ func stealSpread(r uts.Result) string {
 	return fmt.Sprintf("%.0f/%.0f/%.0f", p10, med, p90)
 }
 
-// Figure33 regenerates Figure 3.3 (UTS parallel scalability on 16 nodes,
-// InfiniBand and Ethernet panels). Every conduit x strategy x size point
-// is an independent simulation; the sweep fans them out over the worker
-// pool and renders from the index-ordered results.
-func Figure33(w io.Writer, quick bool) error {
-	conduits := []string{"ibv-ddr", "gige"}
-	strats := uts.Strategies()
-	sizes := []int{16, 32, 64, 128}
-	results := make([]uts.Result, len(conduits)*len(strats)*len(sizes))
-	err := sweep.Run(len(results), func(i int, tr trace.Tracer) error {
-		ci := i / (len(strats) * len(sizes))
-		si := i / len(sizes) % len(strats)
-		pi := i % len(sizes)
-		cfg := utsConfig(conduits[ci], sizes[pi], strats[si], quick)
-		cfg.Tracer = tr
-		r, err := uts.Run(cfg)
-		results[i] = r
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	for ci, conduit := range conduits {
-		series := make([]report.Series, len(strats))
-		for si, st := range strats {
-			series[si].Label = st.String()
-			for pi, procs := range sizes {
-				r := results[(ci*len(strats)+si)*len(sizes)+pi]
-				series[si].X = append(series[si].X, float64(procs))
-				series[si].Y = append(series[si].Y, r.MNodesPerSec)
+// figure33 renders Figure 3.3 (UTS parallel scalability on 16 nodes,
+// InfiniBand and Ethernet panels) from the conduit x strategy x size
+// grid of plan points.
+func figure33(w io.Writer, p *plan) {
+	for _, conduit := range []string{"ibv-ddr", "gige"} {
+		var series []report.Series
+		for _, st := range uts.Strategies() {
+			s := report.Series{Label: st.String()}
+			for _, procs := range []int{16, 32, 64, 128} {
+				s.X = append(s.X, float64(procs))
+				s.Y = append(s.Y, p.lookup(utsPoint{conduit, procs, st}, false).uts.MNodesPerSec)
 			}
+			series = append(series, s)
 		}
 		report.Figure(w, fmt.Sprintf("Figure 3.3 (%s): UTS scalability, Mnodes/s vs processors", conduit),
 			"procs", series)
 		fmt.Fprintln(w)
 	}
-	return nil
 }
 
-// Table32 regenerates Table 3.2 (UTS profiling: overall improvement and
-// local-steal percentages).
-func Table32(w io.Writer, quick bool) error {
-	type row struct {
+// table32 renders Table 3.2 (UTS profiling: overall improvement and
+// local-steal percentages) from the baseline and optimized Figure 3.3
+// points of each shape. The steal statistics come from the runs' own
+// results, the critical-path column from their causality recorders.
+func table32(w io.Writer, p *plan) {
+	shapes := []struct {
 		net   string
 		procs int
-	}
-	shapes := []row{
+	}{
 		{"ibv-ddr", 32}, {"ibv-ddr", 64}, {"ibv-ddr", 128},
 		{"gige", 32}, {"gige", 64}, {"gige", 128},
 	}
@@ -173,42 +158,18 @@ func Table32(w io.Writer, quick bool) error {
 		{"3.4%", "36.2", "59.0"}, {"7.1%", "58.1", "82.9"}, {"11.2%", "72.2", "90.9"},
 		{"49.4%", "18.2", "57.8"}, {"66.5%", "40.5", "81.1"}, {"99.5%", "58.1", "89.7"},
 	}
-	// The steal statistics come from the runs' own results; each run
-	// feeds a private causality recorder for the critical-path column.
-	// The two runs per shape (baseline and optimized strategy) are
-	// flattened over the worker pool: even indices baseline, odd
-	// optimized.
-	type traced struct {
-		r   uts.Result
-		rec *causality.Recorder
-	}
-	runs := make([]traced, 2*len(shapes))
-	err := sweep.Run(len(runs), func(i int, tr trace.Tracer) error {
-		strat := uts.BaselineRR
-		if i%2 == 1 {
-			strat = uts.LocalRapid
-		}
-		rec := causality.NewRecorder()
-		cfg := utsConfig(shapes[i/2].net, shapes[i/2].procs, strat, quick)
-		cfg.Tracer = trace.Tee(rec, tr)
-		r, err := uts.Run(cfg)
-		runs[i] = traced{r, rec}
-		return err
-	})
-	if err != nil {
-		return err
-	}
 	rows := make([][]string, 0, len(shapes))
 	for i, sh := range shapes {
-		base, opt := runs[2*i], runs[2*i+1]
-		improve := (base.r.Elapsed.Seconds()/opt.r.Elapsed.Seconds() - 1) * 100
+		base := p.lookup(utsPoint{sh.net, sh.procs, uts.BaselineRR}, true)
+		opt := p.lookup(utsPoint{sh.net, sh.procs, uts.LocalRapid}, true)
+		improve := (base.uts.Elapsed.Seconds()/opt.uts.Elapsed.Seconds() - 1) * 100
 		rows = append(rows, []string{
 			fmt.Sprintf("%s %d/%d", sh.net, sh.procs, sh.procs/16),
 			fmt.Sprintf("%.1f%%", improve),
-			fmt.Sprintf("%.1f", base.r.LocalStealPct()),
-			fmt.Sprintf("%.1f", opt.r.LocalStealPct()),
-			stealSpread(opt.r),
-			fmt.Sprintf("%.1f/%.1f", cpWaitPct(base.rec), cpWaitPct(opt.rec)),
+			fmt.Sprintf("%.1f", base.uts.LocalStealPct()),
+			fmt.Sprintf("%.1f", opt.uts.LocalStealPct()),
+			stealSpread(opt.uts),
+			fmt.Sprintf("%.1f/%.1f", base.cpWait, opt.cpWait),
 			paper[i][0], paper[i][1], paper[i][2],
 		})
 	}
@@ -216,7 +177,6 @@ func Table32(w io.Writer, quick bool) error {
 		[]string{"config", "improvement", "local% base", "local% opt",
 			"steals/thr p10/med/p90", "critical-path wait% b/o",
 			"paper-impr", "paper-base%", "paper-opt%"}, rows)
-	return nil
 }
 
 // fig34Layouts are the x-axis points of Figure 3.4: nodes*perNode.
@@ -384,43 +344,30 @@ func Figure42(w io.Writer, panel string, quick bool) error {
 	return nil
 }
 
-// utsRunQuick runs one UTS configuration and reports throughput in
-// Mnodes/s (helper for the summary; tr is the sweep job's tracer).
-func utsRunQuick(conduit string, procs int, optimized bool, quick bool, tr trace.Tracer) (float64, error) {
-	strat := uts.BaselineRR
-	if optimized {
-		strat = uts.LocalRapid
-	}
-	cfg := utsConfig(conduit, procs, strat, quick)
-	cfg.Tracer = tr
-	r, err := uts.Run(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return r.MNodesPerSec, nil
-}
-
-// step is one named entry of the experiment index.
+// step is one named entry of the experiment index: either run, which
+// renders from a sweep of its own, or render, which renders from the
+// plan's shared points.
 type step struct {
-	name string
-	fn   func() error
+	name   string
+	run    func(w io.Writer) error
+	render func(w io.Writer, p *plan)
 }
 
-func steps(w io.Writer, quick bool) []step {
+func steps(quick bool) []step {
 	return []step{
-		{"Table 3.1", func() error { return Table31(w) }},
-		{"Figure 3.1b", func() error { return FigureXlate(w) }},
-		{"Figure 3.3", func() error { return Figure33(w, quick) }},
-		{"Table 3.2", func() error { return Table32(w, quick) }},
-		{"Figure 3.4(a)", func() error { return Figure34a(w) }},
-		{"Figure 3.4(b)", func() error { return Figure34b(w) }},
-		{"Figure 4.2(a)", func() error { return Figure42(w, "a", quick) }},
-		{"Figure 4.2(b)", func() error { return Figure42(w, "b", quick) }},
-		{"Table 4.1", func() error { return Table41(w) }},
-		{"Figure 4.4", func() error { return Figure44(w, quick) }},
-		{"Figure 4.5", func() error { return Figure45(w, quick) }},
-		{"Figure 4.6", func() error { return Figure46(w, quick) }},
-		{"Summary", func() error { return Summary(w, quick) }},
+		{name: "Table 3.1", run: Table31},
+		{name: "Figure 3.1b", run: FigureXlate},
+		{name: "Figure 3.3", render: figure33},
+		{name: "Table 3.2", render: table32},
+		{name: "Figure 3.4(a)", run: Figure34a},
+		{name: "Figure 3.4(b)", run: Figure34b},
+		{name: "Figure 4.2(a)", run: func(w io.Writer) error { return Figure42(w, "a", quick) }},
+		{name: "Figure 4.2(b)", run: func(w io.Writer) error { return Figure42(w, "b", quick) }},
+		{name: "Table 4.1", run: Table41},
+		{name: "Figure 4.4", render: figure44},
+		{name: "Figure 4.5", render: figure45},
+		{name: "Figure 4.6", render: figure46},
+		{name: "Summary", render: summary},
 	}
 }
 
@@ -429,7 +376,7 @@ func steps(w io.Writer, quick bool) []step {
 // valid name.
 func Check(names []string) error {
 	var have []string
-	for _, s := range steps(nil, false) {
+	for _, s := range steps(false) {
 		have = append(have, s.name)
 	}
 	for _, name := range names {
@@ -444,16 +391,42 @@ func Check(names []string) error {
 // blank line; no names means every experiment (the upc-experiments -only
 // flag). Every name is checked before any experiment runs, so an unknown
 // one fails at once and writes nothing.
+//
+// The steps with sweeps of their own run first, each into a held
+// buffer, so that their working sets (Table 3.1's STREAM arrays) are
+// gone before the plan's results accumulate. The plan then simulates
+// every distinct point the other steps look up, once, and all steps are
+// written in index order. The trace stream follows that run order.
 func Run(w io.Writer, names []string, quick bool) error {
 	if err := Check(names); err != nil {
 		return err
 	}
-	for _, s := range steps(w, quick) {
-		if len(names) > 0 && !slices.Contains(names, s.name) {
+	var sel []step
+	for _, s := range steps(quick) {
+		if len(names) == 0 || slices.Contains(names, s.name) {
+			sel = append(sel, s)
+		}
+	}
+	held := make([]bytes.Buffer, len(sel))
+	for i, s := range sel {
+		if s.run == nil {
 			continue
 		}
-		if err := s.fn(); err != nil {
+		if err := s.run(&held[i]); err != nil {
 			return fmt.Errorf("%s: %w", s.name, err)
+		}
+	}
+	p := newPlan(sel, quick)
+	if err := p.run(); err != nil {
+		return err
+	}
+	for i, s := range sel {
+		if s.render != nil {
+			p.step = s.name
+			s.render(&held[i], p)
+		}
+		if _, err := held[i].WriteTo(w); err != nil {
+			return err
 		}
 		fmt.Fprintln(w)
 	}

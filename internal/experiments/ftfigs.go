@@ -5,12 +5,9 @@ import (
 	"io"
 
 	"repro/internal/apps/ft"
-	"repro/internal/causality"
+	"repro/internal/apps/uts"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/sweep"
-	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // ftThreads lists the Lehman strong-scaling points: 1..64 cores on 8 nodes
@@ -30,43 +27,27 @@ func perNodeFor(threads int) int {
 	return threads / 8
 }
 
-// Figure44 regenerates Figure 4.4: per-phase speedups of the FT benchmark
+// figure44 renders Figure 4.4: per-phase speedups of the FT benchmark
 // on Lehman, 1 to 128 threads (the 128-thread points run two SMT threads
 // per core).
-func Figure44(w io.Writer, quick bool) error {
-	cls, _ := ft.ClassByName("B")
+func figure44(w io.Writer, p *plan) {
 	phases := []string{"evolve", "transpose", "fft1d", "fft2d", "comm-call"}
 	labels := map[string]string{
 		"evolve": "Evolve", "transpose": "Local Transpose",
 		"fft1d": "FFT 1D", "fft2d": "FFT 2D", "comm-call": "All-to-All (split-phase)",
-	}
-	threads := ftThreads(quick)
-	results := make([]ft.Result, len(threads))
-	recs := make([]*causality.Recorder, len(threads))
-	err := sweep.Run(len(threads), func(i int, tr trace.Tracer) error {
-		recs[i] = causality.NewRecorder()
-		r, err := ft.Run(ft.Config{
-			Machine: topo.Lehman(), Class: cls, Variant: ft.UPCProcesses,
-			Threads: threads[i], PerNode: perNodeFor(threads[i]), Seed: seed,
-			Tracer: trace.Tee(recs[i], tr),
-		})
-		results[i] = r
-		return err
-	})
-	if err != nil {
-		return err
 	}
 	base := map[string]sim.Duration{}
 	series := make([]report.Series, len(phases))
 	for i, ph := range phases {
 		series[i].Label = labels[ph]
 	}
-	for ti, threads := range threads {
-		r := results[ti]
+	var cpRows [][]string
+	for _, threads := range ftThreads(p.quick) {
+		pt := p.lookup(ftPoint{"lehman", ft.UPCProcesses, ft.SplitPhase, threads, perNodeFor(threads), 0}, true)
 		for i, ph := range phases {
-			d := r.Phases[ph]
+			d := pt.ft.Phases[ph]
 			if ph == "comm-call" {
-				d += r.Phases["comm-wait"]
+				d += pt.ft.Phases["comm-wait"]
 			}
 			if threads == 1 {
 				base[ph] = d
@@ -78,95 +59,63 @@ func Figure44(w io.Writer, quick bool) error {
 			series[i].X = append(series[i].X, float64(threads))
 			series[i].Y = append(series[i].Y, speedup)
 		}
+		cpRows = append(cpRows, []string{fmt.Sprintf("%d", threads), fmt.Sprintf("%.1f%%", pt.cpWait)})
 	}
 	report.Figure(w, "Figure 4.4: NAS FT runtime performance breakdown (speedup vs 1 thread, Lehman)",
 		"threads", series)
 	// The critical-path share of each point: how much of the makespan
 	// the causality analysis attributes to waiting rather than compute.
 	fmt.Fprintln(w)
-	cpRows := make([][]string, len(threads))
-	for i, th := range threads {
-		cpRows[i] = []string{fmt.Sprintf("%d", th), fmt.Sprintf("%.1f%%", cpWaitPct(recs[i]))}
-	}
 	report.Table(w, "Figure 4.4 (supplement): critical-path wait share",
 		[]string{"threads", "critical-path wait%"}, cpRows)
-	return nil
 }
 
-// Figure45 regenerates Figure 4.5: time in communication calls of the
+// figure45 renders Figure 4.5: time in communication calls of the
 // split-phase implementation, per platform.
-func Figure45(w io.Writer, quick bool) error {
-	cls, _ := ft.ClassByName("B")
-	type platform struct {
-		name  string
-		mach  *topo.Machine
-		nodes int
-		cores []int
-	}
-	plats := []platform{
-		{"Lehman (8 nodes)", topo.Lehman(), 8, []int{8, 16, 32, 64, 128}},
-		{"Pyramid (16 nodes)", topo.Pyramid(), 16, []int{16, 32, 64, 128}},
+func figure45(w io.Writer, p *plan) {
+	plats := []struct {
+		name, machine string
+		nodes         int
+		cores         []int
+	}{
+		{"Lehman (8 nodes)", "lehman", 8, []int{8, 16, 32, 64, 128}},
+		{"Pyramid (16 nodes)", "pyramid", 16, []int{16, 32, 64, 128}},
 	}
 	for _, pl := range plats {
 		cores := pl.cores
-		if quick {
+		if p.quick {
 			cores = cores[:len(cores)-1] // skip the most expensive point
-		}
-		// Four runs per core count (MPI, process UPC, pthread UPC, and the
-		// hybrid with two masters per node and sub-threads filling the
-		// rest), flattened over the worker pool.
-		type spec struct {
-			v                      ft.Variant
-			threads, perNode, subs int
-		}
-		var totals []int
-		var specs []spec
-		for _, total := range cores {
-			per := total / pl.nodes
-			if per < 1 {
-				continue
-			}
-			masters := 2 * pl.nodes
-			subs := total / masters
-			if subs < 1 {
-				masters, subs = total, 1
-			}
-			totals = append(totals, total)
-			specs = append(specs,
-				spec{ft.MPIFortran, total, per, 0},
-				spec{ft.UPCProcesses, total, per, 0},
-				spec{ft.UPCPthreads, total, per, 0},
-				spec{ft.HybridOMP, masters, masters / pl.nodes, subs})
-		}
-		comm := make([]float64, len(specs))
-		err := sweep.Run(len(specs), func(i int, tr trace.Tracer) error {
-			s := specs[i]
-			r, err := ft.Run(ft.Config{
-				Machine: pl.mach, Class: cls, Variant: s.v, Impl: ft.SplitPhase,
-				Threads: s.threads, PerNode: s.perNode, SubThreads: s.subs,
-				Seed: seed, Tracer: tr,
-			})
-			comm[i] = r.Comm.Seconds()
-			return err
-		})
-		if err != nil {
-			return err
 		}
 		series := []report.Series{
 			{Label: "MPI"}, {Label: "UPC (processes)"},
 			{Label: "UPC (pthreads)"}, {Label: "UPC*Threads (hybrid)"},
 		}
-		for ti, total := range totals {
-			for k := range series {
+		for _, total := range cores {
+			per := total / pl.nodes
+			if per < 1 {
+				continue
+			}
+			// The hybrid runs two masters per node, sub-threads filling
+			// the rest.
+			masters := 2 * pl.nodes
+			subs := total / masters
+			if subs < 1 {
+				masters, subs = total, 1
+			}
+			for k, key := range []ftPoint{
+				{pl.machine, ft.MPIFortran, ft.SplitPhase, total, per, 0},
+				{pl.machine, ft.UPCProcesses, ft.SplitPhase, total, per, 0},
+				{pl.machine, ft.UPCPthreads, ft.SplitPhase, total, per, 0},
+				{pl.machine, ft.HybridOMP, ft.SplitPhase, masters, masters / pl.nodes, subs},
+			} {
 				series[k].X = append(series[k].X, float64(total))
-				series[k].Y = append(series[k].Y, comm[ti*4+k])
+				series[k].Y = append(series[k].Y, p.lookup(key, false).ft.Comm.Seconds())
 			}
 		}
 		report.Figure(w, fmt.Sprintf("Figure 4.5: split-phase communication time (s), %s", pl.name),
 			"cores", series)
 		fmt.Fprintln(w)
 	}
-	return nil
 }
 
 // fig46Configs are the UPC*Threads configurations of Figure 4.6 on 8
@@ -181,65 +130,28 @@ func fig46Configs(quick bool) []struct{ U, S int } {
 	return cfgs
 }
 
-// Figure46 regenerates Figure 4.6(a,b): relative performance of the
-// sub-thread variants over process UPC, for split-phase and overlap.
-func Figure46(w io.Writer, quick bool) error {
-	cls, _ := ft.ClassByName("B")
+// figure46 renders Figure 4.6(a,b): relative performance of the
+// sub-thread variants over process UPC at the same total thread count,
+// for split-phase and overlap.
+func figure46(w io.Writer, p *plan) {
+	variants := []ft.Variant{ft.HybridOMP, ft.HybridCilk, ft.HybridPool, ft.UPCPthreads}
 	for _, impl := range []ft.Impl{ft.SplitPhase, ft.Overlap} {
-		cfgs := fig46Configs(quick)
-		variants := []ft.Variant{ft.HybridOMP, ft.HybridCilk, ft.HybridPool, ft.UPCPthreads}
-		// Baselines: process UPC at each distinct total-thread count, in
-		// first-appearance order; then every config x variant run. All are
-		// independent, so one sweep covers baselines and variants alike.
-		var totals []int
-		baseIdx := map[int]int{}
-		for _, c := range cfgs {
-			if total := c.U * c.S; baseIdx[total] == 0 {
-				totals = append(totals, total)
-				baseIdx[total] = len(totals) // 1-based to distinguish absent
-			}
-		}
-		nb := len(totals)
-		elapsed := make([]float64, nb+len(cfgs)*len(variants))
-		err := sweep.Run(len(elapsed), func(i int, tr trace.Tracer) error {
-			fcfg := ft.Config{Machine: topo.Lehman(), Class: cls, Impl: impl,
-				Seed: seed, Tracer: tr}
-			if i < nb {
-				fcfg.Variant = ft.UPCProcesses
-				fcfg.Threads = totals[i]
-				fcfg.PerNode = perNodeFor(totals[i])
-			} else {
-				c := cfgs[(i-nb)/len(variants)]
-				v := variants[(i-nb)%len(variants)]
-				fcfg.Variant = v
-				if v == ft.UPCPthreads {
-					fcfg.Threads = c.U * c.S
-					fcfg.PerNode = perNodeFor(c.U * c.S)
-				} else {
-					fcfg.Threads = c.U
-					fcfg.PerNode = perNodeFor(c.U)
-					fcfg.SubThreads = c.S
-				}
-			}
-			r, err := ft.Run(fcfg)
-			elapsed[i] = r.Elapsed.Seconds()
-			return err
-		})
-		if err != nil {
-			return err
-		}
 		series := make([]report.Series, len(variants))
 		for i, v := range variants {
 			series[i].Label = v.String()
 		}
-		for ci, c := range cfgs {
+		for _, c := range fig46Configs(p.quick) {
 			total := c.U * c.S
+			base := p.lookup(ftPoint{"lehman", ft.UPCProcesses, impl, total, perNodeFor(total), 0}, false)
 			x := float64(c.U*1000 + c.S) // encodes the U*S label
-			base := elapsed[baseIdx[total]-1]
-			for i := range variants {
-				y := elapsed[nb+ci*len(variants)+i]
+			for i, v := range variants {
+				key := ftPoint{"lehman", v, impl, c.U, perNodeFor(c.U), c.S}
+				if v == ft.UPCPthreads {
+					key.threads, key.perNode, key.subs = total, perNodeFor(total), 0
+				}
+				y := p.lookup(key, false).ft.Elapsed.Seconds()
 				series[i].X = append(series[i].X, x)
-				series[i].Y = append(series[i].Y, (base/y-1)*100)
+				series[i].Y = append(series[i].Y, (base.ft.Elapsed.Seconds()/y-1)*100)
 			}
 		}
 		report.Figure(w,
@@ -247,41 +159,19 @@ func Figure46(w io.Writer, quick bool) error {
 			"U*S", series)
 		fmt.Fprintln(w)
 	}
-	return nil
 }
 
-// Summary prints the thesis's two headline conclusions against the model.
-func Summary(w io.Writer, quick bool) error {
-	cls, _ := ft.ClassByName("B")
-	var pure, hyb ft.Result
-	var utsBase, utsOpt float64
-	// The four headline runs are independent; each job writes a distinct
-	// slot, so they parallelize like any other sweep.
-	err := sweep.Run(4, func(i int, tr trace.Tracer) error {
-		var err error
-		switch i {
-		case 0:
-			pure, err = ft.Run(ft.Config{
-				Machine: topo.Lehman(), Class: cls, Variant: ft.UPCProcesses,
-				Threads: 64, PerNode: 8, Seed: seed, Tracer: tr,
-			})
-		case 1:
-			hyb, err = ft.Run(ft.Config{
-				Machine: topo.Lehman(), Class: cls, Variant: ft.HybridOMP,
-				Threads: 16, PerNode: 2, SubThreads: 4, Seed: seed, Tracer: tr,
-			})
-		case 2:
-			utsBase, err = utsRunQuick("gige", 128, false, quick, tr)
-		case 3:
-			utsOpt, err = utsRunQuick("gige", 128, true, quick, tr)
-		}
-		return err
-	})
-	if err != nil {
-		return err
-	}
+// summary renders the thesis's two headline conclusions against the
+// model: Figure 4.4's 64-thread process point against Figure 4.6's
+// 16*4 UPC*OpenMP point, and Figure 3.3's two Ethernet 128-process
+// points.
+func summary(w io.Writer, p *plan) {
+	pure := p.lookup(ftPoint{"lehman", ft.UPCProcesses, ft.SplitPhase, 64, 8, 0}, false).ft
+	hyb := p.lookup(ftPoint{"lehman", ft.HybridOMP, ft.SplitPhase, 16, 2, 4}, false).ft
+	utsBase := p.lookup(utsPoint{"gige", 128, uts.BaselineRR}, false).uts
+	utsOpt := p.lookup(utsPoint{"gige", 128, uts.LocalRapid}, false).uts
 	ftGain := pure.Elapsed.Seconds() / hyb.Elapsed.Seconds()
-	utsGain := utsOpt / utsBase
+	utsGain := utsOpt.MNodesPerSec / utsBase.MNodesPerSec
 
 	report.Table(w, "Headline conclusions (paper vs model)",
 		[]string{"claim", "paper", "model"},
@@ -291,5 +181,4 @@ func Summary(w io.Writer, quick bool) error {
 			{"UTS thread-group speedup on Ethernet, 8-way SMP nodes",
 				"2.0x", fmt.Sprintf("%.2fx", utsGain)},
 		})
-	return nil
 }
