@@ -80,6 +80,14 @@ var rows = []row{
 	{name: "plan-shared-digest-parallel", args: []string{"-only", "Figure 3.3,Table 3.2,Summary"},
 		observe: "digest", ref: "-parallel=1", alts: parallel8},
 
+	// One pool: STREAM, all-to-all and FT points of four steps run in
+	// index order on the plan's one sweep. The STREAM kernels charge
+	// their 1<<20-element arrays and compute a 4,096-element slice, so
+	// the runs peak near 26 MB (1 worker) and 53-69 MB (8 workers); the
+	// host arrays took 499-502 MB serial.
+	{name: "plan-mixed-digest-parallel", args: []string{"-only", "Table 3.1,Figure 3.4(a),Table 4.1,Figure 4.4"},
+		observe: "digest", ref: "-parallel=1", alts: parallel8, rssMB: 128},
+
 	// Table 3.2's twelve UTS jobs fill the reorder window at width 2;
 	// peak RSS is bounded by the window, not by the sweep (buffering
 	// every job until the pool drained peaked at 4.2 GB). With pooled

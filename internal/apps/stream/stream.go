@@ -3,9 +3,11 @@
 // baseline shared-pointer access, bulk re-localization, pointer
 // privatization via cast, and an OpenMP-style shared-memory reference) and
 // the *hybrid* triad of Table 4.1 (UPC × OpenMP sub-thread configurations
-// with and without binding). Kernels execute on real data — results are
-// verified element-wise — while memory and translation costs are charged
-// to the virtual clock.
+// with and without binding). As FT does with its slabs (EXPERIMENTS.md
+// D4), each kernel computes and verifies a real slice of at most
+// realPerThrd elements per thread, while the memory, translation and
+// transfer costs of the full ElemsPerThrd are charged to the virtual
+// clock; the reported GB/s come from those charges alone.
 package stream
 
 import (
@@ -13,7 +15,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/subthread"
-	"repro/internal/sweep"
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/upc"
@@ -53,7 +54,8 @@ func (v Variant) String() string {
 // Variants lists the Table 3.1 rows in order.
 func Variants() []Variant { return []Variant{Baseline, Relocalize, Cast, OpenMPRef} }
 
-// Result is one measured configuration.
+// Result is one measured configuration. Name is the table row: the
+// variant for RunTwisted, and, from Table41, the row's name.
 type Result struct {
 	Name    string
 	GBps    float64
@@ -64,6 +66,7 @@ const (
 	triadScalar    = 3.0
 	bytesPerElem   = 24 // read b and c (16B), write a (8B)
 	defaultPerThrd = 1 << 20
+	realPerThrd    = 4096 // elements per thread computed and verified for real
 )
 
 // TwistedConfig parameterizes one Table 3.1 run.
@@ -90,7 +93,8 @@ func RunTwisted(cfg TwistedConfig) (Result, error) {
 	if cfg.ElemsPerThrd == 0 {
 		cfg.ElemsPerThrd = defaultPerThrd
 	}
-	n := cfg.ElemsPerThrd
+	n := cfg.ElemsPerThrd // charged
+	m := min(n, realPerThrd)
 	total := n * cfg.Threads
 	ucfg := upc.Config{
 		Machine:        cfg.Machine,
@@ -107,9 +111,9 @@ func RunTwisted(cfg TwistedConfig) (Result, error) {
 	var kernel sim.Duration
 	var errOut error
 	_, err := upc.Run(ucfg, func(t *upc.Thread) {
-		a := upc.Alloc[float64](t, total, 8, n)
-		b := upc.Alloc[float64](t, total, 8, n)
-		c := upc.Alloc[float64](t, total, 8, n)
+		a := upc.Alloc[float64](t, m*t.N, 8, m)
+		b := upc.Alloc[float64](t, m*t.N, 8, m)
+		c := upc.Alloc[float64](t, m*t.N, 8, m)
 		// Initialize own partitions (first touch on own socket).
 		for i := range b.Local(t) {
 			b.Local(t)[i] = float64(t.ID*n + i)
@@ -133,26 +137,33 @@ func RunTwisted(cfg TwistedConfig) (Result, error) {
 			// memory stream from the peer's socket.
 			//upcvet:affinity -- single-node PSHM config: every peer is castable by construction
 			pa, pb, pc := a.Cast(t, peer), b.Cast(t, peer), c.Cast(t, peer)
-			for i := 0; i < n; i++ {
+			for i := range pa {
 				pa[i] = pb[i] + triadScalar*pc[i]
 			}
 			t.ChargeXlate(3 * int64(n))
 			t.MemStreamFrom(bytesPerElem*int64(n), peerSocket)
 		case Relocalize:
-			lb := make([]float64, n)
-			lc := make([]float64, n)
-			la := make([]float64, n)
-			upc.GetT(t, b, lb, peer, 0)
-			upc.GetT(t, c, lc, peer, 0)
-			for i := 0; i < n; i++ {
+			// Each bulk transfer is charged for the peer's whole
+			// partition and then copies its real slice.
+			//upcvet:affinity -- single-node PSHM config: every peer is castable by construction
+			pa, pb, pc := a.Cast(t, peer), b.Cast(t, peer), c.Cast(t, peer)
+			lb := make([]float64, m)
+			lc := make([]float64, m)
+			la := make([]float64, m)
+			t.GetBytes(peer, 8*int64(n))
+			copy(lb, pb)
+			t.GetBytes(peer, 8*int64(n))
+			copy(lc, pc)
+			for i := range la {
 				la[i] = lb[i] + triadScalar*lc[i]
 			}
 			t.MemStream(bytesPerElem * int64(n))
-			upc.PutT(t, a, peer, 0, la)
+			t.PutBytes(peer, 8*int64(n))
+			copy(pa, la)
 		case Cast:
 			//upcvet:affinity -- single-node PSHM config: every peer is castable by construction
 			pa, pb, pc := a.Cast(t, peer), b.Cast(t, peer), c.Cast(t, peer)
-			for i := 0; i < n; i++ {
+			for i := range pa {
 				pa[i] = pb[i] + triadScalar*pc[i]
 			}
 			t.MemStreamFrom(bytesPerElem*int64(n), peerSocket)
@@ -161,7 +172,7 @@ func RunTwisted(cfg TwistedConfig) (Result, error) {
 			// pointers, no PGAS layer at all.
 			//upcvet:affinity -- single-node PSHM config: every peer is castable by construction
 			pa, pb, pc := a.Cast(t, peer), b.Cast(t, peer), c.Cast(t, peer)
-			for i := 0; i < n; i++ {
+			for i := range pa {
 				pa[i] = pb[i] + triadScalar*pc[i]
 			}
 			t.MemStreamFrom(bytesPerElem*int64(n), peerSocket)
@@ -193,18 +204,16 @@ func RunTwisted(cfg TwistedConfig) (Result, error) {
 	return Result{Name: cfg.Variant.String(), GBps: gbps, Elapsed: kernel}, nil
 }
 
-// Table31 regenerates Table 3.1 on the Lehman node model. The four
-// variants are independent simulations and run on the sweep worker pool.
+// Table31 regenerates Table 3.1 on the Lehman node model, one variant
+// after another.
 func Table31(seed int64) ([]Result, error) {
-	vs := Variants()
-	out := make([]Result, len(vs))
-	err := sweep.Run(len(vs), func(i int, tr trace.Tracer) error {
-		r, err := RunTwisted(TwistedConfig{Variant: vs[i], Seed: seed, Tracer: tr})
-		out[i] = r
-		return err
-	})
-	if err != nil {
-		return nil, err
+	var out []Result
+	for _, v := range Variants() {
+		r, err := RunTwisted(TwistedConfig{Variant: v, Seed: seed})
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
 	}
 	return out, nil
 }
@@ -232,8 +241,9 @@ func RunHybrid(cfg HybridConfig) (Result, error) {
 	if cfg.ElemsPerThrd == 0 {
 		cfg.ElemsPerThrd = defaultPerThrd
 	}
-	n := cfg.ElemsPerThrd * cfg.SubThreads // per UPC thread
-	total := n * cfg.UPCThreads
+	per := cfg.ElemsPerThrd // charged per sub-thread
+	m := min(per, realPerThrd)
+	total := per * cfg.SubThreads * cfg.UPCThreads
 	ucfg := upc.Config{
 		Machine:        cfg.Machine,
 		Threads:        cfg.UPCThreads,
@@ -247,9 +257,10 @@ func RunHybrid(cfg HybridConfig) (Result, error) {
 	var kernel sim.Duration
 	var errOut error
 	_, err := upc.Run(ucfg, func(t *upc.Thread) {
-		a := upc.Alloc[float64](t, total, 8, n)
-		b := upc.Alloc[float64](t, total, 8, n)
-		c := upc.Alloc[float64](t, total, 8, n)
+		part := m * cfg.SubThreads // real elements per UPC thread
+		a := upc.Alloc[float64](t, part*t.N, 8, part)
+		b := upc.Alloc[float64](t, part*t.N, 8, part)
+		c := upc.Alloc[float64](t, part*t.N, 8, part)
 		for i := range b.Local(t) {
 			b.Local(t)[i] = float64(i)
 			c.Local(t)[i] = 2
@@ -267,16 +278,14 @@ func RunHybrid(cfg HybridConfig) (Result, error) {
 		t.Barrier()
 		start := t.Now()
 		la, lb, lc := a.Local(t), b.Local(t), c.Local(t)
-		per := cfg.ElemsPerThrd
 		tm.ParallelFor(cfg.SubThreads, func(s *subthread.Sub, w int) {
-			lo, hi := w*per, (w+1)*per
-			for i := lo; i < hi; i++ {
+			for i := w * m; i < (w+1)*m; i++ {
 				la[i] = lb[i] + triadScalar*lc[i]
 			}
 			if cfg.FirstTouch {
-				s.MemStreamHomed(bytesPerElem*int64(hi-lo), s.Place.Socket)
+				s.MemStreamHomed(bytesPerElem*int64(per), s.Place.Socket)
 			} else {
-				s.MemStream(bytesPerElem * int64(hi-lo))
+				s.MemStream(bytesPerElem * int64(per))
 			}
 		})
 		t.Barrier()
@@ -295,49 +304,44 @@ func RunHybrid(cfg HybridConfig) (Result, error) {
 	if errOut != nil {
 		return Result{}, errOut
 	}
-	name := fmt.Sprintf("UPC*OpenMP %d*%d", cfg.UPCThreads, cfg.SubThreads)
-	if !cfg.Bound {
-		name += " (unbound)"
-	}
 	gbps := float64(total) * bytesPerElem / kernel.Seconds() / 1e9
-	return Result{Name: name, GBps: gbps, Elapsed: kernel}, nil
+	return Result{GBps: gbps, Elapsed: kernel}, nil
 }
 
-// Table41 regenerates Table 4.1 on the Lehman node model: pure UPC, pure
-// OpenMP, and the 1×8 / 2×4 / 4×2 hybrid configurations. The rows are
-// independent simulations and run on the sweep worker pool.
-func Table41(seed int64) ([]Result, error) {
-	rows := []struct {
-		u, s       int
-		bound      bool
-		firstTouch bool
-		rename     string
-	}{
-		{8, 1, true, false, "UPC 8"},
+// HybridRow is one row of Table 4.1: a configuration and its name.
+type HybridRow struct {
+	Name   string
+	Config HybridConfig
+}
+
+// Table41Rows lists the rows of Table 4.1 in order: pure UPC, pure
+// OpenMP, and the 1×8 / 2×4 / 4×2 hybrid configurations.
+func Table41Rows() []HybridRow {
+	return []HybridRow{
+		{"UPC 8", HybridConfig{UPCThreads: 8, SubThreads: 1, Bound: true}},
 		// The pure OpenMP reference is not socket-confined (no numactl):
 		// its threads scatter across both sockets and first-touch their
 		// chunks.
-		{1, 8, false, true, "OpenMP 8"},
-		{1, 8, false, false, ""},
-		{2, 4, true, false, ""},
-		{4, 2, true, false, ""},
+		{"OpenMP 8", HybridConfig{UPCThreads: 1, SubThreads: 8, FirstTouch: true}},
+		{"UPC*OpenMP 1*8 (unbound)", HybridConfig{UPCThreads: 1, SubThreads: 8}},
+		{"UPC*OpenMP 2*4", HybridConfig{UPCThreads: 2, SubThreads: 4, Bound: true}},
+		{"UPC*OpenMP 4*2", HybridConfig{UPCThreads: 4, SubThreads: 2, Bound: true}},
 	}
-	out := make([]Result, len(rows))
-	err := sweep.Run(len(rows), func(i int, tr trace.Tracer) error {
-		c := rows[i]
-		r, err := RunHybrid(HybridConfig{UPCThreads: c.u, SubThreads: c.s, Bound: c.bound,
-			FirstTouch: c.firstTouch, Seed: seed, Tracer: tr})
+}
+
+// Table41 regenerates Table 4.1 on the Lehman node model, one row after
+// another.
+func Table41(seed int64) ([]Result, error) {
+	var out []Result
+	for _, row := range Table41Rows() {
+		cfg := row.Config
+		cfg.Seed = seed
+		r, err := RunHybrid(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if c.rename != "" {
-			r.Name = c.rename
-		}
-		out[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		r.Name = row.Name
+		out = append(out, r)
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -109,6 +110,36 @@ func TestVariantStrings(t *testing.T) {
 	for i, v := range Variants() {
 		if v.String() != want[i] {
 			t.Errorf("variant %d = %q, want %q", i, v.String(), want[i])
+		}
+	}
+}
+
+// TestDefaultSizeAllocatesLittle: at the default 1<<20 elements per
+// thread the kernels compute and verify a slice of realPerThrd elements
+// and only charge the rest, so a run allocates a few MB where full host
+// arrays took hundreds.
+func TestDefaultSizeAllocatesLittle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func() (Result, error)
+	}{
+		{"twisted relocalize", func() (Result, error) {
+			return RunTwisted(TwistedConfig{Variant: Relocalize, Seed: 1})
+		}},
+		{"hybrid 2*4", func() (Result, error) {
+			return RunHybrid(HybridConfig{UPCThreads: 2, SubThreads: 4, Bound: true, Seed: 1})
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := tc.run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		runtime.ReadMemStats(&after)
+		mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		t.Logf("%s allocated %.1f MB", tc.name, mb)
+		if mb >= 16 {
+			t.Errorf("%s allocated %.1f MB, want < 16 MB", tc.name, mb)
 		}
 	}
 }

@@ -1,15 +1,14 @@
 // Package experiments regenerates every table and figure of the thesis's
 // evaluation (the per-experiment index of DESIGN.md) and renders the same
-// rows or series the paper reports. The STREAM, translation, all-to-all
-// and network steps each run a sweep of their own; the UTS and FT steps
-// render from one plan of distinct simulations (plan.go), so a point
-// several of them show runs once. The quick flag trades sweep breadth
-// for runtime (smaller trees, no SMT points); the shapes are preserved
-// either way.
+// rows or series the paper reports. Every step renders from one plan of
+// distinct simulations (plan.go): the plan simulates each point once, in
+// index order, on one sweep pool, so a point several steps show runs
+// once and no step boundary drains the pool. The quick flag trades sweep
+// breadth for runtime (smaller trees, fewer message sizes, no SMT
+// points); the shapes are preserved either way.
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -21,45 +20,31 @@ import (
 	"repro/internal/causality"
 	"repro/internal/perf"
 	"repro/internal/report"
-	"repro/internal/sweep"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 const seed = 1
 
-// Table31 regenerates Table 3.1 (twisted STREAM triad).
-func Table31(w io.Writer) error {
-	rs, err := stream.Table31(seed)
-	if err != nil {
-		return err
-	}
+// table31 renders Table 3.1 (twisted STREAM triad).
+func table31(w io.Writer, p *plan) error {
 	paper := []string{"3.2", "7.2", "23.2", "23.4"}
-	rows := make([][]string, len(rs))
-	for i, r := range rs {
-		rows[i] = []string{r.Name, fmt.Sprintf("%.1f", r.GBps), paper[i]}
+	var rows [][]string
+	for i, v := range stream.Variants() {
+		r := p.lookup(twistedPoint{v}, false).stream
+		rows = append(rows, []string{v.String(), fmt.Sprintf("%.1f", r.GBps), paper[i]})
 	}
 	report.Table(w, "Table 3.1: Performance of the Twisted STREAM Triad (GB/s)",
 		[]string{"variant", "model", "paper"}, rows)
 	return nil
 }
 
-// Table41 regenerates Table 4.1 (hybrid STREAM triad).
-func Table41(w io.Writer) error {
-	rs, err := stream.Table41(seed)
-	if err != nil {
-		return err
-	}
-	paper := map[string]string{
-		"UPC 8":                    "24.5",
-		"OpenMP 8":                 "23.7",
-		"UPC*OpenMP 1*8 (unbound)": "13.9",
-		"UPC*OpenMP 2*4":           "24.7",
-		"UPC*OpenMP 4*2":           "24.7",
-	}
-	rows := make([][]string, len(rs))
-	for i, r := range rs {
-		rows[i] = []string{r.Name, fmt.Sprintf("%.1f", r.GBps), paper[r.Name]}
+// table41 renders Table 4.1 (hybrid STREAM triad).
+func table41(w io.Writer, p *plan) error {
+	paper := []string{"24.5", "23.7", "13.9", "24.7", "24.7"}
+	var rows [][]string
+	for i, row := range stream.Table41Rows() {
+		r := p.lookup(hybridPoint{i}, false).stream
+		rows = append(rows, []string{row.Name, fmt.Sprintf("%.1f", r.GBps), paper[i]})
 	}
 	report.Table(w, "Table 4.1: Performance of the STREAM Triad (GB/s)",
 		[]string{"configuration", "model", "paper"}, rows)
@@ -125,7 +110,7 @@ func stealSpread(r uts.Result) string {
 // figure33 renders Figure 3.3 (UTS parallel scalability on 16 nodes,
 // InfiniBand and Ethernet panels) from the conduit x strategy x size
 // grid of plan points.
-func figure33(w io.Writer, p *plan) {
+func figure33(w io.Writer, p *plan) error {
 	for _, conduit := range []string{"ibv-ddr", "gige"} {
 		var series []report.Series
 		for _, st := range uts.Strategies() {
@@ -140,13 +125,14 @@ func figure33(w io.Writer, p *plan) {
 			"procs", series)
 		fmt.Fprintln(w)
 	}
+	return nil
 }
 
 // table32 renders Table 3.2 (UTS profiling: overall improvement and
 // local-steal percentages) from the baseline and optimized Figure 3.3
 // points of each shape. The steal statistics come from the runs' own
 // results, the critical-path column from their causality recorders.
-func table32(w io.Writer, p *plan) {
+func table32(w io.Writer, p *plan) error {
 	shapes := []struct {
 		net   string
 		procs int
@@ -177,6 +163,7 @@ func table32(w io.Writer, p *plan) {
 		[]string{"config", "improvement", "local% base", "local% opt",
 			"steals/thr p10/med/p90", "critical-path wait% b/o",
 			"paper-impr", "paper-base%", "paper-opt%"}, rows)
+	return nil
 }
 
 // fig34Layouts are the x-axis points of Figure 3.4: nodes*perNode.
@@ -186,36 +173,15 @@ func fig34Layouts() []struct{ Threads, PerNode int } {
 	}
 }
 
-// Figure34a regenerates Figure 3.4(a): all-to-all performance improvement
+// figure34a renders Figure 3.4(a): all-to-all performance improvement
 // over the base runtime for blocking puts.
-func Figure34a(w io.Writer) error {
-	cls, _ := ft.ClassByName("B")
+func figure34a(w io.Writer, p *plan) error {
 	modes := []ft.ExchangeMode{ft.ExPSHM, ft.ExPSHMCast, ft.ExPthreads, ft.ExPthreadsCast}
-	lays := fig34Layouts()
-	// Per layout: the base-runtime reference plus the four modes.
-	stride := 1 + len(modes)
-	results := make([]ft.ExchangeResult, len(lays)*stride)
-	err := sweep.Run(len(results), func(i int, tr trace.Tracer) error {
-		lay := lays[i/stride]
-		mode := ft.ExBase
-		if m := i % stride; m > 0 {
-			mode = modes[m-1]
-		}
-		r, err := ft.RunExchange(ft.ExchangeConfig{
-			Machine: topo.Pyramid(), Class: cls, Threads: lay.Threads,
-			PerNode: lay.PerNode, Mode: mode, Seed: seed, Tracer: tr,
-		})
-		results[i] = r
-		return err
-	})
-	if err != nil {
-		return err
-	}
 	series := make([]report.Series, len(modes))
-	for li, lay := range lays {
-		base := results[li*stride]
+	for _, lay := range fig34Layouts() {
+		base := p.lookup(exchangePoint{lay.Threads, lay.PerNode, ft.ExBase, false}, false).exchange
 		for mi, m := range modes {
-			r := results[li*stride+1+mi]
+			r := p.lookup(exchangePoint{lay.Threads, lay.PerNode, m, false}, false).exchange
 			series[mi].Label = m.String()
 			series[mi].X = append(series[mi].X, float64(lay.Threads))
 			series[mi].Y = append(series[mi].Y,
@@ -227,30 +193,13 @@ func Figure34a(w io.Writer) error {
 	return nil
 }
 
-// Figure34b regenerates Figure 3.4(b): async memput call vs wait time per
+// figure34b renders Figure 3.4(b): async memput call vs wait time per
 // runtime configuration.
-func Figure34b(w io.Writer) error {
-	cls, _ := ft.ClassByName("B")
-	lays := fig34Layouts()
-	modes := ft.ExchangeModes()
-	results := make([]ft.ExchangeResult, len(lays)*len(modes))
-	err := sweep.Run(len(results), func(i int, tr trace.Tracer) error {
-		lay := lays[i/len(modes)]
-		r, err := ft.RunExchange(ft.ExchangeConfig{
-			Machine: topo.Pyramid(), Class: cls, Threads: lay.Threads,
-			PerNode: lay.PerNode, Mode: modes[i%len(modes)], Async: true,
-			Seed: seed, Tracer: tr,
-		})
-		results[i] = r
-		return err
-	})
-	if err != nil {
-		return err
-	}
+func figure34b(w io.Writer, p *plan) error {
 	var rows [][]string
-	for li, lay := range lays {
-		for mi, m := range modes {
-			r := results[li*len(modes)+mi]
+	for _, lay := range fig34Layouts() {
+		for _, m := range ft.ExchangeModes() {
+			r := p.lookup(exchangePoint{lay.Threads, lay.PerNode, m, true}, false).exchange
 			rows = append(rows, []string{
 				fmt.Sprintf("%d(%d*%d)", lay.Threads, lay.Threads/lay.PerNode, lay.PerNode),
 				m.String(),
@@ -264,17 +213,14 @@ func Figure34b(w io.Writer) error {
 	return nil
 }
 
-// Figure42 regenerates Figure 4.2 (multi-link latency and flood
-// bandwidth). panel is "a" (latency) or "b" (bandwidth).
-func Figure42(w io.Writer, panel string, quick bool) error {
-	links := []int{1, 2, 4, 8}
-	var sizes []int64
-	if panel == "a" {
-		sizes = netbench.LatencySizes()
-	} else {
-		sizes = netbench.FloodSizes()
+// figure42 renders Figure 4.2 (multi-link latency and flood bandwidth).
+// panel is "a" (latency) or "b" (bandwidth).
+func figure42(w io.Writer, p *plan, panel string) error {
+	sizes, title := netbench.LatencySizes(), "Figure 4.2(a): multi-link round-trip latency (us) vs size"
+	if panel == "b" {
+		sizes, title = netbench.FloodSizes(), "Figure 4.2(b): multi-link flood bandwidth (MB/s) vs size"
 	}
-	if quick {
+	if p.quick {
 		var trimmed []int64
 		for i, s := range sizes {
 			if i%2 == 0 {
@@ -283,92 +229,55 @@ func Figure42(w io.Writer, panel string, quick bool) error {
 		}
 		sizes = trimmed
 	}
-	type combo struct {
-		links int
-		pthr  bool
-		label string
-	}
-	var combos []combo
+	var series []report.Series
 	for _, pthr := range []bool{false, true} {
-		for _, l := range links {
+		for _, l := range []int{1, 2, 4, 8} {
 			if l == 1 && pthr {
 				continue // 1-link pthreads == 1-link processes
 			}
-			label := fmt.Sprintf("%d link", l)
-			if l > 1 {
-				if pthr {
-					label = fmt.Sprintf("%d link pthreads", l)
+			s := report.Series{Label: fmt.Sprintf("%d link", l)}
+			if l > 1 && pthr {
+				s.Label += " pthreads"
+			} else if l > 1 {
+				s.Label += " processes"
+			}
+			for _, sz := range sizes {
+				r := p.lookup(netPoint{l, pthr, sz, panel}, false).net
+				s.X = append(s.X, float64(sz))
+				if panel == "a" {
+					s.Y = append(s.Y, r.RTT.Micros())
 				} else {
-					label = fmt.Sprintf("%d link processes", l)
+					s.Y = append(s.Y, r.BandwidthMBps)
 				}
 			}
-			combos = append(combos, combo{l, pthr, label})
+			series = append(series, s)
 		}
-	}
-	ys := make([]float64, len(combos)*len(sizes))
-	err := sweep.Run(len(ys), func(i int, tr trace.Tracer) error {
-		c := combos[i/len(sizes)]
-		cfg := netbench.Config{Links: c.links, Pthreads: c.pthr,
-			Size: sizes[i%len(sizes)], Seed: seed, Tracer: tr}
-		if panel == "a" {
-			r, err := netbench.Latency(cfg)
-			if err != nil {
-				return err
-			}
-			ys[i] = r.RTT.Micros()
-		} else {
-			r, err := netbench.Flood(cfg)
-			if err != nil {
-				return err
-			}
-			ys[i] = r.BandwidthMBps
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	series := make([]report.Series, len(combos))
-	for ci, c := range combos {
-		series[ci].Label = c.label
-		for szi, sz := range sizes {
-			series[ci].X = append(series[ci].X, float64(sz))
-			series[ci].Y = append(series[ci].Y, ys[ci*len(sizes)+szi])
-		}
-	}
-	title := "Figure 4.2(a): multi-link round-trip latency (us) vs size"
-	if panel == "b" {
-		title = "Figure 4.2(b): multi-link flood bandwidth (MB/s) vs size"
 	}
 	report.Figure(w, title, "bytes", series)
 	return nil
 }
 
-// step is one named entry of the experiment index: either run, which
-// renders from a sweep of its own, or render, which renders from the
-// plan's shared points.
+// step is one named entry of the experiment index, rendered from the
+// plan's points.
 type step struct {
 	name   string
-	run    func(w io.Writer) error
-	render func(w io.Writer, p *plan)
+	render func(w io.Writer, p *plan) error
 }
 
-func steps(quick bool) []step {
-	return []step{
-		{name: "Table 3.1", run: Table31},
-		{name: "Figure 3.1b", run: FigureXlate},
-		{name: "Figure 3.3", render: figure33},
-		{name: "Table 3.2", render: table32},
-		{name: "Figure 3.4(a)", run: Figure34a},
-		{name: "Figure 3.4(b)", run: Figure34b},
-		{name: "Figure 4.2(a)", run: func(w io.Writer) error { return Figure42(w, "a", quick) }},
-		{name: "Figure 4.2(b)", run: func(w io.Writer) error { return Figure42(w, "b", quick) }},
-		{name: "Table 4.1", run: Table41},
-		{name: "Figure 4.4", render: figure44},
-		{name: "Figure 4.5", render: figure45},
-		{name: "Figure 4.6", render: figure46},
-		{name: "Summary", render: summary},
-	}
+var steps = []step{
+	{"Table 3.1", table31},
+	{"Figure 3.1b", figure31b},
+	{"Figure 3.3", figure33},
+	{"Table 3.2", table32},
+	{"Figure 3.4(a)", figure34a},
+	{"Figure 3.4(b)", figure34b},
+	{"Figure 4.2(a)", func(w io.Writer, p *plan) error { return figure42(w, p, "a") }},
+	{"Figure 4.2(b)", func(w io.Writer, p *plan) error { return figure42(w, p, "b") }},
+	{"Table 4.1", table41},
+	{"Figure 4.4", figure44},
+	{"Figure 4.5", figure45},
+	{"Figure 4.6", figure46},
+	{"Summary", summary},
 }
 
 // Check returns nil when every one of names is an experiment of the
@@ -376,7 +285,7 @@ func steps(quick bool) []step {
 // valid name.
 func Check(names []string) error {
 	var have []string
-	for _, s := range steps(false) {
+	for _, s := range steps {
 		have = append(have, s.name)
 	}
 	for _, name := range names {
@@ -390,43 +299,27 @@ func Check(names []string) error {
 // Run renders the named experiments in index order, each followed by a
 // blank line; no names means every experiment (the upc-experiments -only
 // flag). Every name is checked before any experiment runs, so an unknown
-// one fails at once and writes nothing.
-//
-// The steps with sweeps of their own run first, each into a held
-// buffer, so that their working sets (Table 3.1's STREAM arrays) are
-// gone before the plan's results accumulate. The plan then simulates
-// every distinct point the other steps look up, once, and all steps are
-// written in index order. The trace stream follows that run order.
+// one fails at once and writes nothing. The plan simulates every
+// distinct point the selected steps look up, once, in index order (the
+// order of the trace stream), before the first step is written.
 func Run(w io.Writer, names []string, quick bool) error {
 	if err := Check(names); err != nil {
 		return err
 	}
 	var sel []step
-	for _, s := range steps(quick) {
+	for _, s := range steps {
 		if len(names) == 0 || slices.Contains(names, s.name) {
 			sel = append(sel, s)
-		}
-	}
-	held := make([]bytes.Buffer, len(sel))
-	for i, s := range sel {
-		if s.run == nil {
-			continue
-		}
-		if err := s.run(&held[i]); err != nil {
-			return fmt.Errorf("%s: %w", s.name, err)
 		}
 	}
 	p := newPlan(sel, quick)
 	if err := p.run(); err != nil {
 		return err
 	}
-	for i, s := range sel {
-		if s.render != nil {
-			p.step = s.name
-			s.render(&held[i], p)
-		}
-		if _, err := held[i].WriteTo(w); err != nil {
-			return err
+	for _, s := range sel {
+		p.step = s.name
+		if err := s.render(w, p); err != nil {
+			return fmt.Errorf("%s: %w", s.name, err)
 		}
 		fmt.Fprintln(w)
 	}

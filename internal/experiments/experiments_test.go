@@ -7,12 +7,18 @@ import (
 	"repro/internal/apps/uts"
 )
 
-func TestTable31Renders(t *testing.T) {
+// render returns what Run prints for the named steps at quick scale.
+func render(t *testing.T, names ...string) string {
+	t.Helper()
 	var b strings.Builder
-	if err := Table31(&b); err != nil {
+	if err := Run(&b, names, true); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
+	return b.String()
+}
+
+func TestTable31Renders(t *testing.T) {
+	out := render(t, "Table 3.1")
 	for _, want := range []string{"Table 3.1", "UPC baseline", "UPC with cast", "paper"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -21,11 +27,7 @@ func TestTable31Renders(t *testing.T) {
 }
 
 func TestTable41Renders(t *testing.T) {
-	var b strings.Builder
-	if err := Table41(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := render(t, "Table 4.1")
 	for _, want := range []string{"Table 4.1", "UPC 8", "1*8 (unbound)", "24.5"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -34,11 +36,7 @@ func TestTable41Renders(t *testing.T) {
 }
 
 func TestFigure34aRenders(t *testing.T) {
-	var b strings.Builder
-	if err := Figure34a(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := render(t, "Figure 3.4(a)")
 	for _, want := range []string{"Figure 3.4(a)", "PSHM", "pthreads + cast"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -47,49 +45,33 @@ func TestFigure34aRenders(t *testing.T) {
 }
 
 func TestFigure42Renders(t *testing.T) {
-	var b strings.Builder
-	if err := Figure42(&b, "a", true); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"Figure 4.2(a)", "1 link", "8 link pthreads"} {
+	out := render(t, "Figure 4.2(a)")
+	for _, want := range []string{"Figure 4.2(a)", "1 link", "8 link pthreads", "8 link processes"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("latency output missing %q", want)
 		}
 	}
-	b.Reset()
-	if err := Figure42(&b, "b", true); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "flood bandwidth") {
+	if !strings.Contains(render(t, "Figure 4.2(b)"), "flood bandwidth") {
 		t.Error("bandwidth panel missing title")
 	}
 }
 
 // TestRunSelection pins -only's semantics on two cheap steps: names
-// given in reverse render in index order, each step exactly as its own
-// function renders it followed by a blank line, and one unknown name
-// fails before anything is written.
+// given in reverse render in index order, each step exactly as it
+// renders alone followed by a blank line, and one unknown name fails
+// before anything is written.
 func TestRunSelection(t *testing.T) {
-	var want strings.Builder
-	if err := FigureXlate(&want); err != nil {
-		t.Fatal(err)
+	xlate, lat := render(t, "Figure 3.1b"), render(t, "Figure 4.2(a)")
+	for _, out := range []string{xlate, lat} {
+		if !strings.HasSuffix(out, "\n\n") {
+			t.Errorf("a step must end with a blank line:\n%q", out)
+		}
 	}
-	want.WriteString("\n")
-	if err := Figure42(&want, "a", true); err != nil {
-		t.Fatal(err)
+	if got := render(t, "Figure 4.2(a)", "Figure 3.1b"); got != xlate+lat {
+		t.Errorf("Run rendered\n%s\nwant Figure 3.1b then Figure 4.2(a):\n%s", got, xlate+lat)
 	}
-	want.WriteString("\n")
 
 	var got strings.Builder
-	if err := Run(&got, []string{"Figure 4.2(a)", "Figure 3.1b"}, true); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Errorf("Run rendered\n%s\nwant Figure 3.1b then Figure 4.2(a):\n%s", got.String(), want.String())
-	}
-
-	got.Reset()
 	err := Run(&got, []string{"Figure 3.1b", "Figure 9.9"}, true)
 	if err == nil {
 		t.Fatal("an unknown experiment name must fail")

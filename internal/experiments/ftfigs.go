@@ -30,7 +30,7 @@ func perNodeFor(threads int) int {
 // figure44 renders Figure 4.4: per-phase speedups of the FT benchmark
 // on Lehman, 1 to 128 threads (the 128-thread points run two SMT threads
 // per core).
-func figure44(w io.Writer, p *plan) {
+func figure44(w io.Writer, p *plan) error {
 	phases := []string{"evolve", "transpose", "fft1d", "fft2d", "comm-call"}
 	labels := map[string]string{
 		"evolve": "Evolve", "transpose": "Local Transpose",
@@ -68,11 +68,12 @@ func figure44(w io.Writer, p *plan) {
 	fmt.Fprintln(w)
 	report.Table(w, "Figure 4.4 (supplement): critical-path wait share",
 		[]string{"threads", "critical-path wait%"}, cpRows)
+	return nil
 }
 
 // figure45 renders Figure 4.5: time in communication calls of the
 // split-phase implementation, per platform.
-func figure45(w io.Writer, p *plan) {
+func figure45(w io.Writer, p *plan) error {
 	plats := []struct {
 		name, machine string
 		nodes         int
@@ -116,6 +117,7 @@ func figure45(w io.Writer, p *plan) {
 			"cores", series)
 		fmt.Fprintln(w)
 	}
+	return nil
 }
 
 // fig46Configs are the UPC*Threads configurations of Figure 4.6 on 8
@@ -133,7 +135,7 @@ func fig46Configs(quick bool) []struct{ U, S int } {
 // figure46 renders Figure 4.6(a,b): relative performance of the
 // sub-thread variants over process UPC at the same total thread count,
 // for split-phase and overlap.
-func figure46(w io.Writer, p *plan) {
+func figure46(w io.Writer, p *plan) error {
 	variants := []ft.Variant{ft.HybridOMP, ft.HybridCilk, ft.HybridPool, ft.UPCPthreads}
 	for _, impl := range []ft.Impl{ft.SplitPhase, ft.Overlap} {
 		series := make([]report.Series, len(variants))
@@ -159,13 +161,14 @@ func figure46(w io.Writer, p *plan) {
 			"U*S", series)
 		fmt.Fprintln(w)
 	}
+	return nil
 }
 
 // summary renders the thesis's two headline conclusions against the
 // model: Figure 4.4's 64-thread process point against Figure 4.6's
 // 16*4 UPC*OpenMP point, and Figure 3.3's two Ethernet 128-process
 // points.
-func summary(w io.Writer, p *plan) {
+func summary(w io.Writer, p *plan) error {
 	pure := p.lookup(ftPoint{"lehman", ft.UPCProcesses, ft.SplitPhase, 64, 8, 0}, false).ft
 	hyb := p.lookup(ftPoint{"lehman", ft.HybridOMP, ft.SplitPhase, 16, 2, 4}, false).ft
 	utsBase := p.lookup(utsPoint{"gige", 128, uts.BaselineRR}, false).uts
@@ -181,4 +184,5 @@ func summary(w io.Writer, p *plan) {
 			{"UTS thread-group speedup on Ethernet, 8-way SMP nodes",
 				"2.0x", fmt.Sprintf("%.2fx", utsGain)},
 		})
+	return nil
 }

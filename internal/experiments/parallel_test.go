@@ -33,7 +33,7 @@ func renderAll(t *testing.T, workers int, render func(w *strings.Builder) error)
 }
 
 // TestParallelSweepDeterminism is the -parallel determinism gate as a
-// unit test: the STREAM sweeps (Tables 3.1 and 4.1) and a scaled-down
+// unit test: the STREAM steps (Tables 3.1 and 4.1) and a scaled-down
 // UTS sweep must print byte-identical output and hash byte-identical
 // trace streams at -parallel=1 and -parallel=8.
 func TestParallelSweepDeterminism(t *testing.T) {
@@ -41,10 +41,7 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		t.Skip("multi-run sweep comparison")
 	}
 	streamRender := func(w *strings.Builder) error {
-		if err := Table31(w); err != nil {
-			return err
-		}
-		return Table41(w)
+		return Run(w, []string{"Table 3.1", "Table 4.1"}, true)
 	}
 	// The UTS path at unit-test scale: the Figure 3.3 sweep shape
 	// (conduit x strategy x size grid through sweep.Run) on tiny trees.

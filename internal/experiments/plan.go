@@ -5,6 +5,8 @@ import (
 	"io"
 
 	"repro/internal/apps/ft"
+	"repro/internal/apps/netbench"
+	"repro/internal/apps/stream"
 	"repro/internal/apps/uts"
 	"repro/internal/causality"
 	"repro/internal/sweep"
@@ -12,13 +14,12 @@ import (
 	"repro/internal/trace"
 )
 
-// A plan holds the distinct UTS and FT simulations of the steps that
-// share points: Figure 3.3, Table 3.2, Figures 4.4–4.6 and the Summary.
-// Each such step renders twice: a planning pass into io.Discard, whose
+// A plan holds the distinct simulations of every step of the index.
+// Each step renders twice: a planning pass into io.Discard, whose
 // lookups register their points and return zero outcomes, and, after run
-// has simulated every point once in first-lookup order, the real pass.
-// A step picks its keys from its inputs alone, never from outcomes, so
-// both passes look up the same points.
+// has simulated every point once in first-lookup order (index order),
+// the real pass. A step picks its keys from its inputs alone, never from
+// outcomes, so both passes look up the same points.
 type plan struct {
 	quick  bool
 	step   string // the step rendering now
@@ -27,17 +28,38 @@ type plan struct {
 	points []*point // in first-lookup order
 }
 
-// point is one distinct simulation: its key (a utsPoint or an ftPoint),
-// the first step that looked it up, whether any step wants its
-// critical-path wait share, and, once the plan has run, its outcome.
+// point is one distinct simulation: its key, the first step that looked
+// it up, whether any step wants its critical-path wait share, and, once
+// the plan has run, the outcome of its kind.
 type point struct {
-	key    fmt.Stringer
-	step   string
-	causal bool
-	uts    uts.Result
-	ft     ft.Result
-	cpWait float64
+	key      fmt.Stringer
+	step     string
+	causal   bool
+	uts      uts.Result
+	ft       ft.Result
+	cpWait   float64
+	stream   stream.Result
+	xlate    xlateResult
+	exchange ft.ExchangeResult
+	net      netbench.Result
 }
+
+// twistedPoint keys a Table 3.1 variant.
+type twistedPoint struct{ variant stream.Variant }
+
+func (k twistedPoint) String() string { return fmt.Sprintf("twisted {%v}", k.variant) }
+
+// hybridPoint keys a Table 4.1 row (an index of stream.Table41Rows).
+type hybridPoint struct{ row int }
+
+func (k hybridPoint) String() string {
+	return fmt.Sprintf("hybrid {%s}", stream.Table41Rows()[k.row].Name)
+}
+
+// xlatePoint keys a Figure 3.1b translation regime by machine preset.
+type xlatePoint struct{ preset string }
+
+func (k xlatePoint) String() string { return fmt.Sprintf("xlate {%s}", k.preset) }
 
 // utsPoint keys a Figure 3.3 configuration point (see utsConfig).
 type utsPoint struct {
@@ -48,6 +70,30 @@ type utsPoint struct {
 
 func (k utsPoint) String() string {
 	return fmt.Sprintf("uts {%s %d %v}", k.conduit, k.procs, k.strat)
+}
+
+// exchangePoint keys a Figure 3.4 all-to-all of class B on Pyramid.
+type exchangePoint struct {
+	threads, perNode int
+	mode             ft.ExchangeMode
+	async            bool
+}
+
+func (k exchangePoint) String() string {
+	return fmt.Sprintf("exchange {%d %d %v %v}", k.threads, k.perNode, k.mode, k.async)
+}
+
+// netPoint keys a Figure 4.2 measurement: a latency run for panel "a",
+// a flood run for panel "b".
+type netPoint struct {
+	links    int
+	pthreads bool
+	size     int64
+	panel    string
+}
+
+func (k netPoint) String() string {
+	return fmt.Sprintf("netbench {%d %v %d %s}", k.links, k.pthreads, k.size, k.panel)
 }
 
 // ftPoint keys a class B NAS FT run on a machine preset.
@@ -62,15 +108,12 @@ func (k ftPoint) String() string {
 	return fmt.Sprintf("ft {%s %v %v %d %d %d}", k.machine, k.variant, k.impl, k.threads, k.perNode, k.subs)
 }
 
-// newPlan runs the planning pass of every step in steps that renders
-// from the plan.
+// newPlan runs the planning pass of steps.
 func newPlan(steps []step, quick bool) *plan {
 	p := &plan{quick: quick, index: map[fmt.Stringer]*point{}}
 	for _, s := range steps {
-		if s.render != nil {
-			p.step = s.name
-			s.render(io.Discard, p)
-		}
+		p.step = s.name
+		_ = s.render(io.Discard, p) // only outcomes fail a render, and this pass has none
 	}
 	return p
 }
@@ -108,6 +151,14 @@ func (p *plan) run() error {
 		}
 		var err error
 		switch k := pt.key.(type) {
+		case twistedPoint:
+			pt.stream, err = stream.RunTwisted(stream.TwistedConfig{Variant: k.variant, Seed: seed, Tracer: tr})
+		case hybridPoint:
+			cfg := stream.Table41Rows()[k.row].Config
+			cfg.Seed, cfg.Tracer = seed, tr
+			pt.stream, err = stream.RunHybrid(cfg)
+		case xlatePoint:
+			pt.xlate, err = xlateKernel(k.preset, tr)
 		case utsPoint:
 			cfg := utsConfig(k.conduit, k.procs, k.strat, p.quick)
 			cfg.Tracer = tr
@@ -119,6 +170,18 @@ func (p *plan) run() error {
 				Threads: k.threads, PerNode: k.perNode, SubThreads: k.subs,
 				Seed: seed, Tracer: tr,
 			})
+		case exchangePoint:
+			pt.exchange, err = ft.RunExchange(ft.ExchangeConfig{
+				Machine: topo.Pyramid(), Class: cls, Threads: k.threads, PerNode: k.perNode,
+				Mode: k.mode, Async: k.async, Seed: seed, Tracer: tr,
+			})
+		case netPoint:
+			cfg := netbench.Config{Links: k.links, Pthreads: k.pthreads, Size: k.size, Seed: seed, Tracer: tr}
+			if k.panel == "a" {
+				pt.net, err = netbench.Latency(cfg)
+			} else {
+				pt.net, err = netbench.Flood(cfg)
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %v: %w", pt.step, pt.key, err)

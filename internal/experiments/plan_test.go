@@ -8,15 +8,17 @@ import (
 	"testing"
 
 	"repro/internal/apps/ft"
+	"repro/internal/apps/netbench"
+	"repro/internal/apps/stream"
 	"repro/internal/apps/uts"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
 // only returns the steps of the index named in names.
-func only(quick bool, names ...string) []step {
+func only(names ...string) []step {
 	var sel []step
-	for _, s := range steps(quick) {
+	for _, s := range steps {
 		if slices.Contains(names, s.name) {
 			sel = append(sel, s)
 		}
@@ -25,27 +27,47 @@ func only(quick bool, names ...string) []step {
 }
 
 // TestPlanRunsEachPointOnce runs the planning pass alone, simulating
-// nothing: the whole index asks for 107 distinct UTS and FT points at
-// quick scale and 134 at paper scale, Table 3.2 and Summary ask for
-// none beyond those of Figures 3.3–4.6, and exactly Table 3.2's and
-// Figure 4.4's points want the critical path. A render pass over
-// arbitrary outcomes must look up only planned points, and a lookup of
-// any other key must panic.
+// nothing: the whole index asks for 281 distinct points at quick scale
+// and 420 at paper scale. Seven steps share no point with another and
+// plan their own alone; the UTS and FT steps ask for 107 (134), of
+// which Table 3.2 and Summary ask for none beyond those of Figures
+// 3.3–4.6, and exactly Table 3.2's and Figure 4.4's points want the
+// critical path. A render pass over arbitrary outcomes of every kind
+// must look up only planned points, and a lookup of any other key must
+// panic.
 func TestPlanRunsEachPointOnce(t *testing.T) {
 	for _, tc := range []struct {
-		quick          bool
-		points, causal int
-	}{{true, 107, 19}, {false, 134, 20}} {
+		quick                       bool
+		points, shared, causal, net int
+	}{{true, 281, 107, 19, 56}, {false, 420, 134, 20, 112}} {
 		t.Run(fmt.Sprintf("quick=%v", tc.quick), func(t *testing.T) {
-			all := newPlan(steps(tc.quick), tc.quick)
+			all := newPlan(steps, tc.quick)
 			if len(all.points) != tc.points {
 				t.Errorf("plan holds %d points, want %d", len(all.points), tc.points)
 			}
-			figs := newPlan(only(tc.quick, "Figure 3.3", "Figure 4.4", "Figure 4.5", "Figure 4.6"), tc.quick)
-			if len(figs.points) != len(all.points) {
-				t.Errorf("Figures 3.3–4.6 plan %d points, the whole index %d", len(figs.points), len(all.points))
+			first := map[string]int{}
+			for _, pt := range all.points {
+				first[pt.step]++
 			}
-			causal := newPlan(only(tc.quick, "Table 3.2", "Figure 4.4"), tc.quick)
+			for _, own := range []struct {
+				name string
+				want int
+			}{
+				{"Table 3.1", 4}, {"Figure 3.1b", 3}, {"Figure 3.4(a)", 25}, {"Figure 3.4(b)", 25},
+				{"Figure 4.2(a)", tc.net}, {"Figure 4.2(b)", tc.net}, {"Table 4.1", 5},
+			} {
+				alone := len(newPlan(only(own.name), tc.quick).points)
+				if first[own.name] != own.want || alone != own.want {
+					t.Errorf("%s plans %d points in the index and %d alone, want %d",
+						own.name, first[own.name], alone, own.want)
+				}
+			}
+			figs := newPlan(only("Figure 3.3", "Figure 4.4", "Figure 4.5", "Figure 4.6"), tc.quick)
+			if len(figs.points) != tc.shared || first["Table 3.2"] != 0 || first["Summary"] != 0 {
+				t.Errorf("Figures 3.3–4.6 plan %d points, want %d; Table 3.2 and Summary add %d and %d, want none",
+					len(figs.points), tc.shared, first["Table 3.2"], first["Summary"])
+			}
+			causal := newPlan(only("Table 3.2", "Figure 4.4"), tc.quick)
 			if len(causal.points) != tc.causal {
 				t.Errorf("Table 3.2 and Figure 4.4 plan %d points, want %d", len(causal.points), tc.causal)
 			}
@@ -62,17 +84,21 @@ func TestPlanRunsEachPointOnce(t *testing.T) {
 				d := sim.Duration(i + 1)
 				pt.uts = uts.Result{Elapsed: d, MNodesPerSec: float64(i + 1), StealsByThread: []int64{int64(i)}}
 				pt.ft = ft.Result{Elapsed: d, Comm: d, Phases: map[string]sim.Duration{"evolve": d}}
+				pt.stream = stream.Result{GBps: float64(i + 1), Elapsed: d}
+				pt.xlate = xlateResult{elapsed: d, accesses: int64(i + 1), hits: int64(i), check: 7}
+				pt.exchange = ft.ExchangeResult{Call: d, Wait: d, Total: d}
+				pt.net = netbench.Result{RTT: d, BandwidthMBps: float64(i + 1)}
 			}
-			for _, s := range steps(tc.quick) {
-				if s.render != nil {
-					all.step = s.name
-					s.render(io.Discard, all)
+			for _, s := range steps {
+				all.step = s.name
+				if err := s.render(io.Discard, all); err != nil {
+					t.Errorf("%s: %v", s.name, err)
 				}
 			}
 		})
 	}
 
-	p := newPlan(only(true, "Summary"), true)
+	p := newPlan(only("Summary"), true)
 	p.ran = true
 	p.step = "Summary"
 	defer func() {
@@ -86,7 +112,8 @@ func TestPlanRunsEachPointOnce(t *testing.T) {
 
 // TestPlanErrorNamesStepAndPoint: a failing point's error names the
 // first step that looked it up, then the point; of two failing points
-// run side by side, the first planned one's.
+// run side by side, the first planned one's. A translation point with
+// an unknown machine preset fails the same way.
 func TestPlanErrorNamesStepAndPoint(t *testing.T) {
 	prev := sweep.Workers()
 	sweep.SetWorkers(2)
@@ -101,5 +128,14 @@ func TestPlanErrorNamesStepAndPoint(t *testing.T) {
 	want := "Table 3.2: uts {nope 128 local-stealing + rapid-diffusion}: "
 	if err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Errorf("error %v, want prefix %q", err, want)
+	}
+
+	p = newPlan(nil, true)
+	p.step = "Figure 3.1b"
+	p.lookup(xlatePoint{"pyramid+nope"}, false)
+	err = p.run()
+	want = `Figure 3.1b: xlate {pyramid+nope}: unknown preset "pyramid+nope"`
+	if err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
 	}
 }

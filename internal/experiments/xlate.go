@@ -6,13 +6,12 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/upc"
 )
 
-// FigureXlate renders the shared-pointer translation companion to Table
+// figure31b renders the shared-pointer translation companion to Table
 // 3.1: the same class of fine-grained shared element traffic whose
 // software decode cost the table's un-cast rows expose, re-run under the
 // three translation regimes of the machine model (full software decode,
@@ -22,41 +21,26 @@ import (
 // change only the virtual cost of each decode — so the figure reports
 // the modeled speedup over the software baseline together with the
 // exact hit/miss accounting the trace counters carry.
-func FigureXlate(w io.Writer) error {
+func figure31b(w io.Writer, p *plan) error {
 	modes := []struct{ preset, label string }{
 		{"pyramid", "software decode"},
 		{"pyramid+xcache", "translation cache"},
 		{"pyramid+xassist", "hardware assist"},
 	}
-	results := make([]xlateResult, len(modes))
-	err := sweep.Run(len(modes), func(i int, tr trace.Tracer) error {
-		m, ok := topo.ByName(modes[i].preset)
-		if !ok {
-			return fmt.Errorf("unknown preset %q", modes[i].preset)
-		}
-		r, err := xlateKernel(m, tr)
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	base := results[0]
+	base := p.lookup(xlatePoint{modes[0].preset}, false).xlate
 	rows := make([][]string, len(modes))
-	for i, r := range results {
+	for i, mode := range modes {
+		r := p.lookup(xlatePoint{mode.preset}, false).xlate
 		if r.check != base.check {
 			return fmt.Errorf("xlate: %s checksum %d != software %d",
-				modes[i].label, r.check, base.check)
+				mode.label, r.check, base.check)
 		}
 		hitPct := 0.0
 		if r.accesses > 0 {
 			hitPct = 100 * float64(r.hits) / float64(r.accesses)
 		}
 		rows[i] = []string{
-			modes[i].label,
+			mode.label,
 			fmt.Sprintf("%.1f", r.elapsed.Seconds()*1e6),
 			fmt.Sprintf("%.2f", base.elapsed.Seconds()/r.elapsed.Seconds()),
 			fmt.Sprintf("%d", r.accesses),
@@ -83,14 +67,19 @@ const (
 	xlatePasses = 4       // rotating sweep passes per thread
 )
 
-// xlateKernel runs the fine-grained kernel on machine m: 8 pthreads on
-// one node (every partition castable, so no network cost masks the
-// translation charge), each sweeping a rotating window of the whole
-// array with ReadElem and writing back its own partition with WriteElem.
+// xlateKernel runs the fine-grained kernel on the machine preset: 8
+// pthreads on one node (every partition castable, so no network cost
+// masks the translation charge), each sweeping a rotating window of the
+// whole array with ReadElem and writing back its own partition with
+// WriteElem.
 // Sequential access within layout blocks gives the translation cache a
 // realistic mostly-hitting stream while the rotation still forces
 // capacity traffic across passes.
-func xlateKernel(m *topo.Machine, tr trace.Tracer) (xlateResult, error) {
+func xlateKernel(preset string, tr trace.Tracer) (xlateResult, error) {
+	m, ok := topo.ByName(preset)
+	if !ok {
+		return xlateResult{}, fmt.Errorf("unknown preset %q", preset)
+	}
 	cfg := upc.Config{
 		Machine:        m,
 		Threads:        8,

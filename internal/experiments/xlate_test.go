@@ -10,7 +10,7 @@ import (
 // xlate_hit / xlate_miss counter flushes that feed metrics manifests)
 // must be byte-identical at -parallel=1 and -parallel=8.
 func TestXlateFigureDeterminism(t *testing.T) {
-	render := func(w *strings.Builder) error { return FigureXlate(w) }
+	render := func(w *strings.Builder) error { return Run(w, []string{"Figure 3.1b"}, true) }
 	out1, dig1, n1 := renderAll(t, 1, render)
 	out8, dig8, n8 := renderAll(t, 8, render)
 	if out1 != out8 {
