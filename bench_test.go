@@ -102,14 +102,14 @@ func BenchmarkFigure34a_ExchangeRuntimes(b *testing.B) {
 	cls, _ := ft.ClassByName("B")
 	for i := 0; i < b.N; i++ {
 		base, err := ft.RunExchange(ft.ExchangeConfig{
-			Machine: topo.Pyramid(), Class: cls, Threads: 32, PerNode: 4,
+			Class: cls, Threads: 32, PerNode: 4,
 			Mode: ft.ExBase, Seed: 1,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		pshm, err := ft.RunExchange(ft.ExchangeConfig{
-			Machine: topo.Pyramid(), Class: cls, Threads: 32, PerNode: 4,
+			Class: cls, Threads: 32, PerNode: 4,
 			Mode: ft.ExPSHM, Seed: 1,
 		})
 		if err != nil {
@@ -125,7 +125,7 @@ func BenchmarkFigure34b_AsyncExchange(b *testing.B) {
 	cls, _ := ft.ClassByName("B")
 	for i := 0; i < b.N; i++ {
 		r, err := ft.RunExchange(ft.ExchangeConfig{
-			Machine: topo.Pyramid(), Class: cls, Threads: 32, PerNode: 4,
+			Class: cls, Threads: 32, PerNode: 4,
 			Mode: ft.ExPSHM, Async: true, Seed: 1,
 		})
 		if err != nil {

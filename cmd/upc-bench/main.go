@@ -55,7 +55,6 @@ var (
 	baseline  = flag.String("baseline", "BENCH_sim.json", "committed baseline file for -check")
 	runs      = flag.Int("runs", 3, "runs per microbenchmark; the minimum ns/op is recorded")
 	tolerance = flag.Float64("tolerance", 0.20, "allowed fractional ns/op regression in -check mode")
-	skipFig   = flag.Bool("skip-figure", false, "skip the end-to-end figure benchmark")
 )
 
 func measure() map[string]record {
@@ -202,9 +201,7 @@ func main() {
 		Note: "engine microbenchmark baseline; regenerate with `go run ./cmd/upc-bench`, " +
 			"CI gates on `go run ./cmd/upc-bench -check` (see .github/workflows/ci.yml)",
 		Benchmarks: fresh,
-	}
-	if !*skipFig {
-		bf.Figure = measureFigure()
+		Figure:     measureFigure(),
 	}
 	data, err := json.MarshalIndent(bf, "", "  ")
 	if err != nil {

@@ -49,9 +49,8 @@ func ExchangeModes() []ExchangeMode {
 }
 
 // ExchangeConfig parameterizes one Figure 3.4 measurement: the NAS FT
-// all-to-all in isolation on a fixed node count.
+// all-to-all in isolation on a fixed number of Pyramid nodes.
 type ExchangeConfig struct {
-	Machine *topo.Machine
 	Class   Class
 	Threads int
 	PerNode int
@@ -74,9 +73,6 @@ type ExchangeResult struct {
 // RunExchange measures the all-to-all exchange of the class geometry
 // under the given runtime configuration.
 func RunExchange(cfg ExchangeConfig) (ExchangeResult, error) {
-	if cfg.Machine == nil {
-		cfg.Machine = topo.Pyramid()
-	}
 	if cfg.Repeats <= 0 {
 		cfg.Repeats = 3
 	}
@@ -99,7 +95,7 @@ func RunExchange(cfg ExchangeConfig) (ExchangeResult, error) {
 		cast = true
 	}
 	ucfg := upc.Config{
-		Machine:        cfg.Machine,
+		Machine:        topo.Pyramid(),
 		Threads:        cfg.Threads,
 		ThreadsPerNode: cfg.PerNode,
 		Backend:        backend,

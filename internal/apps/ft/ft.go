@@ -3,7 +3,6 @@ package ft
 import (
 	"fmt"
 
-	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/subthread"
 	"repro/internal/topo"
@@ -86,27 +85,21 @@ func (i Impl) String() string {
 	return "split-phase"
 }
 
-// Config parameterizes one FT execution.
+// Config parameterizes one FT execution. Each run uses the machine's
+// default conduit, and process UPC runs with PSHM, as the paper's runs do.
 type Config struct {
-	Machine     *topo.Machine
-	ConduitName string // "" = machine default
-	Class       Class
-	Variant     Variant
-	Impl        Impl
-	Threads     int // UPC threads or MPI ranks (hybrid: masters)
-	PerNode     int // of the above, per node
-	SubThreads  int // hybrid: sub-threads per master (others: ignored)
-	Verify      bool
-	Seed        int64
+	Machine    *topo.Machine
+	Class      Class
+	Variant    Variant
+	Impl       Impl
+	Threads    int // UPC threads or MPI ranks (hybrid: masters)
+	PerNode    int // of the above, per node
+	SubThreads int // hybrid: sub-threads per master (others: ignored)
+	Verify     bool
+	Seed       int64
 	// Tracer, when non-nil, receives the run's trace events; the measured
 	// iterations emit "ft" phase spans matching the Phases breakdown.
 	Tracer trace.Tracer
-
-	// Exchange-model knobs for the Figure 3.4 study. PSHM is on by
-	// default (as in the paper's runs); NoPSHM selects the base runtime
-	// whose intra-node puts go through the network loopback.
-	NoPSHM     bool
-	ManualCast bool // replace intra-node upc_memput with cast + memcpy
 }
 
 // Result summarizes one FT execution.
@@ -144,17 +137,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("ft: the MPI reference is split-phase only")
 	}
 	return nil
-}
-
-func (c *Config) conduit() (*fabric.Conduit, error) {
-	if c.ConduitName == "" {
-		return nil, nil
-	}
-	cond, ok := fabric.ConduitByName(c.ConduitName)
-	if !ok {
-		return nil, fmt.Errorf("ft: unknown conduit %q", c.ConduitName)
-	}
-	return &cond, nil
 }
 
 // Run executes the configured FT benchmark.

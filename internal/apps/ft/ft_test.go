@@ -197,11 +197,6 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("config %d should fail validation", i)
 		}
 	}
-	c := modelCfg(UPCProcesses, SplitPhase, 4, 2, 0)
-	c.ConduitName = "pigeon"
-	if _, err := Run(c); err == nil {
-		t.Error("unknown conduit must error")
-	}
 }
 
 func TestExchangeStudyOrdering(t *testing.T) {
@@ -212,7 +207,7 @@ func TestExchangeStudyOrdering(t *testing.T) {
 	times := map[ExchangeMode]ExchangeResult{}
 	for _, m := range ExchangeModes() {
 		r, err := RunExchange(ExchangeConfig{
-			Machine: topo.Pyramid(), Class: cls,
+			Class:   cls,
 			Threads: 16, PerNode: 4, Mode: m, Repeats: 2, Seed: 1,
 		})
 		if err != nil {
@@ -237,7 +232,7 @@ func TestExchangeStudyOrdering(t *testing.T) {
 func TestExchangeAsyncSplitsCallAndWait(t *testing.T) {
 	cls, _ := ClassByName("S")
 	r, err := RunExchange(ExchangeConfig{
-		Machine: topo.Pyramid(), Class: cls,
+		Class:   cls,
 		Threads: 8, PerNode: 2, Mode: ExPSHM, Async: true, Repeats: 2, Seed: 1,
 	})
 	if err != nil {
@@ -284,7 +279,7 @@ func TestExchangeRepeatsScaleLinearly(t *testing.T) {
 	cls, _ := ClassByName("S")
 	run := func(reps int) ExchangeResult {
 		r, err := RunExchange(ExchangeConfig{
-			Machine: topo.Pyramid(), Class: cls,
+			Class:   cls,
 			Threads: 8, PerNode: 2, Mode: ExPSHM, Repeats: reps, Seed: 1,
 		})
 		if err != nil {

@@ -17,11 +17,10 @@ import (
 // RunExchange mode's Call, Wait, Total and trace digest. It pins the
 // virtual-time behaviour of the FT slab code and its exchanges, so a
 // refactor of either runtime's worker must leave it unmoved.
-const ftGolden = "fea74a95aaef16db5b4357d5ab959cfbb2b319c0d91694fc97f1ae849d0bc36b"
+const ftGolden = "11c6fe27f61e7a8c88cfaedc6f427fde0d899c591e1b7a2bc6c1ba03b41d2279"
 
 // goldenRuns are the pinned model-mode configurations: every runtime,
-// both exchange algorithms, the Figure 3.4 knobs and one hybrid per
-// Impl. MPI at 8 ranks on class T takes the hierarchical all-to-all
+// both exchange algorithms and one hybrid per Impl. MPI at 8 ranks on class T takes the hierarchical all-to-all
 // (2 KB slices); on class S it takes the pairwise one.
 func goldenRuns() []Config {
 	var out []Config
@@ -38,9 +37,6 @@ func goldenRuns() []Config {
 			with(func(c *Config) { c.Variant = UPCProcesses }),
 			with(func(c *Config) { c.Variant, c.Impl = UPCProcesses, Overlap }),
 			with(func(c *Config) { c.Variant = UPCPthreads }),
-			with(func(c *Config) { c.Variant, c.NoPSHM = UPCProcesses, true }),
-			with(func(c *Config) { c.Variant, c.ManualCast = UPCProcesses, true }),
-			with(func(c *Config) { c.Variant, c.ManualCast = UPCPthreads, true }),
 			with(func(c *Config) {
 				c.Variant, c.Threads, c.PerNode, c.SubThreads = HybridOMP, 4, 2, 2
 			}),
@@ -62,9 +58,9 @@ func writeGolden(t *testing.T, w io.Writer) {
 		if err != nil {
 			t.Fatalf("%v %v/%v: %v", cfg.Class.Name, cfg.Variant, cfg.Impl, err)
 		}
-		fmt.Fprintf(w, "%s %v/%v threads=%d/%d subs=%d nopshm=%v cast=%v: elapsed=%d per=%d comm=%d",
+		fmt.Fprintf(w, "%s %v/%v threads=%d/%d subs=%d: elapsed=%d per=%d comm=%d",
 			cfg.Class.Name, cfg.Variant, cfg.Impl, cfg.Threads, cfg.PerNode, cfg.SubThreads,
-			cfg.NoPSHM, cfg.ManualCast, r.Elapsed, r.PerIter, r.Comm)
+			r.Elapsed, r.PerIter, r.Comm)
 		for _, k := range sortedKeys(r.Phases) {
 			fmt.Fprintf(w, " %s=%d", k, r.Phases[k])
 		}
@@ -75,7 +71,7 @@ func writeGolden(t *testing.T, w io.Writer) {
 		for _, async := range []bool{false, true} {
 			dg := trace.NewDigest()
 			r, err := RunExchange(ExchangeConfig{
-				Machine: topo.Pyramid(), Class: cls, Threads: 8, PerNode: 4,
+				Class: cls, Threads: 8, PerNode: 4,
 				Mode: mode, Async: async, Repeats: 2, Seed: 1, Tracer: dg,
 			})
 			if err != nil {

@@ -18,13 +18,8 @@ type mpiWorker struct {
 // runMPI executes the MPI reference implementation (split-phase, tuned
 // Alltoall collective).
 func runMPI(cfg Config) (Result, error) {
-	cond, err := cfg.conduit()
-	if err != nil {
-		return Result{}, err
-	}
 	mcfg := mpi.Config{
 		Machine:      cfg.Machine,
-		Conduit:      cond,
 		Ranks:        cfg.Threads,
 		RanksPerNode: cfg.PerNode,
 		Binding:      topo.BindSocketRR,
@@ -32,7 +27,7 @@ func runMPI(cfg Config) (Result, error) {
 		Tracer:       cfg.Tracer,
 	}
 	r := newDriver(&cfg)
-	_, err = mpi.Run(mcfg, func(c *mpi.Comm) {
+	_, err := mpi.Run(mcfg, func(c *mpi.Comm) {
 		w := &mpiWorker{slab: newSlab(&cfg, c.World().Cluster, c.P, c.Place, c.Rank, c.Size), c: c}
 		if cfg.Verify {
 			w.in = make([]complex128, w.P*w.B)

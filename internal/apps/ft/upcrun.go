@@ -16,28 +16,23 @@ type upcWorker struct {
 
 // runUPC executes the UPC and hybrid variants.
 func runUPC(cfg Config) (Result, error) {
-	cond, err := cfg.conduit()
-	if err != nil {
-		return Result{}, err
-	}
 	backend := upc.Processes
 	if cfg.Variant == UPCPthreads {
 		backend = upc.Pthreads
 	}
 	ucfg := upc.Config{
 		Machine:        cfg.Machine,
-		Conduit:        cond,
 		Threads:        cfg.Threads,
 		ThreadsPerNode: cfg.PerNode,
 		Backend:        backend,
-		PSHM:           !cfg.NoPSHM,
+		PSHM:           true,
 		Binding:        topo.BindSocketRR,
 		Seed:           cfg.Seed,
 		Tracer:         cfg.Tracer,
 	}
 	r := newDriver(&cfg)
 	var setupErr error
-	_, err = upc.Run(ucfg, func(t *upc.Thread) {
+	_, err := upc.Run(ucfg, func(t *upc.Thread) {
 		w, err := newUPCWorker(&cfg, t)
 		if err != nil {
 			if setupErr == nil {
@@ -103,17 +98,12 @@ func (w *upcWorker) exchange() {
 	})
 }
 
-// putBlock sends the stage block for dst into dst's recv partition,
-// honoring the ManualCast study knob.
+// putBlock sends the stage block for dst into dst's recv partition.
 func (w *upcWorker) putBlock(dst int) *upc.Handle {
 	if w.cfg.Verify {
 		return upc.PutAsyncT(w.t, w.recv, dst, w.t.ID*w.B, w.stage[dst*w.B:(dst+1)*w.B])
 	}
-	bytes := int64(w.B) * 16
-	if w.cfg.ManualCast {
-		return w.t.CastPutAsync(dst, bytes)
-	}
-	return w.t.PutBytesAsync(dst, bytes)
+	return w.t.PutBytesAsync(dst, int64(w.B)*16)
 }
 
 // forwardOverlap fuses the 2D FFTs, the staging and the exchange: each

@@ -9,23 +9,26 @@ package netbench
 import (
 	"fmt"
 
-	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/upc"
 )
 
-// Config parameterizes one microbenchmark sweep point.
+// Operations per link-pair: latency gets, and flood windows of puts.
+const (
+	latencyReps = 50
+	floodReps   = 20
+)
+
+// Config parameterizes one microbenchmark sweep point on Lehman with its
+// default conduit.
 type Config struct {
-	Machine     *topo.Machine
-	ConduitName string
-	Links       int  // concurrent link-pairs between the two nodes
-	Pthreads    bool // share one connection per node
-	Size        int64
-	Reps        int // operations per pair (default: latency 50, flood 20)
-	Window      int // flood: outstanding puts per pair (default 8)
-	Seed        int64
+	Links    int  // concurrent link-pairs between the two nodes
+	Pthreads bool // share one connection per node
+	Size     int64
+	Window   int // flood: outstanding puts per pair (default 8)
+	Seed     int64
 	// Tracer, when non-nil, receives the run's trace events.
 	Tracer trace.Tracer
 }
@@ -40,27 +43,15 @@ type Result struct {
 }
 
 func (c *Config) upcConfig() (upc.Config, error) {
-	if c.Machine == nil {
-		c.Machine = topo.Lehman()
-	}
 	if c.Links <= 0 {
 		return upc.Config{}, fmt.Errorf("netbench: Links = %d", c.Links)
-	}
-	var cond *fabric.Conduit
-	if c.ConduitName != "" {
-		cc, ok := fabric.ConduitByName(c.ConduitName)
-		if !ok {
-			return upc.Config{}, fmt.Errorf("netbench: unknown conduit %q", c.ConduitName)
-		}
-		cond = &cc
 	}
 	backend := upc.Processes
 	if c.Pthreads {
 		backend = upc.Pthreads
 	}
 	return upc.Config{
-		Machine:        c.Machine,
-		Conduit:        cond,
+		Machine:        topo.Lehman(),
 		Threads:        2 * c.Links,
 		ThreadsPerNode: c.Links,
 		Backend:        backend,
@@ -78,9 +69,6 @@ func Latency(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Reps <= 0 {
-		cfg.Reps = 50
-	}
 	var total sim.Duration
 	var ops int64
 	_, err = upc.Run(ucfg, func(t *upc.Thread) {
@@ -89,7 +77,7 @@ func Latency(cfg Config) (Result, error) {
 			return // passive target
 		}
 		partner := t.ID + cfg.Links
-		for r := 0; r < cfg.Reps; r++ {
+		for r := 0; r < latencyReps; r++ {
 			start := t.Now()
 			t.GetBytes(partner, cfg.Size)
 			total += t.Now() - start
@@ -104,14 +92,11 @@ func Latency(cfg Config) (Result, error) {
 
 // Flood measures aggregate unidirectional put bandwidth: every initiator
 // keeps Window non-blocking puts of Size bytes in flight toward its
-// partner for Reps*Window messages (Figure 4.2b).
+// partner for floodReps*Window messages (Figure 4.2b).
 func Flood(cfg Config) (Result, error) {
 	ucfg, err := cfg.upcConfig()
 	if err != nil {
 		return Result{}, err
-	}
-	if cfg.Reps <= 0 {
-		cfg.Reps = 20
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 8
@@ -124,7 +109,7 @@ func Flood(cfg Config) (Result, error) {
 		}
 		partner := t.ID + cfg.Links
 		window := make([]*upc.Handle, 0, cfg.Window)
-		for r := 0; r < cfg.Reps*cfg.Window; r++ {
+		for r := 0; r < floodReps*cfg.Window; r++ {
 			if len(window) == cfg.Window {
 				t.WaitSync(window[0])
 				window = window[1:]
@@ -139,7 +124,7 @@ func Flood(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	totalBytes := int64(cfg.Links) * int64(cfg.Reps*cfg.Window) * cfg.Size
+	totalBytes := int64(cfg.Links) * int64(floodReps*cfg.Window) * cfg.Size
 	return Result{BandwidthMBps: float64(totalBytes) / finish.Seconds() / 1e6}, nil
 }
 

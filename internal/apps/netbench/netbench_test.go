@@ -140,9 +140,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Latency(Config{Links: 0}); err == nil {
 		t.Error("zero links must error")
 	}
-	if _, err := Flood(Config{Links: 1, ConduitName: "string-and-cups"}); err == nil {
-		t.Error("unknown conduit must error")
-	}
 }
 
 func TestSizeGrids(t *testing.T) {

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/fabric"
 	"repro/internal/group"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -56,16 +55,21 @@ func (v Variant) String() string {
 // Variants lists the ablation in order.
 func Variants() []Variant { return []Variant{Fine, Aggregated, GroupAggregated} }
 
+// Aggregation bucket (Aggregated, GroupAggregated) and outstanding
+// one-sided ops (Fine), in updates.
+const (
+	bucketSize = 512
+	fineWindow = 64
+)
+
 // Config parameterizes one RandomAccess run.
 type Config struct {
 	Machine     *topo.Machine
-	ConduitName string
+	ConduitName string // "" = machine default
 	Threads     int
 	PerNode     int
 	TableSize   int // total table elements (power of two recommended)
 	Updates     int // updates per thread
-	Bucket      int // aggregation bucket, in updates (default 512)
-	Window      int // outstanding fine-grained ops (default 64)
 	Variant     Variant
 	Seed        int64
 }
@@ -121,23 +125,9 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Threads <= 0 || cfg.PerNode <= 0 || cfg.TableSize <= 0 || cfg.Updates <= 0 {
 		return Result{}, fmt.Errorf("ra: invalid config %+v", cfg)
 	}
-	if cfg.Bucket <= 0 {
-		cfg.Bucket = 512
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 64
-	}
-	var cond *fabric.Conduit
-	if cfg.ConduitName != "" {
-		c, ok := fabric.ConduitByName(cfg.ConduitName)
-		if !ok {
-			return Result{}, fmt.Errorf("ra: unknown conduit %q", cfg.ConduitName)
-		}
-		cond = &c
-	}
 	ucfg := upc.Config{
 		Machine:        cfg.Machine,
-		Conduit:        cond,
+		Conduit:        cfg.ConduitName,
 		Threads:        cfg.Threads,
 		ThreadsPerNode: cfg.PerNode,
 		Backend:        upc.Processes,
@@ -156,11 +146,11 @@ func Run(cfg Config) (Result, error) {
 		var n int64
 		switch cfg.Variant {
 		case Fine:
-			n = runFine(t, table, ups, cfg.Window)
+			n = runFine(t, table, ups)
 		case Aggregated:
-			n = runAggregated(t, table, ups, cfg.Bucket, nil)
+			n = runAggregated(t, table, ups, nil)
 		case GroupAggregated:
-			n = runAggregated(t, table, ups, cfg.Bucket, group.NodeGroup(t))
+			n = runAggregated(t, table, ups, group.NodeGroup(t))
 		}
 		t.Barrier()
 		if t.ID == 0 {
@@ -190,7 +180,7 @@ func Run(cfg Config) (Result, error) {
 }
 
 // runFine issues one windowed 8-byte one-sided update per element.
-func runFine(t *upc.Thread, table *upc.Shared[uint64], ups []update, window int) int64 {
+func runFine(t *upc.Thread, table *upc.Shared[uint64], ups []update) int64 {
 	var pending []*upc.Handle
 	var n int64
 	for _, u := range ups {
@@ -203,7 +193,7 @@ func runFine(t *upc.Thread, table *upc.Shared[uint64], ups []update, window int)
 			seg[local] ^= u.value
 			continue
 		}
-		if len(pending) >= window {
+		if len(pending) >= fineWindow {
 			t.WaitSync(pending[0])
 			pending = pending[1:]
 		}
@@ -223,8 +213,7 @@ func runFine(t *upc.Thread, table *upc.Shared[uint64], ups []update, window int)
 // runAggregated buckets updates per destination thread (g == nil) or per
 // destination node (g != nil), shipping full buckets as bulk one-sided
 // transfers whose remote handler applies the XORs.
-func runAggregated(t *upc.Thread, table *upc.Shared[uint64], ups []update,
-	bucket int, g *group.Group) int64 {
+func runAggregated(t *upc.Thread, table *upc.Shared[uint64], ups []update, g *group.Group) int64 {
 	rt := t.Runtime()
 	perNode := rt.Cfg.ThreadsPerNode
 	// Destination key: thread id, or node representative under grouping.
@@ -273,7 +262,7 @@ func runAggregated(t *upc.Thread, table *upc.Shared[uint64], ups []update,
 		}
 		key := keyOf(owner)
 		buckets[key] = append(buckets[key], u)
-		if len(buckets[key]) >= bucket {
+		if len(buckets[key]) >= bucketSize {
 			flush(key)
 		}
 	}

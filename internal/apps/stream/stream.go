@@ -69,9 +69,8 @@ const (
 	realPerThrd    = 4096 // elements per thread computed and verified for real
 )
 
-// TwistedConfig parameterizes one Table 3.1 run.
+// TwistedConfig parameterizes one Table 3.1 run on one Lehman node.
 type TwistedConfig struct {
-	Machine      *topo.Machine
 	Threads      int
 	ElemsPerThrd int
 	Variant      Variant
@@ -84,11 +83,9 @@ type TwistedConfig struct {
 // RunTwisted executes the twisted triad on a single SMP node and reports
 // aggregate triad bandwidth. The kernel verifies its own output.
 func RunTwisted(cfg TwistedConfig) (Result, error) {
-	if cfg.Machine == nil {
-		cfg.Machine = topo.Lehman()
-	}
+	mach := topo.Lehman()
 	if cfg.Threads == 0 {
-		cfg.Threads = cfg.Machine.CoresPerNode()
+		cfg.Threads = mach.CoresPerNode()
 	}
 	if cfg.ElemsPerThrd == 0 {
 		cfg.ElemsPerThrd = defaultPerThrd
@@ -97,7 +94,7 @@ func RunTwisted(cfg TwistedConfig) (Result, error) {
 	m := min(n, realPerThrd)
 	total := n * cfg.Threads
 	ucfg := upc.Config{
-		Machine:        cfg.Machine,
+		Machine:        mach,
 		Threads:        cfg.Threads,
 		ThreadsPerNode: cfg.Threads,
 		Backend:        upc.Processes,
@@ -219,9 +216,9 @@ func Table31(seed int64) ([]Result, error) {
 }
 
 // HybridConfig parameterizes one Table 4.1 row: UPCThreads masters, each
-// with SubThreads sub-threads (1×1 meaning plain single-thread).
+// with SubThreads sub-threads (1×1 meaning plain single-thread), on one
+// Lehman node.
 type HybridConfig struct {
-	Machine      *topo.Machine
 	UPCThreads   int
 	SubThreads   int
 	Bound        bool
@@ -235,9 +232,6 @@ type HybridConfig struct {
 // RunHybrid executes the hybrid UPC×OpenMP triad of Table 4.1 and reports
 // aggregate bandwidth.
 func RunHybrid(cfg HybridConfig) (Result, error) {
-	if cfg.Machine == nil {
-		cfg.Machine = topo.Lehman()
-	}
 	if cfg.ElemsPerThrd == 0 {
 		cfg.ElemsPerThrd = defaultPerThrd
 	}
@@ -245,7 +239,7 @@ func RunHybrid(cfg HybridConfig) (Result, error) {
 	m := min(per, realPerThrd)
 	total := per * cfg.SubThreads * cfg.UPCThreads
 	ucfg := upc.Config{
-		Machine:        cfg.Machine,
+		Machine:        topo.Lehman(),
 		Threads:        cfg.UPCThreads,
 		ThreadsPerNode: cfg.UPCThreads,
 		Backend:        upc.Processes,

@@ -3,7 +3,6 @@ package uts
 import (
 	"fmt"
 
-	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/perf"
 	"repro/internal/sim"
@@ -51,8 +50,6 @@ type Config struct {
 	Strategy    Strategy
 	Granularity int // steal chunk (paper: 8 on InfiniBand, 20 on Ethernet)
 	Batch       int // nodes processed per virtual-time charge (default 256)
-	Capacity    int // shared steal-stack region capacity (default 8192)
-	NodeCost    float64
 	Tree        TreeSpec
 	Seed        int64
 	// Tracer, when non-nil, receives the run's trace events; the traversal
@@ -66,15 +63,15 @@ type Config struct {
 	// the tree count stays exact. Crash schedules must spare node 0
 	// (thread 0 coordinates timing) and fire after startup.
 	Faults *fault.Schedule
-	// Retry tunes recovery when a fault schedule is installed; zero
-	// fields take fault.DefaultRetryPolicy.
-	Retry fault.RetryPolicy
 }
 
-// defaultNodeCost is the modeled per-node processing time (seconds),
+// nodeCost is the modeled per-node processing time (seconds),
 // calibrated so per-thread throughput sits near the paper's ~1.8 M
 // nodes/s.
-const defaultNodeCost = 0.52e-6
+const nodeCost = 0.52e-6
+
+// stackCapacity is each thread's shared steal-stack region, in nodes.
+const stackCapacity = 8192
 
 // Result summarizes one UTS execution.
 type Result struct {
@@ -137,23 +134,9 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 256
 	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 8192
-	}
-	if cfg.NodeCost <= 0 {
-		cfg.NodeCost = defaultNodeCost
-	}
-	var cond *fabric.Conduit
-	if cfg.ConduitName != "" {
-		c, ok := fabric.ConduitByName(cfg.ConduitName)
-		if !ok {
-			return Result{}, fmt.Errorf("uts: unknown conduit %q", cfg.ConduitName)
-		}
-		cond = &c
-	}
 	ucfg := upc.Config{
 		Machine:        cfg.Machine,
-		Conduit:        cond,
+		Conduit:        cfg.ConduitName,
 		Threads:        cfg.Threads,
 		ThreadsPerNode: cfg.PerNode,
 		Backend:        upc.Processes, // paper: process-based with PSHM
@@ -161,7 +144,6 @@ func Run(cfg Config) (Result, error) {
 		Seed:           cfg.Seed,
 		Tracer:         cfg.Tracer,
 		Faults:         cfg.Faults,
-		Retry:          cfg.Retry,
 	}
 
 	g := &global{counters: perf.Counters{}, steals: make([]int64, cfg.Threads)}
@@ -261,7 +243,7 @@ type worker struct {
 
 func newWorker(t *upc.Thread, cfg *Config, g *global) *worker {
 	w := &worker{t: t, cfg: cfg, g: g, c: perf.Counters{}}
-	w.buf = upc.Alloc[Node](t, cfg.Capacity*t.N, NodeBytes, cfg.Capacity)
+	w.buf = upc.Alloc[Node](t, stackCapacity*t.N, NodeBytes, stackCapacity)
 	w.cnt = upc.Alloc[meta](t, t.N, 16, 1)
 	w.locks = make([]*upc.Lock, t.N)
 	for i := 0; i < t.N; i++ {
@@ -498,7 +480,7 @@ func (w *worker) processBatch() {
 		}
 	}
 	w.bump("nodes", int64(done))
-	w.t.Compute(float64(done) * w.cfg.NodeCost)
+	w.t.Compute(float64(done) * nodeCost)
 }
 
 // maybeRelease moves surplus bottom-of-stack work into this thread's
@@ -511,8 +493,8 @@ func (w *worker) maybeRelease() {
 		// would resurrect already-stolen slots.
 		w.locks[w.t.ID].Lock(w.t)
 		m := w.cnt.Local(w.t)[0]
-		if int(m.Base+m.Avail)+chunk > w.cfg.Capacity {
-			if int(m.Avail)+chunk > w.cfg.Capacity {
+		if int(m.Base+m.Avail)+chunk > stackCapacity {
+			if int(m.Avail)+chunk > stackCapacity {
 				w.locks[w.t.ID].Unlock(w.t)
 				return // region genuinely full
 			}

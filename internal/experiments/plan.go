@@ -172,7 +172,7 @@ func (p *plan) run() error {
 			})
 		case exchangePoint:
 			pt.exchange, err = ft.RunExchange(ft.ExchangeConfig{
-				Machine: topo.Pyramid(), Class: cls, Threads: k.threads, PerNode: k.perNode,
+				Class: cls, Threads: k.threads, PerNode: k.perNode,
 				Mode: k.mode, Async: k.async, Seed: seed, Tracer: tr,
 			})
 		case netPoint:

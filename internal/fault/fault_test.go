@@ -269,14 +269,3 @@ func TestCommErrorUnwraps(t *testing.T) {
 		t.Error("CommError must not match a different sentinel")
 	}
 }
-
-func TestZeroPolicyDefaults(t *testing.T) {
-	var rp RetryPolicy
-	if rp.OrDefault() != DefaultRetryPolicy() {
-		t.Error("OrDefault of a zero policy must be the default policy")
-	}
-	set := RetryPolicy{Timeout: sim.Millisecond, MaxRetries: 1, Backoff: 1, MaxBackoff: 2}
-	if set.OrDefault() != set {
-		t.Error("OrDefault must keep an explicit policy")
-	}
-}

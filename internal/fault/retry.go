@@ -70,15 +70,6 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// OrDefault replaces a zero policy (no base timeout) with
-// DefaultRetryPolicy.
-func (rp RetryPolicy) OrDefault() RetryPolicy {
-	if rp.Timeout > 0 {
-		return rp
-	}
-	return DefaultRetryPolicy()
-}
-
 // timeoutScaleCap bounds the per-attempt timeout growth: later attempts
 // wait longer (a degraded-but-alive link needs patience, not traffic)
 // but not unboundedly.

@@ -28,7 +28,7 @@ const smOverhead = 200 * sim.Nanosecond
 // Config describes one MPI execution.
 type Config struct {
 	Machine      *topo.Machine
-	Conduit      *fabric.Conduit // nil = machine default
+	Conduit      string // conduit preset name; "" = machine's DefaultConduit
 	Ranks        int
 	RanksPerNode int
 	Binding      topo.Binding
@@ -38,11 +38,9 @@ type Config struct {
 	Tracer trace.Tracer
 	// Faults, when non-nil, overrides the process-default fault schedule
 	// (see internal/fault). The library then retransmits lost messages
-	// under Retry and surfaces unrecoverable failures as typed errors.
+	// under fault.DefaultRetryPolicy and surfaces unrecoverable failures
+	// as typed errors.
 	Faults *fault.Schedule
-	// Retry tunes recovery when a fault schedule is installed; zero
-	// fields take fault.DefaultRetryPolicy.
-	Retry fault.RetryPolicy
 }
 
 // World is the per-execution state shared by all ranks.
@@ -128,15 +126,13 @@ func NewWorld(cfg Config) (*World, error) {
 	if cfg.Ranks <= 0 || cfg.RanksPerNode <= 0 {
 		return nil, fmt.Errorf("mpi: Ranks=%d RanksPerNode=%d", cfg.Ranks, cfg.RanksPerNode)
 	}
-	cond := fabric.Conduit{}
-	if cfg.Conduit != nil {
-		cond = *cfg.Conduit
-	} else {
-		var ok bool
-		cond, ok = fabric.ConduitByName(cfg.Machine.DefaultConduit)
-		if !ok {
-			return nil, fmt.Errorf("mpi: unknown default conduit %q", cfg.Machine.DefaultConduit)
-		}
+	conduit := cfg.Conduit
+	if conduit == "" {
+		conduit = cfg.Machine.DefaultConduit
+	}
+	cond, ok := fabric.ConduitByName(conduit)
+	if !ok {
+		return nil, fmt.Errorf("mpi: unknown conduit %q", conduit)
 	}
 	places, err := cfg.Machine.Layout(cfg.Ranks, cfg.RanksPerNode, cfg.Binding)
 	if err != nil {
@@ -180,7 +176,7 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 	if inj != nil {
 		w.inj = inj
-		w.retry = cfg.Retry.OrDefault()
+		w.retry = fault.DefaultRetryPolicy()
 	}
 	return w, nil
 }

@@ -43,10 +43,10 @@ func (b Backend) String() string {
 
 // Config describes one SPMD execution.
 type Config struct {
-	Machine        *topo.Machine   // cluster model (required)
-	Conduit        *fabric.Conduit // nil = machine's default conduit
-	Threads        int             // THREADS
-	ThreadsPerNode int             // blocked layout over nodes
+	Machine        *topo.Machine // cluster model (required)
+	Conduit        string        // conduit preset name; "" = machine's DefaultConduit
+	Threads        int           // THREADS
+	ThreadsPerNode int           // blocked layout over nodes
 	Backend        Backend
 	PSHM           bool         // inter-process shared memory (Processes only)
 	Binding        topo.Binding // intra-node placement policy
@@ -58,24 +58,21 @@ type Config struct {
 	// into this run's fabric; nil falls back to the process-default
 	// schedule installed by the -faults flag (see fault.SetDefault).
 	Faults *fault.Schedule
-	// Retry tunes the recovery of fault-aware communication calls; the
-	// zero value selects fault.DefaultRetryPolicy. Only consulted when a
-	// fault schedule is installed.
-	Retry fault.RetryPolicy
 }
 
 // sharedMem reports whether two threads on the same node can address each
 // other's shared segments directly (pthreads always; processes need PSHM).
 func (c *Config) sharedMem() bool { return c.Backend == Pthreads || c.PSHM }
 
+// conduit resolves the configured preset name, or the machine's default.
 func (c *Config) conduit() (fabric.Conduit, error) {
-	if c.Conduit != nil {
-		return *c.Conduit, nil
+	name := c.Conduit
+	if name == "" {
+		name = c.Machine.DefaultConduit
 	}
-	cond, ok := fabric.ConduitByName(c.Machine.DefaultConduit)
+	cond, ok := fabric.ConduitByName(name)
 	if !ok {
-		return fabric.Conduit{}, fmt.Errorf("upc: machine %s names unknown conduit %q",
-			c.Machine.Name, c.Machine.DefaultConduit)
+		return fabric.Conduit{}, fmt.Errorf("upc: unknown conduit %q", name)
 	}
 	return cond, nil
 }
@@ -210,7 +207,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	rt.nodesUsed = (cfg.Threads + cfg.ThreadsPerNode - 1) / cfg.ThreadsPerNode
 	if inj != nil {
 		rt.inj = inj
-		rt.retry = cfg.Retry.OrDefault()
+		rt.retry = fault.DefaultRetryPolicy()
 		rt.reviveQ = make([]sim.WaitQueue, rt.nodesUsed)
 		inj.OnTransition(func(node int, down bool) {
 			if !down && node < len(rt.reviveQ) {

@@ -2,6 +2,7 @@ package upc
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -417,7 +418,12 @@ func TestConfigValidation(t *testing.T) {
 		MemBWSocket: 1, NUMAFactor: 1, SMTThroughput: 1}
 	cfg.Threads, cfg.ThreadsPerNode = 2, 2
 	if _, err := Run(cfg, func(*Thread) {}); err == nil {
-		t.Error("unknown conduit must error")
+		t.Error("unknown default conduit must error")
+	}
+	cfg = testCfg(4, 2, Processes, true)
+	cfg.Conduit = "warp-drive"
+	if _, err := Run(cfg, func(*Thread) {}); err == nil || !strings.Contains(err.Error(), `"warp-drive"`) {
+		t.Errorf("unknown conduit preset: err = %v, want one naming it", err)
 	}
 }
 
