@@ -219,7 +219,8 @@ func (t *Thread) GetBytes(src int, bytes int64) {
 }
 
 // pathClass reports the comm-matrix class of a transfer between this
-// thread and peer — the path putBytes/getBytes will take.
+// thread and peer. It is the one decision of the path putBytes and
+// getBytes take.
 func (t *Thread) pathClass(peer int) string {
 	switch {
 	case peer == t.ID:
@@ -245,35 +246,33 @@ func (t *Thread) traceComm(op string, from, to int, bytes int64, class string) {
 }
 
 // putBytes moves bytes toward thread dst and applies the payload closure
-// at completion. It picks the path the configured runtime would use:
-// direct shared-memory copy (pthreads / PSHM) on one node, the network
-// loopback for same-node without shared memory, or the conduit remotely.
+// at completion. It takes the path pathClass names: direct shared-memory
+// copy (pthreads / PSHM) on one node, the network loopback for same-node
+// without shared memory, or the conduit remotely.
 func (t *Thread) putBytes(dst int, bytes int64, apply func()) *fabric.NetOp {
-	rt := t.rt
-	dstPlace := rt.places[dst]
-	t.traceComm("put", t.ID, dst, bytes, t.pathClass(dst))
-	if dst == t.ID {
-		return t.localCopy(t.Place, dstPlace, bytes, castOverhead, apply)
+	class := t.pathClass(dst)
+	t.traceComm("put", t.ID, dst, bytes, class)
+	switch class {
+	case trace.ClassSelf:
+		return t.localCopy(t.Place, t.rt.places[dst], bytes, castOverhead, apply)
+	case trace.ClassPSHM:
+		return t.localCopy(t.Place, t.rt.places[dst], bytes, t.shmOverhead(), apply)
 	}
-	if topo.SameNode(t.Place, dstPlace) && rt.Cfg.sharedMem() {
-		return t.localCopy(t.Place, dstPlace, bytes, t.shmOverhead(), apply)
-	}
-	return t.ep.PutAsync(t.P, rt.eps[dst], bytes, t.fence(dst).Deliver(bytes, apply))
+	return t.ep.PutAsync(t.P, t.rt.eps[dst], bytes, t.fence(dst).Deliver(bytes, apply))
 }
 
 // getBytes moves bytes from thread src toward this thread, applying the
-// payload closure at completion.
+// payload closure at completion, on the path pathClass names.
 func (t *Thread) getBytes(src int, bytes int64, apply func()) *fabric.NetOp {
-	rt := t.rt
-	srcPlace := rt.places[src]
-	t.traceComm("get", src, t.ID, bytes, t.pathClass(src))
-	if src == t.ID {
-		return t.localCopy(srcPlace, t.Place, bytes, castOverhead, apply)
+	class := t.pathClass(src)
+	t.traceComm("get", src, t.ID, bytes, class)
+	switch class {
+	case trace.ClassSelf:
+		return t.localCopy(t.rt.places[src], t.Place, bytes, castOverhead, apply)
+	case trace.ClassPSHM:
+		return t.localCopy(t.rt.places[src], t.Place, bytes, t.shmOverhead(), apply)
 	}
-	if topo.SameNode(t.Place, srcPlace) && rt.Cfg.sharedMem() {
-		return t.localCopy(srcPlace, t.Place, bytes, t.shmOverhead(), apply)
-	}
-	return t.ep.GetAsync(t.P, rt.eps[src], bytes, t.fence(src).Deliver(bytes, apply))
+	return t.ep.GetAsync(t.P, t.rt.eps[src], bytes, t.fence(src).Deliver(bytes, apply))
 }
 
 // localCopy is MemCopyAsync on a placement pair the caller's path
