@@ -1,9 +1,11 @@
 package ft
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/topo"
+	"repro/internal/trace"
 )
 
 func classT() Class {
@@ -226,6 +228,32 @@ func TestExchangeStudyOrdering(t *testing.T) {
 	r := float64(times[ExPSHMCast].Total) / float64(times[ExPSHM].Total)
 	if r < 0.8 || r > 1.15 {
 		t.Errorf("PSHM+cast / PSHM = %.2f, want ~1 (runtime optimizations match manual)", r)
+	}
+}
+
+// TestCastExchangeTracesEveryPut: the manual cast moves the same data
+// as PSHM's upc_memput, so the comm matrix must count the same put
+// instants and bytes under both modes.
+func TestCastExchangeTracesEveryPut(t *testing.T) {
+	cls, _ := ClassByName("S")
+	want := map[string]int{trace.ClassNetwork: 64, trace.ClassPSHM: 48, trace.ClassSelf: 16}
+	for _, mode := range []ExchangeMode{ExPSHM, ExPSHMCast} {
+		buf := trace.NewBuffer()
+		if _, err := RunExchange(ExchangeConfig{Class: cls, Threads: 8, PerNode: 4,
+			Mode: mode, Async: true, Repeats: 2, Seed: 1, Tracer: buf}); err != nil {
+			t.Fatal(err)
+		}
+		puts := map[string]int{}
+		var bytes int64
+		for _, e := range buf.Events() {
+			if e.Cat == trace.CatComm && e.Name == "put" {
+				puts[e.Aux]++
+				bytes += e.Arg
+			}
+		}
+		if !maps.Equal(puts, want) || bytes != 8388608 {
+			t.Errorf("%v: put instants %v (%d B), want %v (8388608 B)", mode, puts, bytes, want)
+		}
 	}
 }
 

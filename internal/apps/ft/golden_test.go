@@ -17,7 +17,7 @@ import (
 // RunExchange mode's Call, Wait, Total and trace digest. It pins the
 // virtual-time behaviour of the FT slab code and its exchanges, so a
 // refactor of either runtime's worker must leave it unmoved.
-const ftGolden = "11c6fe27f61e7a8c88cfaedc6f427fde0d899c591e1b7a2bc6c1ba03b41d2279"
+const ftGolden = "d7e2fc13b66929243259fa9c9d6e2dfe3c94b96e5e91380db7112d53e247c34d"
 
 // goldenRuns are the pinned model-mode configurations: every runtime,
 // both exchange algorithms and one hybrid per Impl. MPI at 8 ranks on class T takes the hierarchical all-to-all

@@ -206,6 +206,7 @@ func (t *Thread) CastPutAsync(dst int, bytes int64) *Handle {
 	if dst == t.ID || !t.Castable(dst) {
 		return t.PutBytesAsync(dst, bytes)
 	}
+	t.traceComm("put", t.ID, dst, bytes, t.pathClass(dst))
 	return &Handle{op: t.localCopy(t.Place, t.rt.places[dst], bytes, castOverhead, nil)}
 }
 
