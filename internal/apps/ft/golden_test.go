@@ -20,8 +20,9 @@ import (
 const ftGolden = "d7e2fc13b66929243259fa9c9d6e2dfe3c94b96e5e91380db7112d53e247c34d"
 
 // goldenRuns are the pinned model-mode configurations: every runtime,
-// both exchange algorithms and one hybrid per Impl. MPI at 8 ranks on class T takes the hierarchical all-to-all
-// (2 KB slices); on class S it takes the pairwise one.
+// both exchange algorithms and one hybrid per Impl. MPI at 8 ranks on
+// class T takes the hierarchical all-to-all (2 KB slices); on class S it
+// takes the pairwise one.
 func goldenRuns() []Config {
 	var out []Config
 	for _, name := range []string{"T", "S"} {
