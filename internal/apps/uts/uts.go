@@ -2,6 +2,7 @@ package uts
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/perf"
@@ -110,14 +111,20 @@ type global struct {
 	// orphans holds work re-rooted from crashed workers (their private
 	// stack remainder plus their shared steal region), awaiting adoption
 	// by survivors.
-	orphans []Node
+	orphans []ref
 	// ringGen counts membership changes (rejoins): workers whose probe
 	// rings lag it rebuild them, re-admitting reincarnated victims.
 	ringGen int
 }
 
-// Run executes the benchmark and verifies the traversal against the
-// sequential node count.
+// ref names one tree node by its index in the tree table plus its depth:
+// the 8 bytes a worker stacks, releases and steals in place of the
+// 24-byte Node. Transfers are still charged NodeBytes a node, the UTS
+// descriptor size, so the modeled costs do not depend on this encoding.
+type ref struct{ Idx, Depth uint32 }
+
+// Run executes the benchmark and verifies the traversal against the tree
+// table's node count and depth.
 func Run(cfg Config) (Result, error) {
 	if cfg.Machine == nil {
 		cfg.Machine = topo.Pyramid()
@@ -134,6 +141,10 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 256
 	}
+	tree, err := tables.get(cfg.Tree, buildTable)
+	if err != nil {
+		return Result{}, err
+	}
 	ucfg := upc.Config{
 		Machine:        cfg.Machine,
 		Conduit:        cfg.ConduitName,
@@ -148,8 +159,8 @@ func Run(cfg Config) (Result, error) {
 
 	g := &global{counters: perf.Counters{}, steals: make([]int64, cfg.Threads)}
 	var start, stop sim.Time
-	_, err := upc.Run(ucfg, func(t *upc.Thread) {
-		w := newWorker(t, &cfg, g)
+	_, err = upc.Run(ucfg, func(t *upc.Thread) {
+		w := newWorker(t, &cfg, tree, g)
 		if t.ID == 0 && t.Runtime().FaultsOn() {
 			// Wake every idle-parked worker at each crash/revive edge:
 			// a worker sleeping through its own node's whole outage would
@@ -188,13 +199,12 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	wantNodes, wantDepth := cfg.Tree.CountSequential()
-	if g.nodes != wantNodes {
-		return Result{}, fmt.Errorf("uts: parallel traversal visited %d nodes, sequential counted %d",
-			g.nodes, wantNodes)
+	if g.nodes != tree.nodes {
+		return Result{}, fmt.Errorf("uts: parallel traversal visited %d nodes, the tree has %d",
+			g.nodes, tree.nodes)
 	}
-	if g.maxDepth != wantDepth {
-		return Result{}, fmt.Errorf("uts: max depth %d, sequential found %d", g.maxDepth, wantDepth)
+	if g.maxDepth != tree.maxDepth {
+		return Result{}, fmt.Errorf("uts: max depth %d, the tree's is %d", g.maxDepth, tree.maxDepth)
 	}
 	elapsed := stop - start
 	return Result{
@@ -217,18 +227,19 @@ type meta struct {
 
 // worker is one UPC thread's traversal state.
 type worker struct {
-	t   *upc.Thread
-	cfg *Config
-	g   *global
+	t    *upc.Thread
+	cfg  *Config
+	tree *treeTable
+	g    *global
 
-	buf   *upc.Shared[Node] // per-thread shared steal regions
+	buf   *upc.Shared[ref]  // per-thread shared steal regions
 	cnt   *upc.Shared[meta] // per-thread region descriptors
 	locks []*upc.Lock
 
-	local    []Node // private DFS stack (tail = top)
-	head     int    // bottom index of the live region
-	failures int    // consecutive failed steal sweeps (backoff control)
-	cursor   int    // persistent probe position within victims
+	local    []ref // private DFS stack (tail = top)
+	head     int   // bottom index of the live region
+	failures int   // consecutive failed steal sweeps (backoff control)
+	cursor   int   // persistent probe position within victims
 	count    int64
 	deepest  uint32
 	dead     bool // this worker's node crashed and it retired for good
@@ -241,16 +252,16 @@ type worker struct {
 	vRemote []int // locality strategies: off-node ring behind the cursor
 }
 
-func newWorker(t *upc.Thread, cfg *Config, g *global) *worker {
-	w := &worker{t: t, cfg: cfg, g: g, c: perf.Counters{}}
-	w.buf = upc.Alloc[Node](t, stackCapacity*t.N, NodeBytes, stackCapacity)
+func newWorker(t *upc.Thread, cfg *Config, tree *treeTable, g *global) *worker {
+	w := &worker{t: t, cfg: cfg, tree: tree, g: g, c: perf.Counters{}}
+	w.buf = upc.Alloc[ref](t, stackCapacity*t.N, NodeBytes, stackCapacity)
 	w.cnt = upc.Alloc[meta](t, t.N, 16, 1)
 	w.locks = make([]*upc.Lock, t.N)
 	for i := 0; i < t.N; i++ {
 		w.locks[i] = upc.AllocLock(t, i)
 	}
 	if t.ID == 0 {
-		w.local = append(w.local, cfg.Tree.Root())
+		w.local = append(w.local, ref{}) // the root: index 0, depth 0
 	}
 	w.probeOrder()
 	return w
@@ -355,7 +366,7 @@ func (w *worker) depth() int { return len(w.local) - w.head }
 func (w *worker) die() bool {
 	t := w.t
 	g := w.g
-	orphans := append([]Node(nil), w.local[w.head:]...)
+	orphans := append([]ref(nil), w.local[w.head:]...)
 	m := w.cnt.Local(t)[0]
 	if m.Avail > 0 {
 		seg := w.buf.Local(t)
@@ -463,7 +474,10 @@ func (w *worker) bump(name string, n int64) {
 }
 
 // processBatch pops and expands up to Batch nodes, charging one compute
-// interval for the whole batch (the real SHA-1 work runs regardless).
+// interval of nodeCost a node for the whole batch. The SHA-1 derivation
+// that cost models ran once, when the tree table was built; here a node's
+// children are read from the table and pushed last-first, so child 0 is
+// expanded next, as in a depth-first walk of the SHA-1 chain.
 func (w *worker) processBatch() {
 	b := w.cfg.Batch
 	done := 0
@@ -475,8 +489,9 @@ func (w *worker) processBatch() {
 		if n.Depth > w.deepest {
 			w.deepest = n.Depth
 		}
-		for i := w.cfg.Tree.NumChildren(n) - 1; i >= 0; i-- {
-			w.local = append(w.local, Child(n, i))
+		lo, hi := w.tree.children(n.Idx)
+		for c := hi; c > lo; c-- {
+			w.local = append(w.local, ref{Idx: c - 1, Depth: n.Depth + 1})
 		}
 	}
 	w.bump("nodes", int64(done))
@@ -540,14 +555,20 @@ func (w *worker) acquireOwn() bool {
 	if k > int64(2*w.cfg.Granularity) {
 		k = int64(2 * w.cfg.Granularity)
 	}
-	got := make([]Node, k)
-	upc.GetT(w.t, w.buf, got, w.t.ID, int(m.Base+m.Avail-k))
+	upc.GetT(w.t, w.buf, w.grow(k), w.t.ID, int(m.Base+m.Avail-k))
 	m.Avail -= k
 	upc.WriteElem(w.t, w.cnt, w.t.ID, m)
 	w.locks[w.t.ID].Unlock(w.t)
 	w.g.sharedTotal -= k
-	w.local = append(w.local, got...)
 	return true
+}
+
+// grow extends the private stack by k slots and returns them, so reacquired
+// and stolen work is read straight onto the top of the stack.
+func (w *worker) grow(k int64) []ref {
+	n := len(w.local)
+	w.local = slices.Grow(w.local, int(k))[:n+int(k)]
+	return w.local[n:]
 }
 
 // stealSweep probes victims in strategy order; it reports whether any
@@ -635,7 +656,7 @@ func (w *worker) tryVictim(v int) bool {
 	if k > m.Avail {
 		k = m.Avail
 	}
-	got := make([]Node, k)
+	got := w.grow(k)
 	// Take from the front: the oldest, shallowest entries whose
 	// subtrees are largest.
 	if faults {
@@ -679,7 +700,6 @@ func (w *worker) tryVictim(v int) bool {
 		loc = "local"
 	}
 	t.P.TraceInstant("uts", "steal", loc, k, int64(v))
-	w.local = append(w.local, got...)
 	return true
 }
 

@@ -1,6 +1,7 @@
 package uts
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -70,6 +71,8 @@ func TestSpecValidation(t *testing.T) {
 		{Kind: Binomial, RootChildren: 0, Q: 0.1, M: 8},
 		{Kind: Binomial, RootChildren: 10, Q: 0.2, M: 8}, // q*m = 1.6 supercritical
 		{Kind: Geometric, B: 0, MaxDepth: 5},
+		{Kind: Binomial, RootChildren: 10, Q: math.NaN(), M: 8},
+		{Kind: Geometric, B: math.NaN(), MaxDepth: 5},
 		{Kind: TreeKind(9)},
 	}
 	for i, s := range bad {

@@ -51,8 +51,8 @@ func table41(w io.Writer, p *plan) error {
 	return nil
 }
 
-// utsTree picks the tree size: the paper's 4.35M-node realization, or a
-// ~400K-node tree for quick runs.
+// utsTree picks the tree size: the paper's 4.35M-node realization, or
+// uts.Small(400000) (235,113 nodes) for quick runs.
 func utsTree(quick bool) uts.TreeSpec {
 	if quick {
 		return uts.Small(400000)
