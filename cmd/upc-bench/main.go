@@ -126,13 +126,13 @@ func sortedNames(m map[string]record) []string {
 	return names
 }
 
-// zeroAllocBenches are the pooled one-sided hot-path benchmarks and the
-// observer pipeline's per-event path: the zero-allocation contract
-// covers them. -check holds them to exactly zero on
+// zeroAllocBenches are the pooled one-sided hot-path benchmarks (the
+// fabric's and the upc runtime's split-phase pair) and the observer
+// pipeline's per-event path: the zero-allocation contract covers them. -check holds them to exactly zero on
 // both sides of the comparison — a regenerated baseline that records
 // any allocation for them is itself a failure, so the gate cannot be
 // weakened by rerunning upc-bench after a regression.
-var zeroAllocBenches = []string{"FabricPut", "FabricFlows4096", "SharedLink32Flows", "ObserverEmit"}
+var zeroAllocBenches = []string{"FabricPut", "FabricFlows4096", "SharedLink32Flows", "ObserverEmit", "UPCPutGet"}
 
 func runCheck(fresh map[string]record) int {
 	data, err := os.ReadFile(*baseline)

@@ -115,9 +115,10 @@ func RunExchange(cfg ExchangeConfig) (ExchangeResult, error) {
 			}
 			return t.PutBytesAsync(dst, blockBytes)
 		}
+		handles := make([]*upc.Handle, 0, t.N)
 		for rep := 0; rep < cfg.Repeats; rep++ {
 			t.Barrier()
-			var handles []*upc.Handle
+			handles = handles[:0]
 			c0 := t.Now()
 			if cfg.Async {
 				for k := 1; k <= t.N; k++ {

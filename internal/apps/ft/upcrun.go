@@ -12,6 +12,9 @@ type upcWorker struct {
 	slab
 	t    *upc.Thread
 	recv *upc.Shared[complex128] // verify mode: every thread's in buffer
+	// handles holds the exchange's puts in flight; its backing array is
+	// reused by every exchange, since WaitAll consumes each handle.
+	handles []*upc.Handle
 }
 
 // runUPC executes the UPC and hybrid variants.
@@ -86,14 +89,14 @@ func (w *upcWorker) checksum() { upc.AllReduceSum(w.t, float64(w.t.ID)) }
 // own block last as a local copy.
 func (w *upcWorker) exchange() {
 	w.t.Barrier()
-	var handles []*upc.Handle
+	w.handles = w.handles[:0]
 	w.timed("comm-call", func() {
 		for k := 1; k <= w.P; k++ {
-			handles = append(handles, w.putBlock((w.t.ID+k)%w.P))
+			w.handles = append(w.handles, w.putBlock((w.t.ID+k)%w.P))
 		}
 	})
 	w.timed("comm-wait", func() {
-		w.t.WaitAll(handles)
+		w.t.WaitAll(w.handles)
 		w.t.Barrier()
 	})
 }
@@ -116,7 +119,7 @@ func (w *upcWorker) forwardOverlap() {
 	sliceElems := w.LY * cls.NX
 
 	w.t.Barrier()
-	var handles []*upc.Handle
+	w.handles = w.handles[:0]
 	start := w.t.Now()
 	endFFT := w.traceSpan("fft2d")
 
@@ -138,7 +141,7 @@ func (w *upcWorker) forwardOverlap() {
 			} else {
 				h = ctx.PutBytesAsync(dst, int64(sliceElems)*16)
 			}
-			handles = append(handles, h)
+			w.handles = append(w.handles, h)
 		}
 	}
 
@@ -163,7 +166,7 @@ func (w *upcWorker) forwardOverlap() {
 	endFFT()
 
 	w.timed("comm-wait", func() {
-		w.t.WaitAll(handles)
+		w.t.WaitAll(w.handles)
 		w.t.Barrier()
 	})
 }

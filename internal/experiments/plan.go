@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/apps/ft"
 	"repro/internal/apps/netbench"
@@ -138,18 +139,26 @@ func (p *plan) lookup(key fmt.Stringer, causal bool) *point {
 // run simulates every planned point once, in first-lookup order. A
 // causal point feeds a private causality recorder, which its job reduces
 // to the wait share before returning. A failing point's error names the
-// first step that looked it up and the point.
+// first step that looked it up and the point. A point whose simulation
+// panics (a model process giving up under a fault schedule) fails the
+// same way, with the panic's first line as the cause, instead of taking
+// down the sweep's worker.
 func (p *plan) run() error {
 	p.ran = true
 	cls, _ := ft.ClassByName("B")
-	return sweep.Run(len(p.points), func(i int, tr trace.Tracer) error {
+	return sweep.Run(len(p.points), func(i int, tr trace.Tracer) (err error) {
 		pt := p.points[i]
+		defer func() {
+			if r := recover(); r != nil {
+				msg, _, _ := strings.Cut(fmt.Sprint(r), "\n")
+				err = fmt.Errorf("%s: %v: %s", pt.step, pt.key, msg)
+			}
+		}()
 		var rec *causality.Recorder
 		if pt.causal {
 			rec = causality.NewRecorder()
 			tr = trace.Tee(rec, tr)
 		}
-		var err error
 		switch k := pt.key.(type) {
 		case twistedPoint:
 			pt.stream, err = stream.RunTwisted(stream.TwistedConfig{Variant: k.variant, Seed: seed, Tracer: tr})

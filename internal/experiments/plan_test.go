@@ -11,6 +11,7 @@ import (
 	"repro/internal/apps/netbench"
 	"repro/internal/apps/stream"
 	"repro/internal/apps/uts"
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -135,6 +136,30 @@ func TestPlanErrorNamesStepAndPoint(t *testing.T) {
 	p.lookup(xlatePoint{"pyramid+nope"}, false)
 	err = p.run()
 	want = `Figure 3.1b: xlate {pyramid+nope}: unknown preset "pyramid+nope"`
+	if err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
+	}
+}
+
+// TestPlanPanicIsPointError: a point whose simulation panics — here
+// FT, which has no crash recovery, under a schedule that takes node 1
+// down at the start — comes back from the plan as that point's one-line
+// error instead of killing the sweep's worker. Of two such points run
+// side by side at width 2, the first planned one's error wins.
+func TestPlanPanicIsPointError(t *testing.T) {
+	prev := sweep.Workers()
+	sweep.SetWorkers(2)
+	defer sweep.SetWorkers(prev)
+	prevFaults := fault.Default()
+	fault.SetDefault(&fault.Schedule{Actions: []fault.Action{{Op: fault.OpCrash, At: 0, Node: 1}}})
+	defer fault.SetDefault(prevFaults)
+	p := newPlan(nil, true)
+	p.step = "Figure 4.5"
+	p.lookup(ftPoint{"lehman", ft.UPCProcesses, ft.SplitPhase, 16, 8, 0}, false)
+	p.lookup(ftPoint{"lehman", ft.UPCProcesses, ft.SplitPhase, 32, 8, 0}, false)
+	err := p.run()
+	want := `Figure 4.5: ft {lehman UPC (processes) split-phase 16 8 0}: ` +
+		`sim: process "upc7" panicked: fault: put 7->8 failed after 0 attempts: peer node down`
 	if err == nil || err.Error() != want {
 		t.Errorf("error %v, want %q", err, want)
 	}

@@ -20,3 +20,4 @@ func BenchmarkSharedLink32Flows(b *testing.B) { simbench.SharedLink32Flows(b) }
 func BenchmarkFabricPut(b *testing.B)         { simbench.FabricPut(b) }
 func BenchmarkFabricFlows4096(b *testing.B)   { simbench.FabricFlows4096(b) }
 func BenchmarkObserverEmit(b *testing.B)      { simbench.ObserverEmit(b) }
+func BenchmarkUPCPutGet(b *testing.B)         { simbench.UPCPutGet(b) }

@@ -1,6 +1,6 @@
-// Package simbench holds the engine and observer microbenchmark bodies
-// shared by the go-test benchmarks (internal/sim) and the cmd/upc-bench
-// recorder. They live outside a _test.go file so upc-bench can drive
+// Package simbench holds the engine, fabric, upc and observer
+// microbenchmark bodies shared by the go-test benchmarks (internal/sim)
+// and the cmd/upc-bench recorder. They live outside a _test.go file so upc-bench can drive
 // them through testing.Benchmark and write the results — ns/op and
 // allocs/op — to BENCH_sim.json, the committed baseline the CI bench job
 // regresses against.
@@ -19,6 +19,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
+	"repro/internal/upc"
 )
 
 // PingPongYield is the headline handoff benchmark: two processes
@@ -149,6 +150,36 @@ func FabricPut(b *testing.B) {
 	}
 }
 
+// UPCPutGet measures the upc runtime's split-phase one-sided pair over
+// the network: each op is one cross-node PutBytesAsync and one typed
+// GetAsyncT, each completed by WaitSync. Handles come from the
+// runtime's free list and the get's typed payload record from the
+// array's, and WaitSync returns both, so a warm op allocates nothing:
+// upc-bench -check holds it at zero allocs/op, like FabricPut.
+func UPCPutGet(b *testing.B) {
+	b.ReportAllocs()
+	cfg := upc.Config{Machine: topo.Lehman(), Threads: 2, ThreadsPerNode: 1, Seed: 1}
+	_, err := upc.Run(cfg, func(t *upc.Thread) {
+		s := upc.Alloc[int64](t, 2, 8, 1)
+		if t.ID != 0 {
+			return
+		}
+		buf := make([]int64, 1)
+		op := func() {
+			t.WaitSync(t.PutBytesAsync(1, 8))
+			t.WaitSync(upc.GetAsyncT(t, s, buf, 1, 0))
+		}
+		op() // fill the free lists off the clock
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			op()
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // flowWidth is FabricFlows4096's in-flight flow count: the NAS FT
 // all-to-all's peak concurrency.
 const flowWidth = 4096
@@ -264,4 +295,5 @@ var All = []struct {
 	{"FabricPut", FabricPut},
 	{"FabricFlows4096", FabricFlows4096},
 	{"ObserverEmit", ObserverEmit},
+	{"UPCPutGet", UPCPutGet},
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -28,7 +29,7 @@ func TestBlockingByteOpsNoAlloc(t *testing.T) {
 		}
 		th.Barrier()
 		if th.ID == 0 {
-			outstanding = th.Runtime().Cluster.PoolStats().Outstanding()
+			outstanding = th.Runtime().PoolStats().Outstanding()
 		}
 	})
 	if err != nil {
@@ -42,6 +43,102 @@ func TestBlockingByteOpsNoAlloc(t *testing.T) {
 	}
 	if outstanding != 0 {
 		t.Errorf("pool leak: %d records outstanding after the transfer loop", outstanding)
+	}
+}
+
+// TestAsyncOpsNoAlloc pins the fault-free async one-sided operations
+// at zero allocations per issue, wait and recycle once warm: handles
+// come from the runtime's free list, typed payload records from the
+// array's, and WaitSync returns both. Threads 0 and 4 of the 8/4 layout
+// are on different nodes; thread 1 shares thread 0's node, so its
+// CastPutAsync takes the cast memcpy path. Afterwards every pool —
+// fabric records, handles and payload records — has drained.
+func TestAsyncOpsNoAlloc(t *testing.T) {
+	type op = func(th *Thread, s *Shared[int64], buf []int64)
+	ops := []struct {
+		name string
+		op   op
+	}{
+		{"PutBytesAsync", func(th *Thread, _ *Shared[int64], _ []int64) { th.WaitSync(th.PutBytesAsync(4, 8)) }},
+		{"CastPutAsync/remote", func(th *Thread, _ *Shared[int64], _ []int64) { th.WaitSync(th.CastPutAsync(4, 8)) }},
+		{"CastPutAsync/cast", func(th *Thread, _ *Shared[int64], _ []int64) { th.WaitSync(th.CastPutAsync(1, 8)) }},
+		{"PutAsyncT", func(th *Thread, s *Shared[int64], buf []int64) { th.WaitSync(PutAsyncT(th, s, 4, 2, buf)) }},
+		{"GetAsyncT", func(th *Thread, s *Shared[int64], buf []int64) { th.WaitSync(GetAsyncT(th, s, buf, 4, 2)) }},
+		{"ReadElem", func(th *Thread, s *Shared[int64], _ []int64) { sinkElem = ReadElem(th, s, 4*8+3) }},
+		{"WriteElem", func(th *Thread, s *Shared[int64], _ []int64) { WriteElem(th, s, 4*8+3, 7) }},
+	}
+	got := make([]float64, len(ops))
+	for i := range got {
+		got[i] = -1
+	}
+	var outstanding int64 = -1
+	_, err := Run(testCfg(8, 4, Processes, true), func(th *Thread) {
+		s := Alloc[int64](th, 8*8, 8, 8)
+		if th.ID == 0 {
+			buf := make([]int64, 4)
+			for i, o := range ops {
+				for k := 0; k < 16; k++ {
+					o.op(th, s, buf)
+				}
+				got[i] = testing.AllocsPerRun(100, func() { o.op(th, s, buf) })
+			}
+		}
+		th.Barrier()
+		if th.ID == 0 {
+			outstanding = th.Runtime().PoolStats().Outstanding()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range ops {
+		if got[i] != 0 {
+			t.Errorf("%s allocates %v allocs/op, want 0", o.name, got[i])
+		}
+	}
+	if outstanding != 0 {
+		t.Errorf("pool leak: %d records outstanding after the async loop", outstanding)
+	}
+}
+
+// sinkElem keeps ReadElem's result live in TestAsyncOpsNoAlloc.
+var sinkElem int64
+
+// TestAsyncRecordsRecycle: a warm async exchange reuses its handles and
+// payload records instead of making new ones, and the typed copies
+// still land — a put's snapshot is taken at issue, a get reads the
+// source at delivery.
+func TestAsyncRecordsRecycle(t *testing.T) {
+	var warm, after sim.PoolStats
+	_, err := Run(testCfg(8, 4, Processes, true), func(th *Thread) {
+		s := Alloc[int64](th, 8*8, 8, 8)
+		if th.ID == 0 {
+			src := []int64{1, 2, 3}
+			dst := make([]int64, 3)
+			for round := 0; round < 20; round++ {
+				if round == 10 {
+					warm = th.Runtime().PoolStats()
+				}
+				src[0] = int64(round)
+				h := PutAsyncT(th, s, 4, 0, src)
+				src[0] = -1 // the put already took its snapshot
+				th.WaitSync(h)
+				th.WaitSync(GetAsyncT(th, s, dst, 4, 0))
+				if dst[0] != int64(round) || dst[2] != 3 {
+					t.Errorf("round %d: got %v", round, dst)
+				}
+			}
+			after = th.Runtime().PoolStats()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.News != warm.News {
+		t.Errorf("warm rounds made %d new records, want 0", after.News-warm.News)
+	}
+	if after.Outstanding() != 0 {
+		t.Errorf("%d records outstanding after the exchange", after.Outstanding())
 	}
 }
 
@@ -75,7 +172,7 @@ func TestChaosSoakPoolsDrain(t *testing.T) {
 		}
 		th.Barrier()
 		if th.ID == 0 {
-			outstanding = th.Runtime().Cluster.PoolStats().Outstanding()
+			outstanding = th.Runtime().PoolStats().Outstanding()
 		}
 	})
 	if err != nil {

@@ -133,48 +133,62 @@ func (t *Thread) protect(opName string, peer int, bytes int64, issue func() *fab
 	if t.Failed() || !t.Alive(peer) {
 		return nil, &fault.CommError{Op: opName, Src: t.ID, Dst: peer, Err: fault.ErrNodeDown}
 	}
-	return &Handle{op: issue(), opName: opName, peer: peer, bytes: bytes,
-		reissue: issue, fence: t.fence(peer)}, nil
+	h := t.handle(issue(), nil)
+	h.retry = &retryCtx{opName: opName, peer: peer, bytes: bytes, reissue: issue, fence: t.fence(peer)}
+	return h, nil
 }
 
 // WaitSyncErr blocks until the asynchronous operation completes,
 // recovering lost messages under the run's retry policy when the handle
-// was issued on a protected path: the op is re-issued on each timeout
-// (payload applies are idempotent copies, so a late original delivery or
-// an injected duplicate is harmless) until it completes, retries run
-// out, or a node died. It is the error-returning form of WaitSync.
+// was issued on a protected path (see waitRetry). It is the
+// error-returning form of WaitSync. Either way the wait consumes the
+// handle: it goes back to the runtime's free list, with its typed
+// payload record, for the next operation to reuse.
 func (t *Thread) WaitSyncErr(h *Handle) error {
-	op := h.op
-	if op == nil {
+	if h.op == nil {
 		return nil
 	}
-	h.op = nil // the wait consumes the operation either way
-	if h.reissue == nil {
-		op.WaitRemote(t.P)
-		op.Release()
-		return nil
+	var err error
+	if h.retry != nil {
+		err = t.waitRetry(h.op, h.retry)
+	} else {
+		t.complete(h.op)
 	}
+	if h.rec != nil {
+		h.rec.recycle()
+	}
+	*h = Handle{}
+	t.rt.handles.Put(h)
+	return err
+}
+
+// waitRetry is WaitSyncErr on a retry-armed handle: the op is re-issued
+// on each timeout (payload applies are idempotent copies, so a late
+// original delivery or an injected duplicate is harmless) until it
+// completes, retries run out, or a node died. It lives apart from the
+// fault-free wait because its Reissue closure moves the current op to
+// the heap.
+func (t *Thread) waitRetry(op *fabric.NetOp, r *retryCtx) error {
 	rt := t.rt
 	err := rt.retry.Wait(&fault.Wait{
-		Op: h.opName, Src: t.ID, Dst: h.peer, Bytes: h.bytes,
-		Xfer: rt.Cluster.Conduit.ExpectXfer(h.bytes),
-		P:    t.P, Done: &op.Remote, Fence: h.fence,
-		Down:  func() bool { return t.Failed() || !t.Alive(h.peer) },
+		Op: r.opName, Src: t.ID, Dst: r.peer, Bytes: r.bytes,
+		Xfer: rt.Cluster.Conduit.ExpectXfer(r.bytes),
+		P:    t.P, Done: &op.Remote, Fence: r.fence,
+		Down:  func() bool { return t.Failed() || !t.Alive(r.peer) },
 		Event: t.FaultEvent,
 		Reissue: func(attempt int) *sim.Event {
 			if rt.edges {
-				t.P.TraceInstant(trace.CatEdge, trace.EdgeRetry, h.opName, int64(attempt),
-					trace.PackEndpoints(t.ID, h.peer, t.Place.Node, rt.places[h.peer].Node))
+				t.P.TraceInstant(trace.CatEdge, trace.EdgeRetry, r.opName, int64(attempt),
+					trace.PackEndpoints(t.ID, r.peer, t.Place.Node, rt.places[r.peer].Node))
 			}
 			// Abandon the timed-out op before reissuing: dropping the
 			// hold lets its pooled record recycle once any in-flight legs
 			// (a delayed original, an injected duplicate) drain.
 			op.Release()
-			op = h.reissue()
+			op = r.reissue()
 			return &op.Remote
 		},
 	})
-	h.reissue = nil
 	op.Release()
 	return err
 }
@@ -185,19 +199,23 @@ func (t *Thread) WaitSyncErr(h *Handle) error {
 // and surface unrecoverable failures (crashed nodes, exhausted retries,
 // out-of-range accesses) as typed errors. The legacy void forms delegate
 // to them and panic on error, preserving their historical contract.
+//
+// On a fault-free path every operation is allocation-free after warm-up:
+// fabric records, handles and typed payload records all come from free
+// lists. A retry-armed operation allocates its retry context, re-issue
+// closures and payload copies instead, because a late original delivery
+// or an injected duplicate may run its copy after the wait has returned.
 
 // PutBytesErr is PutBytes with fault recovery and typed errors. On a
 // fault-free run the blocking form never materializes a handle or retry
-// context: it rides the pooled fabric record end to end, allocation-free.
+// context: it rides the pooled fabric record end to end.
 func (t *Thread) PutBytesErr(dst int, bytes int64) error {
 	if !t.retriable(dst) {
-		op := t.putBytes(dst, bytes, nil)
-		op.WaitRemote(t.P)
-		op.Release()
+		t.complete(t.putBytes(dst, bytes, nil))
 		t.remoteAck(dst)
 		return nil
 	}
-	h, err := t.putBytesAsyncErr(dst, bytes, nil)
+	h, err := t.putBytesAsyncErr(dst, bytes)
 	if err != nil {
 		return err
 	}
@@ -209,12 +227,10 @@ func (t *Thread) PutBytesErr(dst int, bytes int64) error {
 }
 
 // GetBytesErr is GetBytes with fault recovery and typed errors. Like
-// PutBytesErr, the fault-free blocking form is allocation-free.
+// PutBytesErr, the fault-free blocking form takes no handle.
 func (t *Thread) GetBytesErr(src int, bytes int64) error {
 	if !t.retriable(src) {
-		op := t.getBytes(src, bytes, nil)
-		op.WaitRemote(t.P)
-		op.Release()
+		t.complete(t.getBytes(src, bytes, nil))
 		return nil
 	}
 	h, err := t.protect("get", src, bytes, func() *fabric.NetOp { return t.getBytes(src, bytes, nil) })
@@ -224,14 +240,13 @@ func (t *Thread) GetBytesErr(src int, bytes int64) error {
 	return t.WaitSyncErr(h)
 }
 
-// putBytesAsyncErr issues a put, retry-armed on protected paths. The
-// async contract hands the caller an owned Handle, so this path
-// allocates exactly that handle on fault-free runs.
-func (t *Thread) putBytesAsyncErr(dst int, bytes int64, apply func()) (*Handle, error) {
+// putBytesAsyncErr issues a payload-free put, retry-armed on protected
+// paths. The handle comes from the runtime's free list.
+func (t *Thread) putBytesAsyncErr(dst int, bytes int64) (*Handle, error) {
 	if !t.retriable(dst) {
-		return &Handle{op: t.putBytes(dst, bytes, apply)}, nil
+		return t.handle(t.putBytes(dst, bytes, nil), nil), nil
 	}
-	return t.protect("put", dst, bytes, func() *fabric.NetOp { return t.putBytes(dst, bytes, apply) })
+	return t.protect("put", dst, bytes, func() *fabric.NetOp { return t.putBytes(dst, bytes, nil) })
 }
 
 // PutAsyncTErr is PutAsyncT with typed range errors and a retry-armed
@@ -240,12 +255,16 @@ func PutAsyncTErr[T any](t *Thread, s *Shared[T], owner, off int, src []T) (*Han
 	if err := checkRangeErr(len(s.segs[owner]), off, len(src), "Put"); err != nil {
 		return nil, err
 	}
-	snap := make([]T, len(src))
-	copy(snap, src)
-	dst := s.segs[owner]
-	return t.putBytesAsyncErr(owner, int64(len(src)*s.elemBytes), func() {
-		copy(dst[off:], snap)
-	})
+	dst := s.segs[owner][off : off+len(src)]
+	bytes := int64(len(src) * s.elemBytes)
+	if t.retriable(owner) {
+		snap := append([]T(nil), src...)
+		return t.protect("put", owner, bytes, func() *fabric.NetOp {
+			return t.putBytes(owner, bytes, func() { copy(dst, snap) })
+		})
+	}
+	x := s.putXfer(dst, src)
+	return t.handle(t.putBytes(owner, bytes, x.apply), x), nil
 }
 
 // PutTErr is PutT with fault recovery and typed errors.
@@ -267,16 +286,15 @@ func GetAsyncTErr[T any](t *Thread, s *Shared[T], dst []T, owner, off int) (*Han
 	if err := checkRangeErr(len(s.segs[owner]), off, len(dst), "Get"); err != nil {
 		return nil, err
 	}
-	src := s.segs[owner]
-	n := len(dst)
-	bytes := int64(n * s.elemBytes)
-	issue := func() *fabric.NetOp {
-		return t.getBytes(owner, bytes, func() { copy(dst, src[off:off+n]) })
+	src := s.segs[owner][off : off+len(dst)]
+	bytes := int64(len(dst) * s.elemBytes)
+	if t.retriable(owner) {
+		return t.protect("get", owner, bytes, func() *fabric.NetOp {
+			return t.getBytes(owner, bytes, func() { copy(dst, src) })
+		})
 	}
-	if !t.retriable(owner) {
-		return &Handle{op: issue()}, nil
-	}
-	return t.protect("get", owner, bytes, issue)
+	x := s.getXfer(dst, src)
+	return t.handle(t.getBytes(owner, bytes, x.apply), x), nil
 }
 
 // GetTErr is GetT with fault recovery and typed errors.
@@ -288,7 +306,9 @@ func GetTErr[T any](t *Thread, s *Shared[T], dst []T, owner, off int) error {
 	return t.WaitSyncErr(h)
 }
 
-// ReadElemErr is ReadElem with fault recovery and typed errors.
+// ReadElemErr is ReadElem with fault recovery and typed errors. A
+// fault-free remote read lands in its record's own buffer, so it takes
+// neither a handle nor a destination slice.
 func ReadElemErr[T any](t *Thread, s *Shared[T], i int) (T, error) {
 	owner, local := s.Owner(i), s.LocalIndex(i)
 	t.xlateAccess(s.id, i/s.block)
@@ -296,15 +316,28 @@ func ReadElemErr[T any](t *Thread, s *Shared[T], i int) (T, error) {
 		t.MemStreamFrom(int64(s.elemBytes), t.rt.places[owner].Socket)
 		return s.segs[owner][local], nil
 	}
-	buf := make([]T, 1)
-	if err := GetTErr(t, s, buf, owner, local); err != nil {
-		var zero T
+	var zero T
+	if err := checkRangeErr(len(s.segs[owner]), local, 1, "Get"); err != nil {
 		return zero, err
 	}
-	return buf[0], nil
+	if t.retriable(owner) {
+		buf := make([]T, 1)
+		if err := GetTErr(t, s, buf, owner, local); err != nil {
+			return zero, err
+		}
+		return buf[0], nil
+	}
+	x := s.getXfer(nil, s.segs[owner][local:local+1])
+	x.dst = x.stage(1)
+	t.complete(t.getBytes(owner, int64(s.elemBytes), x.apply))
+	v := x.dst[0]
+	x.recycle()
+	return v, nil
 }
 
-// WriteElemErr is WriteElem with fault recovery and typed errors.
+// WriteElemErr is WriteElem with fault recovery and typed errors. A
+// fault-free remote write snapshots v into its record's own buffer, so
+// it takes neither a handle nor a source slice.
 func WriteElemErr[T any](t *Thread, s *Shared[T], i int, v T) error {
 	owner, local := s.Owner(i), s.LocalIndex(i)
 	t.xlateAccess(s.id, i/s.block)
@@ -313,5 +346,16 @@ func WriteElemErr[T any](t *Thread, s *Shared[T], i int, v T) error {
 		s.segs[owner][local] = v
 		return nil
 	}
-	return PutTErr(t, s, owner, local, []T{v})
+	if err := checkRangeErr(len(s.segs[owner]), local, 1, "Put"); err != nil {
+		return err
+	}
+	if t.retriable(owner) {
+		return PutTErr(t, s, owner, local, []T{v})
+	}
+	one := [1]T{v}
+	x := s.putXfer(s.segs[owner][local:local+1], one[:])
+	t.complete(t.putBytes(owner, int64(s.elemBytes), x.apply))
+	x.recycle()
+	t.remoteAck(owner)
+	return nil
 }

@@ -112,6 +112,9 @@ type Runtime struct {
 	nextArray uint32 // shared-array ids for translation-cache keys
 	xlate     xlateCosts
 	interned  map[string]any
+	// handles recycles async Handles: every thread and sub-thread view
+	// of the run takes from and returns to this one list.
+	handles sim.FreeList[Handle]
 
 	// Fault-injection state: inj is nil when the run has no fault
 	// schedule, which keeps every hot path on its zero-cost branch.

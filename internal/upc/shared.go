@@ -1,6 +1,10 @@
 package upc
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // Shared is a block-cyclic shared array distributed across all UPC
 // threads, the analogue of `shared [B] T A[N]`. Element i has affinity to
@@ -14,6 +18,7 @@ type Shared[T any] struct {
 	elemBytes int
 	block     int   // elements per block (layout qualifier)
 	segs      [][]T // per-thread partitions
+	xfers     sim.FreeList[xfer[T]]
 }
 
 // sharedShape is the untyped allocation record used to make Alloc

@@ -106,8 +106,7 @@ func GetRect[T any](t *Thread, s *Shared2D[T], dst []T, owner, r0, c0, h, w int)
 		op := t.getBytes(owner, int64(h*w*s.elemBytes), func() {
 			copy(dst, src[r0*s.tileC:(r0+h)*s.tileC])
 		})
-		op.WaitRemote(t.P)
-		op.Release()
+		t.complete(op)
 		return
 	}
 	handles := make([]*Handle, 0, h)
@@ -116,7 +115,7 @@ func GetRect[T any](t *Thread, s *Shared2D[T], dst []T, owner, r0, c0, h, w int)
 		op := t.getBytes(owner, int64(w*s.elemBytes), func() {
 			copy(dst[i*w:(i+1)*w], src[(r0+i)*s.tileC+c0:(r0+i)*s.tileC+c0+w])
 		})
-		handles = append(handles, &Handle{op: op})
+		handles = append(handles, t.handle(op, nil))
 	}
 	t.WaitAll(handles)
 }

@@ -139,13 +139,24 @@ func (t *Thread) ChargeXlate(n int64) {
 // ---- One-sided bulk transfer plumbing ----
 
 // Handle identifies an outstanding asynchronous one-sided operation
-// (the bupc_handle_t of the Berkeley extensions).
+// (the bupc_handle_t of the Berkeley extensions). Handles come from the
+// runtime's free list, and the WaitSync that completes one returns it
+// there: a handle must be waited exactly once and must not be touched
+// after its WaitSync, which may hand it to the next operation.
 type Handle struct {
 	op *fabric.NetOp
+	// rec is the typed payload record of a fault-free PutAsyncT or
+	// GetAsyncT (see xfer), recycled together with the handle.
+	rec recycler
+	// retry is armed when the op was issued on a network path under an
+	// installed fault schedule (see protect): WaitSync then recovers lost
+	// messages by re-issuing. Nil on fault-free runs, which keeps the
+	// pooled handle three words wide.
+	retry *retryCtx
+}
 
-	// Retry context, armed when the op was issued on a network path under
-	// an installed fault schedule (see protect): WaitSync then recovers
-	// lost messages by re-issuing. All nil/zero on fault-free runs.
+// retryCtx is what waitRetry needs to recover a lost operation.
+type retryCtx struct {
 	opName  string
 	peer    int
 	bytes   int64
@@ -176,7 +187,7 @@ func (t *Thread) WaitAll(hs []*Handle) {
 // not block.
 func ApplyAsync(t *Thread, dst int, bytes int64, apply func()) *Handle {
 	t.P.TraceInstant("upc", "am", "", bytes, int64(dst))
-	return &Handle{op: t.putBytes(dst, bytes, apply)}
+	return t.handle(t.putBytes(dst, bytes, apply), nil)
 }
 
 // PutBytes performs a one-sided put of the given byte volume toward
@@ -191,7 +202,7 @@ func (t *Thread) PutBytes(dst int, bytes int64) {
 
 // PutBytesAsync is the non-blocking form of PutBytes.
 func (t *Thread) PutBytesAsync(dst int, bytes int64) *Handle {
-	h, err := t.putBytesAsyncErr(dst, bytes, nil)
+	h, err := t.putBytesAsyncErr(dst, bytes)
 	if err != nil {
 		panic(err)
 	}
@@ -207,7 +218,7 @@ func (t *Thread) CastPutAsync(dst int, bytes int64) *Handle {
 		return t.PutBytesAsync(dst, bytes)
 	}
 	t.traceComm("put", t.ID, dst, bytes, t.pathClass(dst))
-	return &Handle{op: t.localCopy(t.Place, t.rt.places[dst], bytes, castOverhead, nil)}
+	return t.handle(t.localCopy(t.Place, t.rt.places[dst], bytes, castOverhead, nil), nil)
 }
 
 // GetBytes performs a one-sided get of the given byte volume from thread
@@ -274,6 +285,21 @@ func (t *Thread) getBytes(src int, bytes int64, apply func()) *fabric.NetOp {
 		return t.localCopy(t.rt.places[src], t.Place, bytes, t.shmOverhead(), apply)
 	}
 	return t.ep.GetAsync(t.P, t.rt.eps[src], bytes, t.fence(src).Deliver(bytes, apply))
+}
+
+// handle takes a pooled handle for op; rec, when non-nil, is recycled
+// with it.
+func (t *Thread) handle(op *fabric.NetOp, rec recycler) *Handle {
+	h := t.rt.handles.Get()
+	h.op, h.rec = op, rec
+	return h
+}
+
+// complete waits for a fault-free op's remote completion and drops the
+// caller's hold on its pooled record.
+func (t *Thread) complete(op *fabric.NetOp) {
+	op.WaitRemote(t.P)
+	op.Release()
 }
 
 // localCopy is MemCopyAsync on a placement pair the caller's path
