@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -90,5 +92,31 @@ func TestByName(t *testing.T) {
 	}
 	if _, ok := ByName("nonesuch"); ok {
 		t.Error("ByName(nonesuch) should not resolve")
+	}
+}
+
+// TestBuildIncluded checks the loader's build-constraint filter: release
+// tags follow the analyzer's toolchain, so of two files split by a Go
+// version exactly one is loaded, and any other tag counts as set.
+func TestBuildIncluded(t *testing.T) {
+	cases := []struct {
+		header string
+		want   bool
+	}{
+		{"", true},
+		{"//go:build go1.1\n\n", true},
+		{"//go:build !go1.1\n\n", false},
+		{"//go:build go1.999\n\n", false},
+		{"//go:build !go1.999\n\n", true},
+		{"//go:build equivalence && linux\n\n", true},
+	}
+	for _, c := range cases {
+		file, err := parser.ParseFile(token.NewFileSet(), "x.go", c.header+"package x\n", parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := buildIncluded(file); got != c.want {
+			t.Errorf("buildIncluded(%q) = %v, want %v", c.header, got, c.want)
+		}
 	}
 }

@@ -3,12 +3,15 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -114,6 +117,9 @@ func (l *Loader) Load(dir, asPath string, tests bool) ([]*Package, error) {
 			parseErrs = append(parseErrs, err.Error())
 			continue
 		}
+		if !buildIncluded(file) {
+			continue
+		}
 		if strings.HasSuffix(file.Name.Name, "_test") {
 			xtest = append(xtest, file)
 		} else {
@@ -161,6 +167,32 @@ func goFilesIn(dir string, tests bool) ([]string, error) {
 	return names, nil
 }
 
+// buildIncluded reports whether file's //go:build line holds. Release
+// tags (go1.N) are those of the toolchain the analyzer was built with, so
+// of two files split by Go version exactly one is checked, as with the
+// go tool; every other tag counts as set, so tagged files such as the
+// equivalence test are checked too.
+func buildIncluded(file *ast.File) bool {
+	for _, g := range file.Comments {
+		if g.Pos() > file.Package {
+			break
+		}
+		for _, c := range g.List {
+			if !constraint.IsGoBuild(c.Text) {
+				continue
+			}
+			x, err := constraint.Parse(c.Text)
+			if err != nil {
+				return true
+			}
+			return x.Eval(func(tag string) bool {
+				return !strings.HasPrefix(tag, "go1.") || slices.Contains(build.Default.ReleaseTags, tag)
+			})
+		}
+	}
+	return true
+}
+
 func (l *Loader) check(path, dir string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -194,7 +226,9 @@ func (l *Loader) importUnit(path string) (*types.Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		files = append(files, file)
+		if buildIncluded(file) {
+			files = append(files, file)
+		}
 	}
 	conf := types.Config{Importer: (*moduleImporter)(l)}
 	pkg, err := conf.Check(path, l.fset, files, nil)

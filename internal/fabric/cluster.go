@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -51,22 +52,28 @@ func NewCluster(e *sim.Engine, m *topo.Machine, cond Conduit) *Cluster {
 	c := &Cluster{Eng: e, Mach: m, Net: NewNet(e), Conduit: cond,
 		edges: trace.WantsEdge(e.Tracer())}
 	nCores := m.TotalCores()
+	nSock := m.Nodes * m.SocketsPerNode
+	// Every link is carved from one backing array, sized up front so the
+	// pointers stay put: one allocation for the cluster's links instead of
+	// one per link.
+	links := make([]Link, 0, nCores+nSock+2*m.Nodes)
+	link := func(name string, i int, capacity, beta float64) *Link {
+		links = append(links, Link{Name: name + strconv.Itoa(i), Capacity: capacity, Beta: beta})
+		return &links[len(links)-1]
+	}
 	c.cores = make([]*Link, nCores)
 	for i := range c.cores {
-		c.cores[i] = NewLink(fmt.Sprintf("core%d", i), m.SMTThroughput*workScale)
+		c.cores[i] = link("core", i, m.SMTThroughput*workScale, 0)
 	}
-	nSock := m.Nodes * m.SocketsPerNode
 	c.mem = make([]*Link, nSock)
 	for i := range c.mem {
-		c.mem[i] = NewLink(fmt.Sprintf("mem%d", i), m.MemBWSocket)
+		c.mem[i] = link("mem", i, m.MemBWSocket, 0)
 	}
 	c.egress = make([]*Link, m.Nodes)
 	c.ingress = make([]*Link, m.Nodes)
 	for i := 0; i < m.Nodes; i++ {
-		c.egress[i] = NewLink(fmt.Sprintf("nic-tx%d", i), cond.NICBW)
-		c.egress[i].Beta = cond.NICBeta
-		c.ingress[i] = NewLink(fmt.Sprintf("nic-rx%d", i), cond.NICBW)
-		c.ingress[i].Beta = cond.NICBeta
+		c.egress[i] = link("nic-tx", i, cond.NICBW, cond.NICBeta)
+		c.ingress[i] = link("nic-rx", i, cond.NICBW, cond.NICBeta)
 	}
 	return c
 }

@@ -14,6 +14,33 @@ func lehmanCluster(seed int64) (*sim.Engine, *Cluster) {
 	return e, NewCluster(e, topo.Lehman(), QDRInfiniBand())
 }
 
+// TestClusterLinks checks the links NewCluster carves from one array:
+// each table in order, named and sized as a per-link construction would.
+func TestClusterLinks(t *testing.T) {
+	_, c := lehmanCluster(1)
+	m, cond := c.Mach, c.Conduit
+	check := func(l *Link, name string, capacity, beta float64) {
+		t.Helper()
+		if l.Name != name || l.Capacity != capacity || l.Beta != beta {
+			t.Errorf("link %+v, want %s at %v (beta %v)", *l, name, capacity, beta)
+		}
+	}
+	if len(c.cores) != m.TotalCores() || len(c.mem) != m.Nodes*m.SocketsPerNode ||
+		len(c.egress) != m.Nodes || len(c.ingress) != m.Nodes {
+		t.Fatalf("link tables %d/%d/%d/%d", len(c.cores), len(c.mem), len(c.egress), len(c.ingress))
+	}
+	for i, l := range c.cores {
+		check(l, fmt.Sprintf("core%d", i), m.SMTThroughput*workScale, 0)
+	}
+	for i, l := range c.mem {
+		check(l, fmt.Sprintf("mem%d", i), m.MemBWSocket, 0)
+	}
+	for i := range c.egress {
+		check(c.egress[i], fmt.Sprintf("nic-tx%d", i), cond.NICBW, cond.NICBeta)
+		check(c.ingress[i], fmt.Sprintf("nic-rx%d", i), cond.NICBW, cond.NICBeta)
+	}
+}
+
 func TestComputeAloneRunsAtFullSpeed(t *testing.T) {
 	e, c := lehmanCluster(1)
 	var done sim.Time

@@ -18,7 +18,7 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	events queue
-	parked chan struct{} // a proc signals here when it parks or finishes
+	handTo *Proc // the process the hub resumes next; nil ends Run's loop
 
 	armed   []*Timer // armed timers, unordered
 	due     *Timer   // the earliest armed timer, nil when none is armed
@@ -47,10 +47,6 @@ type Engine struct {
 // Rand) is seeded with seed, making whole simulations reproducible.
 func New(seed int64) *Engine {
 	e := &Engine{
-		// Capacity 1 makes every handoff signal non-blocking: the engine
-		// and the running proc strictly alternate, so at most one token is
-		// ever in flight and a sender never sleeps at the send.
-		parked: make(chan struct{}, 1),
 		rng:    rand.New(rand.NewSource(seed)),
 		tracer: trace.Default(),
 	}
@@ -73,11 +69,10 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // simulation).
 func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
 	p := &Proc{
-		eng:    e,
-		id:     e.nextID,
-		name:   name,
-		resume: make(chan struct{}, 1),
-		fn:     fn,
+		eng:  e,
+		id:   e.nextID,
+		name: name,
+		fn:   fn,
 	}
 	e.nextID++
 	e.procs = append(e.procs, p)
@@ -132,14 +127,16 @@ func (e *Engine) unpark(p *Proc) {
 // A panic inside a simulated process is re-raised with its origin noted.
 // Either way, the processes still parked when the simulation stops —
 // daemons, deadlocked processes, the bystanders of a panic — are unwound
-// before Run returns, so no process goroutine outlives the run.
+// before Run returns, so no process coroutine outlives the run.
 //
-// Control transfers directly between simulated processes: the goroutine
-// that parks or finishes runs the dispatch loop itself (advancing the
-// clock, executing engine callbacks inline, waking the next process), so
-// a yield costs one goroutine switch instead of a round trip through an
-// engine goroutine. Run's own goroutine only blocks until no event is
-// pending or a panic aborts the simulation.
+// Every process is a coroutine (see pull), and Run's goroutine is the
+// hub that resumes them. The process that parks or finishes runs the
+// dispatch loop itself (advancing the clock, executing engine callbacks
+// inline); when the loop wakes another process it names it in handTo
+// and yields to the hub, which resumes it. A switch between processes is
+// thus two coroutine switches, with no channel operation and no trip
+// through the Go scheduler. The hub stops when a yield or return leaves
+// handTo empty: nothing is pending, or a panic aborted the simulation.
 func (e *Engine) Run() error {
 	if e.inRun {
 		return fmt.Errorf("sim: Run called reentrantly")
@@ -148,7 +145,10 @@ func (e *Engine) Run() error {
 	defer func() { e.inRun = false }()
 
 	e.handoff(nil)
-	<-e.parked
+	for p := e.handTo; p != nil; p = e.handTo {
+		e.handTo = nil
+		p.next()
+	}
 	var err error
 	if e.panicVal == nil && e.nLive > e.nDaemon {
 		stuck := e.stuckProcs()
@@ -159,7 +159,7 @@ func (e *Engine) Run() error {
 	return err
 }
 
-// unwound is the sentinel a process raises to unwind its goroutine when
+// unwound is the sentinel a process raises to unwind its coroutine when
 // Run stops it.
 type unwound struct{}
 
@@ -170,11 +170,11 @@ type discard struct{}
 func (discard) Emit(trace.Event) {}
 
 // unwind stops every started process that has not finished, one at a
-// time in creation order: it resumes the process, whose park raises
-// unwound, and waits until top has recovered it. Deferred model code
-// runs on the way out, so the tracer is swapped for a discarding sink
-// and a park attempted meanwhile raises unwound again instead of
-// dispatching events.
+// time in creation order, through its coroutine's stop: the pending
+// yield returns false, park raises unwound, and stop returns once top
+// has recovered it. Deferred model code runs on the way out, so the
+// tracer is swapped for a discarding sink and a park attempted meanwhile
+// raises unwound again instead of dispatching events.
 func (e *Engine) unwind() {
 	tr := e.tracer
 	if tr != nil {
@@ -183,8 +183,7 @@ func (e *Engine) unwind() {
 	e.unwinding = true
 	for _, p := range e.procs {
 		if p.started && !p.finished {
-			p.resume <- struct{}{}
-			<-e.parked
+			p.stop()
 		}
 	}
 	e.unwinding = false
@@ -224,25 +223,23 @@ func (e *Engine) stuckProcs() []string {
 	return stuck
 }
 
-// handoff is the dispatch loop, run by whichever goroutine is giving up
-// control (a parking or finishing process, or Run itself at startup). It
-// pops events — executing callbacks and clock moves inline in engine
-// context — until it wakes the next process (ownership passes to that
-// goroutine) or nothing is pending (ownership returns to Run). Each pop
+// handoff is the dispatch loop, run by whoever is giving up control (a
+// parking or finishing process, or Run itself at startup). It pops
+// events — executing callbacks and clock moves inline in engine context
+// — until it wakes the next process or nothing is pending. Each pop
 // takes the earliest by (at, seq) of three sources: the heads of the
 // busy per-delay lanes, the heap top and the earliest armed Timer, so
 // an event pops in the same place whichever source holds it. A panic in
-// engine context is recorded and control is aborted back to Run.
+// engine context is recorded, and handTo stays empty so the hub stops.
 //
 // parker is the process whose park invoked the loop (nil from Run and
 // from a finishing process). When the next event wakes parker itself —
 // a process dispatching its own Advance or Yield — the token is passed
-// by setting parker.selfGrant, which park consumes on the same
-// goroutine: the common solo-process case costs no channel operation
-// and no scheduler round trip at all. Any other process is woken with a
-// plain send on its capacity-1 resume channel; the target is either
-// already blocked there or still on its way to the receive, and the
-// buffer slot absorbs the token either way.
+// by setting parker.selfGrant, which park consumes without yielding:
+// the common solo-process case costs no coroutine switch at all. Any
+// other process is named in e.handTo for the hub to resume once the
+// caller has yielded or returned; a process that has not run yet gets
+// its coroutine here.
 func (e *Engine) handoff(parker *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -251,7 +248,6 @@ func (e *Engine) handoff(parker *Proc) {
 				e.panicProc = "" // engine context
 				e.panicStack = debug.Stack()
 			}
-			e.parked <- struct{}{}
 		}
 	}()
 	for {
@@ -285,34 +281,40 @@ func (e *Engine) handoff(parker *Proc) {
 		}
 		if !p.started {
 			p.started = true
-			go p.top()
+			p.next, p.stop = pull(p.top)
 		} else {
 			if e.tracer != nil {
 				e.emit(trace.KProcUnpark, int32(p.id), "sim", p.name, p.blocked, 0, 0)
 			}
 			if p == parker {
 				p.selfGrant = true
-			} else {
-				p.resume <- struct{}{}
+				return
 			}
 		}
+		e.handTo = p
 		return
 	}
-	e.parked <- struct{}{}
 }
 
-// Proc is a simulated execution context. All methods must be called from
-// the process's own goroutine while it is the running process.
+// Proc is a simulated execution context, run as a coroutine that the
+// engine's hub resumes. All methods must be called from the process
+// itself while it is the running process.
 type Proc struct {
-	eng    *Engine
-	id     int
-	name   string
-	resume chan struct{}
-	fn     func(*Proc)
+	eng  *Engine
+	id   int
+	name string
+	fn   func(*Proc)
 
-	// selfGrant is the same-goroutine control token: set by handoff when
-	// the dispatching process wakes itself, consumed by park without
-	// touching resume. Only ever accessed from p's own goroutine.
+	// next resumes the process's coroutine and stop unwinds it (see
+	// pull); yield, held by the coroutine itself, gives control back to
+	// the hub.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
+	// selfGrant is the in-place control token: set by handoff when the
+	// dispatching process wakes itself, consumed by park without
+	// yielding. Only ever accessed from p itself.
 	selfGrant bool
 
 	started  bool
@@ -339,11 +341,12 @@ func (p *Proc) SetDaemon(on bool) {
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// top is the goroutine body wrapping the user function. When the
-// function returns (or panics), the goroutine hands control onward via
-// the dispatch loop; on panic control aborts straight back to Run, and
-// an unwound process reports back to Run's unwind.
-func (p *Proc) top() {
+// top is the coroutine body wrapping the user function. When the
+// function returns (or panics), the process runs the dispatch loop to
+// name the next process before its coroutine ends; on panic, or when
+// Run's unwind stopped it, it names none, so control returns to Run.
+func (p *Proc) top(yield func(struct{}) bool) {
+	p.yield = yield
 	defer func() {
 		e := p.eng
 		r := recover()
@@ -362,7 +365,6 @@ func (p *Proc) top() {
 			e.nDaemon--
 		}
 		if e.panicVal != nil || e.unwinding {
-			e.parked <- struct{}{}
 			return
 		}
 		e.handoff(nil)
@@ -372,10 +374,10 @@ func (p *Proc) top() {
 
 // park suspends the process until the engine resumes it. The caller must
 // already have arranged a wake (a scheduled event or a WaitQueue entry).
-// The parking goroutine itself dispatches the next event before
-// blocking, so the switch to the next runnable process is direct.
-// Once Run has stopped dispatching, a resumed process raises unwound
-// instead of returning (see Engine.unwind).
+// The parking process itself dispatches the next event before it
+// yields to the hub, and does not yield at all when that event is its
+// own wake. When Run stops the process instead of resuming it, the
+// yield returns false and park raises unwound (see Engine.unwind).
 func (p *Proc) park(reason string) {
 	e := p.eng
 	if e.unwinding {
@@ -388,11 +390,8 @@ func (p *Proc) park(reason string) {
 	e.handoff(p)
 	if p.selfGrant {
 		p.selfGrant = false
-	} else {
-		<-p.resume
-		if e.unwinding {
-			panic(unwound{})
-		}
+	} else if !p.yield(struct{}{}) {
+		panic(unwound{})
 	}
 	p.blocked = ""
 }

@@ -8,8 +8,8 @@ import (
 // The allocation-regression tests pin the untraced hot path at zero
 // allocations per operation: the event lanes and heap store events by
 // value, the WaitQueue is a reusable ring, and a process resuming itself
-// never touches a channel, so a warm engine must schedule, park and wake
-// without the allocator. testing.AllocsPerRun runs inside the simulated
+// never leaves its coroutine, so a warm engine must schedule, park and
+// wake without the allocator. testing.AllocsPerRun runs inside the simulated
 // process — the engine is otherwise idle, so any count it sees is the
 // operation's own.
 
@@ -101,6 +101,34 @@ func TestHeapFallbackNoAlloc(t *testing.T) {
 	}
 }
 
+// TestRendezvousReleaseAllocs pins a barrier generation's allocations
+// to the next generation's Event and the ring its first waiter grows:
+// Release books the fire as an Action, with no method value.
+func TestRendezvousReleaseAllocs(t *testing.T) {
+	e := New(1)
+	r := NewRendezvous(1, nil)
+	per := -1.0
+	e.Go("party", func(p *Proc) {
+		op := func() {
+			ev := r.Arrive(0)
+			if r.Complete() {
+				r.Release(e, 1)
+			}
+			ev.Wait(p)
+		}
+		for i := 0; i < 64; i++ {
+			op()
+		}
+		per = testing.AllocsPerRun(200, op)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if per != 2 {
+		t.Errorf("a rendezvous generation allocates %v allocs/op, want 2 (its Event and wait ring)", per)
+	}
+}
+
 // TestWakeAllClearsSlots guards against the ring retaining *Proc
 // pointers after the waiters are gone: a truncated-but-referencing
 // backing array would keep every woken process (and everything it
@@ -188,15 +216,18 @@ func TestWaitQueueFIFOAcrossWrap(t *testing.T) {
 	}
 }
 
-// TestSelfGrantSkipsChannel locks in the same-goroutine fast path: a
-// process that dispatches its own wake event must resume via the
-// selfGrant flag, not its resume channel.
+// TestSelfGrantSkipsChannel locks in the in-place fast path: a process
+// that dispatches its own wake event must resume via the selfGrant flag,
+// without yielding to the hub.
 func TestSelfGrantSkipsChannel(t *testing.T) {
 	e := New(1)
 	e.Go("solo", func(p *Proc) {
+		yield, yields := p.yield, 0
+		p.yield = func(v struct{}) bool { yields++; return yield(v) }
 		p.Advance(1)
-		if len(p.resume) != 0 {
-			t.Error("self-resume left a token in the resume channel")
+		p.Yield()
+		if yields != 0 {
+			t.Errorf("self-resume yielded to the hub %d times", yields)
 		}
 		if p.selfGrant {
 			t.Error("selfGrant not consumed by park")

@@ -142,5 +142,12 @@ func (r *Rendezvous) Release(eng *Engine, cost Duration) {
 	clear(r.in)
 	r.seq++
 	r.ev = &Event{} //upcvet:poolalloc -- one event per generation, amortized over its n waiters
-	eng.After(cost, ev.Fire)
+	eng.AfterAction(cost, (*fire)(ev))
 }
+
+// fire is the Action form of Event.Fire, as wake is of a process's
+// resumption: the conversion books the event itself, with no method
+// value to allocate.
+type fire Event
+
+func (f *fire) Run() { (*Event)(f).Fire() }

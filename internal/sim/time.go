@@ -1,6 +1,6 @@
 // Package sim provides a deterministic, sequential discrete-event
 // simulation engine. Simulated execution contexts (UPC threads, sub-threads,
-// MPI ranks) are goroutines driven as coroutines: exactly one runs at a
+// MPI ranks) are coroutines the engine resumes: exactly one runs at a
 // time, and each yields to the engine whenever it performs a timed action
 // (a compute charge, a message transfer, a barrier, a lock acquire). The
 // engine advances a virtual clock through a queue of pending events; ties

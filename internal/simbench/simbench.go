@@ -60,7 +60,7 @@ func Advance(b *testing.B) {
 // BarrierStorm runs one barrier generation of the given width per op:
 // every process parks on the WaitQueue and the last arrival wakes them
 // all, so each op is ~width queue appends, wakes and handoffs. One
-// warm-up generation starts every process's goroutine and grows the
+// warm-up generation starts every process's coroutine and grows the
 // queue off the clock: the first process it releases resets the timer.
 func BarrierStorm(b *testing.B, procs int) {
 	b.ReportAllocs()

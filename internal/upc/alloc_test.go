@@ -101,6 +101,39 @@ func TestAsyncOpsNoAlloc(t *testing.T) {
 	}
 }
 
+// TestLockCycleNoAlloc pins a warm lock/unlock cycle at zero
+// allocations, for a lock homed on the caller, on its node and across
+// the network: Unlock books its delayed release through the record
+// embedded in the Lock. The next Lock finds the release still pending
+// and waits on the lock's queue, so the contended path is covered too.
+func TestLockCycleNoAlloc(t *testing.T) {
+	homes := []int{0, 1, 4}
+	got := []float64{-1, -1, -1}
+	_, err := Run(testCfg(8, 4, Processes, true), func(th *Thread) {
+		for i, home := range homes {
+			l := AllocLock(th, home)
+			if th.ID == 0 {
+				for k := 0; k < 16; k++ {
+					l.Lock(th)
+					l.Unlock(th)
+				}
+				got[i] = testing.AllocsPerRun(200, func() {
+					l.Lock(th)
+					l.Unlock(th)
+				})
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, home := range homes {
+		if got[i] != 0 {
+			t.Errorf("lock homed on thread %d: lock/unlock allocates %v allocs/op, want 0", home, got[i])
+		}
+	}
+}
+
 // sinkElem keeps ReadElem's result live in TestAsyncOpsNoAlloc.
 var sinkElem int64
 

@@ -45,6 +45,22 @@ type Lock struct {
 	// lock-grant edge blames.
 	lastHolder int
 	q          sim.WaitQueue
+	release    lockRelease
+}
+
+// lockRelease is a Lock's pending release, booked by Unlock as an
+// engine action. At most one is pending per lock: the lock stays held
+// until it runs, so no other thread can acquire it and unlock again.
+type lockRelease struct {
+	l   *Lock
+	tid int // the releasing thread
+}
+
+func (r *lockRelease) Run() {
+	l := r.l
+	l.held = false
+	l.lastHolder = r.tid
+	l.q.WakeOne()
 }
 
 // AllocLock collectively creates a lock homed on the given thread
@@ -127,10 +143,6 @@ func (l *Lock) Unlock(t *Thread) {
 	oneWay := l.controlCost(t)
 	t.P.Advance(l.rt.Cluster.Conduit.SendOverhead / 2) // local injection cost
 	t.P.TraceInstant("upc", "unlock", "", int64(l.home), 0)
-	tid := t.ID
-	l.rt.Eng.After(oneWay, func() {
-		l.held = false
-		l.lastHolder = tid
-		l.q.WakeOne()
-	})
+	l.release = lockRelease{l: l, tid: t.ID}
+	l.rt.Eng.AfterAction(oneWay, &l.release)
 }
