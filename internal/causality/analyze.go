@@ -16,7 +16,7 @@ const (
 // otherwise.
 func (r *run) threadName(tid int) string {
 	if p, ok := r.threadProc[tid]; ok {
-		if ps := r.procs[p]; ps != nil && ps.name != "" {
+		if ps := r.lookup(p); ps != nil && ps.name != "" {
 			return ps.name
 		}
 	}
@@ -70,7 +70,7 @@ func (a *cpAccum) add(r *run, cat string, p int32, node int, ns int64) {
 	a.perProc[p] += ns
 	a.perNode[node] += ns
 	name := "?"
-	if ps := r.procs[p]; ps != nil && ps.name != "" {
+	if ps := r.lookup(p); ps != nil && ps.name != "" {
 		name = ps.name
 	}
 	a.folded[cat+";"+name] += ns
@@ -95,19 +95,22 @@ func (r *run) criticalPath() *cpAccum {
 	p := r.order[0]
 	best := int64(-1)
 	for _, id := range r.order {
-		ps := r.procs[id]
+		ps := r.lookup(id)
 		if ps.exited && (ps.exitTime > best || (ps.exitTime == best && id < p)) {
 			p, best = id, ps.exitTime
 		}
 	}
-	cursor := map[int32]int{}
-	for _, id := range r.order {
-		cursor[id] = len(r.procs[id].waits)
+	// cursor[id+1] bounds the waits of proc id the walk may still take.
+	cursor := make([]int, len(r.procs))
+	for i, ps := range r.procs {
+		if ps != nil {
+			cursor[i] = len(ps.waits)
+		}
 	}
 	t := r.maxTime
 	for t > 0 {
-		ps := r.procs[p]
-		i := cursor[p] - 1
+		ps := r.lookup(p)
+		i := cursor[p+1] - 1
 		for i >= 0 && ps.waits[i].end > t {
 			i--
 		}
@@ -115,7 +118,7 @@ func (r *run) criticalPath() *cpAccum {
 			acc.add(r, CatCompute, p, ps.node, t)
 			break
 		}
-		cursor[p] = i
+		cursor[p+1] = i
 		w := &ps.waits[i]
 		if t > w.end {
 			acc.add(r, CatCompute, p, ps.node, t-w.end)
@@ -171,7 +174,7 @@ func (r *run) rootBlame(tid int, at, lo int64) int {
 		if !ok {
 			break
 		}
-		ps := r.procs[p]
+		ps := r.lookup(p)
 		var next *wait
 		for i := len(ps.waits) - 1; i >= 0; i-- {
 			w := &ps.waits[i]

@@ -3,8 +3,12 @@ package causality
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
+	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic" //upcvet:rawgo -- counts finalizers, which the Go runtime runs on its own goroutine
 	"testing"
 
 	"repro/internal/apps/uts"
@@ -312,5 +316,126 @@ func TestExportRoundTrip(t *testing.T) {
 	exp.Summary(&sum, 3)
 	if !strings.Contains(sum.String(), "critical path") {
 		t.Errorf("summary missing critical path:\n%s", sum.String())
+	}
+}
+
+// TestRecorderConcatenatesRuns: a recorder fed three runs exports what
+// three single-run recorders export, concatenated: the runs in order,
+// summed makespans and totals, and summed folded stacks.
+func TestRecorderConcatenatesRuns(t *testing.T) {
+	all := NewRecorder()
+	var singles []*Recorder
+	for i := 0; i < 3; i++ {
+		one := NewRecorder()
+		singles = append(singles, one)
+		if _, err := uts.Run(uts.Config{
+			Threads: 8, PerNode: 4, Strategy: uts.LocalRapid,
+			Tree: uts.Small(4000), Seed: int64(i + 1), Tracer: trace.Multi(all, one),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := &Export{Runs: []RunAnalysis{}}
+	cats := map[string]int64{}
+	folded := map[string]int64{}
+	for _, one := range singles {
+		e := one.Export()
+		if len(e.Runs) != 1 {
+			t.Fatalf("single recorder holds %d runs, want 1", len(e.Runs))
+		}
+		want.Runs = append(want.Runs, e.Runs...)
+		want.TotalMakespanNS += e.TotalMakespanNS
+		for _, s := range e.Totals {
+			cats[s.Category] += s.NS
+		}
+		for _, line := range strings.Split(strings.TrimSpace(one.FoldedText()), "\n") {
+			k, v, _ := strings.Cut(line, " ")
+			ns, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("bad folded line %q", line)
+			}
+			folded[k] += ns
+		}
+	}
+	want.Totals = segmentList(cats, want.TotalMakespanNS)
+	if got := all.Export(); !bytes.Equal(marshal(t, got), marshal(t, want)) {
+		t.Errorf("three-run export differs from the single runs' concatenated:\n%s\nwant\n%s",
+			marshal(t, got), marshal(t, want))
+	}
+	keys := make([]string, 0, len(folded))
+	for k := range folded {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var sb strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&sb, "%s %d\n", k, folded[k])
+	}
+	if got := all.FoldedText(); got != sb.String() {
+		t.Errorf("three-run folded text:\n%s\nwant the single runs' summed:\n%s", got, sb.String())
+	}
+}
+
+// waitingRun feeds rec one run in which proc 0 waits at a barrier, and
+// arms a finalizer on each of the run's proc states that signals freed.
+func waitingRun(rec *Recorder, seed int64, freed *atomic.Int32) {
+	for _, e := range []trace.Event{
+		{Kind: trace.KRunBegin, Proc: trace.EngineProc, Arg: seed},
+		{Time: 0, Kind: trace.KProcSpawn, Proc: 0, Name: "p0"},
+		{Time: 0, Kind: trace.KProcSpawn, Proc: 1, Name: "p1"},
+		{Time: 1, Kind: trace.KProcPark, Proc: 0, Aux: "barrier"},
+		{Time: 5, Kind: trace.KProcUnpark, Proc: 0},
+		{Time: 6, Kind: trace.KProcExit, Proc: 0},
+		{Time: 7, Kind: trace.KProcExit, Proc: 1},
+	} {
+		rec.Emit(e)
+	}
+	for _, ps := range rec.cur.procs {
+		if ps != nil {
+			runtime.SetFinalizer(ps, func(*procState) { freed.Add(1) })
+		}
+	}
+}
+
+// TestRecorderDropsClosedRuns: the KRunBegin that opens a run closes the
+// previous one, and the recorder keeps nothing of its proc states.
+func TestRecorderDropsClosedRuns(t *testing.T) {
+	rec := NewRecorder()
+	var freed atomic.Int32
+	waitingRun(rec, 1, &freed)
+	waitingRun(rec, 2, &freed)
+	if len(rec.runs) != 1 || rec.runs[0].Seed != 1 || rec.runs[0].Waits != 1 {
+		t.Fatalf("closed runs = %+v, want run 1 with its barrier wait", rec.runs)
+	}
+	if rec.cur.seed != 2 || len(rec.cur.order) != 2 {
+		t.Fatalf("open run: seed %d, %d procs", rec.cur.seed, len(rec.cur.order))
+	}
+	for i := 0; i < 1000 && freed.Load() < 2; i++ {
+		runtime.GC()
+		runtime.Gosched()
+	}
+	if n := freed.Load(); n != 2 {
+		t.Fatalf("%d of run 1's 2 proc states were freed after it closed", n)
+	}
+	if exp := rec.Export(); len(exp.Runs) != 2 || exp.Runs[1].Seed != 2 {
+		t.Fatalf("export holds %+v", exp.Runs)
+	}
+}
+
+// TestExportIdempotent: Export and FoldedText answer the same however
+// often they are called.
+func TestExportIdempotent(t *testing.T) {
+	rec := NewRecorder()
+	var freed atomic.Int32
+	waitingRun(rec, 1, &freed)
+	waitingRun(rec, 2, &freed)
+	e1, f1 := rec.Export(), rec.FoldedText()
+	b1 := marshal(t, e1)
+	e2, f2 := rec.Export(), rec.FoldedText()
+	if e1 != e2 || !bytes.Equal(b1, marshal(t, e2)) || f1 != f2 {
+		t.Error("a second Export or FoldedText differs from the first")
+	}
+	if len(e1.Runs) != 2 || f1 == "" {
+		t.Errorf("export holds %d runs, folded text %q", len(e1.Runs), f1)
 	}
 }

@@ -105,16 +105,14 @@ func pct(ns, total int64) float64 {
 	return math.Round(10000*float64(ns)/float64(total)) / 100
 }
 
-// Export finalizes the recorder and builds the analysis. Idempotent:
-// the first call freezes the result.
+// Export closes the run in progress and assembles the closed runs'
+// analyses. Idempotent: the first call freezes the result.
 func (rec *Recorder) Export() *Export {
 	if rec.exp == nil {
 		rec.endRun()
-		exp := &Export{Runs: make([]RunAnalysis, 0, len(rec.runs))}
+		exp := &Export{Runs: append(make([]RunAnalysis, 0, len(rec.runs)), rec.runs...)}
 		catTotals := map[string]int64{}
-		for _, r := range rec.runs {
-			ra := r.analyze()
-			exp.Runs = append(exp.Runs, ra)
+		for _, ra := range rec.runs {
 			exp.TotalMakespanNS += ra.MakespanNS
 			for _, s := range ra.CriticalPath.Segments {
 				catTotals[s.Category] += s.NS
@@ -140,15 +138,14 @@ func segmentList(cats map[string]int64, total int64) []SegmentExport {
 	return out
 }
 
-// analyze builds one run's full analysis.
-func (r *run) analyze() RunAnalysis {
+// analyze builds one run's full analysis around its critical path.
+func (r *run) analyze(acc *cpAccum) RunAnalysis {
 	ra := RunAnalysis{
 		Seed: r.seed, MakespanNS: r.maxTime,
 		Procs: len(r.order), Edges: r.edges, DeliverNS: r.deliverB,
 	}
 
 	// Critical path.
-	acc := r.cp()
 	ra.CriticalPath.Steps = acc.steps
 	ra.CriticalPath.Segments = segmentList(acc.cats, r.maxTime)
 	procs := make([]int32, 0, len(acc.perProc))
@@ -164,7 +161,7 @@ func (r *run) analyze() RunAnalysis {
 	})
 	for _, p := range procs {
 		name := "?"
-		if ps := r.procs[p]; ps != nil && ps.name != "" {
+		if ps := r.lookup(p); ps != nil && ps.name != "" {
 			name = ps.name
 		}
 		ra.CriticalPath.Threads = append(ra.CriticalPath.Threads,
@@ -189,7 +186,7 @@ func (r *run) analyze() RunAnalysis {
 	}
 	classes := map[string]*classAgg{}
 	for _, pid := range r.order {
-		ps := r.procs[pid]
+		ps := r.lookup(pid)
 		for i := range ps.waits {
 			w := &ps.waits[i]
 			ra.Waits++
@@ -244,7 +241,7 @@ func (r *run) analyze() RunAnalysis {
 	}
 	genWaits := map[genKey]*genAgg{}
 	for _, pid := range r.order {
-		ps := r.procs[pid]
+		ps := r.lookup(pid)
 		for i := range ps.waits {
 			w := &ps.waits[i]
 			if !w.hasGen {
@@ -366,30 +363,16 @@ func LoadExport(path string) (*Export, error) {
 // sorted, for flamegraph tooling.
 func (rec *Recorder) FoldedText() string {
 	rec.Export() // finalize
-	agg := map[string]int64{}
-	for _, r := range rec.runs {
-		for k, v := range r.cp().folded {
-			agg[k] += v
-		}
-	}
-	keys := make([]string, 0, len(agg))
-	for k := range agg {
+	keys := make([]string, 0, len(rec.folded))
+	for k := range rec.folded {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	var sb strings.Builder
 	for _, k := range keys {
-		fmt.Fprintf(&sb, "critical;%s %d\n", k, agg[k])
+		fmt.Fprintf(&sb, "critical;%s %d\n", k, rec.folded[k])
 	}
 	return sb.String()
-}
-
-// cp caches the run's critical-path accumulator.
-func (r *run) cp() *cpAccum {
-	if r.cpCache == nil {
-		r.cpCache = r.criticalPath()
-	}
-	return r.cpCache
 }
 
 // Summary renders a compact human overview of the export.

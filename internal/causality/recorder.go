@@ -107,35 +107,49 @@ type procState struct {
 
 // run accumulates one engine's stream.
 type run struct {
-	seed       int64
-	maxTime    int64
-	procs      map[int32]*procState
+	seed    int64
+	maxTime int64
+	// procs indexes states by proc id + 1, so EngineProc takes slot 0;
+	// the engine numbers procs densely from 0.
+	procs      []*procState
 	order      []int32 // proc ids in spawn order
 	gens       map[genKey]*genInfo
 	threadProc map[int]int32 // logical thread id -> proc id
 	delivers   int64
 	deliverB   int64
 	edges      int64
-	cpCache    *cpAccum
 }
 
 func newRun(seed int64) *run {
 	return &run{
 		seed:       seed,
-		procs:      map[int32]*procState{},
 		gens:       map[genKey]*genInfo{},
 		threadProc: map[int]int32{},
 	}
 }
 
+// proc returns id's state, creating it on first sight.
 func (r *run) proc(id int32) *procState {
-	ps := r.procs[id]
-	if ps == nil {
-		ps = &procState{id: id, thread: -1, node: -1}
-		r.procs[id] = ps
-		r.order = append(r.order, id)
+	i := int(id) + 1
+	if i < len(r.procs) {
+		if ps := r.procs[i]; ps != nil {
+			return ps
+		}
+	} else {
+		r.procs = append(r.procs, make([]*procState, i+1-len(r.procs))...)
 	}
+	ps := &procState{id: id, thread: -1, node: -1}
+	r.procs[i] = ps
+	r.order = append(r.order, id)
 	return ps
+}
+
+// lookup returns id's state, or nil if the run never saw id.
+func (r *run) lookup(id int32) *procState {
+	if i := int(id) + 1; i >= 0 && i < len(r.procs) {
+		return r.procs[i]
+	}
+	return nil
 }
 
 // learn records the thread identity an edge proved for a proc.
@@ -147,14 +161,19 @@ func (r *run) learn(ps *procState, thread, node int) {
 	r.threadProc[thread] = ps.id
 }
 
-// Recorder consumes a trace stream and accumulates the per-run raw
-// material the analyses in analyze.go work from. It opts into
+// Recorder consumes a trace stream and accumulates the raw material of
+// the run in progress: per-proc waits, generations and thread identities.
+// The KRunBegin that opens the next run closes it: the recorder analyzes
+// the closed run on the spot (analyze.go, export.go) and keeps only its
+// RunAnalysis and its critical-path stacks, so memory holds one run's
+// raw state however many runs the stream carries. It opts into
 // completion-edge events (trace.EdgeObserver), so attaching one to a
 // session enables the emitters for every engine built afterwards.
 type Recorder struct {
-	runs []*run
-	cur  *run
-	exp  *Export
+	runs   []RunAnalysis    // closed runs, in stream order
+	folded map[string]int64 // critical-path ns by "category;thread", over closed runs
+	cur    *run
+	exp    *Export
 }
 
 // NewRecorder returns an empty recorder.
@@ -405,10 +424,20 @@ func (r *run) classifyGen(ps *procState, w *wait, class string) {
 	}
 }
 
-// endRun closes out the current run.
+// endRun closes out the current run: it analyzes the run, folds its
+// critical path into the recorder's stacks and drops its raw state.
 func (rec *Recorder) endRun() {
-	if rec.cur != nil {
-		rec.runs = append(rec.runs, rec.cur)
-		rec.cur = nil
+	r := rec.cur
+	if r == nil {
+		return
 	}
+	acc := r.criticalPath()
+	rec.runs = append(rec.runs, r.analyze(acc))
+	if rec.folded == nil {
+		rec.folded = map[string]int64{}
+	}
+	for k, v := range acc.folded {
+		rec.folded[k] += v
+	}
+	rec.cur = nil
 }

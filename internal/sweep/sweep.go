@@ -8,10 +8,11 @@
 //
 // Traced parallel sweeps stream in index order. The head job — the
 // lowest-indexed one not yet finished — emits straight into the real
-// sink; every later job records into a private buffer that is replayed
-// the moment all earlier jobs have flushed. Workers may run at most one
-// window of jobs (as many as there are workers) past the head, so at
-// most width−1 jobs' streams are ever buffered, however long the sweep.
+// sink; every later job records into a private trace.Buffer, a compact
+// event log of about 10 bytes an event, that is replayed the moment all
+// earlier jobs have flushed. Workers may run at most one window of jobs
+// (as many as there are workers) past the head, so at most width−1
+// jobs' streams are ever buffered, however long the sweep.
 //
 // Contract for jobs: job(i, tr) must build and run the i'th sweep point,
 // installing tr in every engine it creates (via the app Config's Tracer
@@ -210,9 +211,10 @@ func (q *queue) finish(i int) {
 	q.slot.Broadcast()
 }
 
-// stream is one parallel job's tracer. It records into buf until the
-// job is promoted to head; its next Emit then replays buf into the sink
-// and from there on every event goes straight through.
+// stream is one parallel job's tracer. It records into buf, a compact
+// log whose chunks go back to a shared pool as they are replayed, until
+// the job is promoted to head; its next Emit then replays buf into the
+// sink and from there on every event goes straight through.
 type stream struct {
 	q        *queue
 	buf      *trace.Buffer // nil once live

@@ -311,12 +311,13 @@ func TestStreamStress(t *testing.T) {
 }
 
 // TestMultiChunkJobsMatchSerial runs jobs long enough to fill several of
-// a trace.Buffer's pooled chunks, so buffered jobs recycle chunks that
-// earlier replays returned; the delivered stream must still equal the
-// serial one at every width.
+// a trace.Buffer's pooled chunks (up to six of 64 KiB at about 9 bytes
+// an event), so buffered jobs recycle chunks that earlier replays
+// returned; the delivered stream must still equal the serial one at
+// every width.
 func TestMultiChunkJobsMatchSerial(t *testing.T) {
 	const n = 16
-	count := func(i int) int { return 2500*(i%4+1) + i }
+	count := func(i int) int { return 10000*(i%4+1) + i }
 	stream := func(w int) []trace.Event {
 		buf := trace.NewBuffer()
 		setup(t, w, buf)

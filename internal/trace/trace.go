@@ -203,10 +203,16 @@ func (m multi) ObserveEdge() bool {
 }
 
 // Multi returns a tracer that forwards every event to each sink in order.
+// A sink that is itself a Multi contributes its sinks in its place, so
+// chained Tee calls still deliver each event through one flat fan-out.
 func Multi(sinks ...Tracer) Tracer {
 	flat := make(multi, 0, len(sinks))
 	for _, s := range sinks {
-		if s != nil {
+		switch s := s.(type) {
+		case nil:
+		case multi:
+			flat = append(flat, s...)
+		default:
 			flat = append(flat, s)
 		}
 	}

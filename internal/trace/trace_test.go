@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -99,6 +100,63 @@ func TestMultiAndTee(t *testing.T) {
 	}
 	if got := Tee(nil, b); got != Tracer(b) {
 		t.Error("Tee(nil, b) should be b itself")
+	}
+}
+
+// optSink logs its name to a shared list on every event and answers the
+// opt-ins it was built with.
+type optSink struct {
+	name              string
+	log               *[]string
+	clock, util, edge bool
+}
+
+func (s *optSink) Emit(Event)         { *s.log = append(*s.log, s.name) }
+func (s *optSink) ObserveClock() bool { return s.clock }
+func (s *optSink) ObserveUtil() bool  { return s.util }
+func (s *optSink) ObserveEdge() bool  { return s.edge }
+
+// TestMultiFlattens: a Multi nested in a Multi contributes its sinks in
+// place, so delivery takes one flat fan-out in the original order and
+// the opt-ins answer as before.
+func TestMultiFlattens(t *testing.T) {
+	var log []string
+	a := &optSink{name: "a", log: &log, clock: true}
+	b := &optSink{name: "b", log: &log, util: true}
+	c := &optSink{name: "c", log: &log}
+	for _, tc := range []struct {
+		name              string
+		m                 Tracer
+		clock, util, edge bool
+	}{
+		{"Multi(Multi(a, b), c)", Multi(Multi(a, b), c), true, true, false},
+		{"Multi(c, Multi(a, b))", Multi(c, Multi(a, b)), true, true, false},
+		{"Tee(Tee(c, c), c)", Tee(Tee(c, c), c), false, false, false},
+		{"Multi(a, Multi(b, Multi(c, a)))", Multi(a, Multi(b, Multi(c, a))), true, true, false},
+	} {
+		m, ok := tc.m.(multi)
+		if !ok {
+			t.Fatalf("%s: got %T, want a multi", tc.name, tc.m)
+		}
+		for _, s := range m {
+			if _, nested := s.(multi); nested {
+				t.Fatalf("%s: holds a nested multi", tc.name)
+			}
+		}
+		log = nil
+		tc.m.Emit(Event{})
+		want := strings.Fields(strings.NewReplacer("Multi", "", "Tee", "", "(", " ", ")", " ", ",", " ").Replace(tc.name))
+		if strings.Join(log, ",") != strings.Join(want, ",") {
+			t.Errorf("%s delivered to %v, want %v", tc.name, log, want)
+		}
+		if WantsClock(tc.m) != tc.clock || WantsUtil(tc.m) != tc.util || WantsEdge(tc.m) != tc.edge {
+			t.Errorf("%s: opt-ins clock=%v util=%v edge=%v, want %v %v %v", tc.name,
+				WantsClock(tc.m), WantsUtil(tc.m), WantsEdge(tc.m), tc.clock, tc.util, tc.edge)
+		}
+	}
+	e := &optSink{name: "e", log: &log, edge: true}
+	if m := Multi(Multi(a, b), e); !WantsClock(m) || !WantsUtil(m) || !WantsEdge(m) {
+		t.Error("flattened Multi lost an opt-in")
 	}
 }
 
