@@ -90,12 +90,12 @@ var rows = []row{
 
 	// Table 3.2's twelve UTS jobs fill the reorder window at width 2;
 	// peak RSS is bounded by the window, not by the sweep (buffering
-	// every job until the pool drained peaked at 4.2 GB). With pooled
-	// buffer chunks both settings peaked at 410-770 MB on a 2-vCPU host,
-	// where the growing-slice buffer's -parallel=2 run peaked at
-	// 930-1060 MB.
+	// every job until the pool drained peaked at 4.2 GB). With the
+	// compact job log and 32-byte causality wait records the runs peaked
+	// at 71 MB (-parallel=1) and 122 MB (-parallel=2) on a 2-vCPU host,
+	// against 154 and 187 MB with 96-byte wait records.
 	{name: "table32-window", args: table32, observe: "digest metrics analyze",
-		ref: "-parallel=1", alts: []string{"-parallel=2"}, rssMB: 1024},
+		ref: "-parallel=1", alts: []string{"-parallel=2"}, rssMB: 256},
 
 	// Rendered tables with no observer: Figure 3.1b's hit/miss columns
 	// come off the translation-cache counters and Table 3.2's steal

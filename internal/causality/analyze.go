@@ -1,6 +1,10 @@
 package causality
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sort"
+)
 
 // Critical-path categories.
 const (
@@ -27,14 +31,14 @@ func (r *run) threadName(tid int) string {
 // the walk attributes the wait to the waiter itself.
 func (r *run) waitCat(ps *procState, w *wait) string {
 	switch w.class {
-	case ClassCommSelf, ClassCommPSHM:
+	case classCommSelf, classCommPSHM:
 		return CatPSHM
-	case ClassCommLoop, ClassCommNet:
+	case classCommLoop, classCommNet:
 		return CatNetwork
-	case ClassFaultRetry, ClassRejoin:
+	case classFaultRetry, classRejoin:
 		return CatFault
-	case ClassBarrier, ClassCollective, ClassLock, ClassLateSender:
-		if w.blamedNode >= 0 && ps.node >= 0 && w.blamedNode == ps.node {
+	case classBarrier, classCollective, classLock, classLateSender:
+		if w.blamedNode >= 0 && ps.node >= 0 && int(w.blamedNode) == ps.node {
 			return CatPSHM
 		}
 		if w.blamedNode >= 0 {
@@ -125,14 +129,14 @@ func (r *run) criticalPath() *cpAccum {
 		}
 		t = w.end
 		acc.steps++
-		if w.hasGen {
-			if g := r.gens[w.gen]; g != nil && g.releaser >= 0 && g.releaser != ps.thread {
-				if rp, ok := r.threadProc[g.releaser]; ok && g.releaseTime < t {
+		if w.gen >= 0 {
+			if g := &r.gens[w.gen]; g.releaser >= 0 && int(g.releaser) != ps.thread {
+				if rp, ok := r.threadProc[int(g.releaser)]; ok && g.releaseTime < t {
 					// The gap from the last arrival to the release is the
 					// dissemination cost: network when the releaser sits on
 					// another node, shared-memory signaling otherwise.
 					gap := CatNetwork
-					if g.releaserNode == ps.node && ps.node >= 0 {
+					if int(g.releaserNode) == ps.node && ps.node >= 0 {
 						gap = CatPSHM
 					}
 					acc.add(r, gap, p, ps.node, t-g.releaseTime)
@@ -144,8 +148,8 @@ func (r *run) criticalPath() *cpAccum {
 			t = w.begin
 			continue
 		}
-		if (w.class == ClassLock || w.class == ClassLateSender) && w.blamedThread >= 0 {
-			if bp, ok := r.threadProc[w.blamedThread]; ok && bp != p {
+		if (w.class == classLock || w.class == classLateSender) && w.blamedThread >= 0 {
+			if bp, ok := r.threadProc[int(w.blamedThread)]; ok && bp != p {
 				// Hand off to the delaying thread: its activity up to the
 				// wait's end explains this part of the makespan.
 				p = bp
@@ -165,34 +169,30 @@ func (r *run) criticalPath() *cpAccum {
 // compute the blamed thread ran after its own wait ended must be
 // shorter than that wait, otherwise the delay was its own doing and
 // blame stays put. lo bounds the walk to the original wait's window;
-// depth and a visited set bound cycles.
+// depth and the visited threads bound cycles. Each step finds the
+// blamed proc's latest wait ending at or before at by binary search, as
+// a proc's waits ascend by end, so a call costs O(log waits).
 func (r *run) rootBlame(tid int, at, lo int64) int {
-	seen := map[int]bool{}
-	for depth := 0; depth < 8 && !seen[tid]; depth++ {
-		seen[tid] = true
+	var seen [8]int
+	for depth := range seen {
+		if slices.Contains(seen[:depth], tid) {
+			break
+		}
+		seen[depth] = tid
 		p, ok := r.threadProc[tid]
 		if !ok {
 			break
 		}
-		ps := r.lookup(p)
-		var next *wait
-		for i := len(ps.waits) - 1; i >= 0; i-- {
-			w := &ps.waits[i]
-			if w.end > at {
-				continue
-			}
-			if w.end < lo || at-w.end > w.end-w.begin {
-				break
-			}
-			if w.blamedThread >= 0 && w.blamedThread != tid {
-				next = w
-			}
+		ws := r.lookup(p).waits
+		i := sort.Search(len(ws), func(i int) bool { return ws[i].end > at }) - 1
+		if i < 0 {
 			break
 		}
-		if next == nil {
+		w := &ws[i]
+		if w.end < lo || at-w.end > w.end-w.begin || w.blamedThread < 0 || int(w.blamedThread) == tid {
 			break
 		}
-		tid, at = next.blamedThread, next.end
+		tid, at = int(w.blamedThread), w.end
 	}
 	return tid
 }

@@ -184,7 +184,7 @@ func (r *run) analyze(acc *cpAccum) RunAnalysis {
 		max   int64
 		blame map[int]*BlameExport // root thread id
 	}
-	classes := map[string]*classAgg{}
+	var classes [numClasses]*classAgg
 	for _, pid := range r.order {
 		ps := r.lookup(pid)
 		for i := range ps.waits {
@@ -202,7 +202,7 @@ func (r *run) analyze(acc *cpAccum) RunAnalysis {
 				ca.max = d
 			}
 			if w.blamedThread >= 0 {
-				root := r.rootBlame(w.blamedThread, w.end, w.begin)
+				root := r.rootBlame(int(w.blamedThread), w.end, w.begin)
 				be := ca.blame[root]
 				if be == nil {
 					be = &BlameExport{Thread: r.threadName(root)}
@@ -213,14 +213,11 @@ func (r *run) analyze(acc *cpAccum) RunAnalysis {
 			}
 		}
 	}
-	classNames := make([]string, 0, len(classes))
-	for c := range classes {
-		classNames = append(classNames, c)
-	}
-	sort.Strings(classNames)
-	for _, c := range classNames {
-		ca := classes[c]
-		wce := WaitClassExport{Class: c, Instances: ca.n, TotalNS: ca.total, MaxNS: ca.max}
+	for c, ca := range classes {
+		if ca == nil {
+			continue
+		}
+		wce := WaitClassExport{Class: classNames[c], Instances: ca.n, TotalNS: ca.total, MaxNS: ca.max}
 		for _, be := range ca.blame {
 			wce.Blamed = append(wce.Blamed, *be)
 		}
@@ -232,6 +229,9 @@ func (r *run) analyze(acc *cpAccum) RunAnalysis {
 		})
 		ra.WaitClasses = append(ra.WaitClasses, wce)
 	}
+	sort.Slice(ra.WaitClasses, func(i, j int) bool {
+		return ra.WaitClasses[i].Class < ra.WaitClasses[j].Class
+	})
 
 	// Per-phase imbalance: barrier/collective generations.
 	type genAgg struct {
@@ -239,19 +239,15 @@ func (r *run) analyze(acc *cpAccum) RunAnalysis {
 		total int64
 		max   int64
 	}
-	genWaits := map[genKey]*genAgg{}
+	genWaits := make([]genAgg, len(r.gens))
 	for _, pid := range r.order {
 		ps := r.lookup(pid)
 		for i := range ps.waits {
 			w := &ps.waits[i]
-			if !w.hasGen {
+			if w.gen < 0 {
 				continue
 			}
-			ga := genWaits[w.gen]
-			if ga == nil {
-				ga = &genAgg{}
-				genWaits[w.gen] = ga
-			}
+			ga := &genWaits[w.gen]
 			d := w.end - w.begin
 			ga.n++
 			ga.total += d
@@ -269,19 +265,23 @@ func (r *run) analyze(acc *cpAccum) RunAnalysis {
 		blame   map[int]int // releaser thread -> generations blamed
 	}
 	sites := map[string]*siteAgg{}
-	for k, ga := range genWaits {
-		sa := sites[k.site]
+	for i := range genWaits {
+		ga, g := &genWaits[i], &r.gens[i]
+		if ga.n == 0 {
+			continue
+		}
+		sa := sites[g.key.site]
 		if sa == nil {
 			sa = &siteAgg{blame: map[int]int{}}
-			sites[k.site] = sa
+			sites[g.key.site] = sa
 		}
 		sa.gens++
 		sa.waiters += ga.n
 		sa.total += ga.total
 		sa.sumMax += float64(ga.max)
 		sa.sumAvg += float64(ga.total) / float64(ga.n)
-		if g := r.gens[k]; g != nil && g.releaser >= 0 {
-			sa.blame[g.releaser]++
+		if g.releaser >= 0 {
+			sa.blame[int(g.releaser)]++
 		}
 	}
 	siteNames := make([]string, 0, len(sites))

@@ -45,17 +45,54 @@ const (
 	ClassOther      = "other"
 )
 
+// class is a wait class's code, an index into classNames. Waits carry
+// the code; the names appear only in the export.
+type class uint8
+
+const (
+	classOther class = iota // the zero code: no cue classified the wait
+	classBarrier
+	classCollective
+	classLock
+	classCommSelf
+	classCommPSHM
+	classCommLoop
+	classCommNet
+	classFaultRetry
+	classRejoin
+	classLateSender
+	classIdle
+	numClasses
+)
+
+var classNames = [numClasses]string{
+	classOther:      ClassOther,
+	classBarrier:    ClassBarrier,
+	classCollective: ClassCollective,
+	classLock:       ClassLock,
+	classCommSelf:   ClassCommSelf,
+	classCommPSHM:   ClassCommPSHM,
+	classCommLoop:   ClassCommLoop,
+	classCommNet:    ClassCommNet,
+	classFaultRetry: ClassFaultRetry,
+	classRejoin:     ClassRejoin,
+	classLateSender: ClassLateSender,
+	classIdle:       ClassIdle,
+}
+
 // genKey identifies one barrier or collective generation within a run.
 type genKey struct {
 	site string // "barrier" | "coll"
 	seq  int64
 }
 
-// genInfo is what the generation's release edge recorded: the thread
-// whose arrival (or retirement) released every waiter, and when.
+// genInfo is one entry of a run's generation table: the generation and
+// what its release edge recorded, the thread whose arrival (or
+// retirement) released every waiter, and when.
 type genInfo struct {
-	releaser     int // thread id; -1 until the release edge arrives
-	releaserNode int
+	key          genKey
+	releaser     int32 // thread id; -1 until the release edge arrives
+	releaserNode int32
 	releaseTime  int64
 }
 
@@ -65,15 +102,22 @@ type spanRef struct {
 }
 
 // wait is one completed wait instance: a park interval with a real
-// wait reason, classified and (where the graph allows) blamed.
+// wait reason, classified and (where the graph allows) blamed. A run
+// holds one per wait until it closes, so the record is kept to 32
+// bytes: the generation is an index into the run's table and the class
+// a code.
 type wait struct {
 	begin, end   int64
-	reason       string
-	class        string
-	blamedThread int // thread id of the delaying thread, -1 unknown
-	blamedNode   int
-	gen          genKey
-	hasGen       bool
+	blamedThread int32 // thread id of the delaying thread, -1 unknown
+	blamedNode   int32
+	gen          int32 // index into run.gens, -1 none
+	class        class
+	timeout      bool // parked as "event-timeout"
+}
+
+// blame names the thread (and its node) that delayed the wait.
+func (w *wait) blame(thread, node int) {
+	w.blamedThread, w.blamedNode = int32(thread), int32(node)
 }
 
 // lastComm is the most recent communication-matrix instant a proc
@@ -101,8 +145,7 @@ type procState struct {
 	waits      []wait // completed, ascending by end time
 	exited     bool
 	exitTime   int64
-	pendingGen genKey // armed by the latest bar-arrive edge
-	hasPending bool
+	pendingGen int32 // armed by the latest bar-arrive edge, -1 none
 }
 
 // run accumulates one engine's stream.
@@ -112,9 +155,10 @@ type run struct {
 	// procs indexes states by proc id + 1, so EngineProc takes slot 0;
 	// the engine numbers procs densely from 0.
 	procs      []*procState
-	order      []int32 // proc ids in spawn order
-	gens       map[genKey]*genInfo
-	threadProc map[int]int32 // logical thread id -> proc id
+	order      []int32          // proc ids in spawn order
+	gens       []genInfo        // generation table, in first-sight order
+	genIndex   map[genKey]int32 // generation -> index into gens
+	threadProc map[int]int32    // logical thread id -> proc id
 	delivers   int64
 	deliverB   int64
 	edges      int64
@@ -123,9 +167,21 @@ type run struct {
 func newRun(seed int64) *run {
 	return &run{
 		seed:       seed,
-		gens:       map[genKey]*genInfo{},
+		genIndex:   map[genKey]int32{},
 		threadProc: map[int]int32{},
 	}
+}
+
+// gen returns the table index of a generation, adding it on first sight.
+func (r *run) gen(site string, seq int64) int32 {
+	k := genKey{site: site, seq: seq}
+	i, ok := r.genIndex[k]
+	if !ok {
+		i = int32(len(r.gens))
+		r.gens = append(r.gens, genInfo{key: k, releaser: -1, releaserNode: -1})
+		r.genIndex[k] = i
+	}
+	return i
 }
 
 // proc returns id's state, creating it on first sight.
@@ -138,7 +194,7 @@ func (r *run) proc(id int32) *procState {
 	} else {
 		r.procs = append(r.procs, make([]*procState, i+1-len(r.procs))...)
 	}
-	ps := &procState{id: id, thread: -1, node: -1}
+	ps := &procState{id: id, thread: -1, node: -1, pendingGen: -1}
 	r.procs[i] = ps
 	r.order = append(r.order, id)
 	return ps
@@ -246,15 +302,13 @@ func (r *run) edge(e trace.Event) {
 		ps := r.proc(e.Proc)
 		th, _, node, _ := trace.UnpackEndpoints(e.Arg2)
 		r.learn(ps, th, node)
-		ps.pendingGen = genKey{site: e.Aux, seq: e.Arg}
-		ps.hasPending = true
+		ps.pendingGen = r.gen(e.Aux, e.Arg)
 	case trace.EdgeBarRelease:
 		ps := r.proc(e.Proc)
 		th, _, node, _ := trace.UnpackEndpoints(e.Arg2)
 		r.learn(ps, th, node)
-		r.gens[genKey{site: e.Aux, seq: e.Arg}] = &genInfo{
-			releaser: th, releaserNode: node, releaseTime: e.Time,
-		}
+		g := &r.gens[r.gen(e.Aux, e.Arg)]
+		g.releaser, g.releaserNode, g.releaseTime = int32(th), int32(node), e.Time
 	case trace.EdgeLockGrant:
 		ps := r.proc(e.Proc)
 		prev, acq, prevNode, acqNode := trace.UnpackEndpoints(e.Arg2)
@@ -262,24 +316,24 @@ func (r *run) edge(e trace.Event) {
 		// The grant edge follows the contended wait that just ended on
 		// this proc: attach the handoff blame to it.
 		if w := ps.lastWait(); w != nil && w.end <= e.Time {
-			w.class = ClassLock
-			w.blamedThread, w.blamedNode = prev, prevNode
+			w.class = classLock
+			w.blame(prev, prevNode)
 		}
 	case trace.EdgeRetry:
 		ps := r.proc(e.Proc)
 		self, peer, selfNode, peerNode := trace.UnpackEndpoints(e.Arg2)
 		r.learn(ps, self, selfNode)
 		if w := ps.lastWait(); w != nil && w.end <= e.Time {
-			w.class = ClassFaultRetry
-			w.blamedThread, w.blamedNode = peer, peerNode
+			w.class = classFaultRetry
+			w.blame(peer, peerNode)
 		}
 	case trace.EdgeMsgMatch:
 		ps := r.proc(e.Proc)
 		src, dst, srcNode, dstNode := trace.UnpackEndpoints(e.Arg2)
 		r.learn(ps, dst, dstNode)
 		if w := ps.lastWait(); w != nil && w.end <= e.Time {
-			w.class = ClassLateSender
-			w.blamedThread, w.blamedNode = src, srcNode
+			w.class = classLateSender
+			w.blame(src, srcNode)
 		}
 	case trace.EdgeRejoin:
 		// A reincarnated thread re-entered membership: the revival park
@@ -289,8 +343,8 @@ func (r *run) edge(e trace.Event) {
 		src, rejoiner, srcNode, rejoinerNode := trace.UnpackEndpoints(e.Arg2)
 		r.learn(ps, rejoiner, rejoinerNode)
 		if w := ps.lastWait(); w != nil && w.end <= e.Time {
-			w.class = ClassRejoin
-			w.blamedThread, w.blamedNode = src, srcNode
+			w.class = classRejoin
+			w.blame(src, srcNode)
 		}
 	case trace.EdgeDeliver:
 		r.delivers++
@@ -307,10 +361,10 @@ func (r *run) comm(e trace.Event) {
 	if e.Aux == trace.ClassFault && e.Name == "timeout" {
 		// The timeout instant follows the event-timeout wait that just
 		// expired: the wait was a fault-retry stall, blamed on the peer.
-		if w := ps.lastWait(); w != nil && w.end <= e.Time && w.reason == "event-timeout" {
+		if w := ps.lastWait(); w != nil && w.end <= e.Time && w.timeout {
 			_, peer, _, peerNode := trace.UnpackEndpoints(e.Arg2)
-			w.class = ClassFaultRetry
-			w.blamedThread, w.blamedNode = peer, peerNode
+			w.class = classFaultRetry
+			w.blame(peer, peerNode)
 		}
 		return
 	}
@@ -332,9 +386,9 @@ func (r *run) closeWait(ps *procState, end int64) {
 	if reason == "advance" || reason == "yield" {
 		return
 	}
-	w := wait{begin: ps.parkTime, end: end, reason: reason,
-		class: ClassOther, blamedThread: -1, blamedNode: -1}
-	r.classify(ps, &w)
+	w := wait{begin: ps.parkTime, end: end, blamedThread: -1, blamedNode: -1,
+		gen: -1, timeout: reason == "event-timeout"}
+	r.classify(ps, &w, reason)
 	ps.waits = append(ps.waits, w)
 }
 
@@ -343,42 +397,42 @@ func (r *run) closeWait(ps *procState, end int64) {
 // park — and resolves barrier/collective blame from the generation's
 // release edge (already recorded: the release edge is emitted at the
 // last arrival, before the waiters fire).
-func (r *run) classify(ps *procState, w *wait) {
+func (r *run) classify(ps *procState, w *wait, reason string) {
 	if n := len(ps.spans); n > 0 {
 		sp := ps.spans[n-1]
 		switch sp.cat {
 		case "upc":
 			switch sp.name {
 			case "barrier":
-				r.classifyGen(ps, w, ClassBarrier)
+				r.classifyGen(ps, w, classBarrier)
 				return
 			case "collective":
-				r.classifyGen(ps, w, ClassCollective)
+				r.classifyGen(ps, w, classCollective)
 				return
 			case "lock":
-				w.class = ClassLock // blame attached by the grant edge
+				w.class = classLock // blame attached by the grant edge
 				return
 			}
 		}
 	}
-	switch w.reason {
+	switch reason {
 	case "upc-lock":
-		w.class = ClassLock
+		w.class = classLock
 		return
 	case "barrier":
-		w.class = ClassBarrier
+		w.class = classBarrier
 		return
 	case "mpi-recv":
-		w.class = ClassLateSender // blame attached by the msg-match edge
+		w.class = classLateSender // blame attached by the msg-match edge
 		return
 	case "uts-idle":
-		w.class = ClassIdle
+		w.class = classIdle
 		return
 	case "upc-revive", "uts-revive":
 		// A dead worker parked for its node's scheduled revival: the whole
 		// outage is a fault-category wait, blamed on the rejoin edge when
 		// one fires.
-		w.class = ClassRejoin
+		w.class = classRejoin
 		return
 	}
 	// Event waits: an "event"/"event-timeout" park issued right after a
@@ -391,35 +445,31 @@ func (r *run) classify(ps *procState, w *wait) {
 		}
 		switch ps.comm.class {
 		case trace.ClassSelf:
-			w.class = ClassCommSelf
+			w.class = classCommSelf
 		case trace.ClassPSHM:
-			w.class = ClassCommPSHM
+			w.class = classCommPSHM
 		case trace.ClassLoopback:
-			w.class = ClassCommLoop
+			w.class = classCommLoop
 		case trace.ClassNetwork:
-			w.class = ClassCommNet
+			w.class = classCommNet
 		case trace.ClassFault:
-			w.class = ClassFaultRetry
+			w.class = classFaultRetry
 		default:
-			w.class = ClassOther
 			return
 		}
-		w.blamedThread, w.blamedNode = peer, peerNode
-		return
+		w.blame(peer, peerNode)
 	}
-	w.class = ClassOther
 }
 
 // classifyGen classifies a barrier/collective wait and blames the
 // generation's releaser (the late arriver) when it is another thread.
-func (r *run) classifyGen(ps *procState, w *wait, class string) {
-	w.class = class
-	if !ps.hasPending {
+func (r *run) classifyGen(ps *procState, w *wait, c class) {
+	w.class = c
+	if ps.pendingGen < 0 {
 		return
 	}
-	w.gen, w.hasGen = ps.pendingGen, true
-	ps.hasPending = false
-	if g := r.gens[w.gen]; g != nil && g.releaser != ps.thread {
+	w.gen, ps.pendingGen = ps.pendingGen, -1
+	if g := &r.gens[w.gen]; g.releaser >= 0 && int(g.releaser) != ps.thread {
 		w.blamedThread, w.blamedNode = g.releaser, g.releaserNode
 	}
 }

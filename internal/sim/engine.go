@@ -34,9 +34,10 @@ type Engine struct {
 	inRun   bool
 	nextID  int
 
-	rng    *rand.Rand
-	tracer trace.Tracer
-	clock  bool // emit KClock advances (tracer opted in via trace.ClockObserver)
+	rng      *rand.Rand
+	tracer   trace.Tracer
+	clock    bool              // emit KClock advances (tracer opted in via trace.ClockObserver)
+	spanEnds FreeList[spanEnd] // pooled span closers (trace.go)
 
 	panicVal   any
 	panicProc  string

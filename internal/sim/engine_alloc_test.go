@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -101,9 +102,10 @@ func TestHeapFallbackNoAlloc(t *testing.T) {
 	}
 }
 
-// TestRendezvousReleaseAllocs pins a barrier generation's allocations
-// to the next generation's Event and the ring its first waiter grows:
-// Release books the fire as an Action, with no method value.
+// TestRendezvousReleaseAllocs pins a barrier generation at zero
+// allocations: Release re-arms the previous generation's fired Event,
+// keeping its wait ring, and books the fire as an Action, with no
+// method value.
 func TestRendezvousReleaseAllocs(t *testing.T) {
 	e := New(1)
 	r := NewRendezvous(1, nil)
@@ -124,8 +126,42 @@ func TestRendezvousReleaseAllocs(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if per != 2 {
-		t.Errorf("a rendezvous generation allocates %v allocs/op, want 2 (its Event and wait ring)", per)
+	if per != 0 {
+		t.Errorf("a rendezvous generation allocates %v allocs/op, want 0", per)
+	}
+}
+
+// TestRendezvousKeepsPendingEvent: a generation released while the one
+// before it has not fired yet gets a fresh event, and every event fires
+// exactly once, at its own release time.
+func TestRendezvousKeepsPendingEvent(t *testing.T) {
+	e := New(1)
+	r := NewRendezvous(1, nil)
+	var evs []*Event
+	var fired []Time
+	e.Go("party", func(p *Proc) {
+		for i := 0; i < 4; i++ {
+			ev := r.Arrive(0)
+			r.Release(e, Duration(10-i)) // later generations fire earlier
+			evs = append(evs, ev)
+		}
+		for _, ev := range evs {
+			ev.Wait(p)
+			fired = append(fired, p.Now())
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range evs {
+		for _, b := range evs[i+1:] {
+			if a == b {
+				t.Fatalf("generation %d's pending event was reused", i)
+			}
+		}
+	}
+	if want := []Time{10, 10, 10, 10}; !slices.Equal(fired, want) {
+		t.Errorf("waits returned at %v, want %v", fired, want)
 	}
 }
 

@@ -86,10 +86,17 @@ func (ev *Event) WaitTimeout(p *Proc, d Duration) bool {
 // parties arrived, and an arrival is a bare counter. With liveness it
 // also records who arrived, and a generation is complete once every
 // party still missing is dead; callers re-check when a party dies.
+//
+// Two events alternate between generations. Release re-arms the event
+// released one generation back for the next once it has fired and its
+// queue is empty; a party waits on the event Arrive returned before it
+// arrives again, so every live party that held it has passed its wait.
+// A fresh event is allocated only while that event is still pending.
 type Rendezvous struct {
 	n, arrived int
 	seq        int64
 	ev         *Event
+	spare      *Event // the previous generation's event, nil before one
 	live       func(party int) bool
 	in         []bool // arrived this generation (liveness only)
 }
@@ -137,11 +144,16 @@ func (r *Rendezvous) Complete() bool {
 // Release books the open generation's event to fire after cost and opens
 // the next generation.
 func (r *Rendezvous) Release(eng *Engine, cost Duration) {
-	ev := r.ev
+	ev, next := r.ev, r.spare
 	r.arrived = 0
 	clear(r.in)
 	r.seq++
-	r.ev = &Event{} //upcvet:poolalloc -- one event per generation, amortized over its n waiters
+	if next != nil && next.fired && next.q.Len() == 0 {
+		next.fired = false
+	} else {
+		next = &Event{} //upcvet:poolalloc -- only while the previous generation's event is pending
+	}
+	r.ev, r.spare = next, ev
 	eng.AfterAction(cost, (*fire)(ev))
 }
 

@@ -66,7 +66,11 @@ func (p *Proc) TraceSpan(cat, name string) func() {
 }
 
 // TraceSpanArg is TraceSpan with an auxiliary label and payload on the
-// opening record.
+// opening record. The closer comes from the engine's pool, so a traced
+// span allocates nothing once the pool holds as many closers as spans
+// are ever open at once. Call it once: a closer goes back to the pool
+// when called, and a later call is a no-op only until the pool hands
+// it out again.
 func (p *Proc) TraceSpanArg(cat, name, aux string, arg int64) func() {
 	e := p.eng
 	if e.tracer == nil {
@@ -74,5 +78,32 @@ func (p *Proc) TraceSpanArg(cat, name, aux string, arg int64) func() {
 	}
 	id := int32(p.id)
 	e.emit(trace.KSpanBegin, id, cat, name, aux, arg, 0)
-	return func() { e.emit(trace.KSpanEnd, id, cat, name, "", 0, 0) }
+	s := e.spanEnds.Get()
+	if s.end == nil {
+		s.eng, s.end = e, s.close // bound once per pooled closer
+	}
+	s.proc, s.cat, s.name, s.open = id, cat, name, true
+	return s.end
+}
+
+// spanEnd is a pooled span closer: end, its close method value, is
+// what TraceSpanArg returns.
+type spanEnd struct {
+	eng       *Engine
+	proc      int32
+	cat, name string
+	open      bool
+	end       func()
+}
+
+// close emits the span's end record and returns the closer to its pool;
+// a second call finds the span closed and does nothing.
+func (s *spanEnd) close() {
+	if !s.open {
+		return
+	}
+	s.open = false
+	e := s.eng
+	e.emit(trace.KSpanEnd, s.proc, s.cat, s.name, "", 0, 0)
+	e.spanEnds.Put(s)
 }

@@ -130,6 +130,65 @@ func TestNilTracerNoAlloc(t *testing.T) {
 	<-done
 }
 
+// spanStack is a tracer that checks span nesting: every end record
+// must close the innermost open span of its process.
+type spanStack struct {
+	open      map[int32][]string
+	ends, bad int
+}
+
+func (s *spanStack) Emit(e trace.Event) {
+	switch e.Kind {
+	case trace.KSpanBegin:
+		s.open[e.Proc] = append(s.open[e.Proc], e.Name)
+	case trace.KSpanEnd:
+		s.ends++
+		st := s.open[e.Proc]
+		if n := len(st); n == 0 || st[n-1] != e.Name {
+			s.bad++
+		} else {
+			s.open[e.Proc] = st[:n-1]
+		}
+	}
+}
+
+// TestTracedSpanNoAlloc: with a tracer installed, span closers come
+// from the engine's pool, so warm nested spans allocate nothing. A
+// second call to a closer emits no second end record and does not put
+// the closer back in the pool twice.
+func TestTracedSpanNoAlloc(t *testing.T) {
+	e := New(1)
+	tr := &spanStack{open: map[int32][]string{}}
+	e.SetTracer(tr)
+	e.Go("probe", func(p *Proc) {
+		allocs := testing.AllocsPerRun(100, func() {
+			outer := p.TraceSpanArg("cat", "outer", "aux", 1)
+			inner := p.TraceSpan("cat", "inner")
+			inner()
+			outer()
+		})
+		if allocs != 0 {
+			t.Errorf("traced spans allocated %.1f times per run, want 0", allocs)
+		}
+		end := p.TraceSpan("cat", "twice")
+		end()
+		end()
+		if st := e.spanEnds.Stats(); st.Outstanding() != 0 || st.Idle != 2 {
+			t.Errorf("after a double close the pool holds %+v, want 2 idle closers", st)
+		}
+		a := p.TraceSpan("cat", "a")
+		b := p.TraceSpan("cat", "b")
+		b()
+		a()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := 2*101 + 3; tr.ends != want || tr.bad != 0 {
+		t.Errorf("%d span ends, %d out of order; want %d in order", tr.ends, tr.bad, want)
+	}
+}
+
 // BenchmarkTracerNil measures the untraced hot path (nil-check only).
 func BenchmarkTracerNil(b *testing.B) {
 	benchTracer(b, nil)
