@@ -1,27 +1,38 @@
-// Command upc-metrics summarizes or diffs the JSON run manifests the
-// other cmd/upc-* binaries emit under -metrics=out.json.
+// Command upc-metrics summarizes or diffs the JSON run manifests
+// upc-experiments emits under -metrics=out.json, and the causality
+// analyses it emits under -analyze=out.json (a standalone export, or
+// the `analysis` section of a manifest).
 //
-//	upc-metrics run.json              summarize one manifest
+//	upc-metrics run.json              summarize one manifest, and its
+//	                                  analysis when it carries one:
+//	                                  critical path, wait states,
+//	                                  per-phase imbalance
 //	upc-metrics -flames out.txt run.json
 //	                                  also write the collapsed-stack
 //	                                  flamegraph text (virtual time)
-//	upc-metrics a.json b.json         diff two manifests; exits 1 when
-//	                                  any metric differs beyond -tolerance
+//	upc-metrics -blame -top 10 run.json
+//	                                  top-N blamed threads across all
+//	                                  wait classes, by blamed time
+//	upc-metrics a.json b.json         diff two manifests or analyses;
+//	                                  exits 1 when any metric differs
+//	                                  beyond -tolerance
 //
 // The diff compares the flattened metric space (counters, gauges,
 // histogram buckets, comm-matrix cells, link utilization, profile
-// phases) plus the trace digest. Two manifests of the same run —
-// including runs at different -parallel levels — diff clean at
-// tolerance 0; the equivalence gate (equivalence_test.go) requires
-// them byte-identical and runs this diff to explain a mismatch.
+// phases, analysis totals and wait classes) plus the trace digest and
+// the whole analysis section, which must match exactly. Two manifests
+// or analyses of the same run — including runs at different -parallel
+// levels — diff clean at tolerance 0; the equivalence gate
+// (equivalence_test.go) requires them byte-identical and runs this diff
+// to explain a mismatch.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
+	"repro/internal/causality"
 	"repro/internal/metrics"
 )
 
@@ -37,13 +48,16 @@ var maxDeltas = flag.Int("max-deltas", 40,
 var flame = flag.Bool("flame", false,
 	"with one manifest: print the hottest profile frames by exclusive virtual time")
 
+var blame = flag.Bool("blame", false,
+	"with one file: print only the top-N blamed-thread table of its analysis")
+
 var top = flag.Int("top", 10,
-	"how many frames -flame prints")
+	"how many rows -flame and -blame print, and threads per table of an analysis summary")
 
 func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: upc-metrics [flags] manifest.json [other.json]\n")
+			"usage: upc-metrics [flags] run.json [other.json]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -58,22 +72,41 @@ func main() {
 	}
 }
 
-func load(path string) *metrics.Manifest {
+// load reads a run manifest, or a standalone causality export, which it
+// wraps as a manifest holding only that analysis and reports as bare.
+func load(path string) (*metrics.Manifest, bool) {
 	m, err := metrics.Load(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err == nil {
+		return m, false
 	}
-	return m
+	if e, errE := causality.LoadExport(path); errE == nil {
+		return &metrics.Manifest{Analysis: e}, true
+	}
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
+	return nil, false
 }
 
 func summarize(path string) {
-	m := load(path)
-	if *flame {
+	m, bare := load(path)
+	switch {
+	case *flame:
 		printFlame(m)
 		return
+	case *blame:
+		if m.Analysis == nil {
+			fmt.Fprintf(os.Stderr, "upc-metrics: %s holds no analysis (run with -analyze=out.json)\n", path)
+			os.Exit(1)
+		}
+		m.Analysis.BlameTable(os.Stdout, *top)
+		return
 	}
-	m.Summary(os.Stdout)
+	if !bare {
+		m.Summary(os.Stdout)
+	}
+	if m.Analysis != nil {
+		m.Analysis.Summary(os.Stdout, *top)
+	}
 	if *flames == "" {
 		return
 	}
@@ -96,22 +129,12 @@ func printFlame(m *metrics.Manifest) {
 		fmt.Fprintln(os.Stderr, "upc-metrics: manifest has no profile section")
 		os.Exit(1)
 	}
-	phases := append([]metrics.PhaseStat(nil), m.Profile.Phases...)
-	sort.Slice(phases, func(i, j int) bool {
-		if phases[i].ExclusiveNS != phases[j].ExclusiveNS {
-			return phases[i].ExclusiveNS > phases[j].ExclusiveNS
-		}
-		return phases[i].Name < phases[j].Name
-	})
 	var total int64
-	for _, p := range phases {
+	for _, p := range m.Profile.Phases {
 		total += p.ExclusiveNS
 	}
-	if len(phases) > *top {
-		phases = phases[:*top]
-	}
 	fmt.Printf("%-28s %10s %14s %14s %7s\n", "FRAME", "COUNT", "INCL-NS", "EXCL-NS", "EXCL%")
-	for _, p := range phases {
+	for _, p := range metrics.TopPhases(m.Profile.Phases, *top) {
 		pctv := 0.0
 		if total > 0 {
 			pctv = 100 * float64(p.ExclusiveNS) / float64(total)
@@ -121,7 +144,8 @@ func printFlame(m *metrics.Manifest) {
 }
 
 func diff(pathA, pathB string) {
-	a, b := load(pathA), load(pathB)
+	a, _ := load(pathA)
+	b, _ := load(pathB)
 	ds := metrics.Diff(a, b, *tolerance)
 	if len(ds) == 0 {
 		fmt.Printf("manifests match (%d metrics, tolerance %g)\n", len(a.Flatten()), *tolerance)
@@ -136,6 +160,8 @@ func diff(pathA, pathB string) {
 		switch {
 		case d.Name == "digest":
 			fmt.Printf("  %-40s %s != %s\n", d.Name, a.Digest, b.Digest)
+		case d.Name == "analysis":
+			fmt.Printf("  %-40s sections differ\n", d.Name)
 		case !d.InA:
 			fmt.Printf("  %-40s (absent) != %g\n", d.Name, d.B)
 		case !d.InB:

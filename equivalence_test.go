@@ -6,8 +6,8 @@
 // without a fault schedule and with any set of observers attached.
 // Each row of the table below runs upc-experiments on a selection of
 // steps at a reference setting and at alternative settings and requires
-// the outputs to match byte for byte; when they do not, upc-metrics and upc-analyze explain
-// the drift. Run it with
+// the outputs to match byte for byte; when they do not, upc-metrics
+// explains the drift. Run it with
 //
 //	go test -tags equivalence -run TestEquivalence -timeout 45m .
 //
@@ -73,6 +73,10 @@ var rows = []row{
 		ref: "-parallel=1", alts: parallel8},
 	{name: "uts-metrics-parallel", args: table32, observe: "metrics",
 		ref: "-parallel=1", alts: parallel8},
+	// RandomAccess's three variants: at width 8 every event reaches the
+	// stream only through the job tracer ra.Run passes to its runtime.
+	{name: "ra-analyze-parallel", args: []string{"-only", "Extension: RandomAccess"}, observe: "metrics analyze",
+		ref: "-parallel=1", alts: parallel8},
 
 	// Points shared across steps: Table 3.2 and Summary look up only
 	// Figure 3.3's points, each simulated once, with the causality
@@ -131,12 +135,12 @@ var rows = []row{
 
 // explainers name the tool that describes a drift in an output file;
 // any other file is explained by its first differing line.
-var explainers = map[string]string{"metrics.json": "upc-metrics", "analyze.json": "upc-analyze"}
+var explainers = map[string]string{"metrics.json": "upc-metrics", "analyze.json": "upc-metrics"}
 
 func TestEquivalence(t *testing.T) {
 	bin := t.TempDir()
 	build := exec.Command("go", "build", "-o", bin+"/",
-		"./cmd/upc-experiments", "./cmd/upc-metrics", "./cmd/upc-analyze")
+		"./cmd/upc-experiments", "./cmd/upc-metrics")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -271,8 +275,8 @@ func firstDiff(a, b []byte) string {
 	return fmt.Sprintf("line %d: %.200q != %.200q", i+1, la[i], lb[i])
 }
 
-// smoke runs the summary and self-diff modes of upc-metrics and
-// upc-analyze on the reference outputs and keeps the summaries next to
+// smoke runs upc-metrics' summary and self-diff modes, and -blame on
+// an analysis, on the reference outputs and keeps the summaries next to
 // them: a manifest or analysis diffed against itself must exit 0.
 func (r row) smoke(t *testing.T, bin, dir string) {
 	tool := func(save, name string, args ...string) {
@@ -291,8 +295,8 @@ func (r row) smoke(t *testing.T, bin, dir string) {
 		tool("metrics-summary.txt", "upc-metrics", m)
 	}
 	if a := filepath.Join(dir, "ref", "analyze.json"); strings.Contains(r.observe, "analyze") {
-		tool("", "upc-analyze", a, a)
-		tool("analyze-summary.txt", "upc-analyze", a)
-		tool("analyze-blame.txt", "upc-analyze", "-blame", "-top", "10", a)
+		tool("", "upc-metrics", a, a)
+		tool("analyze-summary.txt", "upc-metrics", a)
+		tool("analyze-blame.txt", "upc-metrics", "-blame", "-top", "10", a)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"repro/internal/group"
 	"repro/internal/sim"
 	"repro/internal/topo"
+	"repro/internal/trace"
 	"repro/internal/upc"
 )
 
@@ -72,6 +73,9 @@ type Config struct {
 	Updates     int // updates per thread
 	Variant     Variant
 	Seed        int64
+	// Tracer, when non-nil, receives the run's trace events in addition
+	// to any process-default tracer (see internal/trace).
+	Tracer trace.Tracer
 }
 
 // Result summarizes one run.
@@ -133,6 +137,7 @@ func Run(cfg Config) (Result, error) {
 		Backend:        upc.Processes,
 		PSHM:           true,
 		Seed:           cfg.Seed,
+		Tracer:         cfg.Tracer,
 	}
 	var elapsed sim.Duration
 	var messages int64

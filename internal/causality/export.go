@@ -465,13 +465,6 @@ func (e *Export) BlameTable(w io.Writer, top int) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // fmtNS renders nanoseconds with a readable unit.
 func fmtNS(ns int64) string {
 	switch {

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/apps/ft"
 	"repro/internal/apps/netbench"
+	"repro/internal/apps/ra"
 	"repro/internal/apps/stream"
 	"repro/internal/apps/uts"
 	"repro/internal/causality"
@@ -257,6 +258,32 @@ func figure42(w io.Writer, p *plan, panel string) error {
 	return nil
 }
 
+// RandomAccess runs at one configuration at every scale: 32 threads,
+// 4 per node, on Pyramid, with a 1<<18-element table and 8192 updates
+// per thread.
+const (
+	raThreads = 32
+	raPerNode = 4
+	raTable   = 1 << 18
+	raUpdates = 8192
+)
+
+// randomAccess renders the RandomAccess (GUPS) ablation, the other
+// application class the thesis names as suited to thread grouping
+// (Section 4.4): fine-grained updates against per-thread and per-node
+// aggregation. ra.Run verifies every table against the sequential
+// reference.
+func randomAccess(w io.Writer, p *plan) error {
+	var rows [][]string
+	for _, v := range ra.Variants() {
+		r := p.lookup(raPoint{v}, false).ra
+		rows = append(rows, []string{v.String(), fmt.Sprintf("%.5f", r.GUPS), fmt.Sprint(r.Messages), r.Elapsed.String()})
+	}
+	report.Table(w, fmt.Sprintf("RandomAccess ablation: %d threads on %s (verified)", raThreads, topo.Pyramid().Name),
+		[]string{"variant", "GUPS", "messages", "time"}, rows)
+	return nil
+}
+
 // step is one named entry of the experiment index, rendered from the
 // plan's points.
 type step struct {
@@ -278,6 +305,7 @@ var steps = []step{
 	{"Figure 4.5", figure45},
 	{"Figure 4.6", figure46},
 	{"Summary", summary},
+	{"Extension: RandomAccess", randomAccess},
 }
 
 // Check returns nil when every one of names is an experiment of the

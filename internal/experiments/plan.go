@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps/ft"
 	"repro/internal/apps/netbench"
+	"repro/internal/apps/ra"
 	"repro/internal/apps/stream"
 	"repro/internal/apps/uts"
 	"repro/internal/causality"
@@ -43,6 +44,7 @@ type point struct {
 	xlate    xlateResult
 	exchange ft.ExchangeResult
 	net      netbench.Result
+	ra       ra.Result
 }
 
 // twistedPoint keys a Table 3.1 variant.
@@ -108,6 +110,11 @@ type ftPoint struct {
 func (k ftPoint) String() string {
 	return fmt.Sprintf("ft {%s %v %v %d %d %d}", k.machine, k.variant, k.impl, k.threads, k.perNode, k.subs)
 }
+
+// raPoint keys a RandomAccess variant.
+type raPoint struct{ variant ra.Variant }
+
+func (k raPoint) String() string { return fmt.Sprintf("ra {%v}", k.variant) }
 
 // newPlan runs the planning pass of steps.
 func newPlan(steps []step, quick bool) *plan {
@@ -191,6 +198,12 @@ func (p *plan) run() error {
 			} else {
 				pt.net, err = netbench.Flood(cfg)
 			}
+		case raPoint:
+			pt.ra, err = ra.Run(ra.Config{
+				Machine: topo.Pyramid(), Threads: raThreads, PerNode: raPerNode,
+				TableSize: raTable, Updates: raUpdates, Variant: k.variant,
+				Seed: seed, Tracer: tr,
+			})
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %v: %w", pt.step, pt.key, err)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/apps/ft"
 	"repro/internal/apps/netbench"
+	"repro/internal/apps/ra"
 	"repro/internal/apps/stream"
 	"repro/internal/apps/uts"
 	"repro/internal/fault"
@@ -28,8 +29,8 @@ func only(names ...string) []step {
 }
 
 // TestPlanRunsEachPointOnce runs the planning pass alone, simulating
-// nothing: the whole index asks for 281 distinct points at quick scale
-// and 420 at paper scale. Seven steps share no point with another and
+// nothing: the whole index asks for 284 distinct points at quick scale
+// and 423 at paper scale. Eight steps share no point with another and
 // plan their own alone; the UTS and FT steps ask for 107 (134), of
 // which Table 3.2 and Summary ask for none beyond those of Figures
 // 3.3–4.6, and exactly Table 3.2's and Figure 4.4's points want the
@@ -40,7 +41,7 @@ func TestPlanRunsEachPointOnce(t *testing.T) {
 	for _, tc := range []struct {
 		quick                       bool
 		points, shared, causal, net int
-	}{{true, 281, 107, 19, 56}, {false, 420, 134, 20, 112}} {
+	}{{true, 284, 107, 19, 56}, {false, 423, 134, 20, 112}} {
 		t.Run(fmt.Sprintf("quick=%v", tc.quick), func(t *testing.T) {
 			all := newPlan(steps, tc.quick)
 			if len(all.points) != tc.points {
@@ -56,6 +57,7 @@ func TestPlanRunsEachPointOnce(t *testing.T) {
 			}{
 				{"Table 3.1", 4}, {"Figure 3.1b", 3}, {"Figure 3.4(a)", 25}, {"Figure 3.4(b)", 25},
 				{"Figure 4.2(a)", tc.net}, {"Figure 4.2(b)", tc.net}, {"Table 4.1", 5},
+				{"Extension: RandomAccess", 3},
 			} {
 				alone := len(newPlan(only(own.name), tc.quick).points)
 				if first[own.name] != own.want || alone != own.want {
@@ -89,6 +91,7 @@ func TestPlanRunsEachPointOnce(t *testing.T) {
 				pt.xlate = xlateResult{elapsed: d, accesses: int64(i + 1), hits: int64(i), check: 7}
 				pt.exchange = ft.ExchangeResult{Call: d, Wait: d, Total: d}
 				pt.net = netbench.Result{RTT: d, BandwidthMBps: float64(i + 1)}
+				pt.ra = ra.Result{Elapsed: d, GUPS: float64(i + 1), Messages: int64(i)}
 			}
 			for _, s := range steps {
 				all.step = s.name

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -187,7 +188,10 @@ type Delta struct {
 // Diff compares two manifests metric by metric, returning every delta
 // whose relative difference exceeds tol (0 demands exact equality),
 // sorted by metric name. A digest mismatch is reported as the metric
-// "digest" with Rel 1.
+// "digest" with Rel 1, and any difference between the two analysis
+// sections, including fields Flatten leaves out (blame rows, phases,
+// critical-path thread and node shares, run seeds), as the metric
+// "analysis" with Rel 1.
 func Diff(a, b *Manifest, tol float64) []Delta {
 	fa, fb := a.Flatten(), b.Flatten()
 	ma := make(map[string]float64, len(fa))
@@ -225,8 +229,13 @@ func Diff(a, b *Manifest, tol float64) []Delta {
 	}
 	if a.Digest != b.Digest {
 		out = append(out, Delta{Name: "digest", InA: true, InB: true, Rel: 1})
-		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	}
+	ja, errA := json.Marshal(a.Analysis)
+	jb, errB := json.Marshal(b.Analysis)
+	if errA != nil || errB != nil || !bytes.Equal(ja, jb) {
+		out = append(out, Delta{Name: "analysis", InA: a.Analysis != nil, InB: b.Analysis != nil, Rel: 1})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -269,7 +278,7 @@ func (m *Manifest) Summary(w io.Writer) {
 		}
 	}
 	if m.Profile != nil {
-		top := topPhases(m.Profile.Phases, 8)
+		top := TopPhases(m.Profile.Phases, 8)
 		fmt.Fprintf(w, "profile: %d phases, heaviest (exclusive):\n", len(m.Profile.Phases))
 		for _, p := range top {
 			fmt.Fprintf(w, "  %-24s n=%-8d incl=%s excl=%s\n", p.Name, p.Count, fmtNS(p.InclusiveNS), fmtNS(p.ExclusiveNS))
@@ -292,9 +301,9 @@ func topLinks(links []LinkUtil, n int) []LinkUtil {
 	return out
 }
 
-// topPhases returns the n heaviest phases by exclusive time (ties by
+// TopPhases returns the n heaviest phases by exclusive time (ties by
 // name).
-func topPhases(phases []PhaseStat, n int) []PhaseStat {
+func TopPhases(phases []PhaseStat, n int) []PhaseStat {
 	out := append([]PhaseStat(nil), phases...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].ExclusiveNS != out[j].ExclusiveNS {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/causality"
 	"repro/internal/trace"
 )
 
@@ -354,6 +355,40 @@ func TestManifestRoundTripAndDiff(t *testing.T) {
 	loose := Diff(m1, m4, 1)
 	if len(loose) != 1 || loose[0].Name != "digest" {
 		t.Errorf("Diff tol=1 = %+v, want only digest", loose)
+	}
+}
+
+// TestDiffAnalysisBlameRow: two analyses that differ in one blame row
+// alone, a field Flatten leaves out, still diff, as the one "analysis"
+// delta; an analysis diffed against its own round trip does not.
+func TestDiffAnalysisBlameRow(t *testing.T) {
+	export := func(blamedNS int64) *causality.Export {
+		return &causality.Export{
+			Runs: []causality.RunAnalysis{{
+				Seed: 1, MakespanNS: 100, Procs: 2, Waits: 1,
+				WaitClasses: []causality.WaitClassExport{{
+					Class: causality.ClassBarrier, Instances: 1, TotalNS: 40, MaxNS: 40,
+					Blamed: []causality.BlameExport{{Thread: "upc1", Instances: 1, NS: blamedNS}},
+				}},
+			}},
+			TotalMakespanNS: 100,
+		}
+	}
+	a := &Manifest{Analysis: export(40)}
+	path := filepath.Join(t.TempDir(), "a.json")
+	if err := a.Analysis.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	e, err := causality.LoadExport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := Diff(a, &Manifest{Analysis: e}, 0); len(d) != 0 {
+		t.Errorf("round-trip diff = %+v, want empty", d)
+	}
+	d := Diff(a, &Manifest{Analysis: export(30)}, 0)
+	if len(d) != 1 || d[0].Name != "analysis" || d[0].Rel != 1 {
+		t.Errorf("diff of analyses differing in one blame row = %+v, want only analysis", d)
 	}
 }
 

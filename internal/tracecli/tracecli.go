@@ -1,22 +1,23 @@
-// Package tracecli wires the shared flags of upc-experiments and upc-ra:
-// importing it registers -trace, -digest, -metrics, -analyze, -parallel
-// and -faults, and Start/Finish bracket the run. With -trace=out.json every engine the
-// run creates streams into one Chrome trace-event file (open it in
-// Perfetto or chrome://tracing), and the run's TraceDigest — an
-// order-sensitive hash of the full event stream, identical across
-// same-seed runs — is printed to stdout (the equivalence gate compares
-// it); -digest prints the TraceDigest alone, without buffering the
-// stream or writing a file. With -metrics=out.json the run additionally
-// aggregates the stream into a JSON run manifest (communication matrix,
-// utilization timelines, virtual-time profile; see internal/metrics and
-// cmd/upc-metrics). With -analyze=out.json the run replays the stream
-// through the causality engine and writes the wait-state / critical-path
-// analysis plus a .folded flamegraph companion (see internal/causality
-// and cmd/upc-analyze); when -metrics is also given the analysis rides
-// the manifest as its "analysis" section. With -parallel=N the experiment sweeps fan
-// independent simulations out over N worker threads; results, stdout,
-// the TraceDigest and the manifest are byte-identical at any N (see
-// internal/sweep).
+// Package tracecli wires the observer and sweep flags of
+// upc-experiments: importing it registers -trace, -digest, -metrics,
+// -analyze, -parallel and -faults, and Start/Finish bracket the run.
+// With -trace=out.json every engine the run creates streams into one
+// Chrome trace-event file (open it in Perfetto or chrome://tracing),
+// and the run's TraceDigest — an order-sensitive hash of the full event
+// stream, identical across same-seed runs — is printed to stdout (the
+// equivalence gate compares it); -digest prints the TraceDigest alone,
+// without buffering the stream or writing a file. With
+// -metrics=out.json the run additionally aggregates the stream into a
+// JSON run manifest (communication matrix, utilization timelines,
+// virtual-time profile; see internal/metrics and cmd/upc-metrics). With
+// -analyze=out.json the run replays the stream through the causality
+// engine and writes the wait-state / critical-path analysis plus a
+// .folded flamegraph companion (see internal/causality; cmd/upc-metrics
+// summarizes and diffs it); when -metrics is also given the analysis
+// rides the manifest as its "analysis" section. With -parallel=N the
+// experiment sweeps fan independent simulations out over N worker
+// threads; results, stdout, the TraceDigest and the manifest are
+// byte-identical at any N (see internal/sweep).
 package tracecli
 
 import (
@@ -49,7 +50,7 @@ var parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
 
 var analyzePath = flag.String("analyze", "",
 	"write the causality analysis (wait states, blame, critical path) as JSON, "+
-		"plus a folded-stack flamegraph next to it (see cmd/upc-analyze)")
+		"plus a folded-stack flamegraph next to it (see cmd/upc-metrics)")
 
 var faultsPath = flag.String("faults", "",
 	"JSON fault schedule to inject into every run (see internal/fault); "+
