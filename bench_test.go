@@ -13,7 +13,6 @@ import (
 	"repro/internal/apps/ra"
 	"repro/internal/apps/stream"
 	"repro/internal/apps/uts"
-	"repro/internal/mpi"
 	"repro/internal/topo"
 )
 
@@ -249,37 +248,6 @@ func BenchmarkRandomAccessAblation(b *testing.B) {
 }
 
 // ---- Ablation benches for the design choices DESIGN.md calls out ----
-
-// BenchmarkAblationAlltoallAlgorithm contrasts the tuned MPI alltoall's
-// two algorithms at a small and a large slice size (the size-based switch
-// is the design choice).
-func BenchmarkAblationAlltoallAlgorithm(b *testing.B) {
-	run := func(slice int, pairwise bool) float64 {
-		st, err := mpi.Run(mpi.Config{
-			Machine: topo.Lehman(), Ranks: 16, RanksPerNode: 4, Seed: 1,
-		}, func(c *mpi.Comm) {
-			send := make([][]byte, c.Size)
-			for d := range send {
-				send[d] = make([]byte, slice)
-			}
-			if pairwise {
-				c.AlltoallPairwise(send)
-			} else {
-				c.Alltoall(send)
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return st.Elapsed.Seconds()
-	}
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(run(512, true)*1e6, "small-pairwise-us")
-		b.ReportMetric(run(512, false)*1e6, "small-tuned-us")
-		b.ReportMetric(run(64<<10, true)*1e3, "large-pairwise-ms")
-		b.ReportMetric(run(64<<10, false)*1e3, "large-tuned-ms")
-	}
-}
 
 // BenchmarkAblationStealGranularity sweeps the UTS steal chunk — the
 // parameter the paper reports tuning per network (8 on InfiniBand, 20 on

@@ -14,11 +14,7 @@
 //	upcvet ./internal/...        # one subtree
 //	upcvet -run maporder ./...   # a single analyzer
 //	upcvet -format=sarif ./...   # SARIF 2.1.0 on stdout (code scanning)
-//	upcvet -format=json ./...    # findings as a JSON array
 //	upcvet -stats ./...          # per-analyzer wall-clock to stderr
-//	upcvet -fix ./...            # append suppression annotations to
-//	                             # every annotatable finding (prefer
-//	                             # real fixes; see the analyzer docs)
 //	upcvet help                  # describe the analyzers
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
@@ -38,9 +34,8 @@ import (
 )
 
 var (
-	fix     = flag.Bool("fix", false, "apply suggested fixes (appends //upcvet: annotations to flagged lines)")
 	runOnly = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	format  = flag.String("format", "text", "output format: text, json or sarif")
+	format  = flag.String("format", "text", "output format: text or sarif")
 	stats   = flag.Bool("stats", false, "print load and per-analyzer wall-clock timings to stderr")
 )
 
@@ -56,9 +51,9 @@ func main() {
 		args = []string{"./..."}
 	}
 	switch *format {
-	case "text", "json", "sarif":
+	case "text", "sarif":
 	default:
-		fmt.Fprintf(os.Stderr, "upcvet: unknown -format %q (want text, json or sarif)\n", *format)
+		fmt.Fprintf(os.Stderr, "upcvet: unknown -format %q (want text or sarif)\n", *format)
 		os.Exit(2)
 	}
 	analyzers, err := selectAnalyzers(*runOnly)
@@ -139,30 +134,15 @@ func main() {
 		printStats(prog, analyzers)
 	}
 
-	switch *format {
-	case "json":
-		if err := printJSON(loader.Root, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "upcvet:", err)
-			os.Exit(2)
-		}
-	case "sarif":
+	if *format == "sarif" {
 		if err := printSARIF(loader.Root, analyzers, diags); err != nil {
 			fmt.Fprintln(os.Stderr, "upcvet:", err)
 			os.Exit(2)
 		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Printf("%s:%d:%d: %s: %s\n", relPath(loader.Root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 		}
-	}
-	if *fix {
-		n, err := applyFixes(diags)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "upcvet:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("upcvet: applied %d fix(es)\n", n)
-		return
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "upcvet: %d finding(s)\n", len(diags))
@@ -182,31 +162,6 @@ func printStats(prog *analysis.Program, analyzers []*analysis.Analyzer) {
 	for _, a := range analyzers {
 		fmt.Fprintf(os.Stderr, "upcvet: %-12s %10s\n", a.Name, prog.Stats[a.Name].Round(time.Millisecond))
 	}
-}
-
-// printJSON emits the findings as a JSON array of {file, line, column,
-// analyzer, message} objects, one per finding, sorted by position.
-func printJSON(root string, diags []analysis.Diagnostic) error {
-	type finding struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Column   int    `json:"column"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}
-	out := make([]finding, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, finding{
-			File:     relPath(root, d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // printSARIF emits a minimal SARIF 2.1.0 log: one run, one rule per
@@ -304,60 +259,8 @@ func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
 	return out, nil
 }
 
-// applyFixes performs the suggested edits. The only edit shape the
-// suite produces is "append an annotation to line L of file F",
-// encoded with a negative Offset carrying the line number; resolve it
-// against the file contents and rewrite each file once.
-func applyFixes(diags []analysis.Diagnostic) (int, error) {
-	type lineFix struct {
-		line int
-		text string
-	}
-	perFile := map[string][]lineFix{}
-	for _, d := range diags {
-		if d.Fix == nil {
-			continue
-		}
-		for _, e := range d.Fix.Edits {
-			if e.Offset >= 0 {
-				return 0, fmt.Errorf("unsupported edit shape in %s", d.Pos.Filename)
-			}
-			perFile[e.File] = append(perFile[e.File], lineFix{line: -e.Offset, text: e.NewText})
-		}
-	}
-	files := make([]string, 0, len(perFile))
-	for f := range perFile {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	applied := 0
-	for _, file := range files {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return applied, err
-		}
-		lines := strings.Split(string(data), "\n")
-		done := map[int]bool{}
-		for _, f := range perFile[file] {
-			if f.line < 1 || f.line > len(lines) || done[f.line] {
-				continue
-			}
-			if strings.Contains(lines[f.line-1], "//upcvet:") {
-				continue
-			}
-			lines[f.line-1] += f.text
-			done[f.line] = true
-			applied++
-		}
-		if err := os.WriteFile(file, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
-			return applied, err
-		}
-	}
-	return applied, nil
-}
-
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: upcvet [-fix] [-run a,b] [-format text|json|sarif] [-stats] [package patterns]\n")
+	fmt.Fprintf(os.Stderr, "usage: upcvet [-run a,b] [-format text|sarif] [-stats] [package patterns]\n")
 	flag.PrintDefaults()
 }
 

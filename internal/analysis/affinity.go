@@ -74,7 +74,7 @@ func checkAffinityFunc(pass *Pass, fd *ast.FuncDecl, inUPC bool) {
 		switch sel.Sel.Name {
 		case "Partition":
 			if !inUPC && isMethodCall(pass.Info, sel) {
-				pass.ReportAnnotatable(call.Pos(),
+				pass.Reportf(call.Pos(),
 					"Partition bypasses the affinity model (valid only for verification and delivery-time handlers); use Local/Cast/transfer APIs or annotate //upcvet:affinity")
 			}
 		case "Cast":
@@ -100,7 +100,7 @@ func checkCastUse(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr, castableChec
 	// Direct dereference: s.Cast(t, o)[i] with no intervening check.
 	if idx, ok := parent.(*ast.IndexExpr); ok && ast.Unparen(idx.X) == call {
 		if !castableChecked {
-			pass.ReportAnnotatable(call.Pos(),
+			pass.Reportf(call.Pos(),
 				"Cast result dereferenced without affinity check: Cast returns nil for non-castable owners; guard with Castable or a nil check")
 		}
 		return
@@ -182,7 +182,7 @@ func checkCastVar(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr, obj types.Ob
 	}
 	if firstDerefPos != token.NoPos && !castableChecked &&
 		(nilCheckPos == token.NoPos || nilCheckPos > firstDerefPos) {
-		pass.ReportAnnotatable(call.Pos(),
+		pass.Reportf(call.Pos(),
 			"Cast result %s dereferenced without affinity check: Cast returns nil for non-castable owners; guard with Castable or a nil check", obj.Name())
 	}
 }

@@ -13,11 +13,11 @@
 // layer in callgraph.go.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
-// (Analyzer, Pass, Diagnostic, suggested fixes) but is built on the
-// standard library's go/ast and go/types alone, so the linter needs no
-// module downloads: package loading resolves repository-internal
-// imports by walking the module tree and standard-library imports
-// through the source importer (see load.go).
+// (Analyzer, Pass, Diagnostic) but is built on the standard library's
+// go/ast and go/types alone, so the linter needs no module downloads:
+// package loading resolves repository-internal imports by walking the
+// module tree and standard-library imports through the source importer
+// (see load.go).
 //
 // # Annotation grammar
 //
@@ -37,8 +37,7 @@
 //	//upcvet:ordered -- accumulates into a map; iteration order is invisible
 //	for k, v := range m { ... }
 //
-// upcvet -fix appends the matching annotation to each flagged line;
-// prefer a real fix (sorted keys, sim.Proc, a Castable guard) and keep
+// Prefer a real fix (sorted keys, sim.Proc, a Castable guard) and keep
 // annotations for the cases where the flagged construct is the point.
 package analysis
 
@@ -109,60 +108,10 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Fix, when non-nil, is a textual edit that silences the finding
-	// (typically by appending the suppression annotation). Applied by
-	// upcvet -fix.
-	Fix *SuggestedFix
-}
-
-// A SuggestedFix is a set of textual edits.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
-// A TextEdit replaces the bytes [Offset, End) of File with NewText.
-type TextEdit struct {
-	File    string
-	Offset  int
-	End     int
-	NewText string
 }
 
 // Reportf records a finding at pos unless an annotation suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, nil, format, args...)
-}
-
-// ReportAnnotatable records a finding and attaches the standard fix:
-// appending this analyzer's suppression annotation to the flagged line.
-func (p *Pass) ReportAnnotatable(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	fix := &SuggestedFix{
-		Message: fmt.Sprintf("annotate line with //upcvet:%s", p.annotationName()),
-		Edits: []TextEdit{{
-			File:    position.Filename,
-			NewText: " //upcvet:" + p.annotationName(),
-			// Offset/End are resolved by the applier to the end of the
-			// flagged line; a token offset cannot express "end of line"
-			// without the file contents.
-			Offset: -position.Line, // negative marker: line-append edit
-			End:    -position.Line,
-		}},
-	}
-	p.report(pos, fix, format, args...)
-}
-
-// annotationName is the name -fix writes: the first alias if any (the
-// loop-site spelling reads better there), else the analyzer name.
-func (p *Pass) annotationName() string {
-	if len(p.Analyzer.Aliases) > 0 {
-		return p.Analyzer.Aliases[0]
-	}
-	return p.Analyzer.Name
-}
-
-func (p *Pass) report(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if p.suppressed(position) {
 		return
@@ -171,7 +120,6 @@ func (p *Pass) report(pos token.Pos, fix *SuggestedFix, format string, args ...a
 		Pos:      position,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
 	})
 }
 

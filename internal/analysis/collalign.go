@@ -157,7 +157,7 @@ func (w *collWalker) seqIf(s *ast.IfStmt, tail cseq) cseq {
 		elsePath = w.seqStmt(s.Else, tail)
 	}
 	if w.tainted(s.Cond) && thenPath.seq != elsePath.seq && (hasColl(thenPath.seq) || hasColl(elsePath.seq)) {
-		w.pass.ReportAnnotatable(s.Pos(),
+		w.pass.Reportf(s.Pos(),
 			"collective sequence depends on thread-conditional branch: %s vs %s — all threads must reach the same collectives",
 			renderSeq(thenPath), renderSeq(elsePath))
 	}
@@ -196,7 +196,7 @@ func (w *collWalker) seqSwitch(init ast.Stmt, tag ast.Expr, body *ast.BlockStmt,
 	if dep {
 		for i := 1; i < len(arms); i++ {
 			if arms[i].seq != arms[0].seq && (hasColl(arms[i].seq) || hasColl(arms[0].seq)) {
-				w.pass.ReportAnnotatable(at.Pos(),
+				w.pass.Reportf(at.Pos(),
 					"collective sequence depends on thread-conditional switch: %s vs %s — all threads must reach the same collectives",
 					renderSeq(arms[0]), renderSeq(arms[i]))
 				break
@@ -221,7 +221,7 @@ func (w *collWalker) seqFor(s *ast.ForStmt, tail cseq) cseq {
 		}
 	}
 	if hasColl(body.seq) && w.loopTripTainted(s) {
-		w.pass.ReportAnnotatable(s.Pos(),
+		w.pass.Reportf(s.Pos(),
 			"collective inside loop with thread-dependent trip count: %s — threads execute different numbers of iterations and misalign",
 			renderSeq(cseq{seq: body.seq}))
 	}
@@ -236,7 +236,7 @@ func (w *collWalker) seqRange(s *ast.RangeStmt, tail cseq) cseq {
 	pre := w.exprSeq(s.X)
 	body := w.seqStmts(s.Body.List, cseq{})
 	if hasColl(body.seq) && w.tainted(s.X) {
-		w.pass.ReportAnnotatable(s.Pos(),
+		w.pass.Reportf(s.Pos(),
 			"collective inside range over thread-dependent data: %s — threads execute different numbers of iterations and misalign",
 			renderSeq(cseq{seq: body.seq}))
 	}

@@ -107,7 +107,7 @@ func runMaporder(pass *Pass) error {
 				return true
 			}
 			if reason, pos := m.orderedEffect(rs, fd.Body); reason != "" {
-				pass.ReportAnnotatable(rs.Pos(),
+				pass.Reportf(rs.Pos(),
 					"map iteration order reaches an ordered output (%s at %s); iterate sorted keys or annotate //upcvet:ordered",
 					reason, pass.Fset.Position(pos))
 			}

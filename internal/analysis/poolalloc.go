@@ -78,7 +78,7 @@ func runPoolalloc(pass *Pass) error {
 					checkPoolallocType(pass, pooled, e.Pos(), pass.Info.TypeOf(e.Args[0]), "new(%s)")
 				case "make":
 					if t, ok := pass.Info.TypeOf(e.Args[0]).(*types.Slice); ok && isByte(t.Elem()) {
-						pass.ReportAnnotatable(e.Pos(),
+						pass.Reportf(e.Pos(),
 							"make([]byte, ...) allocates a payload staging buffer on the comm path; the fabric model carries byte counts, not payloads")
 					}
 				}
@@ -99,13 +99,13 @@ func checkPoolallocType(pass *Pass, pooled map[*types.TypeName]bool, pos token.P
 	}
 	obj := named.Origin().Obj()
 	if pooled[obj] {
-		pass.ReportAnnotatable(pos,
+		pass.Reportf(pos,
 			form+" bypasses the free list that manages this type; take records from the pool (Get/Put) so the hot path stays allocation-free", obj.Name())
 		return
 	}
 	if obj.Name() == "Event" && obj.Pkg() != nil && obj.Pkg().Path() == simPkgPath &&
 		strings.TrimSuffix(pass.Path, "_test") != simPkgPath {
-		pass.ReportAnnotatable(pos,
+		pass.Reportf(pos,
 			"standalone event allocation on the comm path; hot-path events live inside pooled records (Reset re-arms them for reuse)")
 	}
 }

@@ -54,30 +54,30 @@ func runRawgo(pass *Pass) error {
 				continue
 			}
 			if path == "sync" || path == "sync/atomic" {
-				pass.ReportAnnotatable(imp.Pos(),
+				pass.Reportf(imp.Pos(),
 					"import of %q outside internal/sim and internal/sweep: simulated code synchronizes through sim.WaitQueue/sim.Event, host fan-out through sweep.Run", path)
 			}
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				pass.ReportAnnotatable(n.Pos(),
+				pass.Reportf(n.Pos(),
 					"raw go statement escapes the virtual clock; spawn simulated processes with sim.Engine.Go, host workers with sweep.Run")
 			case *ast.SendStmt:
-				pass.ReportAnnotatable(n.Pos(),
+				pass.Reportf(n.Pos(),
 					"channel send blocks the OS thread, not the simulated process; use sim synchronization")
 			case *ast.SelectStmt:
-				pass.ReportAnnotatable(n.Pos(),
+				pass.Reportf(n.Pos(),
 					"select blocks the OS thread, not the simulated process; use sim synchronization")
 			case *ast.UnaryExpr:
 				if n.Op.String() == "<-" {
-					pass.ReportAnnotatable(n.Pos(),
+					pass.Reportf(n.Pos(),
 						"channel receive blocks the OS thread, not the simulated process; use sim synchronization")
 				}
 			case *ast.CallExpr:
 				if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "make" && len(n.Args) > 0 {
 					if _, isChan := n.Args[0].(*ast.ChanType); isChan {
-						pass.ReportAnnotatable(n.Pos(),
+						pass.Reportf(n.Pos(),
 							"channel construction outside internal/sim and internal/sweep; use sim synchronization")
 					}
 				}

@@ -246,7 +246,7 @@ func reportPair(pass *Pass, a, b raceAccess, local, reported map[string]bool) {
 		}
 		return "read"
 	}
-	pass.ReportAnnotatable(anchor.pos,
+	pass.Reportf(anchor.pos,
 		"same-phase accesses to shared array %q may conflict: %s here and %s at %s:%d — separate them with a collective or make the indexing affinity-disjoint",
 		anchor.arrName, kind(anchor), kind(other), filepath.Base(pOther.Filename), pOther.Line)
 }

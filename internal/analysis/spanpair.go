@@ -162,7 +162,7 @@ func checkCloserPaths(pass *Pass, body *ast.BlockStmt, obj types.Object, openPos
 	}
 	st, terminated := w.stmts(body.List, spanUnopened)
 	if !terminated && st == spanOpen {
-		pass.ReportAnnotatable(openPos,
+		pass.Reportf(openPos,
 			"span closer %s is not called before the function falls off the end; every KSpanBegin needs its KSpanEnd", obj.Name())
 	}
 }
@@ -223,7 +223,7 @@ func (w *spanWalker) stmt(s ast.Stmt, st spanState) (spanState, bool) {
 			}
 		}
 		if st == spanOpen {
-			w.pass.ReportAnnotatable(s.Pos(),
+			w.pass.Reportf(s.Pos(),
 				"span closer %s (opened at %s) is not called on this return path",
 				w.obj.Name(), w.pass.Fset.Position(w.openPos))
 		}

@@ -79,20 +79,20 @@ func runWallclock(pass *Pass) error {
 			switch pkgNameOf(pass.Info, sel.X) {
 			case "time":
 				if wallclockTimeFuncs[name] {
-					pass.ReportAnnotatable(call.Pos(),
+					pass.Reportf(call.Pos(),
 						"time.%s reads the host clock; simulation code must use virtual time (sim.Engine.Now / Proc.Sleep)", name)
 				}
 			case "math/rand", "math/rand/v2":
 				if strictRand(pass.Path) {
-					pass.ReportAnnotatable(call.Pos(),
+					pass.Reportf(call.Pos(),
 						"rand.%s in internal/fault: fault-probability draws must come from the engine's seeded PRNG (sim.Engine.Rand), not a private generator", name)
 				} else if !wallclockRandOK[name] {
-					pass.ReportAnnotatable(call.Pos(),
+					pass.Reportf(call.Pos(),
 						"rand.%s uses ambient process-global randomness; use a seeded rand.New(rand.NewSource(seed)) owned by the run", name)
 				}
 			case "os":
 				if wallclockEnvFuncs[name] {
-					pass.ReportAnnotatable(call.Pos(),
+					pass.Reportf(call.Pos(),
 						"os.%s makes simulation behavior depend on the host environment; thread configuration through Config instead", name)
 				}
 			}

@@ -13,8 +13,8 @@ import (
 type Variant int
 
 const (
-	// MPIFortran is the reference two-sided implementation (tuned
-	// collectives).
+	// MPIFortran is the reference two-sided implementation (pairwise
+	// all-to-all).
 	MPIFortran Variant = iota
 	// UPCProcesses is process-based UPC with PSHM.
 	UPCProcesses

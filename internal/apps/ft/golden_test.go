@@ -17,12 +17,11 @@ import (
 // RunExchange mode's Call, Wait, Total and trace digest. It pins the
 // virtual-time behaviour of the FT slab code and its exchanges, so a
 // refactor of either runtime's worker must leave it unmoved.
-const ftGolden = "d7e2fc13b66929243259fa9c9d6e2dfe3c94b96e5e91380db7112d53e247c34d"
+const ftGolden = "1ae4b2b178e7bc95011f73e6a8e41dbfa579f942c31615a9df741e313d6e58a9"
 
 // goldenRuns are the pinned model-mode configurations: every runtime,
-// both exchange algorithms and one hybrid per Impl. MPI at 8 ranks on
-// class T takes the hierarchical all-to-all (2 KB slices); on class S it
-// takes the pairwise one.
+// both exchange algorithms and one hybrid per Impl, on class T (2 KB
+// MPI slices at 8 ranks) and class S.
 func goldenRuns() []Config {
 	var out []Config
 	for _, name := range []string{"T", "S"} {

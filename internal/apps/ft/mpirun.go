@@ -9,14 +9,14 @@ import (
 )
 
 // mpiWorker is one MPI rank's per-run state (the Fortran reference): the
-// slab plus the tuned Alltoall collective.
+// slab plus the pairwise Alltoall collective.
 type mpiWorker struct {
 	slab
 	c *mpi.Comm
 }
 
-// runMPI executes the MPI reference implementation (split-phase, tuned
-// Alltoall collective).
+// runMPI executes the MPI reference implementation (split-phase,
+// pairwise Alltoall collective).
 func runMPI(cfg Config) (Result, error) {
 	mcfg := mpi.Config{
 		Machine:      cfg.Machine,

@@ -157,16 +157,10 @@ func RunTwisted(cfg TwistedConfig) (Result, error) {
 			t.MemStream(bytesPerElem * int64(n))
 			t.PutBytes(peer, 8*int64(n))
 			copy(pa, la)
-		case Cast:
-			//upcvet:affinity -- single-node PSHM config: every peer is castable by construction
-			pa, pb, pc := a.Cast(t, peer), b.Cast(t, peer), c.Cast(t, peer)
-			for i := range pa {
-				pa[i] = pb[i] + triadScalar*pc[i]
-			}
-			t.MemStreamFrom(bytesPerElem*int64(n), peerSocket)
-		case OpenMPRef:
-			// Shared-memory reference: same twisted access, plain
-			// pointers, no PGAS layer at all.
+		case Cast, OpenMPRef:
+			// The cast variant and the shared-memory reference run the
+			// same twisted access through plain pointers; they differ
+			// only in name.
 			//upcvet:affinity -- single-node PSHM config: every peer is castable by construction
 			pa, pb, pc := a.Cast(t, peer), b.Cast(t, peer), c.Cast(t, peer)
 			for i := range pa {

@@ -17,7 +17,6 @@ func TestTreeTableMatchesSequential(t *testing.T) {
 		s.Seed = seed
 		specs = append(specs, s)
 	}
-	specs = append(specs, TreeSpec{Kind: Geometric, B: 2.2, MaxDepth: 14, Seed: 5})
 	for _, s := range specs {
 		tt, err := buildTable(s)
 		if err != nil {

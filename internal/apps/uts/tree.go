@@ -14,35 +14,14 @@ import (
 	"fmt"
 )
 
-// TreeKind selects the random tree family.
-type TreeKind int
-
-const (
-	// Binomial trees: the root has RootChildren children; every other
-	// node has M children with probability Q and none otherwise. The
-	// paper's experiments use a 4.1-million-node binomial tree.
-	Binomial TreeKind = iota
-	// Geometric trees: node fan-out is geometrically distributed with
-	// expectation B, cut off below MaxDepth.
-	Geometric
-)
-
-// String names the tree kind.
-func (k TreeKind) String() string {
-	if k == Geometric {
-		return "geometric"
-	}
-	return "binomial"
-}
-
-// TreeSpec defines a tree instance.
+// TreeSpec defines a binomial tree instance: the root has RootChildren
+// children; every other node has M children with probability Q and none
+// otherwise. The paper's experiments use a 4.1-million-node binomial
+// tree.
 type TreeSpec struct {
-	Kind         TreeKind
-	RootChildren int     // binomial b0
-	Q            float64 // binomial branching probability
-	M            int     // binomial fan-out
-	B            float64 // geometric expected fan-out
-	MaxDepth     int     // geometric depth cutoff
+	RootChildren int     // b0
+	Q            float64 // branching probability
+	M            int     // fan-out
 	Seed         uint32
 }
 
@@ -50,7 +29,7 @@ type TreeSpec struct {
 // T3-like parameters: b0=2000, q=0.124875, m=8; this seed realizes 4.35
 // million nodes under our SHA-1 chain).
 func Paper4M() TreeSpec {
-	return TreeSpec{Kind: Binomial, RootChildren: 2000, Q: 0.124875, M: 8, Seed: 1}
+	return TreeSpec{RootChildren: 2000, Q: 0.124875, M: 8, Seed: 1}
 }
 
 // Small returns a tree for tests and quick runs: approx/100 root
@@ -65,7 +44,7 @@ func Small(approx int) TreeSpec {
 	if b0 < 1 {
 		b0 = 1
 	}
-	return TreeSpec{Kind: Binomial, RootChildren: b0, Q: 0.12375, M: 8, Seed: 7}
+	return TreeSpec{RootChildren: b0, Q: 0.12375, M: 8, Seed: 7}
 }
 
 // Node is one tree node's interior state: the SHA-1 chain value plus its
@@ -101,49 +80,13 @@ func rand01(n Node) float64 {
 
 // NumChildren reports the node's fan-out under the spec.
 func (s TreeSpec) NumChildren(n Node) int {
-	switch s.Kind {
-	case Geometric:
-		if int(n.Depth) >= s.MaxDepth {
-			return 0
-		}
-		// Geometric with mean B: P(k >= 1) chained off the node variate.
-		u := rand01(n)
-		p := 1 / (1 + s.B)
-		k := 0
-		// Invert the geometric CDF: k = floor(log(1-u)/log(1-p)) with
-		// success probability (1-p); cap the fan-out to keep descriptors
-		// bounded.
-		q := 1 - p
-		acc := p
-		cdf := p
-		for cdf < u && k < 16 {
-			acc *= q
-			cdf += acc
-			k++
-		}
-		return k
-	default:
-		if n.Depth == 0 {
-			return s.RootChildren
-		}
-		if rand01(n) < s.Q {
-			return s.M
-		}
-		return 0
+	if n.Depth == 0 {
+		return s.RootChildren
 	}
-}
-
-// ExpectedSubtree reports the expected number of nodes below one non-root
-// binomial node (including it), infinite branching excluded.
-func (s TreeSpec) ExpectedSubtree() float64 {
-	if s.Kind != Binomial {
-		return 0
+	if rand01(n) < s.Q {
+		return s.M
 	}
-	g := s.Q * float64(s.M)
-	if g >= 1 {
-		return 0 // supercritical: unbounded
-	}
-	return 1 / (1 - g)
+	return 0
 }
 
 // CountSequential walks the whole tree depth-first on one goroutine and
@@ -165,22 +108,13 @@ func (s TreeSpec) CountSequential() (nodes int64, maxDepth uint32) {
 	return nodes, maxDepth
 }
 
-// Validate reports an error for nonsensical specs.
+// Validate reports an error for nonsensical or supercritical specs.
 func (s TreeSpec) Validate() error {
-	switch s.Kind {
-	case Binomial:
-		// !(q >= 0) also rejects NaN, which no comparison would catch
-		// below and which would never match its own tree-table cache key.
-		if s.RootChildren < 1 || s.M < 1 || !(s.Q >= 0) || s.Q*float64(s.M) >= 1 {
-			return fmt.Errorf("uts: binomial spec b0=%d q=%g m=%d is invalid or supercritical",
-				s.RootChildren, s.Q, s.M)
-		}
-	case Geometric:
-		if !(s.B > 0) || s.MaxDepth < 1 {
-			return fmt.Errorf("uts: geometric spec b=%g depth=%d invalid", s.B, s.MaxDepth)
-		}
-	default:
-		return fmt.Errorf("uts: unknown tree kind %d", s.Kind)
+	// !(q >= 0) also rejects NaN, which no comparison would catch below
+	// and which would never match its own tree-table cache key.
+	if s.RootChildren < 1 || s.M < 1 || !(s.Q >= 0) || s.Q*float64(s.M) >= 1 {
+		return fmt.Errorf("uts: binomial spec b0=%d q=%g m=%d is invalid or supercritical",
+			s.RootChildren, s.Q, s.M)
 	}
 	return nil
 }

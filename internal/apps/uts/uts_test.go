@@ -52,28 +52,11 @@ func TestChildDependsOnIndexAndParent(t *testing.T) {
 	}
 }
 
-func TestGeometricTreeRespectsDepthCutoff(t *testing.T) {
-	spec := TreeSpec{Kind: Geometric, B: 2, MaxDepth: 6, Seed: 3}
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	n, d := spec.CountSequential()
-	if d > 6 {
-		t.Errorf("depth %d exceeds cutoff 6", d)
-	}
-	if n < 10 {
-		t.Errorf("geometric tree too small: %d", n)
-	}
-}
-
 func TestSpecValidation(t *testing.T) {
 	bad := []TreeSpec{
-		{Kind: Binomial, RootChildren: 0, Q: 0.1, M: 8},
-		{Kind: Binomial, RootChildren: 10, Q: 0.2, M: 8}, // q*m = 1.6 supercritical
-		{Kind: Geometric, B: 0, MaxDepth: 5},
-		{Kind: Binomial, RootChildren: 10, Q: math.NaN(), M: 8},
-		{Kind: Geometric, B: math.NaN(), MaxDepth: 5},
-		{Kind: TreeKind(9)},
+		{RootChildren: 0, Q: 0.1, M: 8},
+		{RootChildren: 10, Q: 0.2, M: 8}, // q*m = 1.6 supercritical
+		{RootChildren: 10, Q: math.NaN(), M: 8},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -82,13 +65,6 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if err := Paper4M().Validate(); err != nil {
 		t.Errorf("Paper4M invalid: %v", err)
-	}
-}
-
-func TestExpectedSubtree(t *testing.T) {
-	s := TreeSpec{Kind: Binomial, RootChildren: 1, Q: 0.124875, M: 8}
-	if e := s.ExpectedSubtree(); e < 900 || e > 1100 {
-		t.Errorf("expected subtree = %g, want ~1000", e)
 	}
 }
 
@@ -179,7 +155,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("zero threads must error")
 	}
 	if _, err := Run(Config{Machine: topo.Pyramid(), Threads: 2, PerNode: 2,
-		Tree: TreeSpec{Kind: Binomial}}); err == nil {
+		Tree: TreeSpec{}}); err == nil {
 		t.Error("invalid tree must error")
 	}
 	if _, err := Run(Config{Machine: topo.Pyramid(), Threads: 2, PerNode: 2,
@@ -203,24 +179,6 @@ func TestAnyStrategyCountsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGeometricTreeParallelRun(t *testing.T) {
-	spec := TreeSpec{Kind: Geometric, B: 2.2, MaxDepth: 14, Seed: 5}
-	n, _ := spec.CountSequential()
-	if n < 1000 {
-		t.Skipf("geometric realization too small (%d nodes)", n)
-	}
-	r, err := Run(Config{
-		Machine: topo.Pyramid(), Threads: 8, PerNode: 4,
-		Strategy: LocalRapid, Granularity: 8, Tree: spec, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Nodes != n {
-		t.Errorf("parallel geometric count %d != %d", r.Nodes, n)
 	}
 }
 

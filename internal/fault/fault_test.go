@@ -212,47 +212,43 @@ func TestDropDecisionsDeterministicUnderSeed(t *testing.T) {
 }
 
 func TestBackoffSequence(t *testing.T) {
-	rp := RetryPolicy{
-		Timeout:    500 * sim.Microsecond,
-		MaxRetries: 6,
-		Backoff:    100 * sim.Microsecond,
-		MaxBackoff: 1 * sim.Millisecond,
-	}
 	want := []sim.Duration{
 		100 * sim.Microsecond, // after attempt 1
 		200 * sim.Microsecond,
 		400 * sim.Microsecond,
 		800 * sim.Microsecond,
-		1 * sim.Millisecond, // capped
-		1 * sim.Millisecond,
+		1600 * sim.Microsecond,
+		3200 * sim.Microsecond,
+		6400 * sim.Microsecond,
+		10 * sim.Millisecond, // capped
+		10 * sim.Millisecond,
 	}
 	for i, w := range want {
-		if got := rp.BackoffFor(i + 1); got != w {
-			t.Errorf("BackoffFor(%d) = %v, want %v", i+1, got, w)
+		if got := backoff(i + 1); got != w {
+			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}
 	// Deep retry counts must not overflow past the cap.
-	if got := rp.BackoffFor(200); got != rp.MaxBackoff {
-		t.Errorf("BackoffFor(200) = %v, want cap %v", got, rp.MaxBackoff)
+	if got := backoff(200); got != maxBackoff {
+		t.Errorf("backoff(200) = %v, want cap %v", got, maxBackoff)
 	}
 }
 
 func TestAttemptTimeoutGrowth(t *testing.T) {
-	rp := DefaultRetryPolicy()
 	xfer := 50 * sim.Microsecond
 	prev := sim.Duration(0)
 	for try := 0; try < 12; try++ {
-		got := rp.AttemptTimeout(try, xfer)
+		got := AttemptTimeout(try, xfer)
 		if got < prev {
 			t.Errorf("AttemptTimeout(%d) = %v shrank below %v", try, got, prev)
 		}
-		if got > timeoutScaleCap*rp.Timeout+2*xfer {
+		if got > timeoutScaleCap*baseTimeout+2*xfer {
 			t.Errorf("AttemptTimeout(%d) = %v above the scale cap", try, got)
 		}
 		prev = got
 	}
-	if got := rp.AttemptTimeout(0, xfer); got != rp.Timeout+2*xfer {
-		t.Errorf("first attempt timeout = %v, want base+2*xfer = %v", got, rp.Timeout+2*xfer)
+	if got := AttemptTimeout(0, xfer); got != baseTimeout+2*xfer {
+		t.Errorf("first attempt timeout = %v, want base+2*xfer = %v", got, baseTimeout+2*xfer)
 	}
 }
 

@@ -56,8 +56,8 @@ func (f Fence) Deliver(bytes int64, apply func()) func() {
 	}
 }
 
-// Wait is one wait RetryPolicy.Wait protects: an operation whose
-// completion injected faults may lose.
+// Wait is one wait Await protects: an operation whose completion
+// injected faults may lose.
 type Wait struct {
 	Op       string       // CommError.Op
 	Src, Dst int          // CommError endpoints; Dst is the instants' peer
@@ -78,15 +78,15 @@ type Wait struct {
 	Reissue func(attempt int) *sim.Event
 }
 
-// Wait drives w through the deadline ladder: attempt try waits up to
+// Await drives w through the deadline ladder: attempt try waits up to
 // AttemptTimeout(try, w.Xfer); an expired attempt is reported, diagnosed
 // (stale epoch, then node down) and, while retries remain, backed off,
 // diagnosed again and re-issued. It returns nil once an attempt
 // completes, or the *CommError of the attempt that gave up.
-func (rp RetryPolicy) Wait(w *Wait) error {
+func Await(w *Wait) error {
 	for try := 0; ; try++ {
 		attempts := try + 1
-		if w.Done.WaitTimeout(w.P, rp.AttemptTimeout(try, w.Xfer)) {
+		if w.Done.WaitTimeout(w.P, AttemptTimeout(try, w.Xfer)) {
 			if w.Fence.Stale() {
 				return w.fail(attempts, ErrStaleEpoch)
 			}
@@ -96,13 +96,13 @@ func (rp RetryPolicy) Wait(w *Wait) error {
 		if err := w.diagnose(attempts); err != nil {
 			return err
 		}
-		if try >= rp.MaxRetries {
+		if try >= MaxRetries {
 			return w.fail(attempts, ErrTimeout)
 		}
 		if w.Reissue == nil {
 			continue
 		}
-		w.P.Advance(rp.BackoffFor(try + 1))
+		w.P.Advance(backoff(try + 1))
 		if err := w.diagnose(attempts); err != nil {
 			return err
 		}

@@ -40,35 +40,24 @@ func (e *CommError) Error() string {
 // Unwrap exposes the sentinel cause for errors.Is.
 func (e *CommError) Unwrap() error { return e.Err }
 
-// RetryPolicy is how a runtime recovers from lost messages: per-attempt
-// virtual-time timeouts with capped exponential backoff and a bounded
-// retry count. The zero value means "no policy"; use DefaultRetryPolicy.
-type RetryPolicy struct {
-	// Timeout is the base deadline of one attempt, before the expected
-	// transfer time is added.
-	Timeout sim.Duration
+// The retry ladder every fault-aware runtime recovers lost messages
+// with: per-attempt virtual-time timeouts with capped exponential
+// backoff and a bounded retry count. The base timeout comfortably covers
+// a healthy small-message round trip (a few microseconds) and the cap
+// keeps six attempts within a few milliseconds of virtual time.
+const (
+	// baseTimeout is the base deadline of one attempt, before the
+	// expected transfer time is added.
+	baseTimeout = 500 * sim.Microsecond
 	// MaxRetries bounds re-sends after the first attempt: an operation
 	// makes at most MaxRetries+1 attempts.
-	MaxRetries int
-	// Backoff is the pause after the first failed attempt; it doubles per
-	// subsequent failure up to MaxBackoff.
-	Backoff sim.Duration
-	// MaxBackoff caps the exponential growth.
-	MaxBackoff sim.Duration
-}
-
-// DefaultRetryPolicy reports the policy fault-aware runtimes use when
-// the caller does not set one. The base timeout comfortably covers a
-// healthy small-message round trip (a few microseconds) and the cap
-// keeps six attempts within a few milliseconds of virtual time.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		Timeout:    500 * sim.Microsecond,
-		MaxRetries: 6,
-		Backoff:    100 * sim.Microsecond,
-		MaxBackoff: 10 * sim.Millisecond,
-	}
-}
+	MaxRetries = 6
+	// baseBackoff is the pause after the first failed attempt; it
+	// doubles per subsequent failure up to maxBackoff.
+	baseBackoff = 100 * sim.Microsecond
+	// maxBackoff caps the exponential growth.
+	maxBackoff = 10 * sim.Millisecond
+)
 
 // timeoutScaleCap bounds the per-attempt timeout growth: later attempts
 // wait longer (a degraded-but-alive link needs patience, not traffic)
@@ -80,24 +69,24 @@ const timeoutScaleCap = 8
 // transfer time. The base grows exponentially with the attempt number,
 // capped at timeoutScaleCap, so retries on a degraded link converge
 // instead of storming.
-func (rp RetryPolicy) AttemptTimeout(try int, xfer sim.Duration) sim.Duration {
+func AttemptTimeout(try int, xfer sim.Duration) sim.Duration {
 	scale := sim.Duration(1) << uint(try)
 	if scale > timeoutScaleCap || scale <= 0 {
 		scale = timeoutScaleCap
 	}
-	return scale*rp.Timeout + 2*xfer
+	return scale*baseTimeout + 2*xfer
 }
 
-// BackoffFor reports the pause before re-attempt try (1-based: the pause
-// taken after the try'th attempt failed): Backoff doubled per failure,
-// capped at MaxBackoff.
-func (rp RetryPolicy) BackoffFor(try int) sim.Duration {
+// backoff reports the pause before re-attempt try (1-based: the pause
+// taken after the try'th attempt failed): baseBackoff doubled per
+// failure, capped at maxBackoff.
+func backoff(try int) sim.Duration {
 	if try < 1 {
 		try = 1
 	}
-	b := rp.Backoff << uint(try-1)
-	if b > rp.MaxBackoff || b <= 0 {
-		b = rp.MaxBackoff
+	b := baseBackoff << uint(try-1)
+	if b > maxBackoff || b <= 0 {
+		b = maxBackoff
 	}
 	return b
 }

@@ -2,7 +2,7 @@
 // machine: a declarative JSON schedule of crashes, link degradations,
 // flaps and message-level drop/delay/duplicate rules, an Injector that
 // realizes the schedule against a fabric.Cluster using only the engine's
-// seeded PRNG and virtual clock, and the retry policy the communication
+// seeded PRNG and virtual clock, and the retry ladder the communication
 // runtimes use to recover. Identical (seed, schedule) pairs produce
 // bit-identical runs at any host parallelism, so chaos experiments are
 // exactly reproducible.

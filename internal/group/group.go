@@ -93,8 +93,8 @@ func (g *Group) Barrier() {
 
 // BarrierErr is Barrier with failure detection: the generation releases
 // once every *live* member has arrived (dead members are skipped), and a
-// barrier that can never release returns a typed error after the retry
-// policy's deadline ladder instead of hanging.
+// barrier that can never release returns a typed error after
+// fault.Await's deadline ladder instead of hanging.
 func (g *Group) BarrierErr() error {
 	t := g.T
 	if t.Failed() {
@@ -109,7 +109,7 @@ func (g *Group) BarrierErr() error {
 		ev.Wait(t.P)
 		return nil
 	}
-	return rt.RetryPolicy().Wait(&fault.Wait{
+	return fault.Await(&fault.Wait{
 		Op: "group-barrier", Src: t.ID, Dst: t.ID, Xfer: g.cost, P: t.P, Done: ev,
 		Down: func() bool {
 			if t.Failed() {

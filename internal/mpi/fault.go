@@ -57,7 +57,7 @@ func (c *Comm) retryWait(op string, peer int, bytes int64, done *sim.Event,
 	reissue func(attempt int) *sim.Event) error {
 	w := c.w
 	peerNode := w.places[peer].Node
-	return w.retry.Wait(&fault.Wait{
+	return fault.Await(&fault.Wait{
 		Op: op, Src: c.Rank, Dst: peer, Bytes: bytes,
 		Xfer: w.Cluster.Conduit.ExpectXfer(bytes),
 		P:    c.P, Done: done, Fence: c.fence(peer),
@@ -71,7 +71,7 @@ func (c *Comm) retryWait(op string, peer int, bytes int64, done *sim.Event,
 // deadline ladder, diagnosing a stall with any node down as a crash.
 func (c *Comm) releaseWait(op string, ev *sim.Event) error {
 	w := c.w
-	return w.retry.Wait(&fault.Wait{
+	return fault.Await(&fault.Wait{
 		Op: op, Src: c.Rank, Dst: c.Rank, Xfer: w.barCost, P: c.P, Done: ev,
 		Down:  w.anyNodeDown,
 		Event: c.FaultEvent,
@@ -115,9 +115,9 @@ func (c *Comm) send(dst int, bytes int64, data []byte) error {
 }
 
 // RecvErr is Recv with fault recovery and typed errors: it gives up when
-// the sender's node dies or no matching message appears within the retry
-// policy's deadline ladder, and pulls lost payloads back from the sender
-// after an ack timeout.
+// the sender's node dies or no matching message appears within the
+// deadline ladder, and pulls lost payloads back from the sender after an
+// ack timeout.
 func (c *Comm) RecvErr(src int) ([]byte, error) {
 	w := c.w
 	if !w.faultsOn() {
@@ -128,7 +128,6 @@ func (c *Comm) RecvErr(src int) ([]byte, error) {
 	// The matching wait stays outside fault.Wait: it re-diagnoses on
 	// every inbox wake, a wake that brings another source's message
 	// re-arms the same attempt's deadline, and only expiries count.
-	rp := w.retry
 	srcNode := w.places[src].Node
 	fence := c.fence(src)
 	timeouts := 0
@@ -142,10 +141,10 @@ func (c *Comm) RecvErr(src int) ([]byte, error) {
 		if w.Cluster.NodeDown(c.Place.Node) || w.Cluster.NodeDown(srcNode) {
 			return nil, c.commError("recv", src, timeouts, fault.ErrNodeDown)
 		}
-		if timeouts > rp.MaxRetries {
+		if timeouts > fault.MaxRetries {
 			return nil, c.commError("recv", src, timeouts, fault.ErrTimeout)
 		}
-		if !w.rxQ[c.Rank].WaitTimeout(c.P, "mpi-recv", rp.AttemptTimeout(timeouts, 0)) {
+		if !w.rxQ[c.Rank].WaitTimeout(c.P, "mpi-recv", fault.AttemptTimeout(timeouts, 0)) {
 			c.FaultEvent("timeout", src, 0)
 			timeouts++
 		}
@@ -172,9 +171,9 @@ func (c *Comm) awaitPayload(m *message, src int) ([]byte, error) {
 }
 
 // BarrierErr is Barrier with failure detection: instead of hanging when
-// a rank can never arrive, it gives up after the retry policy's deadline
-// ladder and returns a typed error (ErrNodeDown when a crash explains
-// the stall, ErrTimeout otherwise).
+// a rank can never arrive, it gives up after the deadline ladder and
+// returns a typed error (ErrNodeDown when a crash explains the stall,
+// ErrTimeout otherwise).
 func (c *Comm) BarrierErr() error {
 	w := c.w
 	if !w.faultsOn() {

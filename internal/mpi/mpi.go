@@ -1,10 +1,8 @@
 // Package mpi implements the two-sided message-passing baseline the
 // thesis compares against (OpenMPI + Fortran NAS FT): blocking send/recv
 // with eager and rendezvous protocols over the same simulated fabric,
-// barriers, reductions, and an all-to-all collective with both the naive
-// pairwise algorithm and the hierarchical (node-leader) algorithm that
-// vendor-tuned MPI libraries use — the reason MPI's collective wins in
-// Figure 4.5 while still saturating past two cores per node.
+// barriers, reductions, and an all-to-all collective run as a pairwise
+// exchange over sm within a node and the conduit across.
 package mpi
 
 import (
@@ -38,8 +36,8 @@ type Config struct {
 	Tracer trace.Tracer
 	// Faults, when non-nil, overrides the process-default fault schedule
 	// (see internal/fault). The library then retransmits lost messages
-	// under fault.DefaultRetryPolicy and surfaces unrecoverable failures
-	// as typed errors.
+	// through fault.Await's deadline ladder and surfaces unrecoverable
+	// failures as typed errors.
 	Faults *fault.Schedule
 }
 
@@ -60,8 +58,7 @@ type World struct {
 	bar     *sim.Rendezvous
 	coll    collective
 
-	inj   *fault.Injector
-	retry fault.RetryPolicy
+	inj *fault.Injector
 	// edges is true when the installed tracer opted into completion-edge
 	// instants (trace.EdgeObserver), cached at construction.
 	edges bool
@@ -174,10 +171,7 @@ func NewWorld(cfg Config) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	if inj != nil {
-		w.inj = inj
-		w.retry = fault.DefaultRetryPolicy()
-	}
+	w.inj = inj
 	return w, nil
 }
 
@@ -240,14 +234,6 @@ func (c *Comm) isend(dst int, data []byte) *fabric.NetOp {
 // messages and panics with the typed error SendErr would return.
 func (c *Comm) Send(dst int, data []byte) {
 	if err := c.SendErr(dst, data); err != nil {
-		panic(err)
-	}
-}
-
-// sendOwned is Send of a buffer the caller hands over; nil data sends
-// the byte volume payload-free (model mode).
-func (c *Comm) sendOwned(dst int, bytes int64, data []byte) {
-	if err := c.send(dst, bytes, data); err != nil {
 		panic(err)
 	}
 }

@@ -136,20 +136,14 @@ func TestBarrierAndReductions(t *testing.T) {
 	}
 }
 
-func alltoallCorrect(t *testing.T, ranks, perNode, msg int, force string) {
+func alltoallCorrect(t *testing.T, ranks, perNode, msg int) {
 	t.Helper()
 	_, err := Run(cfg(ranks, perNode), func(c *Comm) {
 		send := make([][]byte, c.Size)
 		for d := range send {
 			send[d] = bytes.Repeat([]byte{byte(c.Rank*16 + d)}, msg)
 		}
-		var got [][]byte
-		switch force {
-		case "pairwise":
-			got = c.AlltoallPairwise(send)
-		default:
-			got = c.Alltoall(send)
-		}
+		got := c.Alltoall(send)
 		for s := range got {
 			want := byte(s*16 + c.Rank)
 			if len(got[s]) != msg {
@@ -170,14 +164,8 @@ func alltoallCorrect(t *testing.T, ranks, perNode, msg int, force string) {
 }
 
 func TestAlltoallPairwiseCorrect(t *testing.T) {
-	alltoallCorrect(t, 4, 1, 128, "pairwise")
-	alltoallCorrect(t, 6, 3, 64, "pairwise")
-}
-
-func TestAlltoallHierarchicalCorrect(t *testing.T) {
-	alltoallCorrect(t, 8, 4, 256, "auto") // multi-rank nodes: hierarchical path
-	alltoallCorrect(t, 6, 2, 96, "auto")
-	alltoallCorrect(t, 12, 4, 32, "auto")
+	alltoallCorrect(t, 4, 1, 128)
+	alltoallCorrect(t, 6, 3, 64)
 }
 
 func TestAlltoallPropertyPermutation(t *testing.T) {
@@ -213,46 +201,10 @@ func TestAlltoallPropertyPermutation(t *testing.T) {
 	}
 }
 
-func TestHierarchicalBeatsPairwiseForSmallSlices(t *testing.T) {
-	// 16 ranks over 4 nodes exchanging small slices: the node-aggregated
-	// algorithm sends 16x fewer wire messages and must win in the
-	// overhead-dominated regime. For large slices the exchange is
-	// bandwidth-bound and pairwise must win — Alltoall switches itself.
-	run := func(force string, slice int) sim.Duration {
-		st, err := Run(cfg(16, 4), func(c *Comm) {
-			send := make([][]byte, c.Size)
-			for d := range send {
-				send[d] = make([]byte, slice)
-			}
-			if force == "pairwise" {
-				c.AlltoallPairwise(send)
-			} else {
-				c.Alltoall(send)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Elapsed
-	}
-	pairSmall, hierSmall := run("pairwise", 512), run("auto", 512)
-	if hierSmall >= pairSmall {
-		t.Errorf("hierarchical alltoall (%v) should beat pairwise (%v) at 512B slices",
-			hierSmall, pairSmall)
-	}
-	// Above the threshold the auto algorithm is pairwise, so auto never
-	// loses badly at large sizes.
-	pairBig, autoBig := run("pairwise", 64<<10), run("auto", 64<<10)
-	if autoBig != pairBig {
-		t.Errorf("auto (%v) must select pairwise (%v) for 64KB slices", autoBig, pairBig)
-	}
-}
-
 // TestAlltoallModelMatchesPayload checks that model mode is the payload
 // exchange without the payloads: AlltoallModel on a slice size must end
-// at the same virtual time as Alltoall on uniform slices of that size,
-// on the hierarchical shapes (16/4 at 512 B, 12/4 at 32 B) and on a
-// pairwise one (8/2 at 8 KB).
+// at the same virtual time as Alltoall on uniform slices of that size
+// (16/4 at 512 B, 12/4 at 32 B, 8/2 at 8 KB).
 func TestAlltoallModelMatchesPayload(t *testing.T) {
 	for _, tc := range []struct{ ranks, perNode, slice int }{
 		{16, 4, 512}, {12, 4, 32}, {8, 2, 8192},
@@ -296,9 +248,9 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestIsendIrecvWaitall drives the non-blocking send path (isend, as
-// Sendrecv and the hierarchical alltoall use it): every rank starts a
-// send to every peer, receives from each in turn, and only then waits
-// for its own sends to leave the buffer.
+// Sendrecv uses it): every rank starts a send to every peer, receives
+// from each in turn, and only then waits for its own sends to leave the
+// buffer.
 func TestIsendIrecvWaitall(t *testing.T) {
 	_, err := Run(cfg(4, 2), func(c *Comm) {
 		var ops []*fabric.NetOp

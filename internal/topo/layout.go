@@ -4,7 +4,9 @@ import "fmt"
 
 // Binding selects how execution contexts are pinned onto hardware slots
 // within a node, mirroring the binding regimes the paper evaluates
-// (numactl socket round-robin, core pinning, and no binding at all).
+// (numactl socket round-robin and core pinning). Unbound sub-threads are
+// modelled by internal/subthread's Bound=false teams (ScatterPlaces), not
+// by a binding.
 type Binding int
 
 const (
@@ -14,10 +16,6 @@ const (
 	BindSocketRR Binding = iota
 	// BindCoreBlocked fills socket 0's cores first, then socket 1, etc.
 	BindCoreBlocked
-	// BindNone leaves contexts unbound: the model places them round-robin
-	// over cores but marks the placement non-affine, so first-touch memory
-	// stays on socket 0 and accesses pay the unbound penalty.
-	BindNone
 )
 
 // String names the binding policy.
@@ -27,8 +25,6 @@ func (b Binding) String() string {
 		return "socket-rr"
 	case BindCoreBlocked:
 		return "core-blocked"
-	case BindNone:
-		return "none"
 	}
 	return fmt.Sprintf("Binding(%d)", int(b))
 }
@@ -68,7 +64,7 @@ func (m *Machine) placeInNode(node, r int, b Binding) Place {
 		core := r % cores
 		smt := r / cores
 		return Place{Node: node, Socket: core / m.CoresPerSocket, Core: core % m.CoresPerSocket, SMT: smt}
-	default: // BindSocketRR and BindNone share the slot enumeration
+	default: // BindSocketRR
 		// Alternate sockets: r=0 -> s0c0, r=1 -> s1c0, r=2 -> s0c1, ...
 		primary := r % cores
 		smt := r / cores

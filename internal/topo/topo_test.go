@@ -138,7 +138,7 @@ func TestLayoutSlotsDistinctWithinNode(t *testing.T) {
 	m := Lehman()
 	f := func(perNodeRaw, bindRaw uint8) bool {
 		perNode := int(perNodeRaw)%m.HWThreadsPerNode() + 1
-		bind := Binding(int(bindRaw) % 3)
+		bind := Binding(int(bindRaw) % 2)
 		total := perNode * 2
 		places, err := m.Layout(total, perNode, bind)
 		if err != nil {

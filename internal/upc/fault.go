@@ -18,10 +18,6 @@ import (
 // FaultsOn reports whether a fault schedule is installed on this run.
 func (rt *Runtime) FaultsOn() bool { return rt.inj != nil }
 
-// RetryPolicy reports the run's active retry policy (zero when no fault
-// schedule is installed).
-func (rt *Runtime) RetryPolicy() fault.RetryPolicy { return rt.retry }
-
 // LiveThreads reports how many threads have not retired.
 func (rt *Runtime) LiveThreads() int { return rt.Cfg.Threads - rt.nDead }
 
@@ -139,8 +135,8 @@ func (t *Thread) protect(opName string, peer int, bytes int64, issue func() *fab
 }
 
 // WaitSyncErr blocks until the asynchronous operation completes,
-// recovering lost messages under the run's retry policy when the handle
-// was issued on a protected path (see waitRetry). It is the
+// recovering lost messages through fault.Await's deadline ladder when
+// the handle was issued on a protected path (see waitRetry). It is the
 // error-returning form of WaitSync. Either way the wait consumes the
 // handle: it goes back to the runtime's free list, with its typed
 // payload record, for the next operation to reuse.
@@ -170,7 +166,7 @@ func (t *Thread) WaitSyncErr(h *Handle) error {
 // the heap.
 func (t *Thread) waitRetry(op *fabric.NetOp, r *retryCtx) error {
 	rt := t.rt
-	err := rt.retry.Wait(&fault.Wait{
+	err := fault.Await(&fault.Wait{
 		Op: r.opName, Src: t.ID, Dst: r.peer, Bytes: r.bytes,
 		Xfer: rt.Cluster.Conduit.ExpectXfer(r.bytes),
 		P:    t.P, Done: &op.Remote, Fence: r.fence,

@@ -119,7 +119,6 @@ type Runtime struct {
 	// Fault-injection state: inj is nil when the run has no fault
 	// schedule, which keeps every hot path on its zero-cost branch.
 	inj   *fault.Injector
-	retry fault.RetryPolicy
 	dead  []bool // threads retired after their node crashed
 	nDead int
 	// reviveQ parks threads awaiting their node's scheduled revival, one
@@ -210,7 +209,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	rt.nodesUsed = (cfg.Threads + cfg.ThreadsPerNode - 1) / cfg.ThreadsPerNode
 	if inj != nil {
 		rt.inj = inj
-		rt.retry = fault.DefaultRetryPolicy()
 		rt.reviveQ = make([]sim.WaitQueue, rt.nodesUsed)
 		inj.OnTransition(func(node int, down bool) {
 			if !down && node < len(rt.reviveQ) {
