@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/mpi"
-	"repro/internal/topo"
 )
 
 // mpiWorker is one MPI rank's per-run state (the Fortran reference): the
@@ -22,7 +21,6 @@ func runMPI(cfg Config) (Result, error) {
 		Machine:      cfg.Machine,
 		Ranks:        cfg.Threads,
 		RanksPerNode: cfg.PerNode,
-		Binding:      topo.BindSocketRR,
 		Seed:         cfg.Seed,
 		Tracer:       cfg.Tracer,
 	}

@@ -20,6 +20,9 @@ import (
 // capacity/activeFlows, additionally clipped by the flow's own cap. This
 // is the bottleneck-share approximation of max-min fairness used by fluid
 // network simulators; it is conservative (never over-allocates a link).
+// Capacity and Beta are fixed once flows cross the link: the Net caches
+// each link's share and re-derives it only in the settling pass after the
+// link's active count changes.
 type Link struct {
 	Name     string
 	Capacity float64 // bytes per second; <= 0 means infinitely fast
@@ -29,14 +32,6 @@ type Link struct {
 	// NICs, incast buffering). Zero means ideal sharing.
 	Beta   float64
 	active int
-	// Down marks a flapped link: flows crossing it stall at rate zero
-	// until the link comes back (distinct from Capacity <= 0, which means
-	// infinitely fast). Toggled by the fault layer, which must follow any
-	// change with Net.Nudge so in-flight flows re-settle. The same holds
-	// for Capacity and Beta: the Net caches each link's share and
-	// re-derives it only in the settling pass after the link's active
-	// count changes, or in the full pass after a Nudge.
-	Down bool
 
 	classes []*flowClass // live flow classes crossing the link, unordered
 	shr     float64      // share() as of the last settling pass that refreshed it
@@ -57,9 +52,6 @@ func (l *Link) Active() int { return l.active }
 
 // share reports the per-flow bandwidth the link currently offers.
 func (l *Link) share() float64 {
-	if l.Down {
-		return 0
-	}
 	if l.Capacity <= 0 {
 		return math.Inf(1)
 	}
@@ -79,13 +71,12 @@ func (l *Link) share() float64 {
 }
 
 // Net is the fluid-flow engine. A flow's rate is a pure function of its
-// cap and its links' (active, Capacity, Beta, Down), so in-flight flows
-// are grouped into flow classes keyed by (link list, cap): every flow of
-// a class has the same rate, and the Net settles classes, not flows. A
-// settling pass recomputes only the classes crossing a link whose state
-// changed since the last pass: a flow start or finish marks the links it
-// crosses dirty, and every other class keeps its rate. Nudge, the signal
-// for an external change to link state, forces a full pass.
+// cap and its links' (active, Capacity, Beta), so in-flight flows are
+// grouped into flow classes keyed by (link list, cap): every flow of a
+// class has the same positive rate, and the Net settles classes, not
+// flows. A settling pass recomputes only the classes crossing a link
+// whose active count changed since the last pass: a flow start or finish
+// marks the links it crosses dirty, and every other class keeps its rate.
 //
 // Each class keeps its flows in a min-heap on remaining bytes, so the
 // next completion is the least rem[0]/rate over the live classes, and a
@@ -113,14 +104,11 @@ type Net struct {
 	// recomputed (flowClass.gen).
 	epoch uint64
 	dirty []*Link // links whose share changed since the last pass
-	full  bool    // next pass re-derives every live link and class (Nudge)
-	// stalled counts the live classes crossing a Down link: their rate is
-	// zero, so a Net whose live classes are all stalled books nothing.
-	stalled int
+	full  bool    // next pass re-derives every live link and class
 	// tick is the settling callback. pending marks it armed for the end
 	// of the instant (settle); otherwise it is armed, if at all, for the
 	// next completion. resv is the engine sequence number the next
-	// completion booking takes, 0 when no live class can progress.
+	// completion booking takes, 0 when no class is live.
 	tick    *sim.Timer
 	pending bool
 	resv    uint64
@@ -208,28 +196,16 @@ type flowClass struct {
 	rem0  [1]float64
 	flows []*flowOp
 
-	gen     uint64 // epoch of the settling pass that last set rate
-	flow0   [1]*flowOp
-	key     flowKey
-	nlinks  int32
-	idx     int32               // index into Net.classes while live
-	slots   [maxFlowLinks]int32 // position in each link's classes list while live
-	stalled bool                // crosses a Down link; counted in Net.stalled while live
+	gen    uint64 // epoch of the settling pass that last set rate
+	flow0  [1]*flowOp
+	key    flowKey
+	nlinks int32
+	idx    int32               // index into Net.classes while live
+	slots  [maxFlowLinks]int32 // position in each link's classes list while live
 }
 
 // links is the class's link set, a view over the key.
 func (c *flowClass) links() []*Link { return c.key.links[:c.nlinks] }
-
-// crossesDown reports whether any of the class's links is Down, which
-// holds exactly when its settled rate is zero.
-func (c *flowClass) crossesDown() bool {
-	for _, l := range c.links() {
-		if l.Down {
-			return true
-		}
-	}
-	return false
-}
 
 // settleRate reports the class's rate from its cap and its links' cached
 // shares: min(cap, shares), with an uncapped class over only infinite
@@ -382,10 +358,6 @@ func (n *Net) launch(size int64, k flowKey, act sim.Action) *flowOp {
 // unpark makes an idle class live: it joins Net.classes and its links'
 // class lists.
 func (n *Net) unpark(c *flowClass) {
-	c.stalled = c.crossesDown()
-	if c.stalled {
-		n.stalled++
-	}
 	c.idx = int32(len(n.classes))
 	n.classes = append(n.classes, c)
 	for k, l := range c.links() {
@@ -398,9 +370,6 @@ func (n *Net) unpark(c *flowClass) {
 // links' class lists, each by a swap with the last entry. It stays in
 // byKey for the next flow of its key.
 func (n *Net) park(c *flowClass) {
-	if c.stalled {
-		n.stalled--
-	}
 	last := int32(len(n.classes) - 1)
 	if c.idx != last {
 		moved := n.classes[last]
@@ -456,25 +425,6 @@ func (l *Link) capacityArg() int64 {
 		return 0
 	}
 	return int64(l.Capacity)
-}
-
-// Nudge re-settles all in-flight flows after an external change to link
-// state (a fault action degrading capacity or toggling Down). It charges
-// progress at the old rates up to now, recounts the classes a Down link
-// stalls, then recomputes every live link's share and every class's rate
-// and rebooks the next completion — including waking flows that were
-// stalled on a link that just came back.
-func (n *Net) Nudge() {
-	n.account()
-	n.full = true
-	n.stalled = 0
-	for _, c := range n.classes {
-		c.stalled = c.crossesDown()
-		if c.stalled {
-			n.stalled++
-		}
-	}
-	n.reschedule()
 }
 
 // finishFlow completes f: fire the event (waking a blocked Transfer),
@@ -545,10 +495,9 @@ func (n *Net) drain(buf []*flowOp) []*flowOp {
 // current link state. It refreshes each dirty link's cached share once,
 // then recomputes — once per pass, by the epoch stamp — only the classes
 // crossing a dirty link; every other class's inputs are unchanged, so
-// its rate already equals what a full recompute would give. After Nudge
-// the pass is full: every live class's links are re-derived and every
-// rate recomputed, since the fault layer changes link state behind the
-// Net's back.
+// its rate already equals what a full recompute would give. A full pass,
+// the reference the differential settle tests force, re-derives every
+// live class's links and recomputes every rate.
 func (n *Net) recomputeRates() {
 	if n.full {
 		n.full = false
@@ -586,8 +535,8 @@ func (n *Net) recomputeRates() {
 // every wake they cause keeps its place.
 //
 // Each call takes an engine sequence number for the next completion
-// booking when some live class can progress — exactly when a pass of its
-// own would have booked one — and the end-of-instant pass books with the
+// booking when some class is live — exactly when a pass of its own would
+// have booked one — and the end-of-instant pass books with the
 // last number taken. The one booking an instant leaves therefore pops
 // where the last of a per-call pass's bookings would, and every other
 // event keeps its (at, seq).
@@ -612,7 +561,7 @@ func (n *Net) reschedule() {
 	}
 	n.fin = finished[:0]
 	n.resv = 0
-	if len(n.classes) > n.stalled {
+	if len(n.classes) > 0 {
 		n.resv = n.eng.Reserve()
 	}
 	if !n.pending {
@@ -634,22 +583,16 @@ func (n *Net) settle() {
 	if n.settled != nil {
 		n.settled()
 	}
+	if len(n.classes) == 0 {
+		return
+	}
 	// Division by a positive rate is monotone, so each class's heap
 	// minimum gives its earliest completion.
 	next := math.Inf(1)
 	for _, c := range n.classes {
-		if c.rate <= 0 {
-			continue
-		}
 		if t := c.rem[0] / c.rate; t < next {
 			next = t
 		}
-	}
-	if math.IsInf(next, 1) {
-		// No flow can progress. Either every remaining flow crosses a Down
-		// link (a fault-layer Nudge restores them) or this is a caller bug
-		// that surfaces as deadlock.
-		return
 	}
 	dt := sim.FromSeconds(next)
 	// Relative quantization: push the wake slightly past the earliest
@@ -659,8 +602,7 @@ func (n *Net) settle() {
 	if dt < 1 {
 		dt = 1
 	}
-	// A class that can progress crosses no Down link, so the last
-	// reschedule reserved a number (Down changes only under Nudge).
+	// Some class is live, so the last reschedule reserved a number.
 	n.tick.Arm(n.eng.Now()+dt, n.resv)
 }
 

@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fabric"
@@ -38,10 +39,6 @@ func TestScheduleValidate(t *testing.T) {
 		`{"actions":[{"op":"crash","at_s":-1,"node":0}]}`,                                // negative time
 		`{"actions":[{"op":"crash","at_s":2,"until_s":1,"node":0}]}`,                     // until before at
 		`{"actions":[{"op":"crash","at_s":0,"node":-2}]}`,                                // bad node
-		`{"actions":[{"op":"degrade","at_s":0,"factor":0.5}]}`,                           // missing link
-		`{"actions":[{"op":"degrade","at_s":0,"link":"nic-tx0","factor":1.5}]}`,          // factor >= 1
-		`{"actions":[{"op":"flap","at_s":0,"link":"nic-tx0","period_s":0.01}]}`,          // flap without end
-		`{"actions":[{"op":"flap","at_s":0,"until_s":1,"link":"nic-tx0"}]}`,              // missing period
 		`{"actions":[{"op":"drop","at_s":0,"prob":0}]}`,                                  // prob out of range
 		`{"actions":[{"op":"drop","at_s":0,"prob":1.5}]}`,                                // prob out of range
 		`{"actions":[{"op":"delay","at_s":0,"prob":0.5}]}`,                               // missing extra
@@ -54,8 +51,6 @@ func TestScheduleValidate(t *testing.T) {
 	}
 	good := `{"name":"mix","actions":[
 		{"op":"crash","at_s":0.5,"until_s":1.0,"node":1},
-		{"op":"degrade","at_s":0,"until_s":2,"link":"nic-tx0","factor":0.25},
-		{"op":"flap","at_s":0,"until_s":1,"link":"nic-rx1","period_s":0.05},
 		{"op":"drop","at_s":0,"prob":0.1,"src":0,"dst":1},
 		{"op":"delay","at_s":0,"prob":0.2,"extra_s":0.0001},
 		{"op":"duplicate","at_s":0,"prob":0.05}]}`
@@ -64,15 +59,27 @@ func TestScheduleValidate(t *testing.T) {
 	}
 }
 
+// TestParseRejectsLinkActions: schedules act on nodes and messages
+// only, so a link-level op or a link field fails Parse at its line.
+func TestParseRejectsLinkActions(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"{\"actions\":[\n{\"op\":\"crash\",\"at_s\":0,\"node\":0},\n{\"op\":\"degrade\",\"at_s\":0}]}",
+			"schedule:3: action 1 (degrade): unknown op"},
+		{"{\"actions\":[\n\n{\"op\":\"drop\",\"at_s\":0,\"prob\":0.5,\"link\":\"nic-tx0\"}]}",
+			`schedule:3: action 0: unknown field "link"`},
+	} {
+		_, err := Parse([]byte(tc.src))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Parse(%q) = %v, want an error containing %q", tc.src, err, tc.want)
+		}
+	}
+}
+
 func TestInstallRejectsUnknownTargets(t *testing.T) {
 	_, c := testCluster(1)
 	if _, err := Install(c, &Schedule{Actions: []Action{
 		{Op: OpCrash, At: 1, Node: 99}}}); err == nil {
 		t.Error("crash of a node outside the machine must fail Install")
-	}
-	if _, err := Install(c, &Schedule{Actions: []Action{
-		{Op: OpDegrade, At: 1, Link: "no-such-link", Factor: 0.5}}}); err == nil {
-		t.Error("degrade of an unknown link must fail Install")
 	}
 }
 
@@ -107,62 +114,6 @@ func TestCrashAndReviveTimeline(t *testing.T) {
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDegradeScalesAndRestores(t *testing.T) {
-	e, c := testCluster(1)
-	l := c.LinkByName("nic-tx0")
-	base := l.Capacity
-	if _, err := Install(c, &Schedule{Actions: []Action{
-		{Op: OpDegrade, At: 0.001, Until: 0.002, Link: "nic-tx0", Factor: 0.25, Src: -1, Dst: -1}}}); err != nil {
-		t.Fatal(err)
-	}
-	e.After(1500*sim.Microsecond, func() {
-		if l.Capacity != base*0.25 {
-			t.Errorf("degraded capacity = %g, want %g", l.Capacity, base*0.25)
-		}
-	})
-	e.After(2500*sim.Microsecond, func() {
-		if l.Capacity != base {
-			t.Errorf("restored capacity = %g, want %g", l.Capacity, base)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFlapTogglesAndEndsUp(t *testing.T) {
-	e, c := testCluster(1)
-	l := c.LinkByName("nic-rx1")
-	if _, err := Install(c, &Schedule{Actions: []Action{
-		{Op: OpFlap, At: 0.001, Until: 0.0035, Link: "nic-rx1", Period: 0.001, Src: -1, Dst: -1}}}); err != nil {
-		t.Fatal(err)
-	}
-	// Half-cycles: down at 1ms, up at 2ms, down at 3ms, forced up at the
-	// 4ms tick (past until=3.5ms).
-	for _, s := range []struct {
-		at   sim.Duration
-		want bool
-	}{
-		{1500 * sim.Microsecond, true},
-		{2500 * sim.Microsecond, false},
-		{3200 * sim.Microsecond, true},
-		{4500 * sim.Microsecond, false},
-	} {
-		s := s
-		e.After(s.at, func() {
-			if l.Down != s.want {
-				t.Errorf("link down at %v = %v, want %v", s.at, l.Down, s.want)
-			}
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if l.Down {
-		t.Error("flapped link must end the run up")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // Injector realizes a schedule against one cluster. It implements
 // fabric.FaultModel: the fabric consults it on every message, and timed
-// actions (crashes, degradations, flaps) fire as engine events. All
+// actions (crashes, revivals, rule windows) fire as engine events. All
 // probability draws come from the engine's seeded PRNG and all times from
 // the virtual clock, so a (seed, schedule) pair fully determines every
 // injected fault.
@@ -65,51 +65,6 @@ func Install(cl *fabric.Cluster, sched *Schedule) (*Injector, error) {
 			if a.Until > 0 {
 				inj.at(a.Until, func() { inj.setDown(a.Node, false) })
 			}
-		case OpDegrade:
-			l := cl.LinkByName(a.Link)
-			if l == nil {
-				return nil, fmt.Errorf("fault: action %d: unknown link %q", i, a.Link)
-			}
-			inj.at(a.At, func() {
-				base := l.Capacity
-				l.Capacity = base * a.Factor
-				inj.event("degrade")
-				cl.Net.Nudge()
-				if a.Until > 0 {
-					inj.at(a.Until, func() {
-						l.Capacity = base
-						inj.event("restore")
-						cl.Net.Nudge()
-					})
-				}
-			})
-		case OpFlap:
-			l := cl.LinkByName(a.Link)
-			if l == nil {
-				return nil, fmt.Errorf("fault: action %d: unknown link %q", i, a.Link)
-			}
-			until := sim.Time(sim.FromSeconds(a.Until))
-			period := sim.FromSeconds(a.Period)
-			var tick func()
-			tick = func() {
-				if inj.eng.Now() >= until {
-					if l.Down {
-						l.Down = false
-						inj.event("restore")
-						cl.Net.Nudge()
-					}
-					return
-				}
-				l.Down = !l.Down
-				if l.Down {
-					inj.event("flap-down")
-				} else {
-					inj.event("flap-up")
-				}
-				cl.Net.Nudge()
-				eng.After(period, tick)
-			}
-			inj.at(a.At, tick)
 		case OpDrop, OpDelay, OpDuplicate:
 			idx := len(inj.rules)
 			inj.rules = append(inj.rules, rule{act: a})
@@ -184,13 +139,6 @@ func (inj *Injector) WillRevive(node int) bool {
 		}
 	}
 	return false
-}
-
-// event emits a link-action visibility instant.
-func (inj *Injector) event(name string) {
-	if inj.eng.Tracing() {
-		inj.eng.TraceInstant(trace.CatComm, name, trace.ClassFault, 0, 0)
-	}
 }
 
 // NodeDown implements fabric.FaultModel.

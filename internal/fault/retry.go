@@ -60,14 +60,14 @@ const (
 )
 
 // timeoutScaleCap bounds the per-attempt timeout growth: later attempts
-// wait longer (a degraded-but-alive link needs patience, not traffic)
+// wait longer (a slow but live path needs patience, not traffic)
 // but not unboundedly.
 const timeoutScaleCap = 8
 
 // AttemptTimeout reports the deadline of attempt try (0-based) for an
 // operation whose fault-free completion takes about xfer of pure
 // transfer time. The base grows exponentially with the attempt number,
-// capped at timeoutScaleCap, so retries on a degraded link converge
+// capped at timeoutScaleCap, so retries on a slow path converge
 // instead of storming.
 func AttemptTimeout(try int, xfer sim.Duration) sim.Duration {
 	scale := sim.Duration(1) << uint(try)

@@ -1,9 +1,9 @@
 // Package fault provides deterministic fault injection for the simulated
-// machine: a declarative JSON schedule of crashes, link degradations,
-// flaps and message-level drop/delay/duplicate rules, an Injector that
-// realizes the schedule against a fabric.Cluster using only the engine's
-// seeded PRNG and virtual clock, and the retry ladder the communication
-// runtimes use to recover. Identical (seed, schedule) pairs produce
+// machine: a declarative JSON schedule of node crashes and message-level
+// drop/delay/duplicate rules, an Injector that realizes the schedule
+// against a fabric.Cluster using only the engine's seeded PRNG and
+// virtual clock, and the retry ladder the communication runtimes use to
+// recover. Identical (seed, schedule) pairs produce
 // bit-identical runs at any host parallelism, so chaos experiments are
 // exactly reproducible.
 package fault
@@ -23,12 +23,6 @@ const (
 	// Messages to or from a down node are dropped, including messages
 	// already in flight when it goes down.
 	OpCrash Op = "crash"
-	// OpDegrade scales a named link's capacity by factor at at_s,
-	// restoring the original capacity at until_s (0 = never).
-	OpDegrade Op = "degrade"
-	// OpFlap toggles a named link down and up with half-cycle period_s,
-	// starting down at at_s and forced up at until_s (required).
-	OpFlap Op = "flap"
 	// OpDrop loses matching messages with probability prob.
 	OpDrop Op = "drop"
 	// OpDelay adds extra_s of latency to matching messages with
@@ -42,17 +36,14 @@ const (
 // since simulation start. Src and Dst filter message-level rules by node
 // pair; -1 (the default) matches any node.
 type Action struct {
-	Op     Op      `json:"op"`
-	At     float64 `json:"at_s"`
-	Until  float64 `json:"until_s,omitempty"`
-	Node   int     `json:"node,omitempty"`
-	Link   string  `json:"link,omitempty"`
-	Factor float64 `json:"factor,omitempty"`
-	Period float64 `json:"period_s,omitempty"`
-	Prob   float64 `json:"prob,omitempty"`
-	Extra  float64 `json:"extra_s,omitempty"`
-	Src    int     `json:"src,omitempty"`
-	Dst    int     `json:"dst,omitempty"`
+	Op    Op      `json:"op"`
+	At    float64 `json:"at_s"`
+	Until float64 `json:"until_s,omitempty"`
+	Node  int     `json:"node,omitempty"`
+	Prob  float64 `json:"prob,omitempty"`
+	Extra float64 `json:"extra_s,omitempty"`
+	Src   int     `json:"src,omitempty"`
+	Dst   int     `json:"dst,omitempty"`
 }
 
 // UnmarshalJSON defaults the Src/Dst filters to -1 (match any) so that
@@ -85,9 +76,8 @@ type Schedule struct {
 // anything else with the offending line, so a typo ("untils_s") fails
 // loudly instead of silently injecting a different fault.
 var actionKeys = map[string]bool{
-	"op": true, "at_s": true, "until_s": true, "node": true, "link": true,
-	"factor": true, "period_s": true, "prob": true, "extra_s": true,
-	"src": true, "dst": true,
+	"op": true, "at_s": true, "until_s": true, "node": true,
+	"prob": true, "extra_s": true, "src": true, "dst": true,
 }
 
 // Parse decodes a schedule from JSON and validates it strictly: unknown
@@ -190,10 +180,6 @@ func requiredKeys(op Op) []string {
 	switch op {
 	case OpCrash:
 		return []string{"node"}
-	case OpDegrade:
-		return []string{"link", "factor"}
-	case OpFlap:
-		return []string{"link", "period_s", "until_s"}
 	case OpDrop, OpDuplicate:
 		return []string{"prob"}
 	case OpDelay:
@@ -203,8 +189,8 @@ func requiredKeys(op Op) []string {
 }
 
 // Validate checks every action's fields for the constraints its op
-// requires. Node existence and link names are checked later, at Install
-// time, against the concrete machine.
+// requires. Node existence is checked later, at Install time, against the
+// concrete machine.
 func (s *Schedule) Validate() error {
 	for i := range s.Actions {
 		a := &s.Actions[i]
@@ -226,23 +212,6 @@ func (s *Schedule) Validate() error {
 		case OpCrash:
 			if a.Node < 0 {
 				return fail("node %d is negative", a.Node)
-			}
-		case OpDegrade:
-			if a.Link == "" {
-				return fail("link name required")
-			}
-			if a.Factor < 0 || a.Factor >= 1 {
-				return fail("factor %g outside [0,1)", a.Factor)
-			}
-		case OpFlap:
-			if a.Link == "" {
-				return fail("link name required")
-			}
-			if a.Period <= 0 {
-				return fail("period_s %g must be positive", a.Period)
-			}
-			if a.Until <= a.At {
-				return fail("until_s required (a flap without an end never stops)")
 			}
 		case OpDrop, OpDelay, OpDuplicate:
 			if a.Prob <= 0 || a.Prob > 1 {

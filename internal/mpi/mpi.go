@@ -23,13 +23,13 @@ const EagerThreshold = 4096
 // used for intra-node sends.
 const smOverhead = 200 * sim.Nanosecond
 
-// Config describes one MPI execution.
+// Config describes one MPI execution. Ranks talk over the machine's
+// DefaultConduit and are bound round-robin across sockets
+// (topo.BindSocketRR).
 type Config struct {
 	Machine      *topo.Machine
-	Conduit      string // conduit preset name; "" = machine's DefaultConduit
 	Ranks        int
 	RanksPerNode int
-	Binding      topo.Binding
 	Seed         int64
 	// Tracer, when non-nil, receives the run's trace events in addition to
 	// any process-default tracer (see internal/trace).
@@ -123,15 +123,11 @@ func NewWorld(cfg Config) (*World, error) {
 	if cfg.Ranks <= 0 || cfg.RanksPerNode <= 0 {
 		return nil, fmt.Errorf("mpi: Ranks=%d RanksPerNode=%d", cfg.Ranks, cfg.RanksPerNode)
 	}
-	conduit := cfg.Conduit
-	if conduit == "" {
-		conduit = cfg.Machine.DefaultConduit
-	}
-	cond, ok := fabric.ConduitByName(conduit)
+	cond, ok := fabric.ConduitByName(cfg.Machine.DefaultConduit)
 	if !ok {
-		return nil, fmt.Errorf("mpi: unknown conduit %q", conduit)
+		return nil, fmt.Errorf("mpi: unknown conduit %q", cfg.Machine.DefaultConduit)
 	}
-	places, err := cfg.Machine.Layout(cfg.Ranks, cfg.RanksPerNode, cfg.Binding)
+	places, err := cfg.Machine.Layout(cfg.Ranks, cfg.RanksPerNode, topo.BindSocketRR)
 	if err != nil {
 		return nil, err
 	}
