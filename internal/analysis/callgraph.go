@@ -220,12 +220,11 @@ var collectiveMethods = map[string]bool{
 }
 
 var collectiveFuncs = map[string]bool{
-	"AllReduce":       true,
-	"AllReduceSum":    true,
-	"AllReduceSumInt": true,
-	"Alloc":           true,
-	"Alloc2D":         true,
-	"AllocLock":       true,
+	"AllReduce":    true,
+	"AllReduceSum": true,
+	"Alloc":        true,
+	"Alloc2D":      true,
+	"AllocLock":    true,
 }
 
 // CollectiveCall reports whether the call is a recognized collective
@@ -257,13 +256,12 @@ func recvTypeName(t types.Type) string {
 // ---- Thread-identity taint ----
 //
 // The concurrency analyzers need to know when a value depends on the
-// executing thread's identity: MYTHREAD, Thread.ID, Group.Rank,
-// IsLeader(). threadTaint computes the per-function set of local
-// variables carrying such values; threadDepExpr tests one expression
-// against it. Results of collective calls are replicated across
-// threads, so a collective call cleanses taint — the classic
-// n := AllReduceSumInt(t, mine) loop bound is uniform even though the
-// contribution was not.
+// executing thread's identity: MYTHREAD, Thread.ID, Group.Rank.
+// threadTaint computes the per-function set of local variables carrying
+// such values; threadDepExpr tests one expression against it. Results
+// of collective calls are replicated across threads, so a collective
+// call cleanses taint — the classic n := AllReduceSum(t, mine) loop
+// bound is uniform even though the contribution was not.
 
 // threadIdentExpr reports whether e itself denotes the executing
 // thread's identity.
@@ -281,10 +279,6 @@ func threadIdentExpr(info *types.Info, e ast.Expr) bool {
 			return recvTypeName(tv.Type) == "thread"
 		case "Rank":
 			return recvTypeName(tv.Type) == "group"
-		}
-	case *ast.CallExpr:
-		if fn := calleeFunc(info, e); fn != nil && fn.Name() == "IsLeader" {
-			return true
 		}
 	}
 	return false

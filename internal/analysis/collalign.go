@@ -20,7 +20,7 @@
 // Calls resolve through the program call graph (callgraph.go), so a
 // helper that barriers two packages away still counts; results of
 // collective calls are uniform across threads and cleanse the taint
-// (n := AllReduceSumInt(...) is a legal loop bound around a barrier).
+// (n := AllReduceSum(...) is a legal loop bound around a barrier).
 //
 // Approximations, chosen to match the house idioms: function literals
 // contribute their sequence at the point they are written (right for

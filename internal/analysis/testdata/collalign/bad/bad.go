@@ -10,8 +10,6 @@ type thread struct{ ID, N int }
 
 func (*thread) Barrier() {}
 
-func (t *thread) IsLeader() bool { return t.ID == 0 }
-
 var work int
 
 // The classic: only thread 0 reaches the barrier.
@@ -38,13 +36,13 @@ func unbalancedLoop(t *thread) {
 }
 
 // The same bug one call away: the helper's collective is reached only
-// by the leader (interprocedural MayCollect).
+// by thread 0 (interprocedural MayCollect).
 func helperBarrier(t *thread) {
 	t.Barrier()
 }
 
 func leaderOnly(t *thread) {
-	if t.IsLeader() { // want "thread-conditional branch"
+	if t.ID == 0 { // want "thread-conditional branch"
 		helperBarrier(t)
 	}
 }

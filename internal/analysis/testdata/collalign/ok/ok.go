@@ -7,9 +7,9 @@ type thread struct{ ID, N int }
 
 func (*thread) Barrier() {}
 
-// AllReduceSumInt mirrors the upc package collective: every thread
-// gets the same replicated result.
-func AllReduceSumInt(t *thread, v int) int { return v }
+// AllReduceSum mirrors the upc package collective: every thread gets
+// the same replicated result.
+func AllReduceSum(t *thread, v float64) float64 { return v }
 
 var work int
 
@@ -33,8 +33,8 @@ func balancedArms(t *thread) {
 // The loop bound is thread-dependent input reduced to a replicated
 // value: every thread runs the same trip count.
 func cleansedBound(t *thread) {
-	n := AllReduceSumInt(t, t.ID)
-	for i := 0; i < n; i++ {
+	n := AllReduceSum(t, float64(t.ID))
+	for i := 0.0; i < n; i++ {
 		t.Barrier()
 	}
 }

@@ -9,9 +9,9 @@
 //     natural UPC expression, dominated by per-message overheads.
 //   - Aggregated: updates are bucketed per destination *thread* and
 //     shipped in bulk (software aggregation).
-//   - GroupAggregated: updates are bucketed per destination *node* using
-//     the thread-group machinery; the receiving member scatters them to
-//     its node peers through the privatized pointer table — hierarchical
+//   - GroupAggregated: updates are bucketed per destination *node*, the
+//     node's thread group; the receiving member scatters them to its node
+//     peers through the privatized pointer table — hierarchical
 //     aggregation with P/perNode times fewer buckets.
 //
 // All variants run real XOR updates; results are verified against a
@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/group"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -153,9 +152,9 @@ func Run(cfg Config) (Result, error) {
 		case Fine:
 			n = runFine(t, table, ups)
 		case Aggregated:
-			n = runAggregated(t, table, ups, nil)
+			n = runAggregated(t, table, ups, false)
 		case GroupAggregated:
-			n = runAggregated(t, table, ups, group.NodeGroup(t))
+			n = runAggregated(t, table, ups, true)
 		}
 		t.Barrier()
 		if t.ID == 0 {
@@ -215,15 +214,15 @@ func runFine(t *upc.Thread, table *upc.Shared[uint64], ups []update) int64 {
 	return n
 }
 
-// runAggregated buckets updates per destination thread (g == nil) or per
-// destination node (g != nil), shipping full buckets as bulk one-sided
-// transfers whose remote handler applies the XORs.
-func runAggregated(t *upc.Thread, table *upc.Shared[uint64], ups []update, g *group.Group) int64 {
+// runAggregated buckets updates per destination thread, or per destination
+// node when grouped, shipping full buckets as bulk one-sided transfers
+// whose remote handler applies the XORs.
+func runAggregated(t *upc.Thread, table *upc.Shared[uint64], ups []update, grouped bool) int64 {
 	rt := t.Runtime()
 	perNode := rt.Cfg.ThreadsPerNode
 	// Destination key: thread id, or node representative under grouping.
 	keyOf := func(owner int) int {
-		if g == nil {
+		if !grouped {
 			return owner
 		}
 		// Route the node bucket to the member with the same node-local

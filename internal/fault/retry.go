@@ -26,7 +26,7 @@ var (
 // returns after recovery gave up: which operation, between which
 // endpoints (thread or rank ids), how many attempts were made, and why.
 type CommError struct {
-	Op       string // "put", "get", "send", "barrier", ...
+	Op       string // "put", "get", "recv", "barrier", ...
 	Src, Dst int
 	Attempts int
 	Err      error // sentinel cause

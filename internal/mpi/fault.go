@@ -9,9 +9,8 @@ import (
 
 // Self-healing layer: when a fault schedule is installed (Config.Faults
 // or the process default), the library behaves like an MPI stack with a
-// reliable transport — lost rendezvous payloads are retransmitted by the
-// sender, lost eager payloads are pulled back by the receiver after an
-// ack timeout (the NACK path), and blocking calls that can never
+// reliable transport — lost payloads are pulled back by the receiver
+// after an ack timeout (the NACK path), and blocking calls that can never
 // complete return typed errors instead of hanging. Without a schedule
 // every hook collapses to a nil check.
 
@@ -29,9 +28,9 @@ func (w *World) anyNodeDown() bool {
 	return false
 }
 
-// FaultEvent emits one recovery-visibility instant (comm-matrix class
+// faultEvent emits one recovery-visibility instant (comm-matrix class
 // fault) from this rank toward peer. Free when untraced.
-func (c *Comm) FaultEvent(name string, peer int, bytes int64) {
+func (c *Comm) faultEvent(name string, peer int, bytes int64) {
 	if !c.w.Eng.Tracing() {
 		return
 	}
@@ -50,23 +49,6 @@ func (c *Comm) fence(peer int) fault.Fence {
 	return c.w.inj.Fence(c.Rank, peer, c.Place.Node, c.w.places[peer].Node)
 }
 
-// retryWait drives a cross-node transfer toward peer through the run's
-// deadline ladder, re-issuing it on each timeout, until done fires or a
-// crash, a reincarnation or exhausted retries end the wait.
-func (c *Comm) retryWait(op string, peer int, bytes int64, done *sim.Event,
-	reissue func(attempt int) *sim.Event) error {
-	w := c.w
-	peerNode := w.places[peer].Node
-	return fault.Await(&fault.Wait{
-		Op: op, Src: c.Rank, Dst: peer, Bytes: bytes,
-		Xfer: w.Cluster.Conduit.ExpectXfer(bytes),
-		P:    c.P, Done: done, Fence: c.fence(peer),
-		Down:    func() bool { return w.Cluster.NodeDown(c.Place.Node) || w.Cluster.NodeDown(peerNode) },
-		Event:   c.FaultEvent,
-		Reissue: reissue,
-	})
-}
-
 // releaseWait waits for a barrier or collective release through the
 // deadline ladder, diagnosing a stall with any node down as a crash.
 func (c *Comm) releaseWait(op string, ev *sim.Event) error {
@@ -74,51 +56,16 @@ func (c *Comm) releaseWait(op string, ev *sim.Event) error {
 	return fault.Await(&fault.Wait{
 		Op: op, Src: c.Rank, Dst: c.Rank, Xfer: w.barCost, P: c.P, Done: ev,
 		Down:  w.anyNodeDown,
-		Event: c.FaultEvent,
+		Event: c.faultEvent,
 	})
 }
 
-// SendErr is Send with fault recovery and typed errors.
-func (c *Comm) SendErr(dst int, data []byte) error {
-	snap := make([]byte, len(data))
-	copy(snap, data)
-	return c.send(dst, int64(len(data)), snap)
-}
-
-// SendModelErr delivers a payload-free message of the given byte volume
-// to rank dst (the model-mode send, with Send's blocking semantics), with
-// fault recovery and typed errors.
-func (c *Comm) SendModelErr(dst int, bytes int64) error { return c.send(dst, bytes, nil) }
-
-// send posts a message and applies the protocol's blocking rule, failing
-// fast when either end is already down. Eager sends complete when the
-// payload leaves the source buffer (loss is recovered receiver-side);
-// rendezvous sends block for delivery and retransmit on timeout.
-func (c *Comm) send(dst int, bytes int64, data []byte) error {
-	w := c.w
-	if w.faultsOn() && (w.Cluster.NodeDown(c.Place.Node) || w.Cluster.NodeDown(w.places[dst].Node)) {
-		return c.commError("send", dst, 0, fault.ErrNodeDown)
-	}
-	op, msg := c.post(dst, bytes, data)
-	if bytes <= EagerThreshold {
-		op.WaitLocal(c.P)
-		return nil
-	}
-	if !w.faultsOn() || topo.SameNode(c.Place, w.places[dst]) {
-		op.WaitRemote(c.P)
-		return nil
-	}
-	return c.retryWait("send", dst, bytes, &op.Remote, func(int) *sim.Event {
-		op = c.transfer(dst, bytes, msg.arrived.Fire)
-		return &op.Remote
-	})
-}
-
-// RecvErr is Recv with fault recovery and typed errors: it gives up when
-// the sender's node dies or no matching message appears within the
-// deadline ladder, and pulls lost payloads back from the sender after an
-// ack timeout.
-func (c *Comm) RecvErr(src int) ([]byte, error) {
+// recv blocks until a message from src arrives and returns its payload
+// (MPI_Recv with an explicit source). Under an installed fault schedule
+// it pulls lost payloads back from the sender after an ack timeout, and
+// returns a typed error when the sender's node dies or no matching
+// message appears within the deadline ladder.
+func (c *Comm) recv(src int) ([]byte, error) {
 	w := c.w
 	if !w.faultsOn() {
 		m := c.match(src)
@@ -145,24 +92,34 @@ func (c *Comm) RecvErr(src int) ([]byte, error) {
 			return nil, c.commError("recv", src, timeouts, fault.ErrTimeout)
 		}
 		if !w.rxQ[c.Rank].WaitTimeout(c.P, "mpi-recv", fault.AttemptTimeout(timeouts, 0)) {
-			c.FaultEvent("timeout", src, 0)
+			c.faultEvent("timeout", src, 0)
 			timeouts++
 		}
 	}
 }
 
-// awaitPayload waits for a matched message's payload. A payload lost to
-// injected drops is recovered by pulling it from the sender's buffer —
-// the simulation's equivalent of a NACK-triggered retransmission.
+// awaitPayload waits for a matched message's payload under the fault
+// schedule. A cross-node payload lost to injected drops is pulled from
+// the sender's buffer on each deadline-ladder timeout — the simulation's
+// equivalent of a NACK-triggered retransmission — until it arrives or a
+// crash, a reincarnation or exhausted retries end the wait.
 func (c *Comm) awaitPayload(m *message, src int) ([]byte, error) {
 	w := c.w
-	if !w.faultsOn() || topo.SameNode(c.Place, w.places[src]) {
+	if topo.SameNode(c.Place, w.places[src]) {
 		m.arrived.Wait(c.P)
 		return m.data, nil
 	}
-	err := c.retryWait("recv", src, m.bytes, m.arrived, func(int) *sim.Event {
-		c.ep.GetAsync(c.P, w.eps[src], m.bytes, m.arrived.Fire)
-		return m.arrived
+	srcNode := w.places[src].Node
+	err := fault.Await(&fault.Wait{
+		Op: "recv", Src: c.Rank, Dst: src, Bytes: m.bytes,
+		Xfer: w.Cluster.Conduit.ExpectXfer(m.bytes),
+		P:    c.P, Done: m.arrived, Fence: c.fence(src),
+		Down:  func() bool { return w.Cluster.NodeDown(c.Place.Node) || w.Cluster.NodeDown(srcNode) },
+		Event: c.faultEvent,
+		Reissue: func(int) *sim.Event {
+			c.ep.GetAsync(c.P, w.eps[src], m.bytes, m.arrived.Fire)
+			return m.arrived
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -170,11 +127,11 @@ func (c *Comm) awaitPayload(m *message, src int) ([]byte, error) {
 	return m.data, nil
 }
 
-// BarrierErr is Barrier with failure detection: instead of hanging when
+// barrierErr is Barrier with failure detection: instead of hanging when
 // a rank can never arrive, it gives up after the deadline ladder and
 // returns a typed error (ErrNodeDown when a crash explains the stall,
 // ErrTimeout otherwise).
-func (c *Comm) BarrierErr() error {
+func (c *Comm) barrierErr() error {
 	w := c.w
 	if !w.faultsOn() {
 		c.notifyBarrier().Wait(c.P)

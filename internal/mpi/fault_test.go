@@ -17,68 +17,35 @@ func chaosCfg(sched *fault.Schedule) Config {
 }
 
 // TestEagerRecvRecoversFromDropWindow: every cross-node message inside
-// the window is dropped; the receiver's NACK pull must recover the
+// the window is dropped. Each post is eager (the sender waits only for
+// local completion), so the receiver's NACK pull must recover the
 // payload once the window closes.
 func TestEagerRecvRecoversFromDropWindow(t *testing.T) {
 	sched := &fault.Schedule{Actions: []fault.Action{
 		{Op: fault.OpDrop, At: 0, Until: 0.002, Prob: 1, Src: -1, Dst: -1},
 	}}
-	var gotAt sim.Time
+	gotAt := make([]sim.Time, 4)
 	_, err := Run(chaosCfg(sched), func(c *Comm) {
-		if c.Rank == 0 {
-			c.Send(2, []byte{7}) // eager, cross-node: returns at WaitLocal
+		peer := c.Rank ^ 2 // cross-node pairing
+		got := c.sendrecv(peer, 1, []byte{byte(10 + c.Rank)}, peer)
+		if len(got) != 1 || got[0] != byte(10+peer) {
+			t.Errorf("rank %d: payload = %v, want [%d]", c.Rank, got, 10+peer)
 		}
-		if c.Rank == 2 {
-			got, rerr := c.RecvErr(0)
-			if rerr != nil {
-				t.Errorf("RecvErr under drop window: %v", rerr)
-				return
-			}
-			if len(got) != 1 || got[0] != 7 {
-				t.Errorf("payload = %v, want [7]", got)
-			}
-			gotAt = c.P.Now()
-		}
+		gotAt[c.Rank] = c.P.Now()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotAt < sim.Time(2*sim.Millisecond) {
-		t.Errorf("recv completed at %v, inside the total-drop window", gotAt)
+	for r, at := range gotAt {
+		if at < sim.Time(2*sim.Millisecond) {
+			t.Errorf("rank %d: exchange completed at %v, inside the total-drop window", r, at)
+		}
 	}
 }
 
-// TestRendezvousSendRetransmits: a rendezvous-size payload lost to the
-// drop window is retransmitted by the blocked sender.
-func TestRendezvousSendRetransmits(t *testing.T) {
-	sched := &fault.Schedule{Actions: []fault.Action{
-		{Op: fault.OpDrop, At: 0, Until: 0.002, Prob: 1, Src: -1, Dst: -1},
-	}}
-	var sentAt sim.Time
-	_, err := Run(chaosCfg(sched), func(c *Comm) {
-		if c.Rank == 0 {
-			if serr := c.SendModelErr(2, 64*1024); serr != nil {
-				t.Errorf("SendModelErr under drop window: %v", serr)
-			}
-			sentAt = c.P.Now()
-		}
-		if c.Rank == 2 {
-			if _, rerr := c.RecvErr(0); rerr != nil {
-				t.Errorf("RecvErr: %v", rerr)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sentAt < sim.Time(2*sim.Millisecond) {
-		t.Errorf("rendezvous send completed at %v, inside the total-drop window", sentAt)
-	}
-}
-
-// TestCrashSurfacesTypedErrors: after node 1 crashes, sends toward it
-// fail fast with ErrNodeDown, receives from it diagnose the crash, and
-// barriers return a typed error instead of hanging.
+// TestCrashSurfacesTypedErrors: after node 1 crashes, receives from it
+// diagnose the crash, an exchange with it panics with that typed error,
+// and barriers and reductions return a typed error instead of hanging.
 func TestCrashSurfacesTypedErrors(t *testing.T) {
 	sched := &fault.Schedule{Actions: []fault.Action{
 		{Op: fault.OpCrash, At: 0.001, Node: 1, Src: -1, Dst: -1},
@@ -88,18 +55,18 @@ func TestCrashSurfacesTypedErrors(t *testing.T) {
 		if c.w.Cluster.NodeDown(c.Place.Node) {
 			return // ranks on the dead node stop participating
 		}
-		serr := c.SendErr(2, []byte{1})
-		if !errors.Is(serr, fault.ErrNodeDown) {
-			t.Errorf("rank %d send to dead node: %v, want ErrNodeDown", c.Rank, serr)
-		}
-		var ce *fault.CommError
-		if !errors.As(serr, &ce) || ce.Op != "send" || ce.Dst != 2 {
-			t.Errorf("send error = %#v, want CommError{Op: send, Dst: 2}", serr)
-		}
-		if _, rerr := c.RecvErr(3); !errors.Is(rerr, fault.ErrNodeDown) {
+		_, rerr := c.recv(3)
+		if !errors.Is(rerr, fault.ErrNodeDown) {
 			t.Errorf("rank %d recv from dead node: %v, want ErrNodeDown", c.Rank, rerr)
 		}
-		if berr := c.BarrierErr(); !errors.Is(berr, fault.ErrNodeDown) {
+		var ce *fault.CommError
+		if !errors.As(rerr, &ce) || ce.Op != "recv" || ce.Dst != 3 {
+			t.Errorf("recv error = %#v, want CommError{Op: recv, Dst: 3}", rerr)
+		}
+		if xerr := panicked(func() { c.sendrecv(2, 1, []byte{1}, 2) }); !errors.Is(xerr, fault.ErrNodeDown) {
+			t.Errorf("rank %d exchange with dead node: %v, want ErrNodeDown", c.Rank, xerr)
+		}
+		if berr := c.barrierErr(); !errors.Is(berr, fault.ErrNodeDown) {
 			t.Errorf("rank %d barrier with dead ranks: %v, want ErrNodeDown", c.Rank, berr)
 		}
 		if _, aerr := c.collectiveErr(1.0, func([]any) any { return nil }); !errors.Is(aerr, fault.ErrNodeDown) {
@@ -109,6 +76,17 @@ func TestCrashSurfacesTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// panicked runs fn and returns the error it panicked with, if any.
+func panicked(fn func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = r.(error)
+		}
+	}()
+	fn()
+	return nil
 }
 
 // TestChaosDeterministicAndCorrect: a probabilistic chaos schedule must
@@ -130,10 +108,7 @@ func TestChaosDeterministicAndCorrect(t *testing.T) {
 		_, err := Run(chaosCfg(mk(faults)), func(c *Comm) {
 			peer := c.Rank ^ 2 // cross-node pairing
 			for i := 0; i < 2; i++ {
-				c.Send(peer, []byte{byte(10*c.Rank + i)})
-			}
-			for i := 0; i < 2; i++ {
-				in := c.Recv(peer)
+				in := c.sendrecv(peer, 1, []byte{byte(10*c.Rank + i)}, peer)
 				got[2*c.Rank+i] = in[0]
 			}
 			c.Barrier()

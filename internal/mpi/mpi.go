@@ -1,8 +1,8 @@
 // Package mpi implements the two-sided message-passing baseline the
-// thesis compares against (OpenMPI + Fortran NAS FT): blocking send/recv
-// with eager and rendezvous protocols over the same simulated fabric,
-// barriers, reductions, and an all-to-all collective run as a pairwise
-// exchange over sm within a node and the conduit across.
+// thesis compares against (OpenMPI + Fortran NAS FT): barriers,
+// reductions, and an all-to-all collective run as a pairwise exchange
+// over sm within a node and the conduit across, on the same simulated
+// fabric.
 package mpi
 
 import (
@@ -14,10 +14,6 @@ import (
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
-
-// EagerThreshold is the message size at or below which sends complete
-// locally without waiting for the receiver (bytes).
-const EagerThreshold = 4096
 
 // smOverhead is the per-message cost of the shared-memory (sm) transport
 // used for intra-node sends.
@@ -35,7 +31,7 @@ type Config struct {
 	// any process-default tracer (see internal/trace).
 	Tracer trace.Tracer
 	// Faults, when non-nil, overrides the process-default fault schedule
-	// (see internal/fault). The library then retransmits lost messages
+	// (see internal/fault). The library then pulls lost messages back
 	// through fault.Await's deadline ladder and surfaces unrecoverable
 	// failures as typed errors.
 	Faults *fault.Schedule
@@ -207,52 +203,27 @@ func (c *Comm) transfer(dst int, bytes int64, apply func()) *fabric.NetOp {
 
 // post enqueues a matching record of the given byte volume at the
 // destination and starts its transfer.
-func (c *Comm) post(dst int, bytes int64, data []byte) (*fabric.NetOp, *message) {
+func (c *Comm) post(dst int, bytes int64, data []byte) *fabric.NetOp {
 	msg := &message{src: c.Rank, bytes: bytes, data: data, arrived: &sim.Event{}}
 	c.w.inbox[dst] = append(c.w.inbox[dst], msg)
 	c.w.rxQ[dst].WakeAll()
-	return c.transfer(dst, bytes, msg.arrived.Fire), msg
+	return c.transfer(dst, bytes, msg.arrived.Fire)
 }
 
-// isend snapshots data, enqueues the matching record at the destination,
-// and starts the transfer, returning its handle.
-func (c *Comm) isend(dst int, data []byte) *fabric.NetOp {
-	snap := make([]byte, len(data))
-	copy(snap, data)
-	op, _ := c.post(dst, int64(len(data)), snap)
-	return op
-}
-
-// Send delivers data to rank dst (MPI_Send). Messages at or below the
-// eager threshold complete when the payload leaves the source buffer;
-// larger messages use the rendezvous protocol and return after the
-// transfer drains. Under an installed fault schedule it recovers lost
-// messages and panics with the typed error SendErr would return.
-func (c *Comm) Send(dst int, data []byte) {
-	if err := c.SendErr(dst, data); err != nil {
-		panic(err)
-	}
-}
-
-// sendrecv is Sendrecv of a buffer the caller hands over; nil data sends
-// the byte volume payload-free (model mode).
+// sendrecv posts a buffer the caller hands over to dst, receives from
+// src, then waits for its own payload to leave the source buffer: MPI's
+// combined send-receive, deadlock-free because the post precedes the
+// receive. Nil data sends the byte volume payload-free (model mode). It
+// panics with recv's typed error when a fault schedule makes the receive
+// unrecoverable.
 func (c *Comm) sendrecv(dst int, bytes int64, data []byte, src int) []byte {
-	op, _ := c.post(dst, bytes, data)
-	in := c.Recv(src)
-	op.WaitLocal(c.P)
-	return in
-}
-
-// Recv blocks until a message from src arrives and returns its payload
-// (MPI_Recv with an explicit source). Messages from one source are
-// delivered in send order. Under an installed fault schedule it recovers
-// lost messages and panics with the typed error RecvErr would return.
-func (c *Comm) Recv(src int) []byte {
-	data, err := c.RecvErr(src)
+	op := c.post(dst, bytes, data)
+	in, err := c.recv(src)
 	if err != nil {
 		panic(err)
 	}
-	return data
+	op.WaitLocal(c.P)
+	return in
 }
 
 // match dequeues the oldest inbox record from src, blocking until one is
@@ -289,21 +260,11 @@ func (c *Comm) matchNow(src int) *message {
 	return nil
 }
 
-// Sendrecv sends data to dst and receives a payload from src without
-// deadlock (MPI_Sendrecv): the send is initiated before blocking on the
-// receive.
-func (c *Comm) Sendrecv(dst int, data []byte, src int) []byte {
-	op := c.isend(dst, data)
-	in := c.Recv(src)
-	op.WaitLocal(c.P)
-	return in
-}
-
 // Barrier synchronizes all ranks (MPI_Barrier). Under an installed fault
-// schedule it panics with the typed error BarrierErr would return
+// schedule it panics with the typed error barrierErr would return
 // instead of hanging on a crashed rank.
 func (c *Comm) Barrier() {
-	if err := c.BarrierErr(); err != nil {
+	if err := c.barrierErr(); err != nil {
 		panic(err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -20,23 +19,16 @@ func cfg(ranks, perNode int) Config {
 	}
 }
 
+// TestSendRecvDelivery shifts one payload around a ring of 4 ranks on 2
+// nodes: every exchange crosses sm or the conduit and lands intact.
 func TestSendRecvDelivery(t *testing.T) {
 	_, err := Run(cfg(4, 2), func(c *Comm) {
 		next := (c.Rank + 1) % c.Size
 		prev := (c.Rank + c.Size - 1) % c.Size
 		payload := []byte(fmt.Sprintf("from-%d", c.Rank))
-		if c.Rank%2 == 0 {
-			c.Send(next, payload)
-			got := c.Recv(prev)
-			if want := fmt.Sprintf("from-%d", prev); string(got) != want {
-				t.Errorf("rank %d got %q, want %q", c.Rank, got, want)
-			}
-		} else {
-			got := c.Recv(prev)
-			if want := fmt.Sprintf("from-%d", prev); string(got) != want {
-				t.Errorf("rank %d got %q, want %q", c.Rank, got, want)
-			}
-			c.Send(next, payload)
+		got := c.sendrecv(next, int64(len(payload)), payload, prev)
+		if want := fmt.Sprintf("from-%d", prev); string(got) != want {
+			t.Errorf("rank %d got %q, want %q", c.Rank, got, want)
 		}
 	})
 	if err != nil {
@@ -44,36 +36,23 @@ func TestSendRecvDelivery(t *testing.T) {
 	}
 }
 
+// TestSendOrderPreservedPerSource shifts ten shrinking payloads around
+// a ring of 3 ranks whose rank 1 starts late: rank 0 posts a second
+// payload to rank 1 before rank 1 matches the first, and each receive
+// must still match the source's oldest post.
 func TestSendOrderPreservedPerSource(t *testing.T) {
-	_, err := Run(cfg(2, 2), func(c *Comm) {
-		if c.Rank == 0 {
-			for i := 0; i < 10; i++ {
-				c.Send(1, []byte{byte(i)})
-			}
-		} else {
-			for i := 0; i < 10; i++ {
-				got := c.Recv(0)
-				if got[0] != byte(i) {
-					t.Errorf("message %d arrived as %d (order violated)", i, got[0])
-				}
-			}
+	_, err := Run(cfg(3, 1), func(c *Comm) {
+		next := (c.Rank + 1) % c.Size
+		prev := (c.Rank + c.Size - 1) % c.Size
+		if c.Rank == 1 {
+			c.P.Advance(sim.Millisecond)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendSnapshotsBuffer(t *testing.T) {
-	_, err := Run(cfg(2, 1), func(c *Comm) {
-		if c.Rank == 0 {
-			buf := []byte{1, 2, 3}
-			c.Send(1, buf)
-			buf[0] = 99 // must not affect the in-flight payload
-		} else {
-			got := c.Recv(0)
-			if got[0] != 1 {
-				t.Errorf("payload corrupted by post-send mutation: %v", got)
+		for i := 0; i < 10; i++ {
+			out := bytes.Repeat([]byte{byte(i)}, (10-i)*512)
+			got := c.sendrecv(next, int64(len(out)), out, prev)
+			if len(got) != len(out) || got[0] != byte(i) {
+				t.Errorf("rank %d exchange %d got %d bytes of %d (order violated)",
+					c.Rank, i, len(got), got[0])
 			}
 		}
 	})
@@ -82,39 +61,15 @@ func TestSendSnapshotsBuffer(t *testing.T) {
 	}
 }
 
-func TestEagerVsRendezvousSendCost(t *testing.T) {
-	// A small (eager) send must return much sooner than a 1 MB
-	// (rendezvous) send to an unready receiver.
-	var eager, rendezvous sim.Duration
-	_, err := Run(cfg(2, 1), func(c *Comm) {
-		if c.Rank == 0 {
-			start := c.P.Now()
-			c.Send(1, make([]byte, 64))
-			eager = c.P.Now() - start
-			start = c.P.Now()
-			c.Send(1, make([]byte, 1<<20))
-			rendezvous = c.P.Now() - start
-		} else {
-			c.P.Advance(50 * sim.Millisecond) // receiver shows up late
-			c.Recv(0)
-			c.Recv(0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eager >= rendezvous/10 {
-		t.Errorf("eager send %v should be far cheaper than rendezvous %v", eager, rendezvous)
-	}
-}
-
-func TestSendrecvNoDeadlockLargeMessages(t *testing.T) {
+// TestExchangeNoDeadlockLargeMessages: both ranks exchange 1 MB at once;
+// posting before receiving keeps the pair from deadlocking.
+func TestExchangeNoDeadlockLargeMessages(t *testing.T) {
 	_, err := Run(cfg(2, 1), func(c *Comm) {
 		partner := 1 - c.Rank
 		out := bytes.Repeat([]byte{byte(c.Rank + 1)}, 1<<20)
-		in := c.Sendrecv(partner, out, partner)
+		in := c.sendrecv(partner, int64(len(out)), out, partner)
 		if len(in) != 1<<20 || in[0] != byte(partner+1) {
-			t.Errorf("rank %d: bad sendrecv payload", c.Rank)
+			t.Errorf("rank %d: bad exchange payload", c.Rank)
 		}
 	})
 	if err != nil {
@@ -238,61 +193,5 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Machine: topo.Lehman()}, func(*Comm) {}); err == nil {
 		t.Error("zero ranks must error")
-	}
-}
-
-// TestIsendIrecvWaitall drives the non-blocking send path (isend, as
-// Sendrecv uses it): every rank starts a send to every peer, receives
-// from each in turn, and only then waits for its own sends to leave the
-// buffer.
-func TestIsendIrecvWaitall(t *testing.T) {
-	_, err := Run(cfg(4, 2), func(c *Comm) {
-		var ops []*fabric.NetOp
-		for d := 0; d < c.Size; d++ {
-			if d != c.Rank {
-				ops = append(ops, c.isend(d, []byte{byte(c.Rank)}))
-			}
-		}
-		for src := 0; src < c.Size; src++ {
-			if src == c.Rank {
-				continue
-			}
-			if got := c.Recv(src); len(got) != 1 || got[0] != byte(src) {
-				t.Errorf("rank %d: receive from %d got %v", c.Rank, src, got)
-			}
-		}
-		for _, op := range ops {
-			op.WaitLocal(c.P)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEagerThresholdBoundary(t *testing.T) {
-	// At exactly the threshold the send is still eager; one byte more and
-	// it is rendezvous (observable as a much longer blocking send to an
-	// unready receiver).
-	var atT, aboveT sim.Duration
-	_, err := Run(cfg(2, 1), func(c *Comm) {
-		if c.Rank == 0 {
-			start := c.P.Now()
-			c.Send(1, make([]byte, EagerThreshold))
-			atT = c.P.Now() - start
-			start = c.P.Now()
-			c.Send(1, make([]byte, EagerThreshold+1))
-			aboveT = c.P.Now() - start
-		} else {
-			c.P.Advance(100 * sim.Millisecond)
-			c.Recv(0)
-			c.Recv(0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if atT >= aboveT {
-		t.Errorf("eager (%v) must return before rendezvous (%v)", atT, aboveT)
 	}
 }
