@@ -82,11 +82,9 @@ func main() {
 			// halo slots (one-sided puts; intra-node ones ride PSHM).
 			la := a.Local(t)
 			if t.ID > 0 {
-				//upcvet:sharedrace -- halo slot (rows+1)*n in the neighbor is disjoint from the boundary rows read here
 				upc.PutT(t, a, t.ID-1, (rows+1)*n, la[n:2*n])
 			}
 			if t.ID < t.N-1 {
-				//upcvet:sharedrace -- halo slot 0 in the neighbor is disjoint from the boundary rows read here
 				upc.PutT(t, a, t.ID+1, 0, la[rows*n:(rows+1)*n])
 			}
 			// The group barrier covers intra-node neighbors cheaply; the

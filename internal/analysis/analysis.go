@@ -1,16 +1,15 @@
 // Package analysis is upcvet's static-analysis suite: the rules that
-// keep the simulation deterministic and the UPC runtime model honest,
-// enforced by machine instead of by code review. The repository's whole
-// reproduction method rests on invariants no compiler checks — virtual
-// time only, deterministic event order, all concurrency through
-// sim.Proc or the sweep pool, and the paper's castability contract —
-// and each analyzer encodes one of them (see wallclock.go, maporder.go,
-// rawgo.go, affinity.go, spanpair.go, poolalloc.go). On top of the
-// per-package rules, the interprocedural concurrency checkers
-// (collalign.go, sharedrace.go) verify the UPC synchronization model
-// itself — textually aligned collectives and phase-separated shared
-// access — across function and package boundaries via the call-graph
-// layer in callgraph.go.
+// keep the simulation deterministic, enforced by machine instead of by
+// code review. The repository's whole reproduction method rests on
+// invariants no compiler checks and no output comparison sees until a
+// race or a map order happens to bite: virtual time only,
+// deterministic event order, all concurrency through sim.Proc or the
+// sweep pool, and an allocation-free one-sided comm path. Each
+// analyzer encodes one of them (see wallclock.go, maporder.go,
+// rawgo.go, poolalloc.go). The UPC-semantic bugs (misaligned
+// collectives, same-phase races, unguarded Cast pointers, unclosed
+// spans) are left to the simulator itself, which deadlocks, panics or
+// moves a pinned output on each of them.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but is built on the standard library's
@@ -26,18 +25,18 @@
 //
 //	//upcvet:NAME[,NAME...] [-- reason]
 //
-// where NAME is an analyzer name (wallclock, maporder, rawgo, affinity,
-// spanpair, poolalloc, collalign, sharedrace) or one of its aliases (maporder also answers to "ordered",
-// the spelling used at loop sites: //upcvet:ordered). The free-text
+// where NAME is an analyzer name (wallclock, maporder, rawgo,
+// poolalloc). A NAME that is not in All is itself a finding, so an
+// annotation cannot outlive its rule or hide a typo. The free-text
 // reason after "--" is for the human reader; upcvet ignores it but the
 // reviewer should not — an annotation without a justification is a
 // smell. Examples:
 //
 //	start := time.Now() //upcvet:wallclock -- real benchmarking, not simulation
-//	//upcvet:ordered -- accumulates into a map; iteration order is invisible
+//	//upcvet:maporder -- accumulates into a map; iteration order is invisible
 //	for k, v := range m { ... }
 //
-// Prefer a real fix (sorted keys, sim.Proc, a Castable guard) and keep
+// Prefer a real fix (sorted keys, sim.Proc, a pooled record) and keep
 // annotations for the cases where the flagged construct is the point.
 package analysis
 
@@ -48,7 +47,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 )
 
 // An Analyzer describes one invariant checker.
@@ -57,15 +55,12 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph description `upcvet help` prints.
 	Doc string
-	// Aliases are additional annotation names that suppress this
-	// analyzer's findings (e.g. maporder's loop-site spelling "ordered").
-	Aliases []string
 	// Run reports the analyzer's findings on one package via pass.Report.
 	Run func(pass *Pass) error
 }
 
 // All lists every analyzer in the suite, in reporting order.
-var All = []*Analyzer{Wallclock, Maporder, Rawgo, Affinity, Spanpair, Poolalloc, Collalign, Sharedrace}
+var All = []*Analyzer{Wallclock, Maporder, Rawgo, Poolalloc}
 
 // ByName resolves an analyzer by name.
 func ByName(name string) (*Analyzer, bool) {
@@ -88,10 +83,6 @@ type Pass struct {
 	Path string
 	Pkg  *types.Package
 	Info *types.Info
-	// Prog is the whole-run Program: every loaded unit, the module-wide
-	// call graph and the cross-package summary store (callgraph.go).
-	// The interprocedural analyzers reach other packages through it.
-	Prog *Program
 
 	diags *[]Diagnostic
 	notes map[string]map[int][]string // file -> line -> annotation names
@@ -124,7 +115,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // suppressed reports whether an //upcvet: annotation naming this
-// analyzer (or an alias) sits on the finding's line, the line above it,
+// analyzer sits on the finding's line, the line above it,
 // or — when the finding falls inside a multi-line simple statement (a
 // wrapped call, a function-literal argument) — on the statement's first
 // line or the line above that. Without the span rule an annotation on a
@@ -145,21 +136,9 @@ func (p *Pass) suppressed(pos token.Position) bool {
 			if name == p.Analyzer.Name {
 				return true
 			}
-			for _, alias := range p.Analyzer.Aliases {
-				if name == alias {
-					return true
-				}
-			}
 		}
 	}
 	return false
-}
-
-// suppressedAt lets an analyzer test suppression at a secondary
-// position — sharedrace findings pair two accesses and honor an
-// annotation on either one.
-func (p *Pass) suppressedAt(pos token.Pos) bool {
-	return p.suppressed(p.Fset.Position(pos))
 }
 
 // stmtSpans indexes the multi-line simple statements of each file.
@@ -186,9 +165,11 @@ func stmtSpans(fset *token.FileSet, files []*ast.File) map[string][]lineSpan {
 
 const annotationPrefix = "//upcvet:"
 
-// collectAnnotations indexes every //upcvet: comment by file and line.
-func collectAnnotations(fset *token.FileSet, files []*ast.File) map[string]map[int][]string {
+// collectAnnotations indexes every //upcvet: comment by file and line,
+// and reports each annotation name that is not an analyzer in All.
+func collectAnnotations(fset *token.FileSet, files []*ast.File) (map[string]map[int][]string, []Diagnostic) {
 	notes := map[string]map[int][]string{}
+	var unknown []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -197,6 +178,15 @@ func collectAnnotations(fset *token.FileSet, files []*ast.File) map[string]map[i
 					continue
 				}
 				pos := fset.Position(c.Pos())
+				for _, name := range names {
+					if _, ok := ByName(name); !ok {
+						unknown = append(unknown, Diagnostic{
+							Pos:      pos,
+							Analyzer: "upcvet",
+							Message:  fmt.Sprintf("annotation names unknown analyzer %q (see upcvet help)", name),
+						})
+					}
+				}
 				byLine := notes[pos.Filename]
 				if byLine == nil {
 					byLine = map[int][]string{}
@@ -206,7 +196,7 @@ func collectAnnotations(fset *token.FileSet, files []*ast.File) map[string]map[i
 			}
 		}
 	}
-	return notes
+	return notes, unknown
 }
 
 // parseAnnotation extracts the names of one "//upcvet:a,b -- reason"
@@ -229,19 +219,10 @@ func parseAnnotation(text string) ([]string, bool) {
 }
 
 // RunAnalyzers applies the given analyzers to one loaded package and
-// returns the findings sorted by position. The package becomes a
-// single-unit Program; multi-unit runs (upcvet over the whole module)
-// build one Program up front and call RunUnit per unit instead, so the
-// call graph and summaries span packages and load work is shared.
+// returns the findings sorted by position. Annotations are checked
+// against All whichever analyzers run.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return NewProgram([]*Package{pkg}).RunUnit(pkg, analyzers)
-}
-
-// RunUnit applies the analyzers to one unit of the program, timing each
-// analyzer into prog.Stats.
-func (prog *Program) RunUnit(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	notes := collectAnnotations(pkg.Fset, pkg.Files)
+	notes, diags := collectAnnotations(pkg.Fset, pkg.Files)
 	spans := stmtSpans(pkg.Fset, pkg.Files)
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -251,15 +232,11 @@ func (prog *Program) RunUnit(pkg *Package, analyzers []*Analyzer) ([]Diagnostic,
 			Path:     pkg.Path,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			Prog:     prog,
 			diags:    &diags,
 			notes:    notes,
 			spans:    spans,
 		}
-		start := time.Now()
-		err := a.Run(pass)
-		prog.Stats[a.Name] += time.Since(start)
-		if err != nil {
+		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
 		}
 	}

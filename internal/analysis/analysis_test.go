@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -39,7 +40,7 @@ func TestParseAnnotation(t *testing.T) {
 		{"//upcvet:wallclock", []string{"wallclock"}},
 		{"//upcvet:wallclock -- real benchmarking", []string{"wallclock"}},
 		{"//upcvet:maporder,rawgo", []string{"maporder", "rawgo"}},
-		{"//upcvet:ordered\treason after a tab", []string{"ordered"}},
+		{"//upcvet:maporder\treason after a tab", []string{"maporder"}},
 		{"// upcvet:wallclock", nil}, // space before the marker: not an annotation
 		{"//upcvet:", nil},
 		{"// plain comment", nil},
@@ -60,6 +61,38 @@ func TestParseAnnotation(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestStaleAnnotation checks that an annotation naming no analyzer in
+// All is reported, even when only another analyzer runs, and that a
+// live name still suppresses its finding.
+func TestStaleAnnotation(t *testing.T) {
+	dir, err := filepath.Abs("testdata/stale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLoader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := l.Load(dir, "repro/internal/apps/staledata", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(units) != 1 {
+		t.Fatalf("loaded %d units, want 1", len(units))
+	}
+	diags, err := RunAnalyzers(units[0], []*Analyzer{Wallclock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 1 {
+		t.Fatalf("got %d findings %v, want 1 (the stale annotation)", len(diags), diags)
+	}
+	d := diags[0]
+	if d.Pos.Line != 16 || d.Analyzer != "upcvet" || !strings.Contains(d.Message, `"sharedrace"`) {
+		t.Errorf("finding = line %d %s: %s, want line 16 upcvet naming \"sharedrace\"", d.Pos.Line, d.Analyzer, d.Message)
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 type Package struct {
 	Fset  *token.FileSet
 	Path  string
-	Dir   string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -60,9 +59,6 @@ func NewLoader(dir string) (*Loader, error) {
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 	return l, nil
 }
-
-// Fset exposes the loader's shared position table.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 func findModuleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)
@@ -131,14 +127,14 @@ func (l *Loader) Load(dir, asPath string, tests bool) ([]*Package, error) {
 	}
 	var units []*Package
 	if len(base) > 0 {
-		pkg, err := l.check(asPath, dir, base)
+		pkg, err := l.check(asPath, base)
 		if err != nil {
 			return nil, err
 		}
 		units = append(units, pkg)
 	}
 	if len(xtest) > 0 {
-		pkg, err := l.check(asPath+"_test", dir, xtest)
+		pkg, err := l.check(asPath+"_test", xtest)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +189,7 @@ func buildIncluded(file *ast.File) bool {
 	return true
 }
 
-func (l *Loader) check(path, dir string, files []*ast.File) (*Package, error) {
+func (l *Loader) check(path string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -205,7 +201,7 @@ func (l *Loader) check(path, dir string, files []*ast.File) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: typecheck %s: %w", path, err)
 	}
-	return &Package{Fset: l.fset, Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Fset: l.fset, Path: path, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // importUnit type-checks the non-test files of a module-internal

@@ -28,10 +28,9 @@ import (
 //     friends, pure computation.
 //
 // Genuinely order-invisible loops that the analyzer cannot prove carry
-// //upcvet:ordered with a reason.
+// //upcvet:maporder with a reason.
 var Maporder = &Analyzer{
-	Name:    "maporder",
-	Aliases: []string{"ordered"},
+	Name: "maporder",
 	Doc: "flag range-over-map loops whose body order reaches an output: " +
 		"trace events, writers, simulated operations, unsorted result slices",
 	Run: runMaporder,
@@ -108,7 +107,7 @@ func runMaporder(pass *Pass) error {
 			}
 			if reason, pos := m.orderedEffect(rs, fd.Body); reason != "" {
 				pass.Reportf(rs.Pos(),
-					"map iteration order reaches an ordered output (%s at %s); iterate sorted keys or annotate //upcvet:ordered",
+					"map iteration order reaches an ordered output (%s at %s); iterate sorted keys or annotate //upcvet:maporder",
 					reason, pass.Fset.Position(pos))
 			}
 			return true

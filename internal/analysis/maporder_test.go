@@ -12,7 +12,7 @@ func TestMaporder(t *testing.T) {
 	// appends, string concatenation, and the transitive ChromeWriter
 	// pattern (emission through a named function or a closure variable).
 	analysistest.Run(t, "testdata/maporder/bad", "repro/internal/trace/maporderdata", analysis.Maporder)
-	// Collect-then-sort, commutative accumulation, map inversion and the
-	// //upcvet:ordered alias: silent.
+	// Collect-then-sort, commutative accumulation, map inversion and an
+	// annotated loop: silent.
 	analysistest.Run(t, "testdata/maporder/ok", "repro/internal/trace/maporderdata", analysis.Maporder)
 }

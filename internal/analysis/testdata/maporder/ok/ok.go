@@ -36,7 +36,7 @@ func inverts(m map[string]int) map[int]string {
 }
 
 func annotated(m map[string]int) {
-	//upcvet:ordered -- exercising the loop-site alias; order is deliberately visible
+	//upcvet:maporder -- exercising the suppression; order is deliberately visible
 	for k := range m {
 		fmt.Println(k)
 	}

@@ -169,7 +169,6 @@ func Run(cfg Config) (Result, error) {
 	want := Reference(cfg)
 	for i, w := range want {
 		owner, local := tableRef.Owner(i), tableRef.LocalIndex(i)
-		//upcvet:affinity -- verification against the reference, outside the timed run
 		if got := tableRef.Partition(owner)[local]; got != w {
 			return Result{}, fmt.Errorf("ra: %v: table[%d] = %#x, want %#x",
 				cfg.Variant, i, got, w)
@@ -201,7 +200,6 @@ func runFine(t *upc.Thread, table *upc.Shared[uint64], ups []update) int64 {
 			t.WaitSync(pending[0])
 			pending = pending[1:]
 		}
-		//upcvet:affinity -- target segment for the delivery-time handler below
 		seg := table.Partition(owner)
 		v := u.value
 		li := local
@@ -251,7 +249,6 @@ func runAggregated(t *upc.Thread, table *upc.Shared[uint64], ups []update, group
 				// Under grouping the receiver scatters to node peers
 				// through the cast table; both cases are direct memory at
 				// the receiving node.
-				//upcvet:affinity,sharedrace -- delivery-time XOR scatter; commutative updates, deterministic under virtual time
 				table.Partition(owner)[local] ^= u.value
 			}
 		}))

@@ -119,7 +119,8 @@ func RunTwisted(cfg TwistedConfig) (Result, error) {
 		t.Barrier()
 
 		// The twisted pattern: thread 2k works on 2k+1's partition and
-		// vice versa.
+		// vice versa. The run is one PSHM node, so every peer is
+		// castable by construction.
 		peer := t.ID ^ 1
 		if peer >= t.N {
 			peer = t.ID
@@ -132,7 +133,6 @@ func RunTwisted(cfg TwistedConfig) (Result, error) {
 			// Real compute through the peer's segments; cost charged as
 			// three translated shared accesses per element plus the
 			// memory stream from the peer's socket.
-			//upcvet:affinity -- single-node PSHM config: every peer is castable by construction
 			pa, pb, pc := a.Cast(t, peer), b.Cast(t, peer), c.Cast(t, peer)
 			for i := range pa {
 				pa[i] = pb[i] + triadScalar*pc[i]
@@ -142,7 +142,6 @@ func RunTwisted(cfg TwistedConfig) (Result, error) {
 		case Relocalize:
 			// Each bulk transfer is charged for the peer's whole
 			// partition and then copies its real slice.
-			//upcvet:affinity -- single-node PSHM config: every peer is castable by construction
 			pa, pb, pc := a.Cast(t, peer), b.Cast(t, peer), c.Cast(t, peer)
 			lb := make([]float64, m)
 			lc := make([]float64, m)
@@ -161,7 +160,6 @@ func RunTwisted(cfg TwistedConfig) (Result, error) {
 			// The cast variant and the shared-memory reference run the
 			// same twisted access through plain pointers; they differ
 			// only in name.
-			//upcvet:affinity -- single-node PSHM config: every peer is castable by construction
 			pa, pb, pc := a.Cast(t, peer), b.Cast(t, peer), c.Cast(t, peer)
 			for i := range pa {
 				pa[i] = pb[i] + triadScalar*pc[i]

@@ -616,7 +616,8 @@ func (w *worker) tryVictim(v int) bool {
 		w.bump("probes_failed", 1)
 		return false
 	}
-	//upcvet:sharedrace -- optimistic unlocked probe of the victim's count; revalidated under the victim lock before stealing
+	// An optimistic unlocked probe of the victim's count, revalidated
+	// under the victim lock before stealing.
 	m, err := upc.ReadElemErr(t, w.cnt, v)
 	if err != nil {
 		w.strike(v)
@@ -666,11 +667,10 @@ func (w *worker) tryVictim(v int) bool {
 		// costs — and any faults the schedule injects on them — are charged
 		// after the commit; a transfer the schedule kills degrades into a
 		// failover pull at the same price.
-		//upcvet:affinity -- atomic steal commit against replicated queue state; the wire cost is charged right below
 		copy(got, w.buf.Partition(v)[m.Base:m.Base+k])
 		m.Base += k
 		m.Avail -= k
-		w.cnt.Partition(v)[0] = m //upcvet:affinity -- descriptor commit of the same steal
+		w.cnt.Partition(v)[0] = m
 		w.g.sharedTotal -= k
 		cond := &t.Runtime().Cluster.Conduit
 		t.ChargeXlate(1)

@@ -112,7 +112,6 @@ func xlateKernel(preset string, tr trace.Tracer) (xlateResult, error) {
 		}
 		for k := 0; k < span; k++ {
 			i := s.GlobalIndex(th.ID, k)
-			//upcvet:sharedrace -- each thread rewrites only its own partition (GlobalIndex(th.ID, k)); the probe sweep is read-only cost measurement
 			upc.WriteElem(th, s, i, upc.ReadElem(th, s, i)+1)
 		}
 		th.Barrier()

@@ -244,7 +244,7 @@ var recoveryScenarios = []recoveryScenario{
 				return
 			}
 			errs[th.ID] = errString(all.BarrierErr())
-			//upcvet:collalign -- only the {0,1} pair syncs; thread 1's no-show drives thread 0's timeout ladder
+			// Only the {0,1} pair syncs; thread 1's no-show drives thread 0's timeout ladder.
 			if th.ID > 1 {
 				return
 			}
@@ -253,7 +253,7 @@ var recoveryScenarios = []recoveryScenario{
 				t.Error(gerr)
 				return
 			}
-			//upcvet:collalign -- deliberate no-show exercising the barrier timeout ladder
+			// A deliberate no-show, exercising the barrier timeout ladder.
 			if th.ID == 1 {
 				return
 			}

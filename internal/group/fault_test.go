@@ -60,7 +60,6 @@ func TestGroupBarrierErrTimesOut(t *testing.T) {
 	}}
 	var barErr error
 	_, err := upc.Run(c, func(th *upc.Thread) {
-		//upcvet:collalign -- threads outside the two-member group exit; BarrierErr only syncs members
 		if th.ID > 1 {
 			return
 		}
@@ -69,7 +68,6 @@ func TestGroupBarrierErrTimesOut(t *testing.T) {
 			t.Error(gerr)
 			return
 		}
-		//upcvet:collalign -- deliberate no-show exercising the barrier timeout ladder
 		if th.ID == 1 {
 			th.P.Advance(20 * sim.Second) // never shows up
 			return

@@ -82,7 +82,7 @@ func TestGroupBarrierOnlySyncsMembers(t *testing.T) {
 	var node0Done sim.Time
 	_, err := upc.Run(cfg(8, 4), func(th *upc.Thread) {
 		g := NodeGroup(th)
-		//upcvet:collalign -- the point of the test: node 0's group barriers must not wait on node 1
+		// The point of the test: node 0's group barriers must not wait on node 1.
 		if th.ID < 4 {
 			for i := 0; i < 3; i++ {
 				g.Barrier()

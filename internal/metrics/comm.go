@@ -110,7 +110,7 @@ type ThreadCell struct {
 // (with duplicate keys, unstable-sort tie order would leak map order).
 func (m *CommMatrix) Threads() []ThreadCell {
 	agg := map[commKey]*commVal{}
-	//upcvet:ordered -- Pack/UnpackEndpoints are pure bit packing; agg accumulates commutatively
+	//upcvet:maporder -- Pack/UnpackEndpoints are pure bit packing; agg accumulates commutatively
 	for k, c := range m.cells {
 		st, dt, _, _ := trace.UnpackEndpoints(k.ep)
 		tk := commKey{ep: trace.PackEndpoints(st, dt, 0, 0), class: k.class}
@@ -123,7 +123,7 @@ func (m *CommMatrix) Threads() []ThreadCell {
 		a.bytes += c.bytes
 	}
 	out := make([]ThreadCell, 0, len(agg))
-	//upcvet:ordered -- UnpackEndpoints is pure bit decoding; out is sorted below
+	//upcvet:maporder -- UnpackEndpoints is pure bit decoding; out is sorted below
 	for k, c := range agg {
 		src, dst, _, _ := trace.UnpackEndpoints(k.ep)
 		out = append(out, ThreadCell{Src: src, Dst: dst, Class: k.class, Messages: c.msgs, Bytes: c.bytes})
@@ -154,7 +154,7 @@ type NodeCell struct {
 // (src node, dst node, class).
 func (m *CommMatrix) Nodes() []NodeCell {
 	agg := map[commKey]*commVal{}
-	//upcvet:ordered -- Pack/UnpackEndpoints are pure bit packing; agg accumulates commutatively
+	//upcvet:maporder -- Pack/UnpackEndpoints are pure bit packing; agg accumulates commutatively
 	for k, c := range m.cells {
 		_, _, sn, dn := trace.UnpackEndpoints(k.ep)
 		nk := commKey{ep: trace.PackEndpoints(0, 0, sn, dn), class: k.class}
@@ -167,7 +167,7 @@ func (m *CommMatrix) Nodes() []NodeCell {
 		a.bytes += c.bytes
 	}
 	out := make([]NodeCell, 0, len(agg))
-	//upcvet:ordered -- UnpackEndpoints is pure bit decoding; out is sorted below
+	//upcvet:maporder -- UnpackEndpoints is pure bit decoding; out is sorted below
 	for k, c := range agg {
 		_, _, sn, dn := trace.UnpackEndpoints(k.ep)
 		out = append(out, NodeCell{Src: sn, Dst: dn, Class: k.class, Messages: c.msgs, Bytes: c.bytes})

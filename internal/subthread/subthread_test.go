@@ -202,7 +202,7 @@ func TestSafetyEnforcement(t *testing.T) {
 		tm, _ := NewTeam(th, Config{Kind: OMP, N: 2, Bound: true, Safety: Multiple})
 		tm.ParallelFor(2, func(s *Sub, i int) {
 			v := s.UPC()
-			//upcvet:sharedrace -- single-UPC-thread team test: owner 0 is the only thread; sub-thread puts land before the read
+			// Owner 0 is the only UPC thread; the sub-thread puts land before the read.
 			upc.PutT(v, sh, 0, i, []float64{float64(i)})
 		})
 		if sh.Local(th)[0] != 0 || sh.Local(th)[1] != 1 {

@@ -137,7 +137,7 @@ func TestGetAsyncReadsAtCompletion(t *testing.T) {
 			}
 		} else {
 			th.P.Advance(1) // flip mid-flight
-			//upcvet:sharedrace -- deliberate in-flight race; the test asserts either outcome is legal
+			// A deliberate in-flight race; the test accepts either outcome.
 			s.Local(th)[0] = 9
 		}
 	})

@@ -75,7 +75,6 @@ func xlateProbe(t *testing.T, m *topo.Machine) (elapsed sim.Duration, acc, hits,
 		}
 		for k := 0; k < span; k++ {
 			i := s.GlobalIndex(th.ID, k)
-			//upcvet:sharedrace -- each thread rewrites only its own partition (GlobalIndex(th.ID, k)); the probe sweep is read-only
 			WriteElem(th, s, i, ReadElem(th, s, i)+1)
 		}
 		th.Barrier()
