@@ -92,7 +92,7 @@ var rows = []row{
 	{name: "plan-mixed-digest-parallel", args: []string{"-only", "Table 3.1,Figure 3.4(a),Table 4.1,Figure 4.4"},
 		observe: "digest", ref: "-parallel=1", alts: parallel8, rssMB: 128},
 
-	// Table 3.2's twelve UTS jobs fill the reorder window at width 2;
+	// Table 3.2's twelve UTS jobs fill the sweep's window at width 2;
 	// peak RSS is bounded by the window, not by the sweep (buffering
 	// every job until the pool drained peaked at 4.2 GB). With the
 	// compact job log and 32-byte causality wait records the runs peaked

@@ -128,38 +128,53 @@ func TestReplayInIndexOrder(t *testing.T) {
 }
 
 // countSink counts delivered events; the count may be read from any
-// goroutine.
-type countSink struct{ n atomic.Int64 }
+// goroutine. With lag set it sleeps that long every 1,024 events, so a
+// job runs as far ahead of its delivery as the sweep lets it.
+type countSink struct {
+	n   atomic.Int64
+	lag time.Duration
+}
 
-func (s *countSink) Emit(trace.Event) { s.n.Add(1) }
+func (s *countSink) Emit(trace.Event) {
+	if s.n.Add(1)%1024 == 0 && s.lag > 0 {
+		time.Sleep(s.lag) //upcvet:wallclock -- host-side stall of a slow observer
+	}
+}
 
 // TestHeadJobStreamsLive checks that the head job's events reach the
-// sink before the job returns, while the other jobs' events do not.
+// sink while the job runs, never more than the ring's capacity behind,
+// and that no other job's events reach it before the head's end.
 func TestHeadJobStreamsLive(t *testing.T) {
-	const w, perJob = 4, 5
-	sink := &countSink{}
+	const w, perJob, headJob = 4, 5, 3*ringEvents + 17
+	sink := &countSink{lag: 100 * time.Microsecond}
 	setup(t, w, sink)
 	var others sync.WaitGroup
 	others.Add(w - 1)
 	err := Run(w, func(i int, tr trace.Tracer) error {
-		for k := 0; k < perJob; k++ {
-			tr.Emit(trace.Event{Kind: trace.KInstant, Arg: int64(i)})
-		}
 		if i != 0 {
+			for k := 0; k < perJob; k++ {
+				tr.Emit(trace.Event{Kind: trace.KInstant, Arg: int64(i)})
+			}
 			others.Done()
 			return nil
 		}
 		others.Wait()
-		if got := sink.n.Load(); got != perJob {
-			return fmt.Errorf("sink holds %d events while job 0 runs, want its own %d", got, perJob)
+		for k := 1; k <= headJob; k++ {
+			tr.Emit(trace.Event{Kind: trace.KInstant, Arg: int64(i)})
+			if got := sink.n.Load(); k-int(got) > ringEvents {
+				return fmt.Errorf("job 0 emitted %d events, sink holds %d: more than the ring's %d undelivered", k, got, ringEvents)
+			}
+		}
+		if got := sink.n.Load(); got > headJob {
+			return fmt.Errorf("sink holds %d events while job 0 runs, more than its own %d", got, headJob)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Error(err)
 	}
-	if got := sink.n.Load(); got != w*perJob {
-		t.Errorf("sink holds %d events after Run, want %d", got, w*perJob)
+	if got := sink.n.Load(); got != headJob+(w-1)*perJob {
+		t.Errorf("sink holds %d events after Run, want %d", got, headJob+(w-1)*perJob)
 	}
 }
 
@@ -182,24 +197,27 @@ func (p pendingProbe) Emit(e trace.Event) {
 	}
 }
 
+// bufferedPerJob is a job length twice the ring's capacity, so that a
+// job buffered beyond the window's bound shows in the high-water mark.
+const bufferedPerJob = 2 * ringEvents
+
 // TestWindowBoundsBuffering holds job 0 and checks that job w (the first
-// outside the window) waits for it, and that no more than w-1 jobs'
-// streams are ever buffered.
+// outside the window) waits until job 0 has been delivered, and that no
+// more than w-1 jobs' streams plus the ring are ever undelivered.
 func TestWindowBoundsBuffering(t *testing.T) {
-	const w, n, perJob = 4, 16, 50
+	const w, n, perJob = 4, 16, bufferedPerJob
 	sink := &countSink{}
 	setup(t, w, sink)
 	var emitted, peak atomic.Int64
 	var early sync.WaitGroup
 	early.Add(w - 1)
 	outside := make(chan struct{}) // closed when job w starts
-	var zeroDone atomic.Bool
 	err := Run(n, func(i int, tr trace.Tracer) error {
 		switch {
 		case i == w:
 			close(outside)
-			if !zeroDone.Load() {
-				return fmt.Errorf("job %d started before job 0 finished", w)
+			if got := sink.n.Load(); got < perJob {
+				return fmt.Errorf("job %d started with %d events delivered, before job 0's %d", w, got, perJob)
 			}
 		case i == 0:
 			early.Wait()
@@ -214,11 +232,8 @@ func TestWindowBoundsBuffering(t *testing.T) {
 		for k := 0; k < perJob; k++ {
 			tr.Emit(trace.Event{Kind: trace.KInstant, Arg: int64(i)})
 		}
-		switch {
-		case 0 < i && i < w:
+		if 0 < i && i < w {
 			early.Done()
-		case i == 0:
-			zeroDone.Store(true)
 		}
 		return nil
 	})
@@ -228,22 +243,43 @@ func TestWindowBoundsBuffering(t *testing.T) {
 	if got := sink.n.Load(); got != n*perJob {
 		t.Errorf("sink holds %d events, want %d", got, n*perJob)
 	}
-	if p := peak.Load(); p > (w-1)*perJob {
-		t.Errorf("undelivered high-water mark %d events, want at most %d (w-1 jobs)", p, (w-1)*perJob)
+	if p, bound := peak.Load(), int64((w-1)*perJob+ringEvents); p > bound {
+		t.Errorf("undelivered high-water mark %d events, want at most %d (w-1 jobs plus the ring)", p, bound)
 	}
 }
 
+// stallSink counts deliveries like countSink, but stalls at job 1's
+// first event until job 2 starts, or for 20 ms, so that job 1's backlog
+// is still undelivered while job 2 has the chance to start.
+type stallSink struct {
+	countSink
+	two     <-chan struct{}
+	stalled bool
+}
+
+func (s *stallSink) Emit(e trace.Event) {
+	if e.Arg == 1 && !s.stalled {
+		s.stalled = true
+		select {
+		case <-s.two:
+		case <-time.After(20 * time.Millisecond): //upcvet:wallclock -- host-side grace for a worker pool, not simulated time
+		}
+	}
+	s.countSink.Emit(e)
+}
+
 // TestPromotedBufferNarrowsWindow pins the bound across a handoff: a job
-// promoted to head while its stream is still buffered counts against
-// the window until it flushes, so the next job cannot buffer alongside.
+// that becomes head while its stream is still buffered counts against
+// the window until its backlog is replayed, so the next job cannot
+// buffer alongside.
 func TestPromotedBufferNarrowsWindow(t *testing.T) {
-	const w, n, perJob = 2, 3, 50
-	sink := &countSink{}
+	const w, n, perJob = 2, 3, bufferedPerJob
+	one, zero, two := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	sink := &stallSink{two: two}
 	setup(t, w, sink)
 	var emitted, peak atomic.Int64
-	one, zero, two := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	err := Run(n, func(i int, tr trace.Tracer) error {
-		tr = pendingProbe{inner: tr, emitted: &emitted, peak: &peak, delivered: sink}
+		tr = pendingProbe{inner: tr, emitted: &emitted, peak: &peak, delivered: &sink.countSink}
 		for k := 0; k < perJob; k++ {
 			tr.Emit(trace.Event{Kind: trace.KInstant, Arg: int64(i)})
 		}
@@ -252,14 +288,10 @@ func TestPromotedBufferNarrowsWindow(t *testing.T) {
 			<-one // job 1 has buffered its whole stream
 			close(zero)
 		case 1:
-			// Job 1 is promoted once job 0 returns but emits nothing
-			// more; give job 2 the chance to start and buffer meanwhile.
+			// Job 1 becomes head once job 0 is delivered, with its
+			// whole stream buffered; the sink stalls on its replay.
 			close(one)
 			<-zero
-			select {
-			case <-two:
-			case <-time.After(20 * time.Millisecond): //upcvet:wallclock -- host-side grace for a worker pool, not simulated time
-			}
 		case 2:
 			close(two)
 		}
@@ -268,8 +300,8 @@ func TestPromotedBufferNarrowsWindow(t *testing.T) {
 	if err != nil {
 		t.Error(err)
 	}
-	if p := peak.Load(); p > (w-1)*perJob {
-		t.Errorf("undelivered high-water mark %d events, want at most %d (w-1 jobs)", p, (w-1)*perJob)
+	if p, bound := peak.Load(), int64((w-1)*perJob+ringEvents); p > bound {
+		t.Errorf("undelivered high-water mark %d events, want at most %d (w-1 jobs plus the ring)", p, bound)
 	}
 }
 
@@ -349,6 +381,63 @@ func TestMultiChunkJobsMatchSerial(t *testing.T) {
 	for _, w := range []int{2, 8} {
 		if par := stream(w); !reflect.DeepEqual(par, serial) {
 			t.Errorf("width-%d stream differs from the serial stream", w)
+		}
+	}
+}
+
+// slowSink records what it is sent and sleeps now and then, so the
+// deliverer falls behind the jobs and the ring and the window fill.
+type slowSink struct {
+	buf *trace.Buffer
+	n   int
+}
+
+func (s *slowSink) Emit(e trace.Event) {
+	if s.n++; s.n%512 == 0 {
+		time.Sleep(50 * time.Microsecond) //upcvet:wallclock -- host-side stall of a slow observer
+	}
+	s.buf.Emit(e)
+}
+
+// TestSlowSinkStreamMatchesSerial mixes jobs that emit nothing, jobs that
+// fail and jobs that span many buffer chunks and ring slabs, behind a
+// sink slower than the jobs: at every width the delivered stream must
+// equal the serial one, and Run must return the lowest-indexed error.
+func TestSlowSinkStreamMatchesSerial(t *testing.T) {
+	const n = 20
+	count := func(i int) int {
+		switch {
+		case i%5 == 2:
+			return 0
+		case i%6 == 1:
+			return 20000 + i // several chunks and many slabs
+		}
+		return 200*i + 1
+	}
+	fails := func(i int) bool { return i%6 == 3 }
+	body := func(i int, tr trace.Tracer) error {
+		for k := 0; k < count(i); k++ {
+			tr.Emit(trace.Event{Time: int64(k), Kind: trace.KInstant, Name: "job", Arg: int64(i), Arg2: int64(k)})
+		}
+		if fails(i) {
+			return fmt.Errorf("job %d failed", i)
+		}
+		return nil
+	}
+	serial := trace.NewBuffer()
+	for i := 0; i < n; i++ {
+		_ = body(i, serial)
+	}
+	want := serial.Events()
+	for _, w := range []int{2, 3, 8} {
+		sink := &slowSink{buf: trace.NewBuffer()}
+		setup(t, w, sink)
+		err := Run(n, body)
+		if err == nil || err.Error() != "job 3 failed" {
+			t.Errorf("width %d: Run returned %v, want job 3's error", w, err)
+		}
+		if got := sink.buf.Events(); !reflect.DeepEqual(got, want) {
+			t.Errorf("width %d: delivered %d events, differing from the serial %d", w, len(got), len(want))
 		}
 	}
 }

@@ -1,14 +1,15 @@
 package trace
 
-import "sync" //upcvet:rawgo -- host-side chunk pool shared across sweep workers; not simulated concurrency
+import "sync" //upcvet:rawgo -- host-side chunk pool and sealed-chunk handoff between sweep goroutines; not simulated concurrency
 
 // Buffer is a Tracer that records the event stream in memory for later
 // replay. It is the building block of deterministic parallel sweeps: a
 // simulation that runs ahead of an earlier, unfinished one traces into
-// its own Buffer, which is replayed into the real sink as soon as every
+// its own Buffer, which is replayed into the real sink once every
 // earlier run has been delivered, producing a stream — and therefore a
-// Digest — identical to a sequential execution. Like every Tracer it needs no
-// locking: a single engine delivers events from one goroutine at a time.
+// Digest — identical to a sequential execution. Like every Tracer it
+// needs no locking on the recording side: a single engine delivers
+// events from one goroutine at a time.
 //
 // The buffer is a compact event log, about 10 bytes an event against
 // the 80 of an Event. Each event is appended as varints: the time as a
@@ -17,12 +18,19 @@ import "sync" //upcvet:rawgo -- host-side chunk pool shared across sweep workers
 // per-buffer string table that keeps the original strings, and the two
 // args zigzagged. Events never straddle a chunk; chunks are fixed-size
 // byte arrays from a shared pool, so a growing log never copies what it
-// already holds, and ReplayInto hands each chunk back as soon as it has
+// already holds, and a replay hands each chunk back as soon as it has
 // been delivered. The zero value is an empty buffer.
+//
+// A chunk is sealed when it fills, or by Seal. A sealed chunk carries
+// the time its first event's delta is taken from and a snapshot of the
+// string table's slice header; the table is append-only, so every entry
+// the chunk names stays where the snapshot sees it however the recorder
+// grows the table afterwards. ReplaySealed may therefore drain sealed
+// chunks on another goroutine while the recorder keeps emitting.
 type Buffer struct {
-	chunks []logChunk
-	n      int   // recorded events
-	last   int64 // time of the last recorded event
+	cur  logChunk // the chunk being written; c is nil until the next Emit opens one
+	n    int      // recorded events
+	last int64    // time of the last recorded event
 
 	// strs is the string table: index k > 0 stands for strs[k-1], and 0
 	// for "". index finds a string's index; cache, indexed by a hash of a
@@ -32,6 +40,12 @@ type Buffer struct {
 	strs  []string
 	index map[string]uint32
 	cache [cacheSlots]cached
+
+	// mu guards the sealed chunks, a queue of which sealed[next:] have
+	// not been replayed yet.
+	mu     sync.Mutex
+	sealed []logChunk
+	next   int
 }
 
 // cached is one string-cache slot; "" marks a free one.
@@ -52,10 +66,12 @@ const (
 
 type chunk [chunkBytes]byte
 
-// logChunk is one chunk of a log and the bytes it holds.
+// logChunk is one chunk of a log and what decoding it needs.
 type logChunk struct {
 	c    *chunk
 	used int
+	base int64    // time of the event before the chunk's first
+	strs []string // the string table, as of the seal
 }
 
 // chunkPool recycles chunks across buffers: a parallel sweep fills and
@@ -68,11 +84,11 @@ func NewBuffer() *Buffer { return &Buffer{} }
 
 // Emit records e.
 func (b *Buffer) Emit(e Event) {
-	if len(b.chunks) == 0 || b.chunks[len(b.chunks)-1].used > chunkBytes-maxEventBytes {
-		b.chunks = append(b.chunks, logChunk{c: chunkPool.Get().(*chunk)})
+	if b.cur.c == nil || b.cur.used > chunkBytes-maxEventBytes {
+		b.Seal()
+		b.cur = logChunk{c: chunkPool.Get().(*chunk), base: b.last}
 	}
-	lc := &b.chunks[len(b.chunks)-1]
-	c, i := lc.c, lc.used
+	c, i := b.cur.c, b.cur.used
 	i = putUvarint(c, i, zigzag(e.Time-b.last))
 	c[i] = byte(e.Kind)
 	// Proc+1 keeps EngineProc and the first 127 procs to one byte.
@@ -81,9 +97,45 @@ func (b *Buffer) Emit(e Event) {
 	i = putUvarint(c, i, uint64(b.intern(e.Name)))
 	i = putUvarint(c, i, uint64(b.intern(e.Aux)))
 	i = putUvarint(c, i, zigzag(e.Arg))
-	lc.used = putUvarint(c, i, zigzag(e.Arg2))
+	b.cur.used = putUvarint(c, i, zigzag(e.Arg2))
 	b.last = e.Time
 	b.n++
+}
+
+// Seal closes the chunk being written, if any, so that ReplaySealed
+// delivers every event recorded so far; the next Emit opens a fresh
+// chunk. Like Emit, it must not run concurrently with itself or Emit.
+func (b *Buffer) Seal() {
+	if b.cur.c == nil {
+		return
+	}
+	b.cur.strs = b.strs
+	b.mu.Lock()
+	b.sealed = append(b.sealed, b.cur)
+	b.mu.Unlock()
+	b.cur = logChunk{}
+}
+
+// ReplaySealed delivers the events of every sealed chunk not yet
+// replayed to t, in emission order, handing each chunk back to the pool
+// once delivered. It keeps going while the recorder seals more, and
+// returns when none is left. It may run concurrently with Emit and Seal,
+// but not with itself.
+func (b *Buffer) ReplaySealed(t Tracer) {
+	for {
+		b.mu.Lock()
+		if b.next == len(b.sealed) {
+			b.sealed, b.next = b.sealed[:0], 0
+			b.mu.Unlock()
+			return
+		}
+		lc := b.sealed[b.next]
+		b.sealed[b.next] = logChunk{}
+		b.next++
+		b.mu.Unlock()
+		decode(t, lc)
+		chunkPool.Put(lc.c)
+	}
 }
 
 // intern returns s's string-table index, through the cache.
@@ -125,27 +177,16 @@ func (b *Buffer) internMiss(slot *cached, s string) uint32 {
 // Len reports the number of recorded events.
 func (b *Buffer) Len() int { return b.n }
 
-// ReplayInto delivers the recorded stream to t in emission order and
-// empties the buffer, returning each chunk to the pool once delivered.
-func (b *Buffer) ReplayInto(t Tracer) {
-	var time int64
-	for k, lc := range b.chunks {
-		time = b.decode(t, lc, time)
-		chunkPool.Put(lc.c)
-		b.chunks[k] = logChunk{}
-	}
-	clear(b.strs)
-	clear(b.index)
-	clear(b.cache[:])
-	b.chunks, b.strs, b.n, b.last = b.chunks[:0], b.strs[:0], 0, 0
-}
-
-// Events returns a copy of the recorded stream.
+// Events returns a copy of the recorded stream not yet replayed.
 func (b *Buffer) Events() []Event {
 	out := make(eventList, 0, b.n)
-	var time int64
-	for _, lc := range b.chunks {
-		time = b.decode(&out, lc, time)
+	for _, lc := range b.sealed[b.next:] {
+		decode(&out, lc)
+	}
+	if b.cur.c != nil {
+		lc := b.cur
+		lc.strs = b.strs
+		decode(&out, lc)
 	}
 	return out
 }
@@ -155,10 +196,9 @@ type eventList []Event
 
 func (l *eventList) Emit(e Event) { *l = append(*l, e) }
 
-// decode delivers lc's events to t. time is the time of the event
-// before the chunk's first; decode returns the time of its last.
-func (b *Buffer) decode(t Tracer, lc logChunk, time int64) int64 {
-	c := lc.c
+// decode delivers lc's events to t.
+func decode(t Tracer, lc logChunk) {
+	c, time := lc.c, lc.base
 	var e Event
 	for i := 0; i < lc.used; {
 		var v uint64
@@ -169,26 +209,25 @@ func (b *Buffer) decode(t Tracer, lc logChunk, time int64) int64 {
 		v, i = uvarint(c, i+1)
 		e.Proc = int32(uint32(v)) - 1
 		v, i = uvarint(c, i)
-		e.Cat = b.str(v)
+		e.Cat = lookup(lc.strs, v)
 		v, i = uvarint(c, i)
-		e.Name = b.str(v)
+		e.Name = lookup(lc.strs, v)
 		v, i = uvarint(c, i)
-		e.Aux = b.str(v)
+		e.Aux = lookup(lc.strs, v)
 		v, i = uvarint(c, i)
 		e.Arg = unzigzag(v)
 		v, i = uvarint(c, i)
 		e.Arg2 = unzigzag(v)
 		t.Emit(e)
 	}
-	return time
 }
 
-// str resolves a string-table index.
-func (b *Buffer) str(k uint64) string {
+// lookup resolves a string-table index.
+func lookup(strs []string, k uint64) string {
 	if k == 0 {
 		return ""
 	}
-	return b.strs[k-1]
+	return strs[k-1]
 }
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }

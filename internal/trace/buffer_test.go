@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync/atomic" //upcvet:rawgo -- a recorder and a replayer on two goroutines, as in a parallel sweep
 	"testing"
 )
 
@@ -33,7 +34,8 @@ func TestBufferReplayAcrossChunks(t *testing.T) {
 			t.Fatalf("n=%d: Events() holds %d events", n, len(got))
 		}
 		got := NewBuffer()
-		b.ReplayInto(got)
+		b.Seal()
+		b.ReplaySealed(got)
 		evs := got.Events()
 		if len(evs) != n {
 			t.Fatalf("n=%d: replayed %d events", n, len(evs))
@@ -43,9 +45,9 @@ func TestBufferReplayAcrossChunks(t *testing.T) {
 				t.Fatalf("n=%d: replayed event %d carries %d", n, i, e.Arg)
 			}
 		}
-		// A replayed buffer is empty and records afresh.
-		if b.Len() != 0 || len(b.Events()) != 0 {
-			t.Fatalf("n=%d: replayed buffer still holds %d events", n, b.Len())
+		// A replayed buffer holds nothing and records afresh.
+		if evs := b.Events(); len(evs) != 0 {
+			t.Fatalf("n=%d: replayed buffer still holds %d events", n, len(evs))
 		}
 		b.Emit(Event{Time: 5, Arg: -1})
 		if evs := b.Events(); len(evs) != 1 || evs[0] != (Event{Time: 5, Arg: -1}) {
@@ -62,7 +64,8 @@ func TestBufferRecycledChunksStartEmpty(t *testing.T) {
 		for _, e := range numbered(1000000, 2*perChunk+5) {
 			old.Emit(e)
 		}
-		old.ReplayInto(NewDigest())
+		old.Seal()
+		old.ReplaySealed(NewDigest())
 		for _, n := range []int{0, 1, 17, perChunk + 3} {
 			b := NewBuffer()
 			for _, e := range numbered(0, n) {
@@ -77,7 +80,8 @@ func TestBufferRecycledChunksStartEmpty(t *testing.T) {
 					t.Fatalf("round %d: event %d of %d carries %d", round, i, n, e.Arg)
 				}
 			}
-			b.ReplayInto(NewDigest())
+			b.Seal()
+			b.ReplaySealed(NewDigest())
 		}
 	}
 }
@@ -91,7 +95,8 @@ func TestBufferReplayDigest(t *testing.T) {
 		direct.Emit(e)
 		b.Emit(e)
 	}
-	b.ReplayInto(replayed)
+	b.Seal()
+	b.ReplaySealed(replayed)
 	if direct.Sum64() != replayed.Sum64() || direct.Events() != replayed.Events() {
 		t.Fatalf("replayed digest %s (%d), direct %s (%d)", replayed, replayed.Events(), direct, direct.Events())
 	}
@@ -160,8 +165,8 @@ func randomEvents(rng *rand.Rand, n int) []Event {
 }
 
 // TestBufferRoundTrip: every recorded event comes back field for field,
-// through Events and through ReplayInto, on a fresh and on a reused
-// buffer.
+// through Events and through a replay, on a fresh buffer and on one
+// whose string table earlier streams filled.
 func TestBufferRoundTrip(t *testing.T) {
 	if cacheSlot("axzb") != cacheSlot("ayzb") {
 		t.Fatal("axzb and ayzb take different cache slots; the events need a pair that shares one")
@@ -179,12 +184,13 @@ func TestBufferRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: Events() differs from the recorded stream", trial)
 		}
 		var got eventList
-		b.ReplayInto(&got)
+		b.Seal()
+		b.ReplaySealed(&got)
 		if !equalEvents(got, evs) {
 			t.Fatalf("trial %d: replay differs from the recorded stream", trial)
 		}
-		if b.Len() != 0 {
-			t.Fatalf("trial %d: Len() = %d after replay", trial, b.Len())
+		if left := b.Events(); len(left) != 0 {
+			t.Fatalf("trial %d: %d events left after replay", trial, len(left))
 		}
 	}
 }
@@ -202,8 +208,10 @@ func equalEvents(got, want []Event) bool {
 }
 
 // TestBufferWarmCycleAllocatesNothing: once a buffer has recorded and
-// replayed a stream, recording and replaying it again takes its chunks
-// from the pool and its string table from the cleared one.
+// replayed a stream, recording it again takes its chunks from the pool
+// and every string from the table, and replaying its sealed chunks while
+// it records, as a parallel sweep's deliverer does once a buffered job
+// becomes head, takes nothing either.
 func TestBufferWarmCycleAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race, sync.Pool drops chunks at random")
@@ -214,11 +222,58 @@ func TestBufferWarmCycleAllocatesNothing(t *testing.T) {
 	cycle := func() {
 		for i := range evs {
 			b.Emit(evs[i])
+			if i%(perChunk/2) == 0 {
+				b.ReplaySealed(sink)
+			}
 		}
-		b.ReplayInto(sink)
+		b.Seal()
+		b.ReplaySealed(sink)
 	}
 	cycle()
 	if n := testing.AllocsPerRun(5, cycle); n != 0 {
-		t.Fatalf("warm Emit/ReplayInto cycle: %v allocs, want 0", n)
+		t.Fatalf("warm Emit/Seal/ReplaySealed cycle: %v allocs, want 0", n)
+	}
+}
+
+// TestBufferSealedReplayConcurrent replays sealed chunks on one goroutine
+// while another keeps recording, sealing now and then, and naming
+// strings the buffer has not seen before; the replayed stream must equal
+// the recorded one.
+func TestBufferSealedReplayConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	evs := randomEvents(rng, 5*perChunk)
+	for i := range evs {
+		if i%97 == 0 {
+			evs[i].Name = "fresh" + strconv.Itoa(i)
+		}
+	}
+	ref := NewBuffer()
+	for _, e := range evs {
+		ref.Emit(e)
+	}
+	want := ref.Events()
+
+	b := NewBuffer()
+	var done atomic.Bool
+	go func() { //upcvet:rawgo -- the recorder, concurrent with the replay below
+		for i, e := range evs {
+			b.Emit(e)
+			if i%(perChunk/3) == 0 {
+				b.Seal()
+			}
+		}
+		b.Seal()
+		done.Store(true)
+	}()
+	var got eventList
+	for !done.Load() {
+		b.ReplaySealed(&got)
+	}
+	b.ReplaySealed(&got)
+	if !equalEvents(got, want) {
+		t.Fatalf("replayed %d events, differing from the %d recorded", len(got), len(want))
+	}
+	if evs := b.Events(); len(evs) != 0 {
+		t.Fatalf("buffer still holds %d events after the replay", len(evs))
 	}
 }
